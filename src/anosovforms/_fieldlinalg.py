@@ -1,44 +1,43 @@
-"""Generic exact linear algebra over Q or a number field.
+"""The exact linear-algebra kernel, over Q or a number field.
 
-Matrices are plain nested lists whose entries support +, -, *, / and
-compare equal to 0; Fraction and FieldElement both qualify.  Everything is
-Gaussian elimination with exact arithmetic, no pivoting heuristics needed.
+Matrices are plain nested lists (or tuples) whose entries support +, -, *,
+/ and compare equal to 0; Fraction and FieldElement both qualify.  rref is
+the one Gauss-Jordan loop and det the one forward-elimination loop; solve,
+rank, span bases and RationalMatrix's det, inverse, rref and product all go
+through them.  Exact arithmetic needs no pivoting heuristic: the first
+nonzero entry of a column is the pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert all(len(r) == inner for r in a)
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                t = a[i][k] * b[k][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
-    return out
+from .errors import DimensionMismatch
 
 
 def mat_vec(a, v):
+    """a * v, each term formed as v_k * a_ik, so v may hold elements of an
+    extension of a's field."""
     out = []
     for row in a:
         acc = None
-        for x, y in zip(row, v):
+        for x, y in zip(v, row):
             t = x * y
             acc = t if acc is None else acc + t
         out.append(acc)
     return out
 
 
+def mat_mul(a, b):
+    """a * b: every row of a times the transposed columns of b."""
+    if any(len(r) != len(b) for r in a):
+        raise DimensionMismatch("matrix product needs cols(a) == rows(b)")
+    cols = list(zip(*b))
+    return [mat_vec(cols, row) for row in a]
+
+
 def rref(rows):
-    """In-place style reduced row echelon form; returns (rows, pivot_cols)."""
+    """Reduced row echelon form of a copy; returns (rows, pivot_cols)."""
     m = [list(r) for r in rows]
     if not m:
         return m, []
@@ -99,22 +98,14 @@ def det(rows):
 
 
 def solve(a, rhs_cols):
-    """Solve a * X = B for X, where B is given as a list of columns.
-    Raises ZeroDivisionError('singular matrix') when a is singular."""
+    """Solve a * X = B for X, where a is square and B is given as a list of
+    columns, by reducing [a | B].  Raises ZeroDivisionError('singular
+    matrix') unless the pivots are exactly the columns of a."""
     n = len(a)
-    aug = [list(a[i]) + [col[i] for col in rhs_cols] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not aug[r][c] == 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = _inv(aug[c][c])
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and not aug[r][c] == 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [[aug[i][n + j] for j in range(len(rhs_cols))] for i in range(n)]
+    m, pivots = rref([list(a[i]) + [col[i] for col in rhs_cols] for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in m]
 
 
 def span_rref(vectors):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success (including negative mathematical verdicts, which
 are results, not failures); 1 = domain error, with a machine-readable JSON
-object on stderr; 2 = usage error or unreadable input.  Identical
+object on stderr; 2 = usage error, unreadable or malformed input, with a
+one-line message on stderr.  Identical
 invocations print identical bytes: output is canonical JSON.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import serialize as ser
 from .anosov import certify
 from .catalog import csig_fixture, cyclic_cubic_datum, cubic_pisot_unit, sqrt2_datum
-from .errors import AnosovError
+from .errors import AnosovError, MalformedInput
 from .exactmath import rat, rat_to_str
 from .liealg import Grading, heisenberg
 from .numfield import conjugate_modulus_interval, minimal_polynomial, verify_galois_datum
@@ -264,6 +265,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except MalformedInput as e:
+        print(f"malformed input: {e}", file=sys.stderr)
+        return 2
     except AnosovError as e:
         err = {"error": type(e).__name__, "detail": str(e)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)

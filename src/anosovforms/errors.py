@@ -27,6 +27,18 @@ class RootOnCircle(AnosovError):
     pass
 
 
+class NotDivisible(AnosovError):
+    """Polynomial.shift_down would drop a nonzero coefficient."""
+
+
+class NotPalindromic(AnosovError):
+    """The Chebyshev contraction needs a palindromic polynomial of even degree."""
+
+
+class OddWindingIndex(AnosovError):
+    """The exact winding count over the unit circle came out odd."""
+
+
 # --- number fields ------------------------------------------------------
 
 class NotIrreducible(AnosovError):
@@ -71,6 +83,10 @@ class PrecisionUnreachable(AnosovError):
 
 class BadParameters(AnosovError):
     pass
+
+
+class MalformedInput(BadParameters):
+    """Input data that does not fit its file format; the CLI exits 2."""
 
 
 # --- pisot search -------------------------------------------------------
@@ -153,6 +169,10 @@ class ExtensionInconsistent(AnosovError):
 
 class NonUnitLabel(AnosovError):
     pass
+
+
+class EigenvalueMismatch(AnosovError):
+    """A transported matrix's charpoly differs from the label product."""
 
 
 # --- pfaffian / duality -------------------------------------------------

@@ -23,7 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import EndpointIsRoot, NonSquare, RootOnCircle, ZeroPolynomial
+from . import _fieldlinalg as fl
+from .errors import (
+    EndpointIsRoot,
+    NonSquare,
+    NotDivisible,
+    NotPalindromic,
+    OddWindingIndex,
+    RootOnCircle,
+    ZeroPolynomial,
+)
 
 Rational = Fraction
 
@@ -258,7 +267,8 @@ class Polynomial:
 
     def shift_down(self, k: int) -> "Polynomial":
         """Divide by X^k; the dropped coefficients must vanish."""
-        assert all(c == 0 for c in self.coeffs[:k])
+        if any(c != 0 for c in self.coeffs[:k]):
+            raise NotDivisible(f"polynomial is not divisible by X^{k}")
         return Polynomial(self.coeffs[k:])
 
 
@@ -435,10 +445,7 @@ class RationalMatrix:
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in matrix product")
-            ot = other.transpose().entries
-            return RationalMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
-            )
+            return RationalMatrix(fl.mat_mul(self.entries, other.entries))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -481,14 +488,7 @@ class RationalMatrix:
         that support multiplication by Fraction (field elements included)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.entries:
-            acc = None
-            for a, v in zip(row, vec):
-                term = v * a
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        return fl.mat_vec(self.entries, vec)
 
     def trace(self) -> Fraction:
         if not self.is_square:
@@ -498,65 +498,18 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
-        m = [list(row) for row in self.entries]
-        n = self.rows
-        d = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                d = -d
-            d *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                f = m[r][c] * inv
-                if f:
-                    for k in range(c, n):
-                        m[r][k] -= f * m[c][k]
-        return d
+        return fl.det(self.entries)
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square:
             raise NonSquare("inverse needs a square matrix")
         n = self.rows
-        m = [list(row) + [Fraction(i == j) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c]:
-                    f = m[r][c]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-        return RationalMatrix([row[n:] for row in m])
+        unit_cols = [[Fraction(i == j) for i in range(n)] for j in range(n)]
+        return RationalMatrix(fl.solve(self.entries, unit_cols))
 
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        m = [list(row) for row in self.entries]
-        nrows, ncols = self.rows, self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
+        m, pivots = fl.rref(self.entries)
         return RationalMatrix(m), pivots
 
     def rank(self) -> int:
@@ -645,8 +598,10 @@ def nullspace(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
+def _remainder_chain(a: Polynomial, b: Polynomial) -> list[Polynomial]:
+    """The signed remainder sequence a, b, -(a mod b), ... up to its last
+    nonzero term: the Sturm chain when b = a'."""
+    chain = [a, b]
     while not chain[-1].is_zero:
         chain.append(-(chain[-2] % chain[-1]))
     chain.pop()
@@ -672,20 +627,10 @@ def sturm_count(p: Polynomial, interval: tuple) -> int:
         raise ZeroPolynomial("sturm_count of the zero polynomial")
     if p.eval(a) == 0 or p.eval(b) == 0:
         raise EndpointIsRoot(f"polynomial vanishes at an endpoint of ({a}, {b})")
-    chain = _sturm_chain(p)
+    chain = _remainder_chain(p, p.derivative())
     va = _sign_changes(q.eval(a) for q in chain)
     vb = _sign_changes(q.eval(b) for q in chain)
     return va - vb
-
-
-def _sturm_count_unbounded(p: Polynomial) -> int:
-    """Distinct real roots on the whole line (signs taken at +-infinity)."""
-    chain = _sturm_chain(p)
-    at_pos = _sign_changes(q.leading for q in chain if not q.is_zero)
-    at_neg = _sign_changes(
-        q.leading * (-1) ** q.degree for q in chain if not q.is_zero
-    )
-    return at_neg - at_pos
 
 
 def _strip_zero_roots(p: Polynomial) -> tuple[int, Polynomial]:
@@ -698,9 +643,11 @@ def _strip_zero_roots(p: Polynomial) -> tuple[int, Polynomial]:
 def _chebyshev_contract(g: Polynomial) -> Polynomial:
     """For palindromic g of degree 2d, the h with g(X) = X^d h(X + 1/X)."""
     d2 = g.degree
-    assert d2 % 2 == 0
+    if d2 % 2:
+        raise NotPalindromic(f"odd degree {d2}")
     d = d2 // 2
-    assert all(g[i] == g[d2 - i] for i in range(d + 1)), "not palindromic"
+    if any(g[i] != g[d2 - i] for i in range(d + 1)):
+        raise NotPalindromic("not palindromic")
     # P_j(Y) = X^j + X^-j: P_0 = 2, P_1 = Y, P_{j+1} = Y P_j - P_{j-1}
     h = Polynomial((g[d],))
     pj_prev, pj = Polynomial((2,)), Polynomial.x()
@@ -767,10 +714,7 @@ def _schur_inside(f: Polynomial) -> int:
 def _cauchy_index(a: Polynomial, b: Polynomial) -> int:
     """Cauchy index of b/a over the whole real line via the signed
     remainder chain: jumps from -inf to +inf count +1."""
-    chain = [a, b]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
+    chain = _remainder_chain(a, b)
     at_pos = _sign_changes(q.leading for q in chain if not q.is_zero)
     at_neg = _sign_changes(
         q.leading * (-1) ** q.degree for q in chain if not q.is_zero
@@ -807,7 +751,8 @@ def _winding_inside(f: Polynomial) -> int:
             re_pow * two_t + im_pow * one_minus,
         )
     index = _cauchy_index(re_acc, im_acc)
-    assert index % 2 == 0, "odd winding index over a closed curve"
+    if index % 2:
+        raise OddWindingIndex("odd winding index over a closed curve")
     return -index // 2
 
 
@@ -835,4 +780,5 @@ def count_real_roots(p: Polynomial) -> int:
     """Distinct real roots of p over the whole real line."""
     if p.is_zero:
         raise ZeroPolynomial("count_real_roots of the zero polynomial")
-    return _sturm_count_unbounded(p.squarefree_part())
+    q = p.squarefree_part()
+    return _cauchy_index(q, q.derivative())

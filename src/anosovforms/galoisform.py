@@ -22,6 +22,7 @@ from .errors import (
     CommutationViolation,
     DatumMismatch,
     DimensionMismatch,
+    EigenvalueMismatch,
     ExtensionInconsistent,
     IrrationalEntry,
     IrrationalStructureConstant,
@@ -30,12 +31,13 @@ from .errors import (
     NotGenerating,
     NotHomomorphism,
 )
-from .exactmath import Polynomial, RationalMatrix, rat
+from .exactmath import Polynomial, RationalMatrix, nullspace, rat
 from .liealg import LieAlgebra, LinearMap, is_automorphism, require_jacobi
 from .numfield import (
     FieldElement,
     GaloisDatum,
     apply_automorphism,
+    automorphism_matrix,
     is_algebraic_unit,
 )
 
@@ -46,27 +48,6 @@ EMatrix = tuple[tuple[FieldElement, ...], ...]
 # ---------------------------------------------------------------------------
 # the right action
 # ---------------------------------------------------------------------------
-
-
-def automorphism_matrix(datum: GaloisDatum, index: int) -> RationalMatrix:
-    """Matrix of the Q-linear map x -> sigma_index(x) in the power basis."""
-    cache = getattr(datum, "_autmat", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(datum, "_autmat", cache)
-    if index not in cache:
-        d = datum.degree
-        q = datum.automorphisms[index]
-        cols = []
-        power = datum.one()
-        sigma_theta = datum.from_polynomial(q)
-        for _ in range(d):
-            cols.append(power.coeffs)
-            power = power * sigma_theta
-        cache[index] = RationalMatrix(
-            [[cols[j][i] for j in range(d)] for i in range(d)]
-        )
-    return cache[index]
 
 
 def right_action(datum: GaloisDatum, sigma_index: int, v: Sequence[FieldElement]) -> EVector:
@@ -214,7 +195,7 @@ def rational_form(rho: Representation) -> RationalFormBasis:
         basis_flat = [tuple(Fraction(i == j) for j in range(m * d))
                       for i in range(m * d)]
     else:
-        basis_flat = _nullspace_rows(rows, m * d)
+        basis_flat = nullspace(RationalMatrix(rows))
     if len(basis_flat) != m:
         raise DimensionMismatch(
             f"fixed space has dimension {len(basis_flat)}, expected {m}"
@@ -224,12 +205,6 @@ def rational_form(rho: Representation) -> RationalFormBasis:
         for flat in basis_flat
     )
     return rational_form_from_vectors(rho, vectors)
-
-
-def _nullspace_rows(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    from .exactmath import nullspace
-
-    return nullspace(RationalMatrix(rows)) if rows else []
 
 
 def rational_form_from_vectors(rho: Representation,
@@ -521,6 +496,6 @@ def main2_construct(la: LabeledAlgebra, rho: Representation,
     )
     matrix = transport(basis, f)
     # restriction to a rational form preserves the eigenvalue multiset
-    assert matrix.charpoly() == labels_charpoly(la), \
-        "transported matrix lost the label eigenvalues"
+    if matrix.charpoly() != labels_charpoly(la):
+        raise EigenvalueMismatch("transported matrix lost the label eigenvalues")
     return algebra_q, matrix, basis

@@ -619,13 +619,30 @@ def _require_verified(datum: GaloisDatum):
         raise BadParameters("operation requires a verified GaloisDatum")
 
 
+def automorphism_matrix(datum: GaloisDatum, index: int) -> RationalMatrix:
+    """Matrix of the Q-linear map x -> sigma_index(x) in the power basis
+    (cached on the datum)."""
+    cache = getattr(datum, "_autmat", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(datum, "_autmat", cache)
+    if index not in cache:
+        cols = []
+        power = datum.one()
+        sigma_theta = datum.from_polynomial(datum.automorphisms[index])
+        for _ in range(datum.degree):
+            cols.append(power.coeffs)
+            power = power * sigma_theta
+        cache[index] = RationalMatrix(zip(*cols))
+    return cache[index]
+
+
 def apply_automorphism(datum: GaloisDatum, index: int, x: FieldElement) -> FieldElement:
-    """sigma_index(x), by evaluating x's polynomial at sigma(theta)."""
+    """sigma_index(x): the automorphism's matrix times x's coordinates."""
     _require_verified(datum)
     if x.datum.fingerprint() != datum.fingerprint():
         raise DatumMismatch("element does not belong to this datum")
-    q = datum.automorphisms[index]
-    return datum.from_polynomial(x.as_polynomial().compose_mod(q, datum.min_poly))
+    return FieldElement(datum, tuple(automorphism_matrix(datum, index).apply(x.coeffs)))
 
 
 def minimal_polynomial(x: FieldElement) -> Polynomial:

@@ -4,14 +4,20 @@ All numbers are exact rational strings ("p/q" or "p"); no floats exist
 anywhere in the formats.  canonical_dumps produces byte-identical output
 for equal objects (sorted keys, tight separators, trailing newline), which
 is what makes gold-file tests and CLI round-trips exact.
+
+Every reader raises MalformedInput on data that does not fit its format:
+a missing key, a wrong shape, bad indices, or a JSON float where an exact
+number belongs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from fractions import Fraction
 
 from .anosov import AnosovCertificate
-from .errors import BadParameters
+from .errors import MalformedInput
 from .exactmath import Interval, Polynomial, RationalMatrix, rat, rat_to_str
 from .liealg import LieAlgebra
 from .numfield import FieldElement, GaloisDatum, verify_galois_datum
@@ -23,6 +29,36 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _reader(fn):
+    """Report the KeyError, IndexError, TypeError or ValueError that
+    unusable data raises while it is read as MalformedInput."""
+    @functools.wraps(fn)
+    def read(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except KeyError as e:
+            raise MalformedInput(f"missing key {e}") from None
+        except (IndexError, TypeError, ValueError) as e:
+            raise MalformedInput(str(e)) from None
+    return read
+
+
+def _rat(x) -> Fraction:
+    """An exact rational from a string or an integer; floats are refused."""
+    if isinstance(x, (str, int, Fraction)) and not isinstance(x, bool):
+        try:
+            return rat(str(x))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise MalformedInput(f"not an exact rational: {x!r}")
+
+
+def _int(x) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise MalformedInput(f"not an integer: {x!r}")
+
+
 # -- polynomials, matrices, intervals --------------------------------------
 
 
@@ -30,24 +66,27 @@ def poly_to_json(p: Polynomial) -> list[str]:
     return [rat_to_str(c) for c in p.coeffs]
 
 
+@_reader
 def poly_from_json(data) -> Polynomial:
-    return Polynomial([rat(str(c)) for c in data])
+    return Polynomial([_rat(c) for c in data])
 
 
 def matrix_to_json(m: RationalMatrix) -> list[list[str]]:
     return [[rat_to_str(x) for x in row] for row in m.entries]
 
 
+@_reader
 def matrix_from_json(data) -> RationalMatrix:
-    return RationalMatrix([[rat(str(x)) for x in row] for row in data])
+    return RationalMatrix([[_rat(x) for x in row] for row in data])
 
 
 def interval_to_json(iv: Interval) -> dict:
     return {"lo": rat_to_str(iv.lo), "hi": rat_to_str(iv.hi)}
 
 
+@_reader
 def interval_from_json(data) -> Interval:
-    return Interval(rat(str(data["lo"])), rat(str(data["hi"])))
+    return Interval(_rat(data["lo"]), _rat(data["hi"]))
 
 
 # -- Galois data ------------------------------------------------------------
@@ -71,20 +110,21 @@ def datum_to_json(d: GaloisDatum) -> dict:
     return out
 
 
+@_reader
 def datum_from_json(data, verify: bool = True) -> GaloisDatum:
     totally_real = data.get("totally_real", True)
     datum = GaloisDatum(
         min_poly=poly_from_json(data["min_poly"]),
         automorphisms=tuple(poly_from_json(q) for q in data["automorphisms"]),
-        identity_index=int(data["identity"]),
-        table=tuple(tuple(int(x) for x in row) for row in data["table"]),
+        identity_index=_int(data["identity"]),
+        table=tuple(tuple(_int(x) for x in row) for row in data["table"]),
         root_enclosures=tuple(interval_from_json(iv) for iv in data["roots"])
         if totally_real else None,
         totally_real=totally_real,
         root_moduli=tuple(interval_from_json(iv) for iv in data.get("moduli", []))
         if not totally_real else None,
         assume_irreducible=bool(data.get("assume_irreducible", False)),
-        distinguished_index=int(data.get("distinguished", 0)),
+        distinguished_index=_int(data.get("distinguished", 0)),
     )
     return verify_galois_datum(datum) if verify else datum
 
@@ -93,8 +133,9 @@ def element_to_json(x: FieldElement) -> list[str]:
     return [rat_to_str(c) for c in x.coeffs]
 
 
+@_reader
 def element_from_json(datum: GaloisDatum, data) -> FieldElement:
-    return datum.element([rat(str(c)) for c in data])
+    return datum.element([_rat(c) for c in data])
 
 
 # -- Lie algebras -----------------------------------------------------------
@@ -115,23 +156,23 @@ def algebra_to_json(a: LieAlgebra) -> dict:
     return out
 
 
+@_reader
 def algebra_from_json(data) -> LieAlgebra:
     f = data["field"]
     field = "Q" if f == "Q" else datum_from_json(f)
     brackets = tuple(
-        (int(i), int(j), int(k), rat(str(c))) for (i, j, k, c) in data["brackets"]
+        (_int(i), _int(j), _int(k), _rat(c)) for (i, j, k, c) in data["brackets"]
     )
     labels = tuple(data["labels"]) if "labels" in data else None
-    return LieAlgebra(field, int(data["dim"]), brackets, labels)
+    return LieAlgebra(field, _int(data["dim"]), brackets, labels)
 
 
 def map_to_json(m: RationalMatrix) -> dict:
     return {"matrix": matrix_to_json(m)}
 
 
+@_reader
 def map_from_json(data) -> RationalMatrix:
-    if "matrix" not in data:
-        raise BadParameters("map file needs a 'matrix' key")
     return matrix_from_json(data["matrix"])
 
 
@@ -156,9 +197,10 @@ def form_to_json(h: BinaryQuadraticForm) -> dict:
     return {"a": rat_to_str(h.a), "b": rat_to_str(h.b), "c": rat_to_str(h.c)}
 
 
+@_reader
 def form_from_json(data) -> BinaryQuadraticForm:
-    return BinaryQuadraticForm(rat(str(data["a"])), rat(str(data["b"])),
-                               rat(str(data["c"])))
+    return BinaryQuadraticForm(_rat(data["a"]), _rat(data["b"]),
+                               _rat(data["c"]))
 
 
 def representation_to_json(rho) -> dict:
@@ -168,6 +210,7 @@ def representation_to_json(rho) -> dict:
     }
 
 
+@_reader
 def representation_from_json(data, algebra=None):
     from .galoisform import Representation, verify_representation
 
@@ -184,21 +227,23 @@ def labeled_algebra_to_json(la) -> dict:
     return out
 
 
+@_reader
 def labeled_algebra_from_json(data):
     from .galoisform import build_labeled_algebra
 
     datum = datum_from_json(data["field"])
     labels = [element_from_json(datum, lab) for lab in data["labels"]]
-    spec = [(int(i), int(j), rat(str(c)), int(k))
+    spec = [(_int(i), _int(j), _rat(c), _int(k))
             for (i, j, k, c) in data["brackets"]]
     return build_labeled_algebra(labels, spec,
-                                 tuple(int(g) for g in data["generators"]))
+                                 tuple(_int(g) for g in data["generators"]))
 
 
+@_reader
 def constraints_from_json(data) -> list[ConeConstraint]:
     out = []
     for item in data:
-        out.append(ConeConstraint(tuple(int(c) for c in item["coeffs"]),
+        out.append(ConeConstraint(tuple(_int(c) for c in item["coeffs"]),
                                   str(item["rel"])))
     return out
 

@@ -90,6 +90,29 @@ class TestCertify:
         cert = json.loads(proc.stdout)
         assert cert["hyperbolic"] is False
 
+    @pytest.mark.parametrize("algebra, matrix", [
+        ({"field": "Q", "dim": 3, "brackets": [[0, 0, 1, "1"]]}, None),
+        ({"field": "Q", "dim": 3}, None),
+        ({"field": "Q", "dim": 3, "brackets": [[0, 1, 2, 0.5]]}, None),
+        (None, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", 0.5]]),
+        (None, [["1", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        ({"field": "Q", "dim": 3, "brackets": [[0, 1, 2, "1/0"]]}, None),
+    ], ids=["repeated-index", "no-brackets", "float-coefficient",
+            "float-entry", "ragged-map", "zero-denominator"])
+    def test_malformed_input_exit2(self, workdir, algebra, matrix):
+        alg = workdir / "malformed_alg.json"
+        mp = workdir / "malformed_map.json"
+        alg.write_text(json.dumps(algebra or {
+            "field": "Q", "dim": 3, "brackets": [[0, 1, 2, "1"]]}))
+        mp.write_text(json.dumps({"matrix": matrix or [
+            ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+        proc = run_cli("certify", "--algebra", str(alg), "--map", str(mp),
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("malformed input: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_malformed_json_exit2(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text("not json")

@@ -1,0 +1,188 @@
+"""Properties of the exact linear-algebra kernel over Q and over verified
+number fields, a high-precision mpmath oracle for det, and the Galois
+action's matrix path against polynomial composition."""
+
+from fractions import Fraction as F
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anosovforms import _fieldlinalg as fl
+from anosovforms.catalog import quartic_z4_datum, sqrt2_datum
+from anosovforms.exactmath import RationalMatrix, nullspace
+from anosovforms.numfield import apply_automorphism
+
+FIELDS = {"Q": None, "sqrt2": sqrt2_datum(), "quartic": quartic_z4_datum()}
+PROPS = settings(max_examples=15, deadline=None)
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _element(name, coords):
+    datum = FIELDS[name]
+    return coords[0] if datum is None else datum.element(coords)
+
+
+def _one(name):
+    return _element(name, [F(1)] + [F(0)] * (_degree(name) - 1))
+
+
+def _zero(name):
+    return _element(name, [F(0)] * _degree(name))
+
+
+def _degree(name):
+    return 1 if FIELDS[name] is None else FIELDS[name].degree
+
+
+def matrices(name, rows, cols):
+    d = _degree(name)
+    return st.lists(small, min_size=rows * cols * d, max_size=rows * cols * d).map(
+        lambda xs: [[_element(name, xs[(i * cols + j) * d:(i * cols + j + 1) * d])
+                     for j in range(cols)] for i in range(rows)])
+
+
+def square_pair(name):
+    return st.integers(1, 3).flatmap(
+        lambda n: st.tuples(matrices(name, n, n), matrices(name, n, n)))
+
+
+def shaped(name):
+    return st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+        lambda rc: matrices(name, *rc))
+
+
+def identity(name, n):
+    return [[_one(name) if i == j else _zero(name) for j in range(n)]
+            for i in range(n)]
+
+
+def columns(m):
+    return [list(c) for c in zip(*m)]
+
+
+field_names = pytest.mark.parametrize("name", list(FIELDS))
+
+
+@field_names
+@PROPS
+@given(data=st.data())
+def test_det_multiplicative(name, data):
+    a, b = data.draw(square_pair(name))
+    assert fl.det(fl.mat_mul(a, b)) == fl.det(a) * fl.det(b)
+
+
+@field_names
+@PROPS
+@given(data=st.data())
+def test_inverse_and_solve(name, data):
+    a, b = data.draw(square_pair(name))
+    n = len(a)
+    if fl.det(a) == 0:
+        with pytest.raises(ZeroDivisionError, match="singular matrix"):
+            fl.solve(a, columns(b))
+        return
+    assert fl.mat_mul(a, fl.solve(a, columns(identity(name, n)))) == identity(name, n)
+    assert fl.mat_mul(a, fl.solve(a, columns(b))) == b
+
+
+@field_names
+@PROPS
+@given(data=st.data())
+def test_singular_solve_raises(name, data):
+    a, b = data.draw(square_pair(name))
+    # the last row repeats a multiple of the first: rank < n
+    c = a[0][0]
+    singular = a[:-1] + [[c * x for x in a[0]]] if len(a) > 1 else [[_zero(name)]]
+    with pytest.raises(ZeroDivisionError, match="singular matrix"):
+        fl.solve(singular, columns(b))
+    assert fl.det(singular) == 0
+
+
+@field_names
+@PROPS
+@given(data=st.data())
+def test_rank_nullity_and_idempotent_rref(name, data):
+    m = data.draw(shaped(name))
+    r, pivots = fl.rref(m)
+    assert fl.rref(r) == (r, pivots)
+    ncols = len(m[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    for f in free:
+        v = [_zero(name)] * ncols
+        v[f] = _one(name)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        assert all(x == 0 for x in fl.mat_vec(m, v))
+    assert fl.rank(m) + len(free) == ncols
+
+
+@PROPS
+@given(data=st.data())
+def test_rational_matrix_delegates(data):
+    a, b = data.draw(square_pair("Q"))
+    ma, mb = RationalMatrix(a), RationalMatrix(b)
+    assert (ma * mb).entries == tuple(map(tuple, fl.mat_mul(a, b)))
+    assert ma.det() == fl.det(a)
+    rr, pivots = fl.rref(a)
+    assert ma.rref() == (RationalMatrix(rr), pivots)
+    assert ma.rank() + len(nullspace(ma)) == ma.cols
+    for v in nullspace(ma):
+        assert all(x == 0 for x in ma.apply(v))
+    if ma.det() != 0:
+        assert ma * ma.inverse() == RationalMatrix.identity(ma.rows)
+    else:
+        with pytest.raises(ZeroDivisionError, match="singular matrix"):
+            ma.inverse()
+
+
+def _embeddings(name):
+    """Each real root r of the minimal polynomial gives the ring
+    homomorphism x -> x(r) into mpmath reals."""
+    datum = FIELDS[name]
+    if datum is None:
+        return [lambda x: mpmath.mpf(x.numerator) / x.denominator]
+    coeffs = [int(c) for c in reversed(datum.min_poly.coeffs)]
+    roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+    return [
+        (lambda x, r=mpmath.re(r): mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * r ** i
+            for i, c in enumerate(x.coeffs)))
+        for r in roots
+    ]
+
+
+@field_names
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_det_against_mpmath(name, data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(matrices(name, n, n))
+    exact = fl.det(m)
+    with mpmath.workdps(60):
+        for embed in _embeddings(name):
+            approx = mpmath.det(mpmath.matrix([[embed(x) for x in row] for row in m]))
+            assert abs(approx - embed(exact)) <= mpmath.mpf(10) ** -40 * (1 + abs(approx))
+
+
+def _compose_reference(datum, index, x):
+    """The Galois action by polynomial composition, kept as the oracle."""
+    q = datum.automorphisms[index]
+    return datum.from_polynomial(x.as_polynomial().compose_mod(q, datum.min_poly))
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "quartic"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_apply_automorphism_matches_composition(name, data):
+    datum = FIELDS[name]
+    d = datum.degree
+    x, y = (datum.element(data.draw(st.lists(small, min_size=d, max_size=d)))
+            for _ in range(2))
+    for s in range(d):
+        sx = apply_automorphism(datum, s, x)
+        assert sx == _compose_reference(datum, s, x)
+        assert apply_automorphism(datum, s, x * y) == sx * apply_automorphism(datum, s, y)
+        assert apply_automorphism(datum, s, x + y) == sx + apply_automorphism(datum, s, y)
