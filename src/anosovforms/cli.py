@@ -53,7 +53,10 @@ def _emit(obj) -> int:
 
 
 def _parse_lambda(datum, text: str):
-    return datum.element([rat(part.strip()) for part in text.split(",")])
+    try:
+        return datum.element([rat(part.strip()) for part in text.split(",")])
+    except (ValueError, ZeroDivisionError) as e:
+        raise MalformedInput(f"--lambda {text!r}: {e}") from e
 
 
 def cmd_certify(args) -> int:

@@ -73,10 +73,6 @@ class DatumMismatch(AnosovError):
     pass
 
 
-class NotTotallyReal(AnosovError):
-    pass
-
-
 class PrecisionUnreachable(AnosovError):
     pass
 
@@ -93,6 +89,10 @@ class MalformedInput(BadParameters):
 
 class Undecidable(AnosovError):
     pass
+
+
+class SearchBudgetExceeded(AnosovError):
+    """A unit search box holds more points than the candidate budget."""
 
 
 class PisotNotFound(AnosovError):

@@ -114,13 +114,6 @@ class Polynomial:
     def x() -> "Polynomial":
         return Polynomial((0, 1))
 
-    @staticmethod
-    def from_roots(roots: Iterable) -> "Polynomial":
-        p = Polynomial.one()
-        for r in roots:
-            p = p * Polynomial((-rat(r), 1))
-        return p
-
     # -- ring operations
 
     def __add__(self, other) -> "Polynomial":
@@ -231,12 +224,6 @@ class Polynomial:
             acc = acc.mul(iv).add(Interval.point(c))
         return acc
 
-    def compose(self, other: "Polynomial") -> "Polynomial":
-        acc = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * other + Polynomial((c,))
-        return acc
-
     def compose_mod(self, other: "Polynomial", modulus: "Polynomial") -> "Polynomial":
         acc = Polynomial.zero()
         for c in reversed(self.coeffs):
@@ -338,9 +325,6 @@ class Interval:
 
     def contains(self, x) -> bool:
         return self.lo <= rat(x) <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def disjoint(self, other: "Interval") -> bool:
         return self.hi < other.lo or other.hi < self.lo

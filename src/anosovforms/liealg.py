@@ -14,7 +14,7 @@ from typing import Mapping, Sequence, Union
 
 from . import _fieldlinalg as fl
 from .errors import FieldMismatch, JacobiViolation, NotNilpotent
-from .exactmath import RationalMatrix, rat
+from .exactmath import rat
 from .numfield import FieldElement, GaloisDatum
 
 FieldRef = Union[str, GaloisDatum]  # "Q" or a verified datum
@@ -110,8 +110,6 @@ class LieAlgebra:
             break
         return [zero_like if v is None else v for v in out]
 
-    def with_labels(self, labels: Sequence[str]) -> "LieAlgebra":
-        return LieAlgebra(self.field, self.dim, self.brackets, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -138,10 +136,6 @@ class LinearMap:
     def apply(self, v: Sequence) -> list:
         return fl.mat_vec([list(r) for r in self.matrix], list(v))
 
-    def as_rational_matrix(self) -> RationalMatrix:
-        if not isinstance(self.algebra.field, str):
-            raise FieldMismatch("matrix is not over Q")
-        return RationalMatrix([list(r) for r in self.matrix])
 
 
 @dataclass(frozen=True)

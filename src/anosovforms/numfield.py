@@ -7,6 +7,10 @@ and verify_galois_datum proves every part of it by exact arithmetic
 (irreducibility by bounded factor search, the automorphism property by
 polynomial composition, the group structure from the table).  Downstream
 code only accepts verified data.
+
+Each real root of a verified datum has one bisection path (RootPath), kept
+on the datum; every question about a real conjugate is asked of that path
+by refine_until, under the single level budget DEFAULT_REFINE_STEPS.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AutomorphismFailsMinPoly,
@@ -125,9 +129,6 @@ class GaloisDatum:
     def inverse_index(self, i: int) -> int:
         row = self.table[i]
         return row.index(self.identity_index)
-
-    def compose_indices(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
 
 @dataclass(frozen=True)
@@ -330,30 +331,53 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
     return True
 
 
-def refine_enclosure(p: Polynomial, iv: Interval, width: Fraction,
-                     max_steps: int = DEFAULT_REFINE_STEPS) -> Interval:
-    """Shrink a sign-change enclosure of a root of p below the given width
-    by exact bisection."""
-    lo, hi = iv.lo, iv.hi
-    flo = p.eval(lo)
-    fhi = p.eval(hi)
-    if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
-        raise BadEnclosure(f"no sign change of p on [{lo}, {hi}]")
-    steps = 0
-    while hi - lo > width:
-        if steps >= max_steps:
+class RootPath:
+    """The bisection path of one real root of p: level 0 is a sign-change
+    enclosure, level k + 1 the half of level k that keeps the sign change
+    (or the root itself once a midpoint hits it).  Levels are computed on
+    demand and kept, so no question about the root bisects twice."""
+
+    def __init__(self, p: Polynomial, iv: Interval):
+        flo, fhi = p.eval(iv.lo), p.eval(iv.hi)
+        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+            raise BadEnclosure(f"no sign change of p on [{iv.lo}, {iv.hi}]")
+        self.p = p
+        self._lo_positive = flo > 0
+        self._levels = [iv]
+
+    def level(self, k: int) -> Interval:
+        if k > DEFAULT_REFINE_STEPS:
             raise PrecisionUnreachable("bisection budget exhausted")
-        mid = (lo + hi) / 2
-        fm = p.eval(mid)
-        if fm == 0:
-            # rational root: only possible when p has a linear factor
-            return Interval(mid, mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        steps += 1
-    return Interval(lo, hi)
+        levels = self._levels
+        while len(levels) <= k:
+            iv = levels[-1]
+            mid = iv.midpoint
+            fm = self.p.eval(mid)
+            if fm == 0:
+                iv = Interval(mid, mid)
+            elif (fm > 0) == self._lo_positive:
+                iv = Interval(mid, iv.hi)
+            else:
+                iv = Interval(iv.lo, mid)
+            levels.append(iv)
+        return levels[k]
+
+
+def refine_until(test: Callable[[int], object]):
+    """Ask test at levels 0, 4, 8, ... and return its first answer that is
+    not None; PrecisionUnreachable once the levels pass
+    DEFAULT_REFINE_STEPS."""
+    for k in range(0, DEFAULT_REFINE_STEPS + 1, 4):
+        answer = test(k)
+        if answer is not None:
+            return answer
+    raise PrecisionUnreachable("refinement budget exhausted")
+
+
+def refine_enclosure(p: Polynomial, iv: Interval, width: Fraction) -> Interval:
+    """Shrink a sign-change enclosure of a root of p below the given width
+    by exact bisection: the first level of its path that is narrow enough."""
+    return RootPath(p, iv).level((math.ceil(iv.width / width) - 1).bit_length())
 
 
 def verify_galois_datum(candidate: GaloisDatum,
@@ -364,7 +388,8 @@ def verify_galois_datum(candidate: GaloisDatum,
     every automorphism polynomial q satisfies min_poly(q(theta)) = 0, that
     the composition table is the multiplication table of a group of order
     equal to the degree, and that the root enclosures are genuine, disjoint
-    and descending.  Also pins down which root each automorphism sends the
+    and descending.  Starts each real root's bisection path from its
+    enclosure and pins down which root each automorphism sends the
     distinguished root to (the root_map).
     """
     p = candidate.min_poly
@@ -417,25 +442,21 @@ def verify_galois_datum(candidate: GaloisDatum,
         if candidate.table[ident][i] != i or candidate.table[i][ident] != i:
             raise TableNotAGroup("identity row/column is not the identity")
 
-    root_map: tuple[int, ...] | None = None
+    paths: tuple[RootPath, ...] = ()
     if candidate.totally_real:
         encl = candidate.root_enclosures
         if encl is None or len(encl) != d:
             raise BadEnclosure("need one root enclosure per root")
-        for iv in encl:
-            flo, fhi = p.eval(iv.lo), p.eval(iv.hi)
-            if d == 1:
-                if iv.lo != iv.hi or p.eval(iv.lo) != 0:
-                    raise BadEnclosure("degree-1 enclosure must be the exact root")
-                continue
-            if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
-                raise BadEnclosure(f"no sign change on [{iv.lo}, {iv.hi}]")
+        if d == 1:
+            if encl[0].lo != encl[0].hi or p.eval(encl[0].lo) != 0:
+                raise BadEnclosure("degree-1 enclosure must be the exact root")
+        else:
+            paths = tuple(RootPath(p, iv) for iv in encl)
         for a, b in zip(encl, encl[1:]):
             if not b.hi < a.lo:
                 raise EnclosuresOverlap("enclosures must be disjoint and descending")
         if not (0 <= candidate.distinguished_index < d):
             raise BadParameters("distinguished root index out of range")
-        root_map = _compute_root_map(candidate)
     else:
         if candidate.root_moduli is None or len(candidate.root_moduli) != d:
             raise BadEnclosure("non-real datum needs per-conjugate modulus enclosures")
@@ -453,39 +474,30 @@ def verify_galois_datum(candidate: GaloisDatum,
         assume_irreducible=candidate.assume_irreducible and not proved,
     )
     object.__setattr__(out, "verified", True)
-    object.__setattr__(out, "root_map", root_map)
+    object.__setattr__(out, "_paths", paths)
+    object.__setattr__(out, "root_map",
+                       _compute_root_map(out) if out.totally_real else None)
     return out
 
 
 def _compute_root_map(datum: GaloisDatum) -> tuple[int, ...]:
-    """For each automorphism i, the index of the root that sigma_i(theta)
-    embeds to under the distinguished embedding."""
-    p = datum.min_poly
-    d = p.degree
-    encl = list(datum.root_enclosures)
+    """For each automorphism i, the index of the one root enclosure that
+    sigma_i's image of the distinguished root's path meets."""
+    d = datum.degree
     if d == 1:
         return (0,)
-    sep = min(a.lo - b.hi for a, b in zip(encl, encl[1:]))
-    target_width = sep / 4
-    base = encl[datum.distinguished_index]
-    out = []
-    for i, q in enumerate(datum.automorphisms):
-        width = target_width
-        found = None
-        for _ in range(24):
-            ref = refine_enclosure(p, base, width)
-            img = q.eval_interval(ref)
-            hits = [j for j, iv in enumerate(encl) if not img.disjoint(iv)]
-            if len(hits) == 1:
-                found = hits[0]
-                break
-            width = width / 16
-        if found is None:
-            raise PrecisionUnreachable(f"cannot separate image of automorphism {i}")
-        out.append(found)
+    encl = datum.root_enclosures
+    path = datum._paths[datum.distinguished_index]
+
+    def image_root(q: Polynomial, k: int) -> int | None:
+        img = q.eval_interval(path.level(k))
+        hits = [j for j, iv in enumerate(encl) if not img.disjoint(iv)]
+        return hits[0] if len(hits) == 1 else None
+
+    out = tuple(refine_until(lambda k: image_root(q, k)) for q in datum.automorphisms)
     if sorted(out) != list(range(d)):
         raise TableNotAGroup("automorphisms do not permute the root enclosures")
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +514,6 @@ def _is_squarefree_int(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _sqrt_enclosure(n: int, width: Fraction) -> Interval:
-    """Certified rational enclosure of sqrt(n) by bisection on X^2 - n."""
-    p = Polynomial((-n, 0, 1))
-    hi = 1
-    while hi * hi < n:
-        hi += 1
-    if hi * hi == n:
-        return Interval.point(hi)
-    return refine_enclosure(p, Interval(Fraction(hi - 1), Fraction(hi)), width)
 
 
 def biquadratic_datum(k: int, l: int) -> GaloisDatum:
@@ -535,27 +536,27 @@ def biquadratic_datum(k: int, l: int) -> GaloisDatum:
     sigma_tau = -ident
     auts = (ident, sigma, tau, sigma_tau)
 
-    width = Fraction(1, 64)
-    while True:
-        rk = _sqrt_enclosure(k, width)
-        rl = _sqrt_enclosure(l, width)
-        ivs = [
+    sqrt_paths = [RootPath(Polynomial((-n, 0, 1)), Interval(math.isqrt(n), math.isqrt(n) + 1))
+                  for n in (k, l)]
+
+    def separated(level: int) -> tuple[Interval, ...] | None:
+        # the square roots' paths start from unit intervals; level 6 (width
+        # 1/64) is where the enclosures of theta's roots are first tried
+        rk, rl = (path.level(level + 6) for path in sqrt_paths)
+        ivs = (
             rk.add(rl),
             (rk.sub(rl)) if k > l else (rl.sub(rk)),
             (rl.sub(rk)) if k > l else (rk.sub(rl)),
             rk.add(rl).neg(),
-        ]
-        if all(b.hi < a.lo for a, b in zip(ivs, ivs[1:])):
-            break
-        width = width / 16
+        )
+        return ivs if all(b.hi < a.lo for a, b in zip(ivs, ivs[1:])) else None
 
-    table = _table_from_polys(auts, p)
     datum = GaloisDatum(
         min_poly=p,
         automorphisms=auts,
         identity_index=0,
-        table=table,
-        root_enclosures=tuple(ivs),
+        table=_table_from_polys(auts, p),
+        root_enclosures=refine_until(separated),
     )
     return verify_galois_datum(datum)
 
@@ -622,10 +623,7 @@ def _require_verified(datum: GaloisDatum):
 def automorphism_matrix(datum: GaloisDatum, index: int) -> RationalMatrix:
     """Matrix of the Q-linear map x -> sigma_index(x) in the power basis
     (cached on the datum)."""
-    cache = getattr(datum, "_autmat", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(datum, "_autmat", cache)
+    cache = vars(datum).setdefault("_autmat", {})
     if index not in cache:
         cols = []
         power = datum.one()
@@ -660,14 +658,30 @@ def is_algebraic_unit(x: FieldElement) -> bool:
     return mp.is_integer and abs(mp.constant) == 1
 
 
+def sign_against(iv: Interval, c) -> int | None:
+    """+1 or -1 when iv lies strictly above or below c, 0 when iv is the
+    point c (a fixture modulus), None while iv contains c."""
+    if iv.strictly_greater(c):
+        return 1
+    if iv.strictly_less(c):
+        return -1
+    return 0 if iv.lo == iv.hi == c else None
+
+
+def conjugate_levels(x: FieldElement, conjugate_index: int) -> Callable[[int], Interval]:
+    """k -> enclosure of sigma_i(x) (totally real datum): x evaluated on
+    level k of the path of the root that sigma_i sends theta to."""
+    poly = x.as_polynomial()
+    path = x.datum._paths[x.datum.root_map[conjugate_index]]
+    return lambda k: poly.eval_interval(path.level(k))
+
+
 def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
-                               precision: Fraction,
-                               max_steps: int = DEFAULT_REFINE_STEPS) -> Interval:
+                               precision: Fraction) -> Interval:
     """Certified enclosure of |sigma_i(x)| with width <= precision.
 
-    Totally real case: sigma_i(x) is x evaluated at the root the i-th
-    automorphism maps the distinguished root to; the enclosure refines by
-    bisection until the interval image is narrow enough.
+    Totally real case: the first level 0, 4, 8, ... of the root's path on
+    which the enclosure of sigma_i(x) is narrow enough.
     """
     datum = x.datum
     _require_verified(datum)
@@ -683,26 +697,20 @@ def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
         raise PrecisionUnreachable(
             "complex modulus enclosures are fixture data and cannot be refined"
         )
-    root_idx = datum.root_map[conjugate_index]
-    base = datum.root_enclosures[root_idx]
-    p = datum.min_poly
-    width = base.width
-    for _ in range(max_steps):
-        out = x.as_polynomial().eval_interval(base).abs()
-        if out.width <= precision:
-            return out
-        width = width / 16
-        base = refine_enclosure(p, base, width, max_steps=max_steps)
-    raise PrecisionUnreachable("refinement budget exhausted")
+    conj = conjugate_levels(x, conjugate_index)
+
+    def narrow(k: int) -> Interval | None:
+        iv = conj(k).abs()
+        return iv if iv.width <= precision else None
+    return refine_until(narrow)
 
 
-def compare_abs_to_one(x: FieldElement, conjugate_index: int,
-                       max_steps: int = 64) -> int:
+def compare_abs_to_one(x: FieldElement, conjugate_index: int) -> int:
     """Exact sign of |sigma_i(x)| - 1: -1, 0 or +1.
 
     The zero case is decided algebraically (a real field element has
-    modulus one exactly when it is +-1), so interval refinement always
-    terminates on the remaining cases.
+    modulus one exactly when it is +-1), so refinement on the root's path
+    decides the remaining cases; a complex datum uses its fixture moduli.
     """
     datum = x.datum
     _require_verified(datum)
@@ -710,15 +718,10 @@ def compare_abs_to_one(x: FieldElement, conjugate_index: int,
     if sx.is_rational:
         v = abs(sx.rational_value())
         return (v > 1) - (v < 1)
-    precision = Fraction(1, 4)
-    for _ in range(max_steps):
-        iv = conjugate_modulus_interval(x, conjugate_index, precision)
-        if iv.strictly_greater(1):
-            return 1
-        if iv.strictly_less(1):
-            return -1
-        if iv.lo == iv.hi == 1:
-            # exact fixture point (a root of unity in a complex datum)
-            return 0
-        precision = precision / 16
-    raise PrecisionUnreachable("modulus comparison budget exhausted")
+    if not datum.totally_real:
+        sign = sign_against(conjugate_modulus_interval(x, conjugate_index, Fraction(1, 4)), 1)
+        if sign is None:
+            raise PrecisionUnreachable("fixture modulus enclosure contains 1")
+        return sign
+    conj = conjugate_levels(x, conjugate_index)
+    return refine_until(lambda k: sign_against(conj(k).abs(), 1))

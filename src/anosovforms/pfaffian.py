@@ -51,10 +51,6 @@ class MultiPoly:
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
-    def constant(nvars: int, c) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: rat(c)})
-
-    @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
         e = [0] * nvars
         e[i] = 1
@@ -99,35 +95,6 @@ class MultiPoly:
     def coefficient(self, exponents) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
 
-    def substitute(self, values) -> Fraction:
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for x, p in zip(values, e):
-                t *= rat(x) ** p
-            acc += t
-        return acc
-
-    def compose_linear(self, matrix) -> "MultiPoly":
-        """Substitute variables by the linear forms given by matrix columns:
-        new variable vector v goes to matrix * v."""
-        lin = []
-        for i in range(self.nvars):
-            row = MultiPoly(self.nvars)
-            for j in range(self.nvars):
-                c = rat(matrix[i][j])
-                if c:
-                    row = row + MultiPoly.variable(self.nvars, j) * c
-            lin.append(row)
-        out = MultiPoly(self.nvars)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.nvars, c)
-            for i, p in enumerate(e):
-                for _ in range(p):
-                    term = term * lin[i]
-            out = out + term
-        return out
-
     def __repr__(self):
         if self.is_zero:
             return "MultiPoly(0)"
@@ -160,10 +127,6 @@ class BinaryQuadraticForm:
     @property
     def discriminant(self) -> Fraction:
         return self.b * self.b - 4 * self.a * self.c
-
-    def evaluate(self, x, y) -> Fraction:
-        x, y = rat(x), rat(y)
-        return self.a * x * x + self.b * x * y + self.c * y * y
 
     def is_integer(self) -> bool:
         return all(v.denominator == 1 for v in (self.a, self.b, self.c))

@@ -2,9 +2,9 @@
 
 A multiplicative constraint prod_i |sigma_i(lambda)|^{c_i} < 1 is decided
 exactly: the product is formed as a single field element and its modulus is
-compared to 1 by interval refinement (the tie |mu| = 1 is decided
-algebraically first, since a real field element has modulus one only when
-it equals +-1).  No logarithms, no floating point.
+compared to 1 on the bisection path of a root (the tie |mu| = 1 is decided
+algebraically first: a real field element has modulus one only when it is
++-1).  Embedding signs use the same paths.  No logarithms, no floats.
 """
 
 from __future__ import annotations
@@ -13,13 +13,16 @@ import os
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
-from .errors import BadParameters, PrecisionUnreachable, Undecidable
+from .errors import BadParameters, PrecisionUnreachable, SearchBudgetExceeded, Undecidable
 from .numfield import (
     FieldElement,
     GaloisDatum,
     apply_automorphism,
     compare_abs_to_one,
+    conjugate_levels,
     is_algebraic_unit,
+    refine_until,
+    sign_against,
 )
 
 
@@ -72,7 +75,7 @@ def pisot_cone(datum: GaloisDatum) -> list[ConeConstraint]:
     return out
 
 
-def is_unit_pisot(lam: FieldElement, max_steps: int = 64) -> bool:
+def is_unit_pisot(lam: FieldElement) -> bool:
     """lambda > 1 under the distinguished embedding and |sigma(lambda)| < 1
     for every other automorphism, with lambda an algebraic unit."""
     datum = lam.datum
@@ -82,16 +85,14 @@ def is_unit_pisot(lam: FieldElement, max_steps: int = 64) -> bool:
         return False
     if lam.is_rational:
         return False
-    for i in range(datum.degree):
-        want = 1 if i == datum.identity_index else -1
-        try:
-            if compare_abs_to_one(lam, i, max_steps=max_steps) != want:
+    try:
+        for i in range(datum.degree):
+            want = 1 if i == datum.identity_index else -1
+            if compare_abs_to_one(lam, i) != want:
                 return False
-        except PrecisionUnreachable as e:  # pragma: no cover
-            raise Undecidable(str(e)) from e
-    if embeds_negative(lam):
-        return False
-    return True
+        return not embeds_negative(lam)
+    except PrecisionUnreachable as e:  # pragma: no cover
+        raise Undecidable(str(e)) from e
 
 
 def embeds_negative(lam: FieldElement) -> bool:
@@ -102,20 +103,8 @@ def embeds_negative(lam: FieldElement) -> bool:
         return lam.rational_value() < 0
     if not datum.totally_real:
         return False
-    root_idx = datum.root_map[datum.identity_index]
-    base = datum.root_enclosures[root_idx]
-    from .numfield import refine_enclosure
-
-    width = base.width
-    for _ in range(64):
-        iv = lam.as_polynomial().eval_interval(base)
-        if iv.strictly_less(0):
-            return True
-        if iv.strictly_greater(0):
-            return False
-        width = width / 16
-        base = refine_enclosure(datum.min_poly, base, width)
-    raise Undecidable("sign of embedding undecided")
+    conj = conjugate_levels(lam, datum.identity_index)
+    return refine_until(lambda k: sign_against(conj(k), 0)) < 0
 
 
 def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
@@ -129,7 +118,8 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     Complete only in the sense of the enumeration box: units of the ring of
     integers outside Z[theta] are found only if some power or product lands
     in the box closure.  Results are sorted by trace then coordinates, so
-    identical calls return identical lists.
+    identical calls return identical lists.  SearchBudgetExceeded: the box
+    holds more than candidate_budget points.
     """
     if not datum.verified:
         raise BadParameters("search_units requires a verified datum")
@@ -138,6 +128,9 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     budget = candidate_budget if candidate_budget is not None else _env_budget(200_000)
     constraints = constraints or []
     d = datum.degree
+    box_points = (2 * height_bound + 1) ** d - 1
+    if box_points > budget:
+        raise SearchBudgetExceeded(f"{box_points} box points over the budget {budget}")
     units: list[FieldElement] = []
     for vec in product(range(-height_bound, height_bound + 1), repeat=d):
         if all(v == 0 for v in vec):

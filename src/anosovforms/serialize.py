@@ -197,12 +197,6 @@ def form_to_json(h: BinaryQuadraticForm) -> dict:
     return {"a": rat_to_str(h.a), "b": rat_to_str(h.b), "c": rat_to_str(h.c)}
 
 
-@_reader
-def form_from_json(data) -> BinaryQuadraticForm:
-    return BinaryQuadraticForm(_rat(data["a"]), _rat(data["b"]),
-                               _rat(data["c"]))
-
-
 def representation_to_json(rho) -> dict:
     return {
         "datum": datum_to_json(rho.datum),

@@ -120,6 +120,14 @@ class TestCertify:
                        check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("lam", ["abc", "1/0", "1,2,3"])
+    def test_malformed_lambda_exit2(self, lam):
+        proc = run_cli("construct", "--recipe", "laur", "--lambda", lam,
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("malformed input: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestDeterminism:
     def test_identical_bytes(self, z4_files):
@@ -196,6 +204,14 @@ class TestTools:
         found = json.loads(proc.stdout)
         assert {"coeffs": ["1", "1"], "min_poly": ["-1", "-2", "1"]}.items() <= \
             next(u for u in found if u["coeffs"] == ["1", "1"]).items()
+
+    def test_pisot_box_over_budget_exit1(self, workdir, sqrt2):
+        field = workdir / "sqrt2d.json"
+        field.write_text(canonical_dumps(datum_to_json(sqrt2)))
+        proc = run_cli("pisot", "--field", str(field), "--height", "1000",
+                       check=False)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "SearchBudgetExceeded"
 
     def test_pisot_height_zero(self, workdir, sqrt2):
         field = workdir / "sqrt2c.json"

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,20 @@ from anosovforms.errors import (
     DatumMismatch,
     EnclosuresOverlap,
     NotIrreducible,
+    PrecisionUnreachable,
     TableNotAGroup,
     WrongAutomorphismCount,
+)
+from anosovforms.catalog import (
+    csig_fixture,
+    cubic_pisot_unit,
+    cyclic_cubic_datum,
+    sqrt2_datum,
 )
 from anosovforms.exactmath import Interval, Polynomial
 from anosovforms.numfield import (
     GaloisDatum,
+    RootPath,
     apply_automorphism,
     biquadratic_datum,
     biquadratic_sqrts,
@@ -23,8 +32,10 @@ from anosovforms.numfield import (
     is_algebraic_unit,
     minimal_polynomial,
     refine_enclosure,
+    refine_until,
     verify_galois_datum,
 )
+from anosovforms.serialize import interval_to_json
 
 P = Polynomial
 
@@ -246,3 +257,135 @@ class TestDegreeOne:
         x = d.element([-1])
         assert minimal_polynomial(x) == P([1, 1])
         assert is_algebraic_unit(x)
+
+
+# -- reference: the refinement loops that each root's bisection path replaced
+
+
+def _bisect_below(p, iv, width):
+    lo, hi = iv.lo, iv.hi
+    flo = p.eval(lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = p.eval(mid)
+        if fm == 0:
+            return Interval(mid, mid)
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return Interval(lo, hi)
+
+
+def _reference_modulus(x, i, precision):
+    """Start from the fixture enclosure of the root and bisect to 1/16 of
+    the last width each round until |sigma_i(x)| is narrow enough."""
+    datum = x.datum
+    if x.is_rational:
+        return Interval.point(abs(x.rational_value()))
+    base = datum.root_enclosures[datum.root_map[i]]
+    width = base.width
+    while True:
+        out = x.as_polynomial().eval_interval(base).abs()
+        if out.width <= precision:
+            return out
+        width = width / 16
+        base = _bisect_below(datum.min_poly, base, width)
+
+
+def _reference_biquadratic_enclosures(k, l):
+    """Enclose sqrt(k) and sqrt(l) to width 1/64, 1/1024, ... from unit
+    intervals until the four roots of theta separate."""
+    def sqrt_enclosure(n, width):
+        r = math.isqrt(n)
+        return _bisect_below(P([-n, 0, 1]), Interval(F(r), F(r + 1)), width)
+
+    width = F(1, 64)
+    while True:
+        rk, rl = sqrt_enclosure(k, width), sqrt_enclosure(l, width)
+        ivs = (rk.add(rl), rk.sub(rl) if k > l else rl.sub(rk),
+               rl.sub(rk) if k > l else rk.sub(rl), rk.add(rl).neg())
+        if all(b.hi < a.lo for a, b in zip(ivs, ivs[1:])):
+            return ivs
+        width = width / 16
+
+
+def _catalog_elements():
+    sqrt2, cubic = sqrt2_datum(), cyclic_cubic_datum()
+    quartic, csig_unit = csig_fixture()
+    return [
+        sqrt2.generator(), sqrt2.element([1, 1]), sqrt2.element([F(-3, 2), 5]),
+        cubic.generator(), cubic_pisot_unit(cubic), cubic.element([2, -1, 3]),
+        quartic.generator(), csig_unit, quartic.element([1, 2, 0, -1]),
+    ]
+
+
+class TestRootPaths:
+    def test_moduli_match_reference(self):
+        for x in _catalog_elements():
+            for i in range(x.datum.degree):
+                for precision in (F(1, 4), F(1, 1024), F(1, 10 ** 6)):
+                    got = conjugate_modulus_interval(x, i, precision)
+                    want = _reference_modulus(x, i, precision)
+                    assert interval_to_json(got) == interval_to_json(want)
+
+    @pytest.mark.parametrize("k, l", [(2, 3), (5, 7), (11, 2)])
+    def test_biquadratic_enclosures_match_reference(self, k, l):
+        got = biquadratic_datum(k, l).root_enclosures
+        want = _reference_biquadratic_enclosures(k, l)
+        assert [interval_to_json(iv) for iv in got] == \
+            [interval_to_json(iv) for iv in want]
+
+    def test_second_question_adds_no_bisection(self, monkeypatch):
+        datum = sqrt2_datum()
+        x = datum.element([1, 1])
+        evals = []
+        plain_eval = Polynomial.eval
+        monkeypatch.setattr(Polynomial, "eval",
+                            lambda p, t: evals.append(t) or plain_eval(p, t))
+        first = conjugate_modulus_interval(x, 1, F(1, 1024))
+        steps = len(evals)
+        assert steps > 0
+        assert compare_abs_to_one(x, 1) == -1
+        assert compare_abs_to_one(x * x, 1) == -1
+        assert conjugate_modulus_interval(x, 1, F(1, 1024)) == first
+        assert len(evals) == steps
+
+    def test_unresolvable_question_terminates(self):
+        # the midpoint of [0, 1] is the root of 2X - 1, so every level past
+        # the first is the point 1/2, where X - 1/2 has no sign
+        path = RootPath(P([-1, 2]), Interval(F(0), F(1)))
+        q = P([F(-1, 2), 1])
+
+        def sign(k):
+            iv = q.eval_interval(path.level(k))
+            if iv.strictly_greater(0):
+                return 1
+            if iv.strictly_less(0):
+                return -1
+            return None
+        with pytest.raises(PrecisionUnreachable):
+            refine_until(sign)
+        assert path.level(1) == Interval.point(F(1, 2))
+
+    @pytest.mark.parametrize("modulus, sign", [
+        (Interval(F(1, 2), F(2)), None),
+        (Interval(F(7, 5), F(3, 2)), 1),
+    ])
+    def test_complex_datum_fixture_moduli(self, modulus, sign):
+        # X^2 - X + 2 has the complex roots (1 +- i sqrt 7)/2 of modulus sqrt 2
+        datum = verify_galois_datum(GaloisDatum(
+            min_poly=P([2, -1, 1]),
+            automorphisms=(P.x(), P([1, -1])),
+            identity_index=0,
+            table=((0, 1), (1, 0)),
+            totally_real=False,
+            root_moduli=(modulus, modulus),
+        ))
+        th = datum.generator()
+        for i in range(2):
+            if sign is None:
+                with pytest.raises(PrecisionUnreachable):
+                    compare_abs_to_one(th, i)
+            else:
+                assert compare_abs_to_one(th, i) == sign

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from anosovforms.errors import BadParameters
+from anosovforms.errors import BadParameters, SearchBudgetExceeded
 from anosovforms.numfield import apply_automorphism
 from anosovforms.pisot import (
     ConeConstraint,
@@ -65,6 +65,12 @@ class TestSearch:
 
     def test_height_zero(self, sqrt2):
         assert search_units(sqrt2, 0) == []
+
+    def test_box_over_budget(self, sqrt2):
+        # height 2 in degree 2: 5^2 - 1 = 24 box points
+        with pytest.raises(SearchBudgetExceeded):
+            search_units(sqrt2, 2, candidate_budget=23)
+        assert search_units(sqrt2, 2, candidate_budget=24)
 
     def test_pisot_wrapper_positive(self, sqrt2):
         found = search_unit_pisot(sqrt2, 2)
