@@ -59,6 +59,16 @@ def _parse_lambda(datum, text: str):
         raise MalformedInput(f"--lambda {text!r}: {e}") from e
 
 
+def _parse_grading(text: str, dim: int) -> Grading:
+    try:
+        dims = tuple(int(part) for part in text.split(","))
+        if any(d <= 0 for d in dims) or sum(dims) != dim:
+            raise ValueError(f"need positive integers summing to {dim}")
+    except ValueError as e:
+        raise MalformedInput(f"--grading {text!r}: {e}") from e
+    return Grading(dims)
+
+
 def cmd_certify(args) -> int:
     algebra = ser.algebra_from_json(_read_json(args.algebra))
     matrix = ser.map_from_json(_read_json(args.map))
@@ -97,7 +107,7 @@ def cmd_construct(args) -> int:
                 print("construct --recipe laur needs --grading with --algebra",
                       file=sys.stderr)
                 return 2
-            grading = Grading(tuple(int(x) for x in args.grading.split(",")))
+            grading = _parse_grading(args.grading, g.dim)
         else:
             g, grading = heisenberg(), Grading((2, 1))
         out = recipe_laur(g, grading, datum, lam)

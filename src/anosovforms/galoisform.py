@@ -31,7 +31,7 @@ from .errors import (
     NotGenerating,
     NotHomomorphism,
 )
-from .exactmath import Polynomial, RationalMatrix, nullspace, rat
+from .exactmath import Polynomial, RationalMatrix, nullspace
 from .liealg import LieAlgebra, LinearMap, is_automorphism, require_jacobi
 from .numfield import (
     FieldElement,
@@ -310,11 +310,14 @@ def transport(basis: RationalFormBasis, f: EMatrix) -> RationalMatrix:
 @dataclass(frozen=True)
 class LabeledAlgebra:
     """A rational Lie algebra whose basis vectors carry field-element
-    labels multiplying along brackets: [V_a, V_b] in V_{ab}."""
+    labels multiplying along brackets: [V_a, V_b] in V_{ab} (checked)."""
 
     algebra: LieAlgebra
     labels: tuple[FieldElement, ...]
     generators: tuple[int, ...]
+
+    def __post_init__(self):
+        check_label_compatibility(self)
 
     @property
     def datum(self) -> GaloisDatum:
@@ -331,15 +334,10 @@ def build_labeled_algebra(labels: Sequence[FieldElement],
     """Build the Q-algebra from (i, j, coefficient, k) bracket entries and
     certify label compatibility and the Jacobi identity."""
     labels = tuple(labels)
-    dim = len(labels)
-    entries = []
-    for (i, j, c, k) in bracket_spec:
-        c = rat(c)
-        if not labels[k] == labels[i] * labels[j]:
-            raise LabelMismatch(f"label({k}) != label({i})*label({j})")
-        entries.append((i, j, k, c))
-    alg = require_jacobi(LieAlgebra("Q", dim, tuple(entries)))
-    return LabeledAlgebra(alg, labels, tuple(generators))
+    entries = tuple((i, j, k, c) for (i, j, c, k) in bracket_spec)
+    la = LabeledAlgebra(LieAlgebra("Q", len(labels), entries), labels, tuple(generators))
+    require_jacobi(la.algebra)
+    return la
 
 
 def check_label_compatibility(la: LabeledAlgebra) -> None:
@@ -482,7 +480,6 @@ def main2_construct(la: LabeledAlgebra, rho: Representation,
             raise NonUnitLabel(f"label {idx} is not an algebraic unit")
     if not rho.verified:
         rho = verify_representation(rho)
-    check_label_compatibility(la)
     check_label_equivariance(la, rho)
     if explicit_basis is not None:
         basis = rational_form_from_vectors(rho, explicit_basis)

@@ -77,39 +77,32 @@ class LieAlgebra:
             object.__setattr__(self, "_bmap", cached)
         return cached
 
-    def zero_vector(self) -> list:
-        return [_zero(self.field) for _ in range(self.dim)]
-
-    def basis_vector(self, i: int) -> list:
-        v = self.zero_vector()
-        v[i] = _one(self.field)
-        return v
-
-    def bracket_basis(self, i: int, j: int) -> list:
-        """[b_i, b_j] as a coordinate vector."""
-        out = self.zero_vector()
-        if i == j:
-            return out
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for k, c in self.bracket_map().get((i, j), {}).items():
-            out[k] = out[k] + sign * c
-        return out
-
     def bracket(self, x: Sequence, y: Sequence) -> list:
-        """Bilinear extension of the structure constants; the vectors may
-        have entries in the base field or any extension of it."""
-        out = [None] * self.dim
-        for (i, j, k, c) in self.brackets:
-            t = (x[i] * y[j] - x[j] * y[i]) * c
-            out[k] = t if out[k] is None else out[k] + t
-        zero_like = None
-        for xi in list(x) + list(y):
-            zero_like = xi - xi
-            break
-        return [zero_like if v is None else v for v in out]
+        """Bilinear extension of the structure constants to vectors over the
+        base field or any extension; other slots keep the vectors' zero."""
+        out = _bracket(self.bracket_map(), _support(x), _support(y))
+        return [out[k] if k in out else x[k] - x[k] for k in range(self.dim)]
 
+
+def _support(v: Sequence) -> dict:
+    """The nonzero entries of a coordinate vector, as {index: value}."""
+    return {i: x for i, x in enumerate(v) if not x == 0}
+
+
+def _bracket(bmap, x: Mapping, y: Mapping, out: dict | None = None) -> dict:
+    """The bracket kernel: [x, y] of vectors given by their nonzero entries,
+    one structure-constant lookup per pair of entries, added into out."""
+    out = {} if out is None else out
+    for i, xi in x.items():
+        for j, yj in y.items():
+            row = bmap.get((i, j) if i < j else (j, i))
+            if not row:
+                continue
+            t = xi * yj if i < j else -(xi * yj)
+            for k, c in row.items():
+                v = t * c
+                out[k] = out[k] + v if k in out else v
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,6 @@ class LinearMap:
         return fl.mat_vec([list(r) for r in self.matrix], list(v))
 
 
-
 @dataclass(frozen=True)
 class Grading:
     """Partition of the basis in order: the first dims[0] vectors span the
@@ -162,16 +154,15 @@ class Grading:
 def check_jacobi(a: LieAlgebra) -> bool:
     """Verify sum over cyclic permutations of [[b_i, b_j], b_k] = 0 for all
     i < j < k, exactly."""
-    n = a.dim
+    n, bmap, one = a.dim, a.bracket_map(), _one(a.field)
     for i in range(n):
         for j in range(i + 1, n):
-            bij = a.bracket_basis(i, j)
             for k in range(j + 1, n):
-                ek = a.basis_vector(k)
-                t1 = a.bracket(bij, ek)
-                t2 = a.bracket(a.bracket_basis(j, k), a.basis_vector(i))
-                t3 = a.bracket(a.bracket_basis(k, i), a.basis_vector(j))
-                if any(not (x + y + z) == 0 for x, y, z in zip(t1, t2, t3)):
+                total: dict = {}
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    pq = _bracket(bmap, {p: one}, {q: one})
+                    _bracket(bmap, pq, {r: one}, total)
+                if any(not v == 0 for v in total.values()):
                     return False
     return True
 
@@ -186,15 +177,17 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
     """Canonical bases of gamma_1 > gamma_2 > ..., the type tuple, and the
     nilpotency class.  Raises NotNilpotent when the series stabilizes at a
     nonzero subspace."""
-    current = [tuple(a.basis_vector(i)) for i in range(a.dim)]
-    series = [current]
+    n, bmap = a.dim, a.bracket_map()
+    zero, one = _zero(a.field), _one(a.field)
+    series = [[tuple(one if j == i else zero for j in range(n)) for i in range(n)]]
     while True:
-        prev = series[-1]
+        prev = [_support(v) for v in series[-1]]
         gens = []
-        for i in range(a.dim):
-            ei = a.basis_vector(i)
+        for i in range(n):
             for v in prev:
-                gens.append(a.bracket(ei, list(v)))
+                out = _bracket(bmap, {i: one}, v)
+                if out:
+                    gens.append([out.get(k, zero) for k in range(n)])
         nxt = fl.span_rref(gens) if gens else []
         if len(nxt) == len(prev):
             raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
@@ -217,16 +210,20 @@ def nilpotency_class(a: LieAlgebra) -> int:
 
 
 def is_automorphism(a: LieAlgebra, f: LinearMap) -> bool:
-    """f invertible and f[x, y] = [f x, f y] on all basis pairs."""
-    mat = [list(r) for r in f.matrix]
-    if fl.det(mat) == 0:
+    """f invertible and f[b_i, b_j] = sum_k c_ij^k f(b_k) equals [f b_i, f b_j]
+    on all basis pairs."""
+    if fl.det([list(r) for r in f.matrix]) == 0:
         return False
-    cols = [f.column(j) for j in range(a.dim)]
+    bmap = a.bracket_map()
+    cols = [_support(f.column(j)) for j in range(a.dim)]
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
-            lhs = f.apply(a.bracket_basis(i, j))
-            rhs = a.bracket(cols[i], cols[j])
-            if any(not x == y for x, y in zip(lhs, rhs)):
+            diff = _bracket(bmap, cols[i], cols[j])
+            for k, c in bmap.get((i, j), {}).items():
+                for m, x in cols[k].items():
+                    v = c * x
+                    diff[m] = diff[m] - v if m in diff else -v
+            if any(not v == 0 for v in diff.values()):
                 return False
     return True
 

@@ -681,7 +681,8 @@ def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
     """Certified enclosure of |sigma_i(x)| with width <= precision.
 
     Totally real case: the first level 0, 4, 8, ... of the root's path on
-    which the enclosure of sigma_i(x) is narrow enough.
+    which the enclosure of sigma_i(x) is narrow enough.  Otherwise x must
+    be theta, whose conjugate moduli are fixture data.
     """
     datum = x.datum
     _require_verified(datum)
@@ -692,10 +693,10 @@ def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
         return Interval.point(abs(x.rational_value()))
     if not datum.totally_real:
         iv = datum.root_moduli[conjugate_index]
-        if iv.width <= precision:
+        if x == datum.generator() and iv.width <= precision:
             return iv
         raise PrecisionUnreachable(
-            "complex modulus enclosures are fixture data and cannot be refined"
+            "complex modulus enclosures are fixture data for theta and cannot be refined"
         )
     conj = conjugate_levels(x, conjugate_index)
 

@@ -27,8 +27,8 @@ from .errors import (
     OddDimension,
     SolutionMismatch,
 )
-from .exactmath import Polynomial, RationalMatrix, rat, rat_to_str
-from .liealg import LieAlgebra, LinearMap, is_automorphism, lower_central_series
+from .exactmath import Polynomial, RationalMatrix, nullspace, rat, rat_to_str
+from .liealg import LieAlgebra, LinearMap, _zero, is_automorphism, lower_central_series
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +222,12 @@ def adapted_split(a: LieAlgebra) -> tuple[int, int]:
     if nclass < 2:
         return a.dim, 0
     n1, k = type_tuple
-    gamma2 = series[1]
-    expected = [tuple(a.basis_vector(n1 + t)) for t in range(k)]
-    if sorted(gamma2) != sorted(expected):
+    # gamma_2 is in canonical echelon form, so it is spanned by the trailing
+    # basis vectors exactly when it lists them in order
+    if series[1] != [tuple(int(s == t) for s in range(a.dim)) for t in range(n1, a.dim)]:
         raise BasisNotAdapted("gamma_2 is not spanned by the trailing basis vectors")
     for (i, j, t, _c) in a.brackets:
-        if j >= n1 and not (i >= n1):
-            raise BasisNotAdapted("bracket involves a center vector")
-        if i >= n1:
+        if j >= n1:
             raise BasisNotAdapted("bracket involves a center vector")
         if t < n1:
             raise BasisNotAdapted("bracket lands outside the center part")
@@ -242,7 +240,7 @@ def j_map(a: LieAlgebra, z: list) -> SkewMap:
     n1, k = adapted_split(a)
     if len(z) != k:
         raise ValueError("center coordinates must have length k")
-    zero = a.zero_vector()[0]
+    zero = _zero(a.field)
     rows = [[zero for _ in range(n1)] for _ in range(n1)]
     for (i, j, t, c) in a.brackets:
         pairing = c * z[t - n1]
@@ -305,7 +303,10 @@ def pfaffian(s: SkewMap):
 def pfaffian_form(a: LieAlgebra) -> MultiPoly:
     """h(Y_1..Y_k) = Pf(sum_i Y_i J_{Z_i}), expanded exactly.  Homogeneous
     of degree n1/2 in the k center coordinates."""
-    n1, k = adapted_split(a)
+    return _pfaffian_form(a, *adapted_split(a))
+
+
+def _pfaffian_form(a: LieAlgebra, n1: int, k: int) -> MultiPoly:
     if n1 % 2 != 0:
         raise OddDimension("Pfaffian form needs an even degree-1 block")
     zero = MultiPoly(k)
@@ -322,7 +323,7 @@ def binary_form_of(a: LieAlgebra) -> BinaryQuadraticForm:
     n1, k = adapted_split(a)
     if (n1, k) != (4, 2):
         raise NotTwoStep(f"binary Pfaffian form needs type (4,2), got ({n1},{k})")
-    h = pfaffian_form(a)
+    h = _pfaffian_form(a, n1, k)
     return BinaryQuadraticForm(
         h.coefficient((2, 0)), h.coefficient((1, 1)), h.coefficient((0, 2))
     )
@@ -394,10 +395,6 @@ def _skew_basis_index(n1: int) -> list[tuple[int, int]]:
     return list(combinations(range(n1), 2))
 
 
-def _skew_to_coords(mat, pairs) -> list:
-    return [mat[i][j] for (i, j) in pairs]
-
-
 def _coords_to_skew(v, pairs, n1):
     rows = [[Fraction(0)] * n1 for _ in range(n1)]
     for x, (i, j) in zip(v, pairs):
@@ -411,11 +408,10 @@ def w_space_coords(a: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int,
     E_ij (i < j).  Raises JNotInjective when J kills part of the center."""
     n1, k = adapted_split(a)
     pairs = _skew_basis_index(n1)
-    coords = []
-    for t in range(k):
-        z = [Fraction(1) if s == t else Fraction(0) for s in range(k)]
-        jz = j_map(a, z)
-        coords.append(_skew_to_coords([list(r) for r in jz.matrix], pairs))
+    index = {pair: p for p, pair in enumerate(pairs)}
+    coords = [[Fraction(0)] * len(pairs) for _ in range(k)]
+    for (i, j, t, c) in a.brackets:
+        coords[t - n1][index[(i, j)]] = c
     if fl.rank(coords) != k:
         raise JNotInjective("center maps to a degenerate family of skew matrices")
     return coords, pairs, n1, k
@@ -436,15 +432,13 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     coords, pairs, n1, k = w_space_coords(a)
     # B(E_ij, E_kl) = 2 delta, so orthogonality under B inside the skew
     # matrices is the standard dot product on the E_ij coordinates
-    from .exactmath import RationalMatrix as RM, nullspace
-
     if k == 0:
         # nothing to complement: the dual is the free 2-step algebra
         nskew = len(pairs)
         comp = [tuple(Fraction(i == j) for j in range(nskew))
                 for i in range(nskew)]
     else:
-        comp = nullspace(RM(coords))
+        comp = nullspace(RationalMatrix(coords))
     kd = len(comp)
     wt_basis = [_coords_to_skew(v, pairs, n1) for v in comp]
     gram = [[_skew_b(x, y) for y in wt_basis] for x in wt_basis]
@@ -548,11 +542,8 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
     at = alpha.transpose()
     center_cols = []
     for t in range(k):
-        z = [Fraction(1) if s == t else Fraction(0) for s in range(k)]
-        jz = j_map(a, z)
-        m = at * RationalMatrix([list(r) for r in jz.matrix]) * alpha
-        target = _skew_to_coords(m.entries, pairs)
-        co = _express_in(coords, target)
+        m = at * RationalMatrix(_coords_to_skew(coords[t], pairs, n1)) * alpha
+        co = _express_in(coords, [m[i, j] for (i, j) in pairs])
         if co is None:
             raise DoesNotPreserveW("alpha^T J_Z alpha leaves the image of J")
         center_cols.append(co)

@@ -128,6 +128,20 @@ class TestCertify:
         assert proc.stderr.startswith("malformed input: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("grading", ["a,b", "5", "2,0,1", "-1,4"])
+    def test_malformed_grading_exit2(self, workdir, grading):
+        from anosovforms.liealg import heisenberg
+
+        alg = workdir / "h.json"
+        alg.write_text(canonical_dumps(algebra_to_json(heisenberg())))
+        # the = form keeps argparse from reading "-1,4" as an option
+        proc = run_cli("construct", "--recipe", "laur", "--algebra", str(alg),
+                       f"--grading={grading}", check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("malformed input: --grading ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestDeterminism:
     def test_identical_bytes(self, z4_files):

@@ -278,6 +278,24 @@ class TestLabeledAlgebra:
                 labels, [(0, 2, 1, 5)], generators=(0, 1, 2, 3)
             )
 
+    def test_label_mismatch_before_jacobi(self, sqrt2):
+        # [b0,b1] = b2 with [b0,b2] = b0 breaks Jacobi and every label rule
+        one, s = sqrt2.one(), sqrt2.element([0, 1])
+        with pytest.raises(LabelMismatch):
+            build_labeled_algebra((s, s, one), [(0, 1, 1, 2), (0, 2, 1, 0)],
+                                  generators=(0, 1))
+
+    def test_cancelling_spec_entries_are_not_brackets(self, sqrt2):
+        one = sqrt2.one()
+        la = build_labeled_algebra((one, one), [(0, 1, 1, 0), (0, 1, -1, 0)],
+                                   generators=(0, 1))
+        assert la.algebra.brackets == ()
+
+    def test_direct_construction_checks_labels(self, sqrt2):
+        s = sqrt2.element([0, 1])
+        with pytest.raises(LabelMismatch):
+            LabeledAlgebra(heisenberg(), (s, s, s), generators=(0, 1))
+
     def test_labels_charpoly(self, sqrt2):
         lam = sqrt2.element([1, 1])
         conj = apply_automorphism(sqrt2, 1, lam)

@@ -1,7 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anosovforms import _fieldlinalg as fl
+from anosovforms.catalog import quartic_z4_datum
 from anosovforms.errors import FieldMismatch, NotNilpotent
 from anosovforms.exactmath import RationalMatrix
 from anosovforms.liealg import (
@@ -18,7 +22,7 @@ from anosovforms.liealg import (
     lower_central_series,
     map_preserves_series,
 )
-from anosovforms.pfaffian import nk_algebra
+from anosovforms.pfaffian import hk_algebra, nk_algebra
 
 
 class TestJacobi:
@@ -146,3 +150,207 @@ class TestFieldCoefficients:
         y = [sqrt2.zero(), sqrt2.element([0, 1]), sqrt2.zero()]
         out = a.bracket(x, y)
         assert out[2] == sqrt2.element([1, 1]) * sqrt2.element([0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against the dense reference it replaced
+# ---------------------------------------------------------------------------
+
+QUARTIC = quartic_z4_datum()
+ORACLE = settings(max_examples=60, deadline=None)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero = small.filter(lambda x: x != 0)
+
+
+def _ref_zero(a):
+    return F(0) if a.field == "Q" else a.field.zero()
+
+
+def _ref_basis_vector(a, i):
+    v = [_ref_zero(a) for _ in range(a.dim)]
+    v[i] = F(1) if a.field == "Q" else a.field.one()
+    return v
+
+
+def _ref_bracket_basis(a, i, j):
+    out = [_ref_zero(a) for _ in range(a.dim)]
+    if i == j:
+        return out
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    for k, c in a.bracket_map().get((i, j), {}).items():
+        out[k] = out[k] + sign * c
+    return out
+
+
+def ref_bracket(a, x, y):
+    """Dense bracket: every structure constant, whatever the entries."""
+    out = [None] * a.dim
+    for (i, j, k, c) in a.brackets:
+        t = (x[i] * y[j] - x[j] * y[i]) * c
+        out[k] = t if out[k] is None else out[k] + t
+    zero_like = None
+    for xi in list(x) + list(y):
+        zero_like = xi - xi
+        break
+    return [zero_like if v is None else v for v in out]
+
+
+def ref_check_jacobi(a):
+    n = a.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = _ref_bracket_basis(a, i, j)
+            for k in range(j + 1, n):
+                t1 = ref_bracket(a, bij, _ref_basis_vector(a, k))
+                t2 = ref_bracket(a, _ref_bracket_basis(a, j, k), _ref_basis_vector(a, i))
+                t3 = ref_bracket(a, _ref_bracket_basis(a, k, i), _ref_basis_vector(a, j))
+                if any(not (x + y + z) == 0 for x, y, z in zip(t1, t2, t3)):
+                    return False
+    return True
+
+
+def ref_lower_central_series(a):
+    series = [[tuple(_ref_basis_vector(a, i)) for i in range(a.dim)]]
+    while True:
+        prev = series[-1]
+        gens = [ref_bracket(a, _ref_basis_vector(a, i), list(v))
+                for i in range(a.dim) for v in prev]
+        nxt = fl.span_rref(gens) if gens else []
+        if len(nxt) == len(prev):
+            raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
+        series.append(nxt)
+        if not nxt:
+            series.pop()
+            break
+    dims = [len(b) for b in series] + [0]
+    return series, tuple(dims[i] - dims[i + 1] for i in range(len(series))), len(series)
+
+
+def ref_is_automorphism(a, f):
+    if fl.det([list(r) for r in f.matrix]) == 0:
+        return False
+    cols = [f.column(j) for j in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(i + 1, a.dim):
+            lhs = f.apply(_ref_bracket_basis(a, i, j))
+            rhs = ref_bracket(a, cols[i], cols[j])
+            if any(not x == y for x, y in zip(lhs, rhs)):
+                return False
+    return True
+
+
+def _series_or_error(lcs, a):
+    try:
+        return repr(lcs(a))
+    except NotNilpotent:
+        return "NotNilpotent"
+
+
+@st.composite
+def tables(draw):
+    """Random bracket tables: with upper=True every [b_i, b_j] lies in the
+    span of later basis vectors (nilpotent, Jacobi not guaranteed)."""
+    n = draw(st.integers(2, 6))
+    upper = draw(st.booleans())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if not upper or j + 1 < n]
+    entries = []
+    for (i, j) in draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []:
+        k = draw(st.integers(j + 1, n - 1) if upper else st.integers(0, n - 1))
+        entries.append((i, j, k, draw(nonzero)))
+    return LieAlgebra("Q", n, tuple(entries))
+
+
+# graded algebras with the weight of each basis vector: diag(t^w) is an
+# automorphism of each
+GRADED = [
+    (heisenberg(), (1, 1, 2)),
+    (nk_algebra(5), (1, 1, 1, 1, 2, 2)),
+    (hk_algebra(3), (1, 1, 1, 1, 2, 2, 2, 2)),
+    (LieAlgebra("Q", 4, ((0, 1, 2, F(1)), (0, 2, 3, F(1)))), (1, 1, 2, 3)),
+    (direct_sum([heisenberg(), abelian(1)]), (1, 1, 2, 1)),
+]
+
+
+def _change_basis(a, p):
+    """The same algebra in the basis of p's columns."""
+    pinv = p.inverse()
+    cols = [[p[i, j] for i in range(a.dim)] for j in range(a.dim)]
+    entries = []
+    for i in range(a.dim):
+        for j in range(i + 1, a.dim):
+            coords = pinv.apply(ref_bracket(a, cols[i], cols[j]))
+            entries += [(i, j, k, c) for k, c in enumerate(coords) if c != 0]
+    return LieAlgebra("Q", a.dim, tuple(entries))
+
+
+@st.composite
+def algebra_and_map(draw):
+    """A graded algebra in a dense basis with an automorphism, a singular
+    map or a perturbed (usually not automorphic) map."""
+    a, weights = draw(st.sampled_from(GRADED))
+    n = a.dim
+    t = draw(nonzero)
+    d = RationalMatrix.diagonal([t ** w for w in weights])
+    p = RationalMatrix.identity(n)
+    if draw(st.booleans()):
+        p = RationalMatrix([[draw(small) for _ in range(n)] for _ in range(n)])
+        if p.det() == 0:
+            p = RationalMatrix.identity(n)
+    a, m = _change_basis(a, p), p.inverse() * d * p
+    rows = [list(r) for r in m.entries]
+    kind = draw(st.sampled_from(["automorphism", "singular", "perturbed"]))
+    if kind == "singular":
+        i = draw(st.integers(0, n - 1))
+        rows[i] = [F(0)] * n
+    elif kind == "perturbed":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] += draw(nonzero)
+    return a, LinearMap(a, rows), kind
+
+
+class TestSparseKernelOracle:
+    @ORACLE
+    @given(tables())
+    def test_jacobi_and_series(self, a):
+        assert check_jacobi(a) == ref_check_jacobi(a)
+        assert _series_or_error(lower_central_series, a) == \
+            _series_or_error(ref_lower_central_series, a)
+
+    @ORACLE
+    @given(algebra_and_map())
+    def test_automorphism_verdict(self, drawn):
+        a, f, kind = drawn
+        verdict = is_automorphism(a, f)
+        assert verdict == ref_is_automorphism(a, f)
+        if kind == "automorphism":
+            assert verdict
+        if kind == "singular":
+            assert not verdict
+        assert check_jacobi(a) and ref_check_jacobi(a)
+        assert repr(lower_central_series(a)) == repr(ref_lower_central_series(a))
+
+    @ORACLE
+    @given(tables(), st.data())
+    def test_bracket_matches_dense(self, a, data):
+        x = data.draw(st.lists(small, min_size=a.dim, max_size=a.dim))
+        y = data.draw(st.lists(small, min_size=a.dim, max_size=a.dim))
+        assert repr(a.bracket(x, y)) == repr(ref_bracket(a, x, y))
+
+    @settings(max_examples=15, deadline=None)
+    @given(tables(), st.data())
+    def test_bracket_on_field_vectors(self, a, data):
+        # Q structure constants applied to vectors over the cyclic quartic
+        # field, as when structure constants are read off a rational form
+        coords = st.lists(small, min_size=4, max_size=4).map(QUARTIC.element)
+        x = data.draw(st.lists(coords, min_size=a.dim, max_size=a.dim))
+        y = data.draw(st.lists(coords, min_size=a.dim, max_size=a.dim))
+        assert repr(a.bracket(x, y)) == repr(ref_bracket(a, x, y))
+
+    def test_field_algebra_series(self, sqrt2):
+        s = sqrt2.element([0, 1])
+        a = LieAlgebra(sqrt2, 4, ((0, 1, 2, s), (0, 2, 3, s + 1)))
+        assert check_jacobi(a) == ref_check_jacobi(a)
+        assert repr(lower_central_series(a)) == repr(ref_lower_central_series(a))

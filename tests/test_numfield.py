@@ -389,3 +389,22 @@ class TestRootPaths:
                     compare_abs_to_one(th, i)
             else:
                 assert compare_abs_to_one(th, i) == sign
+
+    def test_complex_datum_fixture_is_theta_only(self):
+        # the fixture encloses |sigma_i(theta)| = sqrt 2; |theta^2| = 2 is
+        # outside it, and no other element has an enclosure to give
+        datum = verify_galois_datum(GaloisDatum(
+            min_poly=P([2, -1, 1]),
+            automorphisms=(P.x(), P([1, -1])),
+            identity_index=0,
+            table=((0, 1), (1, 0)),
+            totally_real=False,
+            root_moduli=(Interval(F(7, 5), F(3, 2)),) * 2,
+        ))
+        th = datum.generator()
+        assert conjugate_modulus_interval(th, 0, 1) == Interval(F(7, 5), F(3, 2))
+        for x in (th ** 2, -th, th + 1):
+            with pytest.raises(PrecisionUnreachable):
+                conjugate_modulus_interval(x, 0, 1)
+            with pytest.raises(PrecisionUnreachable):
+                compare_abs_to_one(x, 1)
