@@ -349,7 +349,9 @@ def check_label_compatibility(la: LabeledAlgebra) -> None:
 
 
 def check_label_equivariance(la: LabeledAlgebra, rho: Representation) -> None:
-    """rho_sigma(V_lambda) = V_{sigma(lambda)} for every group element."""
+    """rho_sigma(V_lambda) = V_{sigma(lambda)} for every group element.
+    On success rho keeps la as _equivariant_labels, so a later caller
+    with the same frozen pair can skip the check."""
     datum = la.datum
     for s in range(datum.degree):
         img = rho.images[s]
@@ -360,6 +362,7 @@ def check_label_equivariance(la: LabeledAlgebra, rho: Representation) -> None:
                     raise LabelMismatch(
                         f"group element {s} maps slot {t} outside V_sigma(label)"
                     )
+    object.__setattr__(rho, "_equivariant_labels", la)
 
 
 def extend_representation(la: LabeledAlgebra,
@@ -480,7 +483,8 @@ def main2_construct(la: LabeledAlgebra, rho: Representation,
             raise NonUnitLabel(f"label {idx} is not an algebraic unit")
     if not rho.verified:
         rho = verify_representation(rho)
-    check_label_equivariance(la, rho)
+    if getattr(rho, "_equivariant_labels", None) is not la:
+        check_label_equivariance(la, rho)
     if explicit_basis is not None:
         basis = rational_form_from_vectors(rho, explicit_basis)
     else:

@@ -300,9 +300,15 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
     """Prove irreducibility over Q by exhausting monic integer factors of
     degree <= deg/2 with Mignotte-bounded coefficients.
 
-    Returns True when proven irreducible, False when the enumeration would
-    exceed the budget (caller must then rely on assume_irreducible).
+    Returns True when proven irreducible, False when the box of candidates
+    would exceed the budget (caller must then rely on assume_irreducible).
     Raises NotIrreducible when a factor is found.
+
+    The exact division p % g alone decides a factor.  Two integer filters
+    skip candidates before it: g(0) must divide p(0), and g(t) must divide
+    p(t) for t in (1, -1, 2, -2).  A monic integer factor of p passes both
+    (p = g h with h integral), so every verdict, the first factor found and
+    the budget test are those of the unfiltered search.
     """
     d = p.degree
     if d <= 0:
@@ -312,6 +318,8 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
     if not p.is_integer or p.leading != 1:
         raise BadParameters("minimal polynomial must be monic with integer coefficients")
     m = _l2_norm_bound(p)
+    p0 = int(p.coeffs[0])
+    values = [(t, int(p.eval(t))) for t in (1, -1, 2, -2)]
     for k in range(1, d // 2 + 1):
         bounds = [math.comb(k, j) * m for j in range(k)]
         total = 1
@@ -321,11 +329,20 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
                 return False
         def rec(j: int, coeffs: list[int]):
             if j == k:
-                g = Polynomial(coeffs + [1])
+                cs = coeffs + [1]
+                for t, pt in values:
+                    gt = 0
+                    for c in reversed(cs):
+                        gt = gt * t + c
+                    if pt % gt if gt else pt:
+                        return
+                g = Polynomial(cs)
                 if (p % g).is_zero:
                     raise NotIrreducible(f"factor found: {g!r}")
                 return
             for c in range(-bounds[j], bounds[j] + 1):
+                if j == 0 and p0 and (c == 0 or p0 % c):
+                    continue
                 rec(j + 1, coeffs + [c])
         rec(0, [])
     return True

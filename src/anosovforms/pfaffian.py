@@ -139,17 +139,36 @@ class PellSolution:
 
 
 def solve_pell(d: int) -> PellSolution:
-    """Fundamental solution of x^2 - d y^2 = 4 with smallest y >= 1,
-    by ascending search."""
+    """Fundamental solution of x^2 - d y^2 = 4 with smallest y >= 1.
+
+    Walks the continued fraction of (1 + sqrt d)/2 when d = 1 mod 4, else
+    of sqrt(d/4) or sqrt d (x is then even, and so is y unless 4 | d).  The
+    first convergent h/k whose (x, y) has x^2 - d y^2 = +-4 gives the
+    fundamental unit (x + y sqrt d)/2; for norm -1 its square is returned.
+    """
     if d <= 0 or math.isqrt(d) ** 2 == d:
         raise BadDiscriminant("need a positive nonsquare discriminant")
-    y = 1
+    if d % 4 == 1:
+        p, q, n, to_xy = 1, 2, d, lambda h, k: (2 * h - k, k)
+    elif d % 4 == 0:
+        p, q, n, to_xy = 0, 1, d // 4, lambda h, k: (2 * h, k)
+    else:
+        p, q, n, to_xy = 0, 1, d, lambda h, k: (2 * h, 2 * k)
+    r = math.isqrt(n)
+    h0, h, k0, k = 0, 1, 1, 0
     while True:
-        t = 4 + d * y * y
-        s = math.isqrt(t)
-        if s * s == t:
-            return PellSolution(s, y)
-        y += 1
+        # complete quotient (p + sqrt n)/q, with q > 0 dividing n - p^2
+        a = (p + r) // q
+        h0, h = h, a * h + h0
+        k0, k = k, a * k + k0
+        x, y = to_xy(h, k)
+        norm = x * x - d * y * y
+        if norm == 4:
+            return PellSolution(x, y)
+        if norm == -4:
+            return PellSolution((x * x + d * y * y) // 2, x * y)
+        p = a * q - p
+        q = (n - p * p) // q
 
 
 def pell_automorphism(h: BinaryQuadraticForm, sol: PellSolution) -> RationalMatrix:

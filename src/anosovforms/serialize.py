@@ -30,15 +30,16 @@ def canonical_dumps(obj) -> str:
 
 
 def _reader(fn):
-    """Report the KeyError, IndexError, TypeError or ValueError that
-    unusable data raises while it is read as MalformedInput."""
+    """Report the KeyError, IndexError, TypeError, ValueError or
+    AttributeError that unusable data raises while it is read as
+    MalformedInput."""
     @functools.wraps(fn)
     def read(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except KeyError as e:
             raise MalformedInput(f"missing key {e}") from None
-        except (IndexError, TypeError, ValueError) as e:
+        except (AttributeError, IndexError, TypeError, ValueError) as e:
             raise MalformedInput(str(e)) from None
     return read
 

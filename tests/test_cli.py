@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anosovforms.serialize import (
     algebra_to_json,
@@ -167,6 +169,16 @@ class TestTools:
         proc = run_cli("pell", "--disc", "20")
         assert json.loads(proc.stdout) == {"x": 18, "y": 4}
 
+    def test_pell_large_solution(self):
+        # the fundamental solution has a 29-digit y
+        proc = subprocess.run(
+            [sys.executable, "-m", "anosovforms", "pell", "--disc", "991"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0
+        sol = json.loads(proc.stdout)
+        assert sol["x"] ** 2 - 991 * sol["y"] ** 2 == 4
+
     def test_pell_bad_disc(self):
         proc = run_cli("pell", "--disc", "4", check=False)
         assert proc.returncode == 1
@@ -232,3 +244,153 @@ class TestTools:
         field.write_text(canonical_dumps(datum_to_json(sqrt2)))
         proc = run_cli("pisot", "--field", str(field), "--height", "0")
         assert json.loads(proc.stdout) == []
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+# ---------------------------------------------------------------------------
+
+
+def _documents():
+    from anosovforms.catalog import cyclic_cubic_datum, sqrt2_datum
+    from anosovforms.liealg import abelian, heisenberg
+
+    return {
+        "field": [datum_to_json(sqrt2_datum()), datum_to_json(cyclic_cubic_datum())],
+        "algebra": [algebra_to_json(heisenberg()), algebra_to_json(abelian(2))],
+        "map": [{"matrix": [["2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1"]]},
+                {"matrix": [["2", "1"], ["1", "1"]]}],
+        "constraints": [[{"coeffs": [1, 0], "rel": "<1"}],
+                        [{"coeffs": [0, 1, -1], "rel": ">1"}]],
+    }
+
+
+_KEYS = ["min_poly", "automorphisms", "identity", "table", "roots", "lo", "hi",
+         "totally_real", "moduli", "distinguished", "assume_irreducible",
+         "field", "dim", "brackets", "labels", "matrix", "coeffs", "rel"]
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8)
+    | st.floats(-4, 4, allow_nan=False, width=16)
+    | st.text(alphabet="0123456789/-,ab<>1Q", max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _document(draw, kind):
+    """A valid document of the kind, one with a key dropped or its value
+    replaced, junk JSON, or text that is not JSON."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_documents()[kind]))))
+    how = draw(st.sampled_from(["valid", "drop", "replace", "junk", "text"]))
+    if how == "text":
+        return draw(st.text(alphabet='{}[]":,0123abc ', max_size=12))
+    if how == "junk":
+        doc = draw(_junk)
+    elif how != "valid":
+        target = doc[0] if isinstance(doc, list) else doc
+        key = draw(st.sampled_from(sorted(target)))
+        if how == "drop":
+            del target[key]
+        else:
+            target[key] = draw(_junk)
+    return json.dumps(doc)
+
+
+_number = st.one_of(st.integers(-3, 12).map(str),
+                    st.text(alphabet="0123456789-/ax", min_size=0, max_size=4))
+
+
+@st.composite
+def _argv(draw, workdir):
+    def file_option(flag, kind):
+        if not draw(st.booleans()):
+            return []
+        path = workdir / f"fuzz_{kind}.json"
+        if draw(st.integers(0, 9)) == 0:
+            return [flag, str(workdir / "fuzz_missing.json")]
+        text = draw(_document(kind))
+        path.write_text(text)
+        written[kind] = text
+        return [flag, str(path)]
+
+    def value_option(flag, values):
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    written = {}
+    command = draw(st.sampled_from(["construct", "certify", "pell", "pisot"]))
+    argv = [command]
+    if command == "pell":
+        argv += value_option("--disc", st.one_of(
+            st.integers(-50, 10 ** 4).map(str), _number))
+    elif command == "certify":
+        argv += file_option("--algebra", "algebra") + file_option("--map", "map")
+    elif command == "pisot":
+        argv += file_option("--field", "field")
+        argv += value_option("--height", st.one_of(
+            st.integers(-2, 3).map(str), st.just(str(10 ** 6)), _number))
+        argv += value_option("--powers", st.one_of(st.integers(-2, 3).map(str), _number))
+        argv += file_option("--constraints", "constraints")
+    else:
+        # z4 takes no options and always succeeds, and csig/last cost seconds
+        # from class 4 on; both are left out to keep the draws cheap
+        recipe = draw(st.sampled_from(["count", "laur", "csig", "last", "nope"]))
+        argv += [f"--recipe={recipe}"]
+        argv += value_option("--k", _number) + value_option("--l", _number)
+        argv += value_option("--class", st.one_of(
+            st.integers(-2, 2).map(str), st.text(alphabet="-/ax.", max_size=3)))
+        argv += file_option("--field", "field")
+        argv += value_option("--lambda", st.one_of(
+            st.sampled_from(["1,1", "0,1", "1,1,0", "2,1,0,0"]),
+            st.text(alphabet="0123,/-a ", max_size=6)))
+        argv += file_option("--algebra", "algebra")
+        argv += value_option("--grading", st.text(alphabet="0123,-a", max_size=5))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-o", "--help", "x"])))
+    return argv, written
+
+
+def _run_in_process(argv):
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+
+    from anosovforms.cli import main
+
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("text", ["[]", "3", '"Q"', "null"])
+    def test_field_file_not_an_object_exit2(self, workdir, text):
+        path = workdir / "not_an_object.json"
+        path.write_text(text)
+        code, err = _run_in_process(["pisot", "--field", str(path), "--height", "1"])
+        assert code == 2 and err.startswith("malformed input: ")
+        assert err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_contract(self, workdir, data):
+        # an exception escaping main is the traceback the contract forbids
+        argv, written = data.draw(_argv(workdir))
+        code, err = _run_in_process(argv)
+        case = (argv, written, code, err)
+        assert code in (0, 1, 2), case
+        assert "Traceback" not in err, case
+        if code == 0:
+            assert err == "", case
+        elif code == 1:
+            obj = json.loads(err)
+            assert isinstance(obj, dict) and set(obj) == {"error", "detail"}, case
+        else:
+            assert err.startswith("usage: ") or err.count("\n") == 1, case

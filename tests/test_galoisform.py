@@ -372,6 +372,38 @@ class TestMain2:
         assert matrix.charpoly() == labels_charpoly(la)
         assert is_automorphism(algebra, LinearMap(algebra, matrix.entries))
 
+    def test_equivariance_checked_once_per_pair(self, quartic, monkeypatch):
+        import anosovforms.galoisform as gf
+
+        calls = []
+        check = gf.check_label_equivariance
+        monkeypatch.setattr(gf, "check_label_equivariance",
+                            lambda la, rho: calls.append(la) or check(la, rho))
+        th = quartic.generator()
+        lams = [th]
+        for _ in range(3):
+            lams.append(apply_automorphism(quartic, 1, lams[-1]))
+        labels = tuple(lams) + (lams[0] * lams[2], lams[1] * lams[3])
+        la = build_labeled_algebra(
+            labels, [(0, 2, 1, 4), (1, 3, 1, 5)], generators=(0, 1, 2, 3)
+        )
+        rho = extend_representation(
+            la, {1: {0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 0)}}
+        )
+        main2_construct(la, rho)
+        assert calls == [la]
+
+    def test_equivariance_verdict_is_per_labeled_algebra(self, sqrt2):
+        # the trivial representation fixes every slot: equivariant for the
+        # labels (1, 1), not for (lambda, sigma(lambda))
+        rho = trivial_rep(sqrt2, 2)
+        one = sqrt2.one()
+        main2_construct(LabeledAlgebra(LieAlgebra("Q", 2, ()), (one, one), (0, 1)), rho)
+        lam = sqrt2.element([1, 1])
+        conj = apply_automorphism(sqrt2, 1, lam)
+        with pytest.raises(LabelMismatch):
+            main2_construct(LabeledAlgebra(LieAlgebra("Q", 2, ()), (lam, conj), (0, 1)), rho)
+
 
 def test_group_generators(sqrt2, biquad52, quartic):
     assert group_generators(sqrt2) == [1]

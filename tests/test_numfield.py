@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovforms.errors import (
     AutomorphismFailsMinPoly,
@@ -17,12 +19,16 @@ from anosovforms.catalog import (
     csig_fixture,
     cubic_pisot_unit,
     cyclic_cubic_datum,
+    quartic_z4_datum,
     sqrt2_datum,
 )
 from anosovforms.exactmath import Interval, Polynomial
 from anosovforms.numfield import (
+    DEFAULT_FACTOR_BUDGET,
     GaloisDatum,
     RootPath,
+    _check_irreducible,
+    _l2_norm_bound,
     apply_automorphism,
     biquadratic_datum,
     biquadratic_sqrts,
@@ -408,3 +414,105 @@ class TestRootPaths:
                 conjugate_modulus_interval(x, 0, 1)
             with pytest.raises(PrecisionUnreachable):
                 compare_abs_to_one(x, 1)
+
+
+# ---------------------------------------------------------------------------
+# the divisibility-filtered factor search against the unfiltered one
+# ---------------------------------------------------------------------------
+
+
+def _reference_check_irreducible(p, budget):
+    """_check_irreducible without the divisibility filters: every monic
+    candidate in the Mignotte box goes to the exact division."""
+    d = p.degree
+    if d <= 0:
+        raise NotIrreducible("constant polynomial")
+    if d == 1:
+        return True
+    if not p.is_integer or p.leading != 1:
+        raise BadParameters("minimal polynomial must be monic with integer coefficients")
+    m = _l2_norm_bound(p)
+    for k in range(1, d // 2 + 1):
+        bounds = [math.comb(k, j) * m for j in range(k)]
+        total = 1
+        for b in bounds:
+            total *= 2 * b + 1
+            if total > budget:
+                return False
+        def rec(j, coeffs):
+            if j == k:
+                g = Polynomial(coeffs + [1])
+                if (p % g).is_zero:
+                    raise NotIrreducible(f"factor found: {g!r}")
+                return
+            for c in range(-bounds[j], bounds[j] + 1):
+                rec(j + 1, coeffs + [c])
+        rec(0, [])
+    return True
+
+
+def _outcome(check, p, budget):
+    try:
+        return ("returned", check(p, budget))
+    except NotIrreducible as e:
+        return ("NotIrreducible", str(e))
+
+
+_coeff = st.integers(-30, 30)
+_monic = st.integers(1, 3).flatmap(
+    lambda deg: st.lists(_coeff, min_size=deg, max_size=deg)
+).map(lambda cs: P(cs + [1]))
+_products = st.lists(_monic, min_size=2, max_size=3).map(
+    lambda fs: math.prod(fs[1:], start=fs[0]))
+_random = st.integers(2, 6).flatmap(
+    lambda deg: st.lists(_coeff, min_size=deg, max_size=deg)
+).map(lambda cs: P(cs + [1]))
+
+
+# the (4,2) sweep pairs of the benchmark and (3, 7): X^4 - 2(k+l)X^2 + (k-l)^2
+_FIELD_POLYS = {
+    f"biquadratic{k, l}": P([(k - l) ** 2, 0, -2 * (k + l), 0, 1])
+    for k, l in ((2, 3), (3, 2), (5, 2), (6, 5), (7, 2), (10, 3), (11, 2), (3, 7))
+}
+_FIELD_POLYS.update({
+    "sqrt2": sqrt2_datum().min_poly,
+    "quartic_z4": quartic_z4_datum().min_poly,
+    "cyclic_cubic": cyclic_cubic_datum().min_poly,
+    "csig": csig_fixture()[0].min_poly,
+})
+
+
+class TestPrunedFactorSearch:
+    # the unfiltered reference tries up to 10^5 Fraction divisions per
+    # draw at the largest budget, so that budget gets fewer draws
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.one_of(_products, _random), budget=st.sampled_from([1, 10 ** 3]))
+    def test_matches_unfiltered_search(self, p, budget):
+        assert (_outcome(_check_irreducible, p, budget)
+                == _outcome(_reference_check_irreducible, p, budget))
+
+    @settings(max_examples=8, deadline=None)
+    @given(p=st.one_of(_products, _random))
+    def test_matches_unfiltered_search_large_budget(self, p):
+        assert (_outcome(_check_irreducible, p, 10 ** 5)
+                == _outcome(_reference_check_irreducible, p, 10 ** 5))
+
+    @pytest.mark.parametrize("name", sorted(_FIELD_POLYS))
+    def test_field_polynomials(self, name):
+        p = _FIELD_POLYS[name]
+        assert _check_irreducible(p, DEFAULT_FACTOR_BUDGET) is True
+        assert _reference_check_irreducible(p, DEFAULT_FACTOR_BUDGET) is True
+
+    def test_first_factor_is_kept(self):
+        # (X^2 + 1)(X^2 - 2)(X + 3): the unfiltered search meets X + 3 first
+        p = P([1, 0, 1]) * P([-2, 0, 1]) * P([3, 1])
+        expected = ("NotIrreducible", f"factor found: {P([3, 1])!r}")
+        assert _outcome(_check_irreducible, p, DEFAULT_FACTOR_BUDGET) == expected
+        assert _outcome(_reference_check_irreducible, p, DEFAULT_FACTOR_BUDGET) == expected
+
+    def test_zero_constant_term(self):
+        # p(0) = 0: every constant term passes the filter and X divides p
+        for p in (P([0, 0, 1, 1]), P([0, -2, 0, 1]), P([0, 0, 0, 0, 1])):
+            assert (_outcome(_check_irreducible, p, 10 ** 5)
+                    == _outcome(_reference_check_irreducible, p, 10 ** 5))
+            assert _outcome(_check_irreducible, p, 10 ** 5)[0] == "NotIrreducible"

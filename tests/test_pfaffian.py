@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -37,6 +38,27 @@ from anosovforms.pfaffian import (
     wedge_square,
 )
 from anosovforms.recipes import recipe_count
+
+
+def _pell_search(d, limit):
+    """The smallest y < limit with 4 + d y^2 a square, as (x, y), or None:
+    the ascending search, visiting only the y whose residue modulo
+    16*9*5*7*11 leaves 4 + d y^2 a square modulo each factor."""
+    residues, modulus = [0], 1
+    for m in (16, 9, 5, 7, 11):
+        squares = {s * s % m for s in range(m)}
+        ok = [r for r in range(m) if (4 + d * r * r) % m in squares]
+        inv = pow(modulus, -1, m)
+        residues = [c + modulus * ((r - c) * inv % m) for c in residues for r in ok]
+        modulus *= m
+    best = limit
+    for c in residues:
+        for y in range(c or modulus, best, modulus):
+            t = 4 + d * y * y
+            if math.isqrt(t) ** 2 == t:
+                best = y
+                break
+    return (math.isqrt(4 + d * best * best), best) if best < limit else None
 
 
 def random_skew(rng, n):
@@ -209,6 +231,36 @@ class TestPell:
         for d in (5, 8, 12, 13, 20, 21, 24):
             sol = solve_pell(d)
             assert (sol.x, sol.y) == brute(d)
+
+    def test_ascending_search_oracle(self):
+        # every nonsquare d <= 1000 whose smallest y is below 10^6; a
+        # solution with y below solve_pell's would make the oracle stop there
+        for d in range(2, 1001):
+            if math.isqrt(d) ** 2 == d:
+                continue
+            sol = solve_pell(d)
+            assert sol.x * sol.x - d * sol.y * sol.y == 4 and sol.y >= 1
+            limit = min(sol.y + 1, 10 ** 6)
+            assert _pell_search(d, limit) == ((sol.x, sol.y) if sol.y < limit else None)
+
+    def test_oracle_sieve_is_the_plain_search(self):
+        def plain(d, limit):
+            for y in range(1, limit):
+                t = 4 + d * y * y
+                r = math.isqrt(t)
+                if r * r == t:
+                    return (r, y)
+            return None
+
+        for d in range(2, 200):
+            if math.isqrt(d) ** 2 != d:
+                assert _pell_search(d, 3000) == plain(d, 3000)
+
+    def test_large_fundamental_solution(self):
+        # y has 29 digits here, out of reach of the ascending search
+        sol = solve_pell(991)
+        assert sol.x * sol.x - 991 * sol.y * sol.y == 4
+        assert len(str(sol.y)) == 29
 
     def test_u_matrix(self):
         h = BinaryQuadraticForm(1, 1, -1)
