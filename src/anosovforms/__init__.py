@@ -36,7 +36,6 @@ from .liealg import (
     check_jacobi,
     direct_sum,
     is_automorphism,
-    lower_central_series,
 )
 from .numfield import (
     FieldElement,

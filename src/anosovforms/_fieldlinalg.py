@@ -1,11 +1,20 @@
 """The exact linear-algebra kernel, over Q or a number field.
 
 Matrices are plain nested lists (or tuples) whose entries support +, -, *,
-/ and compare equal to 0; Fraction and FieldElement both qualify.  rref is
-the one Gauss-Jordan loop and det the one forward-elimination loop; solve,
-rank, span bases and RationalMatrix's det, inverse, rref and product all go
-through them.  Exact arithmetic needs no pivoting heuristic: the first
-nonzero entry of a column is the pivot.
+/ and are false exactly when zero; Fraction and FieldElement both qualify.
+rref is the one Gauss-Jordan loop and det the one forward-elimination
+loop; solve, rank, span bases and RationalMatrix's det, inverse, rref and
+product all go through them.  Exact arithmetic needs no pivoting
+heuristic: the first nonzero entry of a column is the pivot.
+
+The zero rule: a term with an exact zero factor is never formed, and an
+entry the pivot row would change by zero times a factor is left as it
+is.  Over an exact field x * 0 = 0 and x + 0 = x, so no value changes;
+and since the entries of one matrix (or vector) share one type, every
+term of a sum has the same type, so neither does any result's type.  A
+sum with no term left is v[0] * row[0], a zero of that type.  Dense
+inputs run the same loops; sparse ones, such as the monomial images of
+a Galois representation, skip most of the work.
 """
 
 from __future__ import annotations
@@ -17,14 +26,18 @@ from .errors import DimensionMismatch
 
 def mat_vec(a, v):
     """a * v, each term formed as v_k * a_ik, so v may hold elements of an
-    extension of a's field."""
+    extension of a's field; zero terms are skipped (see the zero rule)."""
+    nz = [(k, x) for k, x in enumerate(v) if x]
     out = []
     for row in a:
+        if len(row) != len(v):
+            raise DimensionMismatch("matrix row length must equal the vector length")
         acc = None
-        for x, y in zip(v, row):
-            t = x * y
-            acc = t if acc is None else acc + t
-        out.append(acc)
+        for k, x in nz:
+            y = row[k]
+            if y:
+                acc = x * y if acc is None else acc + x * y
+        out.append(v[0] * row[0] if acc is None else acc)
     return out
 
 
@@ -45,16 +58,19 @@ def rref(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not m[i][c] == 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = _inv(m[r][c])
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
+        nz = [(k, y) for k, y in enumerate(m[r]) if y]
         for i in range(nrows):
-            if i != r and not m[i][c] == 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = m[i]
+                for k, y in nz:
+                    row[k] = row[k] - f * y
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -79,7 +95,7 @@ def det(rows):
         return Fraction(1)
     d = None
     for c in range(n):
-        piv = next((r for r in range(c, n) if not m[r][c] == 0), None)
+        piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
             zero = m[0][0] - m[0][0]
             return zero
@@ -89,11 +105,13 @@ def det(rows):
             m[c] = [-x for x in m[c]]
         d = m[c][c] if d is None else d * m[c][c]
         inv = _inv(m[c][c])
+        nz = [(k, m[c][k]) for k in range(c, n) if m[c][k]]
         for r in range(c + 1, n):
-            if not m[r][c] == 0:
+            if m[r][c]:
                 f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] = m[r][k] - f * m[c][k]
+                row = m[r]
+                for k, y in nz:
+                    row[k] = row[k] - f * y
     return d
 
 
@@ -112,16 +130,3 @@ def span_rref(vectors):
     """Canonical (RREF) basis of the span of the given row vectors."""
     m, pivots = rref(vectors)
     return [tuple(m[i]) for i in range(len(pivots))]
-
-
-def in_span(basis_rref, vector):
-    """Membership test against an RREF basis (list of rows with unit pivots)."""
-    v = list(vector)
-    for row in basis_rref:
-        piv = next((i for i, x in enumerate(row) if not x == 0), None)
-        if piv is None:
-            continue
-        if not v[piv] == 0:
-            f = v[piv]
-            v = [x - f * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)

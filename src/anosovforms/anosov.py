@@ -18,7 +18,7 @@ from .exactmath import (
     count_roots_inside_unit_disk,
     count_roots_on_unit_circle,
 )
-from .liealg import LieAlgebra, LinearMap, is_automorphism, lower_central_series
+from .liealg import LieAlgebra, LinearMap, is_automorphism
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class AnosovCertificate:
     nilpotency_class: int
     minimal_signature: bool
     assumptions: tuple[str, ...] = ()
-
-    @property
-    def is_anosov(self) -> bool:
-        return self.integer_like and self.hyperbolic
 
     def summary(self) -> str:
         sig = "{%d,%d}" % self.signature if self.signature else "-"
@@ -74,7 +70,7 @@ def certify(a: LieAlgebra, m: RationalMatrix,
     if hyperbolic:
         inside = count_roots_inside_unit_disk(p)
         signature = tuple(sorted((inside, a.dim - inside)))
-    _, algebra_type, nclass = lower_central_series(a)
+    _, algebra_type, nclass = a.central_series()
     minimal = bool(signature) and min(signature) == nclass
     return AnosovCertificate(
         charpoly=p,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import serialize as ser
 from .anosov import certify
 from .catalog import csig_fixture, cyclic_cubic_datum, cubic_pisot_unit, sqrt2_datum
-from .errors import AnosovError, MalformedInput
+from .errors import AnosovError, DimensionBudgetExceeded, MalformedInput
 from .exactmath import rat, rat_to_str
 from .liealg import Grading, heisenberg
 from .numfield import conjugate_modulus_interval, minimal_polynomial, verify_galois_datum
@@ -36,6 +36,12 @@ from .recipes import (
     recipe_laur,
     recipe_z4_example,
 )
+
+# largest algebra construct builds for --recipe csig|last; at dimension 26-27
+# (csig class 7, last class 9 over the default fields) a construction takes
+# seconds, and the time then grows steeply with the dimension (certify's
+# exact root counts)
+CONSTRUCT_DIM_BUDGET = 27
 
 
 def _read_json(path: str):
@@ -67,6 +73,12 @@ def _parse_grading(text: str, dim: int) -> Grading:
     except ValueError as e:
         raise MalformedInput(f"--grading {text!r}: {e}") from e
     return Grading(dims)
+
+
+def _check_dimension(dim: int) -> None:
+    if dim > CONSTRUCT_DIM_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"dimension {dim} exceeds the budget of {CONSTRUCT_DIM_BUDGET}")
 
 
 def cmd_certify(args) -> int:
@@ -121,6 +133,7 @@ def cmd_construct(args) -> int:
             lam = _parse_lambda(datum, args.lam)
         else:
             datum, lam = csig_fixture()
+        _check_dimension(datum.degree // 2 * (2 * args.nilpotency_class - 1))
         out = recipe_csig(datum, lam, args.nilpotency_class)
     elif args.recipe == "last":
         if args.field:
@@ -133,6 +146,7 @@ def cmd_construct(args) -> int:
         else:
             datum = cyclic_cubic_datum()
             lam = cubic_pisot_unit(datum)
+        _check_dimension(datum.degree * args.nilpotency_class)
         out = recipe_last(datum, lam, args.nilpotency_class)
     else:  # pragma: no cover - argparse restricts choices
         return 2
@@ -276,6 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # argparse strips a lone "--" from a value ("--class=--") and stores an
+    # empty list without calling the option's type; no option here takes a list
+    if any(isinstance(value, list) for value in vars(args).values()):
+        ap.error("an option was given '--' as its value")
     try:
         return args.func(args)
     except MalformedInput as e:

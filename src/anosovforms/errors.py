@@ -99,6 +99,10 @@ class PisotNotFound(AnosovError):
     pass
 
 
+class DimensionBudgetExceeded(AnosovError):
+    """A construction's algebra would exceed the dimension budget."""
+
+
 class ConstraintFailed(AnosovError):
     pass
 
@@ -195,6 +199,10 @@ class DegeneratePfaffian(AnosovError):
 
 class BadDiscriminant(AnosovError):
     pass
+
+
+class PellBudgetExceeded(AnosovError):
+    """The continued fraction ran past its step budget unsolved."""
 
 
 class SolutionMismatch(AnosovError):

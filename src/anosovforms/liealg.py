@@ -77,6 +77,16 @@ class LieAlgebra:
             object.__setattr__(self, "_bmap", cached)
         return cached
 
+    def central_series(self) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
+        """lower_central_series(self), computed once per algebra and kept
+        as tuples, so no caller can change what the next one reads."""
+        cached = getattr(self, "_lcs", None)
+        if cached is None:
+            series, type_tuple, nclass = lower_central_series(self)
+            cached = (tuple(tuple(basis) for basis in series), type_tuple, nclass)
+            object.__setattr__(self, "_lcs", cached)
+        return cached
+
     def bracket(self, x: Sequence, y: Sequence) -> list:
         """Bilinear extension of the structure constants to vectors over the
         base field or any extension; other slots keep the vectors' zero."""
@@ -86,7 +96,7 @@ class LieAlgebra:
 
 def _support(v: Sequence) -> dict:
     """The nonzero entries of a coordinate vector, as {index: value}."""
-    return {i: x for i, x in enumerate(v) if not x == 0}
+    return {i: x for i, x in enumerate(v) if x}
 
 
 def _bracket(bmap, x: Mapping, y: Mapping, out: dict | None = None) -> dict:
@@ -176,7 +186,8 @@ def require_jacobi(a: LieAlgebra) -> LieAlgebra:
 def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, ...], int]:
     """Canonical bases of gamma_1 > gamma_2 > ..., the type tuple, and the
     nilpotency class.  Raises NotNilpotent when the series stabilizes at a
-    nonzero subspace."""
+    nonzero subspace.  Recomputed on every call: library code reads the
+    cached LieAlgebra.central_series() instead."""
     n, bmap = a.dim, a.bracket_map()
     zero, one = _zero(a.field), _one(a.field)
     series = [[tuple(one if j == i else zero for j in range(n)) for i in range(n)]]
@@ -202,11 +213,11 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
 
 
 def algebra_type(a: LieAlgebra) -> tuple[int, ...]:
-    return lower_central_series(a)[1]
+    return a.central_series()[1]
 
 
 def nilpotency_class(a: LieAlgebra) -> int:
-    return lower_central_series(a)[2]
+    return a.central_series()[2]
 
 
 def is_automorphism(a: LieAlgebra, f: LinearMap) -> bool:
@@ -262,14 +273,3 @@ def heisenberg() -> LieAlgebra:
 
 def abelian(n: int, field: FieldRef = "Q") -> LieAlgebra:
     return LieAlgebra(field, n, ())
-
-
-def map_preserves_series(a: LieAlgebra, f: LinearMap) -> bool:
-    """Every automorphism preserves each gamma_i; exposed for tests."""
-    series, _, _ = lower_central_series(a)
-    for basis in series:
-        rr = fl.span_rref([list(v) for v in basis])
-        for v in basis:
-            if not fl.in_span(rr, f.apply(list(v))):
-                return False
-    return True

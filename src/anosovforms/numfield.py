@@ -157,7 +157,10 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     @property
     def is_rational(self) -> bool:
@@ -251,7 +254,7 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.datum.element((other,))
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         return (
             isinstance(other, FieldElement)
             and self.datum.fingerprint() == other.datum.fingerprint()
@@ -389,12 +392,6 @@ def refine_until(test: Callable[[int], object]):
         if answer is not None:
             return answer
     raise PrecisionUnreachable("refinement budget exhausted")
-
-
-def refine_enclosure(p: Polynomial, iv: Interval, width: Fraction) -> Interval:
-    """Shrink a sign-change enclosure of a root of p below the given width
-    by exact bisection: the first level of its path that is narrow enough."""
-    return RootPath(p, iv).level((math.ceil(iv.width / width) - 1).bit_length())
 
 
 def verify_galois_datum(candidate: GaloisDatum,

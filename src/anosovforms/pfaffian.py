@@ -25,10 +25,11 @@ from .errors import (
     JNotInjective,
     NotTwoStep,
     OddDimension,
+    PellBudgetExceeded,
     SolutionMismatch,
 )
 from .exactmath import Polynomial, RationalMatrix, nullspace, rat, rat_to_str
-from .liealg import LieAlgebra, LinearMap, _zero, is_automorphism, lower_central_series
+from .liealg import LieAlgebra, LinearMap, _zero, is_automorphism
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,11 @@ class PellSolution:
     y: int
 
 
+# steps of the continued fraction before solve_pell gives up; the period
+# grows like sqrt(d), and d = 10^8 + 3 needs 5,314 steps (a 2,783-digit y)
+PELL_STEP_BUDGET = 10_000
+
+
 def solve_pell(d: int) -> PellSolution:
     """Fundamental solution of x^2 - d y^2 = 4 with smallest y >= 1.
 
@@ -156,7 +162,7 @@ def solve_pell(d: int) -> PellSolution:
         p, q, n, to_xy = 0, 1, d, lambda h, k: (2 * h, 2 * k)
     r = math.isqrt(n)
     h0, h, k0, k = 0, 1, 1, 0
-    while True:
+    for _ in range(PELL_STEP_BUDGET):
         # complete quotient (p + sqrt n)/q, with q > 0 dividing n - p^2
         a = (p + r) // q
         h0, h = h, a * h + h0
@@ -169,6 +175,8 @@ def solve_pell(d: int) -> PellSolution:
             return PellSolution((x * x + d * y * y) // 2, x * y)
         p = a * q - p
         q = (n - p * p) // q
+    raise PellBudgetExceeded(
+        f"no solution within {PELL_STEP_BUDGET} continued-fraction steps")
 
 
 def pell_automorphism(h: BinaryQuadraticForm, sol: PellSolution) -> RationalMatrix:
@@ -235,7 +243,7 @@ def adapted_split(a: LieAlgebra) -> tuple[int, int]:
     vectors span a complement of the center part gamma_2, the rest span
     gamma_2.  Abelian algebras count as the degenerate case k = 0.
     Raises NotTwoStep/BasisNotAdapted otherwise."""
-    series, type_tuple, nclass = lower_central_series(a)
+    series, type_tuple, nclass = a.central_series()
     if nclass > 2:
         raise NotTwoStep(f"nilpotency class is {nclass}")
     if nclass < 2:
@@ -243,7 +251,7 @@ def adapted_split(a: LieAlgebra) -> tuple[int, int]:
     n1, k = type_tuple
     # gamma_2 is in canonical echelon form, so it is spanned by the trailing
     # basis vectors exactly when it lists them in order
-    if series[1] != [tuple(int(s == t) for s in range(a.dim)) for t in range(n1, a.dim)]:
+    if series[1] != tuple(tuple(int(s == t) for s in range(a.dim)) for t in range(n1, a.dim)):
         raise BasisNotAdapted("gamma_2 is not spanned by the trailing basis vectors")
     for (i, j, t, _c) in a.brackets:
         if j >= n1:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from anosovforms.cli import CONSTRUCT_DIM_BUDGET
 from anosovforms.serialize import (
     algebra_to_json,
     canonical_dumps,
@@ -183,6 +184,23 @@ class TestTools:
         proc = run_cli("pell", "--disc", "4", check=False)
         assert proc.returncode == 1
 
+    def test_pell_past_step_budget_exit1(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "anosovforms", "pell", "--disc", "10000000003"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "PellBudgetExceeded"
+
+    @pytest.mark.parametrize("recipe,nclass,dim", [("last", "10", 30), ("csig", "8", 30),
+                                                   ("last", "1000000", 3000000)])
+    def test_construct_past_dimension_budget_exit1(self, recipe, nclass, dim):
+        code, err = _run_in_process(["construct", "--recipe", recipe, "--class", nclass])
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "DimensionBudgetExceeded",
+            "detail": f"dimension {dim} exceeds the budget of {CONSTRUCT_DIM_BUDGET}"}
+
     def test_classify42(self, z4_files):
         _, alg, _ = z4_files
         proc = run_cli("classify42", "--algebra", str(alg))
@@ -334,12 +352,14 @@ def _argv(draw, workdir):
         argv += file_option("--constraints", "constraints")
     else:
         # z4 takes no options and always succeeds, and csig/last cost seconds
-        # from class 4 on; both are left out to keep the draws cheap
+        # from class 4 on, so classes 3..26 are left out to keep the draws
+        # cheap; classes past the dimension budget exit 1 at once
         recipe = draw(st.sampled_from(["count", "laur", "csig", "last", "nope"]))
         argv += [f"--recipe={recipe}"]
         argv += value_option("--k", _number) + value_option("--l", _number)
         argv += value_option("--class", st.one_of(
-            st.integers(-2, 2).map(str), st.text(alphabet="-/ax.", max_size=3)))
+            st.integers(-2, 2).map(str), st.sampled_from(["28", "1000000"]),
+            st.text(alphabet="-/ax.", max_size=3)))
         argv += file_option("--field", "field")
         argv += value_option("--lambda", st.one_of(
             st.sampled_from(["1,1", "0,1", "1,1,0", "2,1,0,0"]),
@@ -368,6 +388,15 @@ def _run_in_process(argv):
 
 
 class TestFuzz:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--recipe=last", "--class=--"],
+        ["construct", "--recipe=csig", "--class=--"],
+        ["pell", "--disc=--"],
+    ])
+    def test_lone_double_dash_value_exit2(self, argv):
+        code, err = _run_in_process(argv)
+        assert code == 2 and err.startswith("usage: ")
+
     @pytest.mark.parametrize("text", ["[]", "3", '"Q"', "null"])
     def test_field_file_not_an_object_exit2(self, workdir, text):
         path = workdir / "not_an_object.json"

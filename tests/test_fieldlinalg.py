@@ -1,6 +1,7 @@
 """Properties of the exact linear-algebra kernel over Q and over verified
-number fields, a high-precision mpmath oracle for det, and the Galois
-action's matrix path against polynomial composition."""
+number fields, a high-precision mpmath oracle for det, the Galois action's
+matrix path against polynomial composition, and the kernel's zero rule
+against the dense kernel it replaced."""
 
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from anosovforms import _fieldlinalg as fl
 from anosovforms.catalog import quartic_z4_datum, sqrt2_datum
+from anosovforms.errors import DimensionMismatch
 from anosovforms.exactmath import RationalMatrix, nullspace
 from anosovforms.numfield import apply_automorphism
 
@@ -197,3 +199,158 @@ def test_apply_automorphism_matches_composition(name, data):
         assert sx == _compose_reference(datum, s, x)
         assert apply_automorphism(datum, s, x * y) == sx * apply_automorphism(datum, s, y)
         assert apply_automorphism(datum, s, x + y) == sx + apply_automorphism(datum, s, y)
+
+
+# ---------------------------------------------------------------------------
+# the zero rule against the dense kernel it replaced
+
+
+def _dense_mat_vec(a, v):
+    out = []
+    for row in a:
+        acc = None
+        for x, y in zip(v, row):
+            t = x * y
+            acc = t if acc is None else acc + t
+        out.append(acc)
+    return out
+
+
+def _dense_mat_mul(a, b):
+    cols = list(zip(*b))
+    return [_dense_mat_vec(cols, row) for row in a]
+
+
+def _dense_rref(rows):
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if not m[i][c] == 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = fl._inv(m[r][c])
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c] == 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _dense_det(rows):
+    m = [list(r) for r in rows]
+    n = len(m)
+    d = None
+    for c in range(n):
+        piv = next((r for r in range(c, n) if not m[r][c] == 0), None)
+        if piv is None:
+            return m[0][0] - m[0][0]
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            m[c] = [-x for x in m[c]]
+        d = m[c][c] if d is None else d * m[c][c]
+        inv = fl._inv(m[c][c])
+        for r in range(c + 1, n):
+            if not m[r][c] == 0:
+                f = m[r][c] * inv
+                for k in range(c, n):
+                    m[r][k] = m[r][k] - f * m[c][k]
+    return d
+
+
+KINDS = ("sparse", "monomial", "zero", "dense")
+
+
+def elements(name, nonzero=False):
+    d = _degree(name)
+    coords = st.lists(small, min_size=d, max_size=d)
+    if nonzero:
+        coords = coords.filter(any)
+    return coords.map(lambda xs: _element(name, xs))
+
+
+@st.composite
+def kinded(draw, name, rows, cols, kind):
+    """A rows x cols matrix of the given kind; monomial ones are square
+    (cols is ignored) with one nonzero entry in each row and column."""
+    zero = _zero(name)
+    if kind == "zero":
+        return [[zero] * cols for _ in range(rows)]
+    if kind == "monomial":
+        perm = draw(st.permutations(range(rows)))
+        return [[draw(elements(name, nonzero=True)) if j == perm[i] else zero
+                 for j in range(rows)] for i in range(rows)]
+    if kind == "sparse":
+        return [[draw(elements(name, nonzero=True)) if draw(st.integers(0, 3)) == 0
+                 else zero for _ in range(cols)] for _ in range(rows)]
+    return draw(matrices(name, rows, cols))
+
+
+@st.composite
+def product_pair(draw, left, right):
+    """(a, b) with cols(a) == rows(b), a over field left, b over right."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    kind_a, kind_b = draw(st.sampled_from(KINDS)), draw(st.sampled_from(KINDS))
+    if "monomial" in (kind_a, kind_b):
+        n = k = m = n
+    return (draw(kinded(left, n, k, kind_a)), draw(kinded(right, k, m, kind_b)))
+
+
+@field_names
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_rule_matches_dense_kernel(name, data):
+    a, b = data.draw(product_pair(name, name))
+    assert repr(fl.mat_mul(a, b)) == repr(_dense_mat_mul(a, b))
+    v = [row[0] for row in b]
+    assert repr(fl.mat_vec(a, v)) == repr(_dense_mat_vec(a, v))
+    for m in (a, b):
+        assert repr(fl.rref(m)) == repr(_dense_rref(m))
+    n = min(len(a), len(a[0]))
+    square = [row[:n] for row in a[:n]]
+    assert repr(fl.det(square)) == repr(_dense_det(square))
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "quartic"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_rule_mixed_rational_and_field_entries(name, data):
+    # rho_s * F in transport: Fraction rows times field-element columns
+    rs, f = data.draw(product_pair("Q", name))
+    assert repr(fl.mat_mul(rs, f)) == repr(_dense_mat_mul(rs, f))
+    # a rational matrix applied to a vector over the field
+    v = [row[0] for row in f]
+    assert repr(fl.mat_vec(rs, v)) == repr(_dense_mat_vec(rs, v))
+    f, rs = data.draw(product_pair(name, "Q"))
+    assert repr(fl.mat_mul(f, rs)) == repr(_dense_mat_mul(f, rs))
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "quartic"])
+def test_field_element_truth_and_rational_equality(name):
+    datum = FIELDS[name]
+    zero, three_halves = datum.zero(), datum.element([F(3, 2)])
+    theta = datum.element([0, 1])
+    shifted = datum.element([F(3, 2), 1])
+    assert not zero and three_halves and theta and shifted
+    assert zero == 0 and zero == F(0) and not zero == F(3, 2)
+    assert three_halves == F(3, 2) and not three_halves == 0
+    assert not three_halves == 1 and not three_halves == F(-3, 2)
+    # a zero constant term or a matching one says nothing about the rest
+    assert not theta == 0 and not theta == F(3, 2)
+    assert not shifted == F(3, 2) and not shifted == 0
+
+
+def test_ragged_rows_raise_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        fl.mat_vec([[F(1), F(2), F(3)]], [F(1), F(2)])
+    with pytest.raises(DimensionMismatch):
+        fl.mat_vec([[F(1), F(2)], [F(3)]], [F(1), F(2)])
+    with pytest.raises(DimensionMismatch):
+        fl.mat_mul([[F(1), F(2)]], [[F(1)], [F(2)], [F(3)]])

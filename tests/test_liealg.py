@@ -20,9 +20,32 @@ from anosovforms.liealg import (
     heisenberg,
     is_automorphism,
     lower_central_series,
-    map_preserves_series,
 )
 from anosovforms.pfaffian import hk_algebra, nk_algebra
+
+
+def in_span(basis_rref, vector):
+    """Membership test against an RREF basis (rows with unit pivots)."""
+    v = list(vector)
+    for row in basis_rref:
+        piv = next((i for i, x in enumerate(row) if not x == 0), None)
+        if piv is None:
+            continue
+        if not v[piv] == 0:
+            f = v[piv]
+            v = [x - f * y for x, y in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+def map_preserves_series(a, f):
+    """Every automorphism preserves each gamma_i."""
+    series, _, _ = lower_central_series(a)
+    for basis in series:
+        rr = fl.span_rref([list(v) for v in basis])
+        for v in basis:
+            if not in_span(rr, f.apply(list(v))):
+                return False
+    return True
 
 
 class TestJacobi:
@@ -74,6 +97,34 @@ class TestLowerCentralSeries:
         for a in (heisenberg(), nk_algebra(3), abelian(4)):
             t = algebra_type(a)
             assert sum(t) == a.dim
+
+    def test_computed_once_per_algebra(self, monkeypatch):
+        # certify and classify_type42 on one algebra, as recipe_count does
+        from anosovforms import liealg
+        from anosovforms.anosov import certify
+        from anosovforms.pfaffian import classify_type42
+
+        calls = []
+        inner = liealg.lower_central_series
+        monkeypatch.setattr(liealg, "lower_central_series",
+                            lambda a: calls.append(a) or inner(a))
+        a = nk_algebra(5)
+        cert = certify(a, RationalMatrix.identity(6))
+        assert classify_type42(a) == (5, True)
+        assert (cert.algebra_type, cert.nilpotency_class) == ((4, 2), 2)
+        assert algebra_type(a) == (4, 2) and calls == [a]
+
+    def test_cached_series_is_immutable(self):
+        a = nk_algebra(3)
+        series, type_tuple, nclass = a.central_series()
+        assert a.central_series() is a.central_series()
+        assert (series, type_tuple, nclass) == \
+            (tuple(map(tuple, lower_central_series(a)[0])), (4, 2), 2)
+        assert isinstance(series, tuple)
+        assert all(isinstance(basis, tuple) and all(isinstance(v, tuple) for v in basis)
+                   for basis in series)
+        with pytest.raises(TypeError):
+            series[1][0] = series[0][0]
 
 
 class TestAutomorphisms:

@@ -37,13 +37,18 @@ from anosovforms.numfield import (
     datum_from_automorphism_polys,
     is_algebraic_unit,
     minimal_polynomial,
-    refine_enclosure,
     refine_until,
     verify_galois_datum,
 )
 from anosovforms.serialize import interval_to_json
 
 P = Polynomial
+
+
+def refine_enclosure(p, iv, width):
+    """Shrink a sign-change enclosure of a root of p below the given width
+    by exact bisection: the first level of its path that is narrow enough."""
+    return RootPath(p, iv).level((math.ceil(iv.width / width) - 1).bit_length())
 
 
 class TestVerification:

@@ -11,6 +11,7 @@ from anosovforms.errors import (
     DoesNotPreserveW,
     NotTwoStep,
     OddDimension,
+    PellBudgetExceeded,
     SolutionMismatch,
 )
 from anosovforms.exactmath import Polynomial, RationalMatrix
@@ -261,6 +262,14 @@ class TestPell:
         sol = solve_pell(991)
         assert sol.x * sol.x - 991 * sol.y * sol.y == 4
         assert len(str(sol.y)) == 29
+
+    def test_step_budget(self):
+        # 5,314 steps give a 2,783-digit y; 10^10 + 3 runs past the budget
+        sol = solve_pell(10 ** 8 + 3)
+        assert sol.x * sol.x - (10 ** 8 + 3) * sol.y * sol.y == 4
+        assert len(str(sol.y)) == 2783
+        with pytest.raises(PellBudgetExceeded):
+            solve_pell(10 ** 10 + 3)
 
     def test_u_matrix(self):
         h = BinaryQuadraticForm(1, 1, -1)
