@@ -2,10 +2,11 @@
 
 Matrices are plain nested lists (or tuples) whose entries support +, -, *,
 / and are false exactly when zero; Fraction and FieldElement both qualify.
-rref is the one Gauss-Jordan loop and det the one forward-elimination
-loop; solve, rank, span bases and RationalMatrix's det, inverse, rref and
-product all go through them.  Exact arithmetic needs no pivoting
-heuristic: the first nonzero entry of a column is the pivot.
+rref is the one Gauss-Jordan loop over a field and det the one
+forward-elimination loop; solve, rank, span bases over a number field and
+RationalMatrix's det, inverse, rref and product all go through them.
+Exact arithmetic needs no pivoting heuristic: the first nonzero entry of
+a column is the pivot.
 
 The zero rule: a term with an exact zero factor is never formed, and an
 entry the pivot row would change by zero times a factor is left as it
@@ -15,11 +16,21 @@ term of a sum has the same type, so neither does any result's type.  A
 sum with no term left is v[0] * row[0], a zero of that type.  Dense
 inputs run the same loops; sparse ones, such as the monomial images of
 a Galois representation, skip most of the work.
+
+The common-denominator rule: over Q a kernel may clear denominators once
+(clear_denominators: rational rows in, integer rows and their lcm D out)
+and run on Python ints, so no product pays for a Fraction's gcd.  It
+does so only where the scale provably cancels: a zero test, a span, or
+an identity whose two sides scale alike.  span_rref works this way on
+rational rows: fraction-free Gauss-Jordan on primitive integer rows,
+dividing by the pivots only at the end, which gives the same unique
+reduced echelon form as rref.  Rows with other entries take rref.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
@@ -45,6 +56,8 @@ def mat_mul(a, b):
     """a * b: every row of a times the transposed columns of b."""
     if any(len(r) != len(b) for r in a):
         raise DimensionMismatch("matrix product needs cols(a) == rows(b)")
+    if any(len(r) != len(b[0]) for r in b):
+        raise DimensionMismatch("matrix rows must have equal length")
     cols = list(zip(*b))
     return [mat_vec(cols, row) for row in a]
 
@@ -126,7 +139,66 @@ def solve(a, rhs_cols):
     return [row[n:] for row in m]
 
 
+def clear_denominators(rows):
+    """Rational rows (int or Fraction entries) over one common denominator:
+    returns (integer rows, D), D the lcm of the entries' denominators, so
+    that rows[i][j] == integer_rows[i][j] / D."""
+    d = 1
+    for row in rows:
+        for x in row:
+            if x.denominator != 1:
+                d = lcm(d, x.denominator)
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def primitive(row):
+    """The integer row spanning the same line as a rational row: cleared
+    denominators with the gcd of the entries divided out."""
+    (ints,), _ = clear_denominators([row])
+    return _content_free(ints)
+
+
+def _content_free(ints):
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def span_rref(vectors):
-    """Canonical (RREF) basis of the span of the given row vectors."""
+    """Canonical (RREF) basis of the span of the given row vectors; over Q
+    (int or Fraction entries) by the integer path, as Fraction tuples."""
+    if vectors and all(isinstance(x, (int, Fraction)) for v in vectors for x in v):
+        return _rational_span_rref(vectors)
     m, pivots = rref(vectors)
     return [tuple(m[i]) for i in range(len(pivots))]
+
+
+def _rational_span_rref(vectors):
+    """Fraction-free Gauss-Jordan: every row stays a primitive integer row,
+    a row reduced to zero is dropped, and each pivot row is divided by its
+    pivot only at the end.  The reduced echelon form of a span is unique,
+    so this is rref's result, entry for entry."""
+    rows = [r for r in map(primitive, vectors) if any(r)]
+    pivots = []
+    for c in range(len(vectors[0])):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        nz = [(k, y) for k, y in enumerate(rows[r]) if y]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                g = gcd(p, f)
+                s, f = p // g, f // g
+                if s != 1:
+                    row = [s * x for x in row]
+                for k, y in nz:
+                    row[k] -= f * y
+                rows[i] = _content_free(row)
+        pivots.append(c)
+        rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
+    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]

@@ -4,6 +4,13 @@ presented by sparse structure constants.
 Brackets are stored for i < j only; antisymmetry is implicit.  Subspaces
 (lower central series terms, spans) are always kept as canonical reduced
 echelon bases so equality of subspaces is bit-exact list comparison.
+
+Over Q the kernels follow _fieldlinalg's common-denominator rule: the
+structure constants are kept once more as ints scaled by their lcm C
+(integer_bracket_map), and check_jacobi, is_automorphism and
+lower_central_series run the one bracket kernel on ints, where every
+identity they test scales by a nonzero constant on both sides.  Over a
+number field they run the same loops on the field elements.
 """
 
 from __future__ import annotations
@@ -75,6 +82,21 @@ class LieAlgebra:
             for (i, j, k, c) in self.brackets:
                 cached.setdefault((i, j), {})[k] = c
             object.__setattr__(self, "_bmap", cached)
+        return cached
+
+    def integer_bracket_map(self) -> tuple[Mapping[tuple[int, int], dict[int, int]], int]:
+        """Over Q: (the bracket map with every constant times C, C), C the
+        lcm of the constants' denominators; computed once per algebra."""
+        cached = getattr(self, "_ibmap", None)
+        if cached is None:
+            if not isinstance(self.field, str):
+                raise FieldMismatch("integer structure constants exist over Q only")
+            (ints,), scale = fl.clear_denominators([[c for (_i, _j, _k, c) in self.brackets]])
+            imap: dict[tuple[int, int], dict[int, int]] = {}
+            for (i, j, k, _c), x in zip(self.brackets, ints):
+                imap.setdefault((i, j), {})[k] = x
+            cached = (imap, scale)
+            object.__setattr__(self, "_ibmap", cached)
         return cached
 
     def central_series(self) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
@@ -164,7 +186,12 @@ class Grading:
 def check_jacobi(a: LieAlgebra) -> bool:
     """Verify sum over cyclic permutations of [[b_i, b_j], b_k] = 0 for all
     i < j < k, exactly."""
-    n, bmap, one = a.dim, a.bracket_map(), _one(a.field)
+    n = a.dim
+    if isinstance(a.field, str):
+        # constants times C: each Jacobi sum is C^2 times the rational one
+        bmap, one = a.integer_bracket_map()[0], 1
+    else:
+        bmap, one = a.bracket_map(), _one(a.field)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -188,11 +215,18 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
     nilpotency class.  Raises NotNilpotent when the series stabilizes at a
     nonzero subspace.  Recomputed on every call: library code reads the
     cached LieAlgebra.central_series() instead."""
-    n, bmap = a.dim, a.bracket_map()
+    n = a.dim
     zero, one = _zero(a.field), _one(a.field)
     series = [[tuple(one if j == i else zero for j in range(n)) for i in range(n)]]
+    rational = isinstance(a.field, str)
+    if rational:
+        # integer constants on primitive integer rows: each generator is a
+        # nonzero multiple of the rational one, so every span is the same
+        bmap, zero, one = a.integer_bracket_map()[0], 0, 1
+    else:
+        bmap = a.bracket_map()
     while True:
-        prev = [_support(v) for v in series[-1]]
+        prev = [_support(fl.primitive(v) if rational else v) for v in series[-1]]
         gens = []
         for i in range(n):
             for v in prev:
@@ -225,12 +259,20 @@ def is_automorphism(a: LieAlgebra, f: LinearMap) -> bool:
     on all basis pairs."""
     if fl.det([list(r) for r in f.matrix]) == 0:
         return False
-    bmap = a.bracket_map()
-    cols = [_support(f.column(j)) for j in range(a.dim)]
+    if isinstance(a.field, str):
+        # F = D f and constants times C: [F b_i, F b_j] and D sum_k C c F b_k
+        # are both D^2 C times the rational sides
+        bmap = a.integer_bracket_map()[0]
+        rows, d = fl.clear_denominators(f.matrix)
+        image = {key: {k: d * c for k, c in row.items()} for key, row in bmap.items()}
+        cols = [_support(col) for col in zip(*rows)]
+    else:
+        bmap = image = a.bracket_map()
+        cols = [_support(f.column(j)) for j in range(a.dim)]
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
             diff = _bracket(bmap, cols[i], cols[j])
-            for k, c in bmap.get((i, j), {}).items():
+            for k, c in image.get((i, j), {}).items():
                 for m, x in cols[k].items():
                     v = c * x
                     diff[m] = diff[m] - v if m in diff else -v

@@ -262,6 +262,9 @@ class FieldElement:
         )
 
     def __hash__(self):
+        # a rational element equals its Fraction value, so hashes like it
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __repr__(self):

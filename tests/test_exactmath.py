@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,3 +303,126 @@ def test_count_real_roots():
     assert count_real_roots(P([1, 1, -4, -4, 1])) == 4
     assert count_real_roots(P([1, 0, 1])) == 0
     assert count_real_roots(P([0, 1]) ** 3) == 1
+
+
+# ---------------------------------------------------------------------------
+# charpoly and the root counts against high-precision numeric oracles
+
+CYCLOTOMIC = {
+    3: P([1, 1, 1]),
+    4: P([1, 0, 1]),
+    5: P([1, 1, 1, 1, 1]),
+    8: P([1, 0, 0, 0, 1]),
+}
+
+
+def _scaled(p, r):
+    """The polynomial whose roots are those of p times r."""
+    return P([c * F(1, r) ** i for i, c in enumerate(p.coeffs)]).monic()
+
+
+def _mp(q):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _mp_det(rows):
+    try:
+        return mp.det(mp.matrix(rows))
+    except TypeError:
+        # mpmath 1.3 raises TypeError instead of returning 0 when an
+        # elimination column is exactly zero, which makes the matrix singular
+        return mp.mpf(0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_charpoly_against_mpmath_det(rows):
+    n = len(rows)
+    p = charpoly(RationalMatrix(rows))
+    assert p.degree == n and p.leading == 1
+    with mp.workdps(60):
+        for t in (F(0), F(1), F(-2), F(1, 3), F(7, 2)):
+            shifted = [[_mp(t * (i == j) - x) for j, x in enumerate(row)]
+                       for i, row in enumerate(rows)]
+            oracle = _mp_det(shifted)
+            exact = _mp(p.eval(t))
+            assert abs(oracle - exact) <= mp.mpf(10) ** -40 * (1 + abs(exact))
+
+
+def _distinct(roots, tol):
+    out = []
+    for r in roots:
+        if all(abs(r - s) > tol for s in out):
+            out.append(r)
+    return out
+
+
+def _oracle_counts(factors, find_roots):
+    """(distinct roots on the circle, roots inside the disk with
+    multiplicity) of the product of the factors, from the roots of each."""
+    roots = [r for f in factors for r in find_roots(f)]
+    on = _distinct([r for r in roots if abs(abs(r) - 1) < mp.mpf(10) ** -25],
+                   mp.mpf(10) ** -20)
+    return len(on), sum(1 for r in roots if abs(r) < 1)
+
+
+def _mp_roots(p):
+    return mp.polyroots([_mp(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=400)
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """A small random integer factor times cyclotomic factors (roots on the
+    circle) and pairs Phi(2x) Phi(x/2) (self-reciprocal, none on it)."""
+    factors = []
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+        f = P(coeffs + [1])
+        # squarefree, so the numeric root finders converge on every root
+        if f.constant != 0 and poly_gcd(f, f.derivative()).degree == 0:
+            factors.append(f)
+    for k in draw(st.lists(st.sampled_from(sorted(CYCLOTOMIC)), max_size=3)):
+        factors.append(CYCLOTOMIC[k])
+    for k in draw(st.lists(st.sampled_from(sorted(CYCLOTOMIC)), max_size=2)):
+        factors += [_scaled(CYCLOTOMIC[k], 2), _scaled(CYCLOTOMIC[k], F(1, 2))]
+    if not factors:
+        factors.append(CYCLOTOMIC[draw(st.sampled_from(sorted(CYCLOTOMIC)))])
+    return factors
+
+
+def _check_counts(factors, find_roots):
+    p = P([1])
+    for f in factors:
+        p = p * f
+    on, inside = _oracle_counts(factors, find_roots)
+    assert count_roots_on_unit_circle(p) == on
+    if on:
+        with pytest.raises(RootOnCircle):
+            count_roots_inside_unit_disk(p)
+    else:
+        assert count_roots_inside_unit_disk(p) == inside
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclotomic_products())
+def test_root_counts_with_cyclotomic_factors_against_mpmath(factors):
+    with mp.workdps(50):
+        _check_counts(factors, _mp_roots)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cyclotomic_products())
+def test_root_counts_with_cyclotomic_factors_against_sympy(factors):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def sympy_roots(p):
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], x)
+        return [mp.mpc(str(sympy.re(r)), str(sympy.im(r)))
+                for r in poly.nroots(n=50, maxsteps=200)]
+
+    with mp.workdps(50):
+        _check_counts(factors, sympy_roots)

@@ -1,8 +1,10 @@
 """Properties of the exact linear-algebra kernel over Q and over verified
 number fields, a high-precision mpmath oracle for det, the Galois action's
-matrix path against polynomial composition, and the kernel's zero rule
-against the dense kernel it replaced."""
+matrix path against polynomial composition, the kernel's zero rule
+against the dense kernel it replaced, and the integer span_rref against
+the Fraction one it replaced."""
 
+import math
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
@@ -354,3 +356,104 @@ def test_ragged_rows_raise_dimension_mismatch():
         fl.mat_vec([[F(1), F(2)], [F(3)]], [F(1), F(2)])
     with pytest.raises(DimensionMismatch):
         fl.mat_mul([[F(1), F(2)]], [[F(1)], [F(2)], [F(3)]])
+    # a ragged b used to lose the columns past its shortest row
+    with pytest.raises(DimensionMismatch):
+        fl.mat_mul([[1, 2]], [[1, 2], [3]])
+
+
+# ---------------------------------------------------------------------------
+# the integer span_rref against the Fraction one it replaced
+
+
+def ref_rref(rows):
+    """rref over Fractions as the kernel ran it on rational rows."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv if x else x for x in m[r]]
+        nz = [(k, y) for k, y in enumerate(m[r]) if y]
+        for i in range(nrows):
+            f = m[i][c]
+            if i != r and f:
+                row = m[i]
+                for k, y in nz:
+                    row[k] = row[k] - f * y
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def ref_span_rref(vectors):
+    """span_rref over Fractions, the reference for the integer path; the
+    rows are converted to Fractions first, as the Lie layer passed them."""
+    m, pivots = ref_rref([[F(x) for x in v] for v in vectors])
+    return [tuple(m[i]) for i in range(len(pivots))]
+
+
+rational_entries = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6),
+    st.just(F(0)),
+)
+
+
+@st.composite
+def rational_row_sets(draw):
+    """Int and Fraction rows, with zero rows, duplicate rows and rows that
+    combine two others mixed in, so that many sets are rank-deficient."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(rational_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    for extra in draw(st.lists(st.sampled_from(["zero", "duplicate", "combination"]),
+                               max_size=3)):
+        if extra == "zero":
+            rows.append(draw(st.sampled_from([[0] * ncols, [F(0)] * ncols])))
+        elif extra == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(rational_entries), draw(rational_entries)
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_row_sets())
+def test_integer_span_rref_matches_fraction_rref(rows):
+    out = fl.span_rref(rows)
+    assert repr(out) == repr(ref_span_rref(rows))
+    assert all(type(x) is F for v in out for x in v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_row_sets())
+def test_clear_denominators(rows):
+    ints, d = fl.clear_denominators(rows)
+    dens = [F(x).denominator for v in rows for x in v]
+    assert d == math.lcm(*dens)
+    assert all(type(x) is int for v in ints for x in v)
+    assert ints == [[x * d for x in v] for v in rows]
+    for v in rows:
+        p = fl.primitive(v)
+        assert math.gcd(*p) == (1 if any(v) else 0)
+        assert fl.span_rref([p]) == fl.span_rref([v])
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "quartic"])
+@PROPS
+@given(data=st.data())
+def test_field_rows_take_rref(name, data):
+    m = data.draw(shaped(name))
+    r, pivots = fl.rref(m)
+    assert fl.span_rref(m) == [tuple(r[i]) for i in range(len(pivots))]

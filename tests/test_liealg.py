@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from anosovforms.liealg import (
     lower_central_series,
 )
 from anosovforms.pfaffian import hk_algebra, nk_algebra
+from test_fieldlinalg import ref_span_rref
 
 
 def in_span(basis_rref, vector):
@@ -262,13 +264,20 @@ def ref_check_jacobi(a):
     return True
 
 
+def span_rref(vectors):
+    """The frozen Fraction span_rref over Q; the kernel's own over a field."""
+    if vectors and all(isinstance(x, (int, F)) for v in vectors for x in v):
+        return ref_span_rref(vectors)
+    return fl.span_rref(vectors)
+
+
 def ref_lower_central_series(a):
     series = [[tuple(_ref_basis_vector(a, i)) for i in range(a.dim)]]
     while True:
         prev = series[-1]
         gens = [ref_bracket(a, _ref_basis_vector(a, i), list(v))
                 for i in range(a.dim) for v in prev]
-        nxt = fl.span_rref(gens) if gens else []
+        nxt = span_rref(gens) if gens else []
         if len(nxt) == len(prev):
             raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
         series.append(nxt)
@@ -337,6 +346,30 @@ def _change_basis(a, p):
     return LieAlgebra("Q", a.dim, tuple(entries))
 
 
+# large pairwise coprime denominators, so that D and C are large
+BIG_PRIMES = (65521, 65537, 99991, 100003, 999983, 1000003)
+
+
+def coprime_basis(draw, n):
+    """The identity plus a few entries k/q with q drawn from BIG_PRIMES."""
+    rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] += F(draw(st.integers(1, 9)), draw(st.sampled_from(BIG_PRIMES)))
+    return RationalMatrix(rows)
+
+
+# a fixed near-identity basis change with large coprime denominators
+COPRIME_BASIS = RationalMatrix([
+    [1, F(1, 65521), 0, F(2, 65537), 0, 0],
+    [0, 1, F(3, 99991), 0, 0, 0],
+    [F(1, 65537), 0, 1, 0, 0, 0],
+    [0, 0, 0, 1, F(1, 65521), 0],
+    [0, 0, 0, 0, 1, 0],
+    [0, F(5, 99991), 0, 0, 0, 1],
+])
+
+
 @st.composite
 def algebra_and_map(draw):
     """A graded algebra in a dense basis with an automorphism, a singular
@@ -346,10 +379,13 @@ def algebra_and_map(draw):
     t = draw(nonzero)
     d = RationalMatrix.diagonal([t ** w for w in weights])
     p = RationalMatrix.identity(n)
-    if draw(st.booleans()):
+    basis = draw(st.sampled_from(["identity", "small", "coprime"]))
+    if basis == "small":
         p = RationalMatrix([[draw(small) for _ in range(n)] for _ in range(n)])
-        if p.det() == 0:
-            p = RationalMatrix.identity(n)
+    elif basis == "coprime":
+        p = coprime_basis(draw, n)
+    if p.det() == 0:
+        p = RationalMatrix.identity(n)
     a, m = _change_basis(a, p), p.inverse() * d * p
     rows = [list(r) for r in m.entries]
     kind = draw(st.sampled_from(["automorphism", "singular", "perturbed"]))
@@ -399,6 +435,36 @@ class TestSparseKernelOracle:
         x = data.draw(st.lists(coords, min_size=a.dim, max_size=a.dim))
         y = data.draw(st.lists(coords, min_size=a.dim, max_size=a.dim))
         assert repr(a.bracket(x, y)) == repr(ref_bracket(a, x, y))
+
+    def test_smallest_perturbation_rejected(self):
+        # one entry of an automorphism moved by 1/(D^2 C), the resolution of
+        # the integer comparison: a wrong scale factor would miss it
+        p = COPRIME_BASIS
+        a = _change_basis(nk_algebra(5), p)
+        diag = RationalMatrix.diagonal([F(2), F(2), F(2), F(2), F(4), F(4)])
+        m = p.inverse() * diag * p
+        f = LinearMap(a, m.entries)
+        assert is_automorphism(a, f) and ref_is_automorphism(a, f)
+        _, d = fl.clear_denominators(m.entries)
+        c = a.integer_bracket_map()[1]
+        assert d > 1 and c > 1
+        rows = [list(r) for r in m.entries]
+        rows[0][1] += F(1, d * d * c)
+        g = LinearMap(a, rows)
+        assert fl.det(rows) != 0
+        assert not is_automorphism(a, g) and not ref_is_automorphism(a, g)
+
+    def test_integer_constants_scale(self):
+        a = _change_basis(nk_algebra(5), COPRIME_BASIS)
+        imap, c = a.integer_bracket_map()
+        assert c > 1 and a.integer_bracket_map() is a.integer_bracket_map()
+        assert {(i, j, k, F(x, c)) for (i, j), row in imap.items()
+                for k, x in row.items()} == set(a.brackets)
+        assert math.lcm(*(x.denominator for (_i, _j, _k, x) in a.brackets)) == c
+
+    def test_field_algebra_has_no_integer_constants(self, sqrt2):
+        with pytest.raises(FieldMismatch):
+            abelian(2, sqrt2).integer_bracket_map()
 
     def test_field_algebra_series(self, sqrt2):
         s = sqrt2.element([0, 1])

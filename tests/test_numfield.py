@@ -192,6 +192,16 @@ class TestElements:
         assert th ** 4 == 4 * th ** 3 + 4 * th ** 2 - th - 1
         assert th ** -1 == th.inverse()
 
+    def test_hash_agrees_with_equality(self, sqrt2, quartic):
+        x = sqrt2.element([3])
+        assert x == 3 and hash(x) == hash(3) == hash(F(3))
+        assert len({x, F(3)}) == 1
+        assert {F(3): "a"}.get(x) == "a"
+        half = quartic.element([F(1, 2), 0, 0, 0])
+        assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+        # elements equal to each other hash alike, rational or not
+        assert hash(sqrt2.element([1, 1])) == hash(sqrt2.element([F(2, 2), 1]))
+
 
 class TestEnclosures:
     def test_rational_point(self, sqrt2):
