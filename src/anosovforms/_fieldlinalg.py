@@ -94,6 +94,8 @@ def rref(rows):
 def _inv(x):
     if isinstance(x, Fraction):
         return 1 / x
+    if isinstance(x, int):
+        return Fraction(1, x)
     return x.inverse()
 
 

@@ -11,13 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonSquare, NotAutomorphism
-from .exactmath import (
-    Polynomial,
-    RationalMatrix,
-    count_roots_inside_unit_disk,
-    count_roots_on_unit_circle,
-)
+from .errors import NonSquare, NotAutomorphism, RootOnCircle
+from .exactmath import Polynomial, RationalMatrix, count_roots_inside_unit_disk
 from .liealg import LieAlgebra, LinearMap, is_automorphism
 
 
@@ -65,11 +60,12 @@ def certify(a: LieAlgebra, m: RationalMatrix,
     p = m.charpoly()
     det = (-1) ** a.dim * p.constant
     integer_like = p.is_integer and abs(p.constant) == 1
-    hyperbolic = count_roots_on_unit_circle(p) == 0
-    signature = None
-    if hyperbolic:
+    try:
         inside = count_roots_inside_unit_disk(p)
         signature = tuple(sorted((inside, a.dim - inside)))
+    except RootOnCircle:
+        signature = None
+    hyperbolic = signature is not None
     _, algebra_type, nclass = a.central_series()
     minimal = bool(signature) and min(signature) == nclass
     return AnosovCertificate(

@@ -37,10 +37,8 @@ from .recipes import (
     recipe_z4_example,
 )
 
-# largest algebra construct builds for --recipe csig|last; at dimension 26-27
-# (csig class 7, last class 9 over the default fields) a construction takes
-# seconds, and the time then grows steeply with the dimension (certify's
-# exact root counts)
+# largest algebra construct builds for --recipe csig|last: dimension 26-27
+# is csig class 7 and last class 9 over the default fields
 CONSTRUCT_DIM_BUDGET = 27
 
 

@@ -27,14 +27,6 @@ class RootOnCircle(AnosovError):
     pass
 
 
-class NotDivisible(AnosovError):
-    """Polynomial.shift_down would drop a nonzero coefficient."""
-
-
-class NotPalindromic(AnosovError):
-    """The Chebyshev contraction needs a palindromic polynomial of even degree."""
-
-
 class OddWindingIndex(AnosovError):
     """The exact winding count over the unit circle came out odd."""
 

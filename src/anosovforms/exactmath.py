@@ -5,16 +5,14 @@ terms, positive denominator) and never touches floating point.  The root
 counting routines decide unit-circle and unit-disk membership exactly:
 
 * real roots in an interval      -> Sturm sequences
-* roots of modulus exactly one   -> gcd with the reciprocal polynomial plus
-                                    the substitution Y = X + 1/X and a Sturm
-                                    count of Y in (-2, 2)
-* roots inside the unit disk     -> Schur-Cohn reduction with the
-                                    self-inversive shortcut; the singular
-                                    cases the reduction cannot see fall
-                                    back to the argument principle, with
-                                    the winding number computed exactly as
-                                    a Cauchy index over a rational circle
-                                    parameterization
+* roots of modulus exactly one   -> the Cayley map z = (1 + it)/(1 - it)
+  and inside the unit disk          turns p on the circle into A(t) + i B(t)
+                                    of degree deg p; one signed remainder
+                                    chain of A and B ends in gcd(A, B),
+                                    whose real roots are the circle roots
+                                    other than -1, and its leading signs
+                                    give the Cauchy index that counts the
+                                    roots inside by the argument principle
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from . import _fieldlinalg as fl
 from .errors import (
     EndpointIsRoot,
     NonSquare,
-    NotDivisible,
-    NotPalindromic,
     OddWindingIndex,
     RootOnCircle,
     ZeroPolynomial,
@@ -251,12 +247,6 @@ class Polynomial:
 
     def is_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def shift_down(self, k: int) -> "Polynomial":
-        """Divide by X^k; the dropped coefficients must vanish."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise NotDivisible(f"polynomial is not divisible by X^{k}")
-        return Polynomial(self.coeffs[k:])
 
 
 def _as_poly(x) -> Polynomial:
@@ -617,88 +607,10 @@ def sturm_count(p: Polynomial, interval: tuple) -> int:
     return va - vb
 
 
-def _strip_zero_roots(p: Polynomial) -> tuple[int, Polynomial]:
-    k = 0
-    while k <= p.degree and p[k] == 0:
-        k += 1
-    return k, p.shift_down(k)
-
-
-def _chebyshev_contract(g: Polynomial) -> Polynomial:
-    """For palindromic g of degree 2d, the h with g(X) = X^d h(X + 1/X)."""
-    d2 = g.degree
-    if d2 % 2:
-        raise NotPalindromic(f"odd degree {d2}")
-    d = d2 // 2
-    if any(g[i] != g[d2 - i] for i in range(d + 1)):
-        raise NotPalindromic("not palindromic")
-    # P_j(Y) = X^j + X^-j: P_0 = 2, P_1 = Y, P_{j+1} = Y P_j - P_{j-1}
-    h = Polynomial((g[d],))
-    pj_prev, pj = Polynomial((2,)), Polynomial.x()
-    for j in range(1, d + 1):
-        h = h + g[d + j] * pj
-        pj_prev, pj = pj, Polynomial.x() * pj - pj_prev
-    return h
-
-
-def count_roots_on_unit_circle(p: Polynomial) -> int:
-    """Distinct complex roots of p with modulus exactly 1.
-
-    Tests X = 1 and X = -1 directly; the remaining candidates are roots of
-    gcd(p, reciprocal(p)), whose self-inversive part contracts under
-    Y = X + 1/X to a real polynomial whose roots in (-2, 2) correspond to
-    conjugate pairs on the circle.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("count_roots_on_unit_circle of the zero polynomial")
-    q = p.squarefree_part()
-    _, q = _strip_zero_roots(q)
-    count = 0
-    for r in (Fraction(1), Fraction(-1)):
-        if q.eval(r) == 0:
-            count += 1
-            q = q // Polynomial((-r, 1))
-    if q.degree <= 0:
-        return count
-    g = poly_gcd(q, q.reciprocal())
-    if g.degree <= 0:
-        return count
-    h = _chebyshev_contract(g).squarefree_part()
-    count += 2 * sturm_count(h, (Fraction(-2), Fraction(2)))
-    return count
-
-
-class _SchurDegenerate(Exception):
-    pass
-
-
-def _schur_inside(f: Polynomial) -> int:
-    """Roots of f inside the unit disk, with multiplicity.
-
-    Preconditions maintained by the caller: f(0) != 0 and f has no roots of
-    modulus 1.  Each regular Schur step preserves the latter because
-    |Tf| >= ||a0| - |an|| * |f| on the circle.
-    """
-    n = f.degree
-    if n <= 0:
-        return 0
-    a0, an = f.constant, f.leading
-    delta = a0 * a0 - an * an
-    tf = a0 * f - an * f.reciprocal()
-    if delta == 0:
-        if tf.is_zero:
-            # f is self-inversive: roots pair up as (mu, 1/mu), half inside
-            return n // 2
-        raise _SchurDegenerate
-    if delta > 0:
-        return _schur_inside(tf)
-    return n - _schur_inside(tf)
-
-
-def _cauchy_index(a: Polynomial, b: Polynomial) -> int:
-    """Cauchy index of b/a over the whole real line via the signed
-    remainder chain: jumps from -inf to +inf count +1."""
-    chain = _remainder_chain(a, b)
+def _chain_index(chain: list[Polynomial]) -> int:
+    """The Cauchy index of chain[1]/chain[0] over the whole real line, read
+    off the leading signs of their signed remainder chain: jumps from -inf
+    to +inf count +1."""
     at_pos = _sign_changes(q.leading for q in chain if not q.is_zero)
     at_neg = _sign_changes(
         q.leading * (-1) ** q.degree for q in chain if not q.is_zero
@@ -706,58 +618,78 @@ def _cauchy_index(a: Polynomial, b: Polynomial) -> int:
     return at_neg - at_pos
 
 
-def _winding_inside(f: Polynomial) -> int:
-    """Roots inside the unit disk with multiplicity, by the argument
-    principle: parameterize the circle as z(t) = ((1-t^2) + 2it)/(1+t^2),
-    write (1+t^2)^n f(z(t)) = A(t) + i B(t) with real polynomials, and
-    read the winding number off the Cauchy index of B/A.
+def _boundary_chain(p: Polynomial) -> list[Polynomial]:
+    """The remainder chain of p restricted to the unit circle.
 
-    Has no degenerate cases: A and B share no real root when f has no root
-    of modulus one, which the caller guarantees.
+    The Cayley map z = (1 + it)/(1 - it) takes the real line onto the
+    circle without -1, and (1 - it)^n p(z) = A(t) + i B(t) with real A, B
+    of degree at most n = deg p.  Writing F(t) = (1 - t)^n p((1 + t)/(1 - t))
+    (a homogeneous Horner loop), A + iB = F(it): A holds the even and B
+    the odd powers of t.  The chain starts with the part whose degree is n
+    when p(-1) != 0, A for even n and B for odd n; its last term is
+    gcd(A, B).
     """
-    n = f.degree
-    if n <= 0:
-        return 0
-    one_minus = Polynomial((1, 0, -1))
-    two_t = Polynomial((0, 2))
-    one_plus = Polynomial((1, 0, 1))
-    pows_plus = [Polynomial.one()]
-    for _ in range(n):
-        pows_plus.append(pows_plus[-1] * one_plus)
-    re_acc, im_acc = Polynomial.zero(), Polynomial.zero()
-    re_pow, im_pow = Polynomial.one(), Polynomial.zero()
-    for k, a in enumerate(f.coeffs):
-        if a != 0:
-            re_acc = re_acc + a * re_pow * pows_plus[n - k]
-            im_acc = im_acc + a * im_pow * pows_plus[n - k]
-        re_pow, im_pow = (
-            re_pow * one_minus - im_pow * two_t,
-            re_pow * two_t + im_pow * one_minus,
-        )
-    index = _cauchy_index(re_acc, im_acc)
-    if index % 2:
+    f = [p.leading]
+    w = [1]
+    for a in reversed(p.coeffs[:-1]):
+        w = [x - y for x, y in zip(w + [0], [0] + w)]
+        f = [x + y + a * z for x, y, z in zip(f + [0], [0] + f, w)]
+    sign = (1, 1, -1, -1)
+    re = Polynomial(sign[j % 4] * c if j % 2 == 0 else 0 for j, c in enumerate(f))
+    im = Polynomial(sign[j % 4] * c if j % 2 else 0 for j, c in enumerate(f))
+    return _remainder_chain(re, im) if p.degree % 2 == 0 else _remainder_chain(im, re)
+
+
+def _inside_count(n: int, chain: list[Polynomial]) -> int:
+    """Roots inside the unit disk, with multiplicity, of a degree-n
+    polynomial without roots on the circle, from its boundary chain.
+
+    The argument principle: the winding number of p along the circle is
+    n/2 + (change of arg(A + iB))/(2 pi), and that change is -pi times the
+    Cauchy index of B/A for even n, and pi times that of A/B for odd n.
+    """
+    index = _chain_index(chain)
+    twice = n - index if n % 2 == 0 else n + index
+    if twice % 2:
         raise OddWindingIndex("odd winding index over a closed curve")
-    return -index // 2
+    return twice // 2
+
+
+def _circle_split(p: Polynomial) -> tuple[int, int | None]:
+    """(distinct roots on the unit circle, roots inside the unit disk with
+    multiplicity), the second None when the first is not zero.
+
+    The roots on the circle are z = -1 when p(-1) = 0 and the images of
+    the real roots of gcd(A, B); both counts come from one boundary chain.
+    """
+    chain = _boundary_chain(p)
+    on = int(p.eval(-1) == 0)
+    if chain[-1].degree > 0:
+        on += count_real_roots(chain[-1])
+    if on:
+        return on, None
+    return 0, _inside_count(p.degree, chain)
+
+
+def count_roots_on_unit_circle(p: Polynomial) -> int:
+    """Distinct complex roots of p with modulus exactly 1."""
+    if p.is_zero:
+        raise ZeroPolynomial("count_roots_on_unit_circle of the zero polynomial")
+    return _circle_split(p)[0]
 
 
 def count_roots_inside_unit_disk(p: Polynomial) -> int:
     """Complex roots with modulus < 1, counted with multiplicity.
 
     Requires that no root lies on the unit circle (checked; RootOnCircle
-    otherwise).  The Schur-Cohn reduction decides the regular and
-    self-inversive cases; its singular case (|a0| = |an| with a nonzero
-    transform, unavoidable for integer-like inputs) is decided by the exact
-    argument-principle winding count instead.
+    otherwise).
     """
     if p.is_zero:
         raise ZeroPolynomial("count_roots_inside_unit_disk of the zero polynomial")
-    if count_roots_on_unit_circle(p) != 0:
+    _, inside = _circle_split(p)
+    if inside is None:
         raise RootOnCircle("polynomial has a root of modulus one")
-    k, f = _strip_zero_roots(p)
-    try:
-        return k + _schur_inside(f)
-    except _SchurDegenerate:
-        return k + _winding_inside(f)
+    return inside
 
 
 def count_real_roots(p: Polynomial) -> int:
@@ -765,4 +697,4 @@ def count_real_roots(p: Polynomial) -> int:
     if p.is_zero:
         raise ZeroPolynomial("count_real_roots of the zero polynomial")
     q = p.squarefree_part()
-    return _cauchy_index(q, q.derivative())
+    return _chain_index(_remainder_chain(q, q.derivative()))

@@ -470,15 +470,13 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     wt_basis = [_coords_to_skew(v, pairs, n1) for v in comp]
     gram = [[_skew_b(x, y) for y in wt_basis] for x in wt_basis]
     raw_brackets: dict[tuple[int, int], list[Fraction]] = {}
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            if kd == 0:
-                continue
-            rhs = [z[j][i] for z in wt_basis]
-            sol = fl.solve(gram, [rhs])
-            vec = [sol[t][0] for t in range(kd)]
+    if kd:
+        ij_pairs = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
+        sol = fl.solve(gram, [[z[j][i] for z in wt_basis] for i, j in ij_pairs])
+        for col, key in enumerate(ij_pairs):
+            vec = [sol[t][col] for t in range(kd)]
             if any(x != 0 for x in vec):
-                raw_brackets[(i, j)] = vec
+                raw_brackets[key] = vec
 
     # canonical center basis: new directions in lexicographic bracket
     # order, then a primitive-integer rescale with positive first entry
@@ -495,26 +493,16 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     width = len(greedy)
     for key, co in coords_out.items():
         coords_out[key] = co + [Fraction(0)] * (width - len(co))
-    scale = []
-    for t in range(width):
-        col = [coords_out[key][t] for key in sorted(coords_out)]
-        nz = [x for x in col if x != 0]
-        lcm = 1
-        for x in nz:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        g = 0
-        for x in nz:
-            g = math.gcd(g, abs((x * lcm).numerator))
-        factor = Fraction(lcm, g)
-        if nz[0] * factor < 0:
-            factor = -factor
-        scale.append(factor)
+    keys = sorted(coords_out)
+    # a column's first nonzero entry is the 1 of the bracket that introduced
+    # its direction, so its primitive rescale has a positive first entry
+    scaled = [fl.primitive([coords_out[key][t] for key in keys]) for t in range(width)]
     entries = []
-    for (i, j), co in sorted(coords_out.items()):
+    for r, (i, j) in enumerate(keys):
         for t in range(width):
-            c = co[t] * scale[t]
+            c = scaled[t][r]
             if c != 0:
-                entries.append((i, j, n1 + t, c))
+                entries.append((i, j, n1 + t, Fraction(c)))
     # kd - width unused complement directions remain as abelian slots
     return LieAlgebra("Q", n1 + kd, tuple(entries))
 

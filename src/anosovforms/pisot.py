@@ -9,7 +9,6 @@ algebraically first: a real field element has modulus one only when it is
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
@@ -26,14 +25,9 @@ from .numfield import (
 )
 
 
-def _env_budget(default: int) -> int:
-    raw = os.environ.get("ANOSOV_SEARCH_BUDGET")
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            pass
-    return default
+# box points of one search, and pairs of one product round, unless the
+# caller passes candidate_budget
+SEARCH_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -119,13 +113,14 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     integers outside Z[theta] are found only if some power or product lands
     in the box closure.  Results are sorted by trace then coordinates, so
     identical calls return identical lists.  SearchBudgetExceeded: the box
-    holds more than candidate_budget points.
+    holds more than candidate_budget points, or a product round would form
+    more than that many pairs.
     """
     if not datum.verified:
         raise BadParameters("search_units requires a verified datum")
     if height_bound < 0:
         raise BadParameters("height bound must be >= 0")
-    budget = candidate_budget if candidate_budget is not None else _env_budget(200_000)
+    budget = candidate_budget if candidate_budget is not None else SEARCH_BUDGET
     constraints = constraints or []
     d = datum.degree
     box_points = (2 * height_bound + 1) ** d - 1
@@ -146,8 +141,10 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
             seen.setdefault(acc.coeffs, acc)
     for _ in range(product_rounds):
         current = list(seen.values())
-        if len(current) * (len(current) - 1) // 2 > budget:
-            break
+        pairs = len(current) * (len(current) - 1) // 2
+        if pairs > budget:
+            raise SearchBudgetExceeded(
+                f"{pairs} pairs in a product round over the budget {budget}")
         for a, b in combinations_with_replacement(current, 2):
             ab = a * b
             seen.setdefault(ab.coeffs, ab)

@@ -96,3 +96,34 @@ class TestTypeConstraints:
             check_type_constraints(())
         with pytest.raises(ValueError):
             check_type_constraints((0, 2))
+
+
+def test_certify_counts_roots_once(monkeypatch):
+    """One certify call runs the disk count once and never the separate
+    circle count: RootOnCircle from the disk count is the non-hyperbolic
+    verdict."""
+    from anosovforms import anosov, exactmath
+
+    calls = {"disk": 0, "circle": 0}
+
+    def counting(key, fn):
+        def wrapped(p):
+            calls[key] += 1
+            return fn(p)
+        return wrapped
+
+    monkeypatch.setattr(anosov, "count_roots_inside_unit_disk",
+                        counting("disk", exactmath.count_roots_inside_unit_disk))
+    circle = counting("circle", exactmath.count_roots_on_unit_circle)
+    monkeypatch.setattr(exactmath, "count_roots_on_unit_circle", circle)
+    monkeypatch.setattr(anosov, "count_roots_on_unit_circle", circle, raising=False)
+
+    cert = certify(heisenberg(), RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]))
+    assert not cert.hyperbolic and cert.signature is None
+    assert calls == {"disk": 1, "circle": 0}
+
+    out = recipe_z4_example()
+    calls.update(disk=0)
+    cert = certify(out.algebra, out.matrix)
+    assert cert.hyperbolic and cert.signature == (2, 4)
+    assert calls == {"disk": 1, "circle": 0}

@@ -426,3 +426,168 @@ def test_root_counts_with_cyclotomic_factors_against_sympy(factors):
 
     with mp.workdps(50):
         _check_counts(factors, sympy_roots)
+
+
+# ---------------------------------------------------------------------------
+# the circle and disk counts before the boundary chain, frozen as the
+# reference: squarefree part, gcd with the reciprocal and a Chebyshev
+# contraction for the circle; Schur-Cohn with a degree-2n winding fallback
+# for the disk
+
+
+def _ref_strip_zero_roots(p):
+    k = 0
+    while k <= p.degree and p[k] == 0:
+        k += 1
+    return k, P(p.coeffs[k:])
+
+
+def _ref_chebyshev_contract(g):
+    d2 = g.degree
+    assert d2 % 2 == 0
+    d = d2 // 2
+    assert all(g[i] == g[d2 - i] for i in range(d + 1))
+    h = P((g[d],))
+    pj_prev, pj = P((2,)), P.x()
+    for j in range(1, d + 1):
+        h = h + g[d + j] * pj
+        pj_prev, pj = pj, P.x() * pj - pj_prev
+    return h
+
+
+def ref_count_on(p):
+    q = p.squarefree_part()
+    _, q = _ref_strip_zero_roots(q)
+    count = 0
+    for r in (F(1), F(-1)):
+        if q.eval(r) == 0:
+            count += 1
+            q = q // P((-r, 1))
+    if q.degree <= 0:
+        return count
+    g = poly_gcd(q, q.reciprocal())
+    if g.degree <= 0:
+        return count
+    h = _ref_chebyshev_contract(g).squarefree_part()
+    return count + 2 * sturm_count(h, (F(-2), F(2)))
+
+
+class _RefSchurDegenerate(Exception):
+    pass
+
+
+def _ref_schur_inside(f):
+    n = f.degree
+    if n <= 0:
+        return 0
+    a0, an = f.constant, f.leading
+    delta = a0 * a0 - an * an
+    tf = a0 * f - an * f.reciprocal()
+    if delta == 0:
+        if tf.is_zero:
+            return n // 2
+        raise _RefSchurDegenerate
+    if delta > 0:
+        return _ref_schur_inside(tf)
+    return n - _ref_schur_inside(tf)
+
+
+def _ref_cauchy_index(a, b):
+    chain = [a, b]
+    while not chain[-1].is_zero:
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    signs_pos = [q.leading > 0 for q in chain if not q.is_zero]
+    signs_neg = [q.leading * (-1) ** q.degree > 0 for q in chain if not q.is_zero]
+
+    def changes(s):
+        return sum(1 for x, y in zip(s, s[1:]) if x != y)
+
+    return changes(signs_neg) - changes(signs_pos)
+
+
+def _ref_winding_inside(f):
+    n = f.degree
+    if n <= 0:
+        return 0
+    one_minus, two_t, one_plus = P((1, 0, -1)), P((0, 2)), P((1, 0, 1))
+    pows_plus = [P.one()]
+    for _ in range(n):
+        pows_plus.append(pows_plus[-1] * one_plus)
+    re_acc, im_acc = P.zero(), P.zero()
+    re_pow, im_pow = P.one(), P.zero()
+    for k, a in enumerate(f.coeffs):
+        if a != 0:
+            re_acc = re_acc + a * re_pow * pows_plus[n - k]
+            im_acc = im_acc + a * im_pow * pows_plus[n - k]
+        re_pow, im_pow = (re_pow * one_minus - im_pow * two_t,
+                          re_pow * two_t + im_pow * one_minus)
+    index = _ref_cauchy_index(re_acc, im_acc)
+    assert index % 2 == 0
+    return -index // 2
+
+
+def ref_count_inside(p):
+    """Roots inside the disk with multiplicity, or None for a root on the
+    circle (where the library raises RootOnCircle)."""
+    if ref_count_on(p) != 0:
+        return None
+    k, f = _ref_strip_zero_roots(p)
+    try:
+        return k + _ref_schur_inside(f)
+    except _RefSchurDegenerate:
+        return k + _ref_winding_inside(f)
+
+
+CIRCLE_FACTORS = [
+    P([-1, 1]), P([1, 1]),                      # X - 1, X + 1
+    P([1, 1, 1]), P([1, 0, 1]), P([1, 1, 1, 1, 1]), P([1, -1, 1]),
+    P([1] * 7), P([1, 0, 0, 0, 1]),             # Phi_3 ... Phi_8
+]
+
+
+@st.composite
+def boundary_cases(draw):
+    """Products of X +- 1 and Phi_3..Phi_8, pairs Phi(2x) Phi(x/2), zero
+    roots, repeated factors and non-monic rational factors, degree 1..14."""
+    p = P([draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+                .filter(lambda c: c != 0))])
+    if draw(st.booleans()):
+        for f in draw(st.lists(st.sampled_from(CIRCLE_FACTORS), min_size=1, max_size=3)):
+            p = p * f
+    for f in draw(st.lists(st.sampled_from(CIRCLE_FACTORS[2:]), max_size=2)):
+        p = p * _scaled(f, 2) * _scaled(f, F(1, 2))
+    for coeffs in draw(st.lists(st.lists(rationals, min_size=2, max_size=4), max_size=2)):
+        if P(coeffs).degree > 0:
+            p = p * P(coeffs)
+    p = p * P.x() ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        p = p * p
+    if not 1 <= p.degree <= 14:
+        p = P([draw(st.integers(-3, 3)), 1]) * draw(st.sampled_from(CIRCLE_FACTORS))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_cases())
+def test_boundary_chain_matches_frozen_reference(p):
+    assert count_roots_on_unit_circle(p) == ref_count_on(p)
+    inside = ref_count_inside(p)
+    if inside is None:
+        with pytest.raises(RootOnCircle):
+            count_roots_inside_unit_disk(p)
+    else:
+        assert count_roots_inside_unit_disk(p) == inside
+
+
+def test_boundary_chain_fixed_cases():
+    # Phi(2x) Phi(x/2): gcd(A, B) has degree > 0 and no real root
+    pair = _scaled(P([1, 1, 1]), 2) * _scaled(P([1, 1, 1]), F(1, 2))
+    assert count_roots_on_unit_circle(pair) == 0
+    assert count_roots_inside_unit_disk(pair) == 2
+    # -1 is a root: the boundary polynomial drops below deg p
+    assert count_roots_on_unit_circle(P([1, 1]) ** 2 * P([1, 1, 1])) == 3
+    # a zero root is inside; a nonzero constant has no roots at all
+    assert count_roots_inside_unit_disk(P([0, 3, -1])) == 1
+    assert count_roots_on_unit_circle(P([F(-2, 3)])) == 0
+    assert count_roots_inside_unit_disk(P([F(-2, 3)])) == 0

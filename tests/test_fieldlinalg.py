@@ -457,3 +457,31 @@ def test_field_rows_take_rref(name, data):
     m = data.draw(shaped(name))
     r, pivots = fl.rref(m)
     assert fl.span_rref(m) == [tuple(r[i]) for i in range(len(pivots))]
+
+
+ints = st.integers(-4, 4)
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(ints, min_size=n, max_size=n), min_size=1, max_size=2))))
+def test_int_matrices_match_fractions(case):
+    """All-int input takes the kernel's rational path: det, rref and solve
+    give the values they give on the same matrix as Fraction."""
+    m, cols = case
+    fm = [[F(x) for x in row] for row in m]
+    fcols = [[F(x) for x in col] for col in cols]
+    assert fl.det(m) == fl.det(fm)
+    assert fl.rref(m) == fl.rref(fm)
+    if fl.det(fm) == 0:
+        with pytest.raises(ZeroDivisionError):
+            fl.solve(m, cols)
+    else:
+        assert fl.solve(m, cols) == fl.solve(fm, fcols)
+    assert all(not isinstance(x, float) for row in fl.rref(m)[0] for x in row)
+
+
+def test_int_pivot_inverse_is_a_fraction():
+    assert fl.det([[2, 1], [1, 1]]) == 1
+    assert fl._inv(4) == F(1, 4) and isinstance(fl._inv(4), F)

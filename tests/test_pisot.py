@@ -5,6 +5,7 @@ import pytest
 from anosovforms.errors import BadParameters, SearchBudgetExceeded
 from anosovforms.numfield import apply_automorphism
 from anosovforms.pisot import (
+    SEARCH_BUDGET,
     ConeConstraint,
     brute_force_full_rank,
     check_full_rank_condition,
@@ -71,6 +72,20 @@ class TestSearch:
         with pytest.raises(SearchBudgetExceeded):
             search_units(sqrt2, 2, candidate_budget=23)
         assert search_units(sqrt2, 2, candidate_budget=24)
+
+    def test_product_round_over_budget(self, sqrt2):
+        # height 1: 8 box points, 6 of them units (+-1 and +-1 +- sqrt2), so
+        # one product round forms 15 pairs; past the budget it raises
+        # instead of returning the unclosed set
+        with pytest.raises(SearchBudgetExceeded, match="15 pairs"):
+            search_units(sqrt2, 1, candidate_budget=14)
+        assert search_units(sqrt2, 1, candidate_budget=15)
+
+    def test_budget_is_a_constant(self, sqrt2, monkeypatch):
+        monkeypatch.setenv("ANOSOV_SEARCH_BUDGET", "1")
+        assert search_units(sqrt2, 2) == \
+            search_units(sqrt2, 2, candidate_budget=SEARCH_BUDGET)
+        assert SEARCH_BUDGET == 200_000
 
     def test_pisot_wrapper_positive(self, sqrt2):
         found = search_unit_pisot(sqrt2, 2)

@@ -8,18 +8,12 @@ import pytest
 
 from anosovforms import _fieldlinalg as fl
 from anosovforms import galoisform
-from anosovforms.errors import (
-    DimensionMismatch,
-    EigenvalueMismatch,
-    NotDivisible,
-    NotPalindromic,
-    OddWindingIndex,
-)
+from anosovforms.errors import DimensionMismatch, EigenvalueMismatch, OddWindingIndex
 from anosovforms.exactmath import (
     Polynomial as P,
     RationalMatrix,
-    _chebyshev_contract,
-    _winding_inside,
+    _boundary_chain,
+    _inside_count,
 )
 from anosovforms.galoisform import LabeledAlgebra, Representation, main2_construct
 from anosovforms.liealg import LieAlgebra
@@ -30,27 +24,11 @@ def test_mat_mul_shape():
         fl.mat_mul([[1, 2]], [[1], [2], [3]])
 
 
-def test_shift_down_drops_nonzero():
-    assert P([0, 0, 3]).shift_down(2) == P([3])
-    with pytest.raises(NotDivisible):
-        P([1, 1]).shift_down(1)
-
-
-def test_chebyshev_odd_degree():
-    with pytest.raises(NotPalindromic, match="odd degree"):
-        _chebyshev_contract(P([1, 2]))
-
-
-def test_chebyshev_not_palindromic():
-    assert _chebyshev_contract(P([1, 3, 1])) == P([3, 1])
-    with pytest.raises(NotPalindromic, match="not palindromic"):
-        _chebyshev_contract(P([1, 2, 3]))
-
-
 def test_winding_parity():
+    assert _inside_count(1, _boundary_chain(P([-2, 1]))) == 0
     # X - 1 breaks the caller's no-root-on-the-circle guarantee
     with pytest.raises(OddWindingIndex):
-        _winding_inside(P([-1, 1]))
+        _inside_count(1, _boundary_chain(P([-1, 1])))
 
 
 def _trivial_pair(sqrt2):
@@ -74,7 +52,7 @@ import sys
 from anosovforms import _fieldlinalg as fl, galoisform
 from anosovforms.catalog import sqrt2_datum
 from anosovforms.exactmath import (
-    Polynomial as P, RationalMatrix, _chebyshev_contract, _winding_inside)
+    Polynomial as P, RationalMatrix, _boundary_chain, _inside_count)
 from anosovforms.galoisform import LabeledAlgebra, Representation
 from anosovforms.liealg import LieAlgebra
 
@@ -86,10 +64,7 @@ rho = Representation(datum, (ident, ident), la.algebra)
 galoisform.transport = lambda basis, f: ident * 2
 print(sys.flags.optimize)
 for check in (lambda: fl.mat_mul([[1, 2]], [[1]]),
-              lambda: P([1, 1]).shift_down(1),
-              lambda: _chebyshev_contract(P([1, 2])),
-              lambda: _chebyshev_contract(P([1, 2, 3])),
-              lambda: _winding_inside(P([-1, 1])),
+              lambda: _inside_count(1, _boundary_chain(P([-1, 1]))),
               lambda: galoisform.main2_construct(la, rho)):
     try:
         check()
@@ -104,6 +79,5 @@ def test_checks_survive_python_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "1", "DimensionMismatch", "NotDivisible", "NotPalindromic",
-        "NotPalindromic", "OddWindingIndex", "EigenvalueMismatch",
+        "1", "DimensionMismatch", "OddWindingIndex", "EigenvalueMismatch",
     ]
