@@ -3,7 +3,7 @@
 Matrices are plain nested lists (or tuples) whose entries support +, -, *,
 / and are false exactly when zero; Fraction and FieldElement both qualify.
 rref is the one Gauss-Jordan loop over a field and det the one
-forward-elimination loop; solve, rank, span bases over a number field and
+determinant; solve, rank, span bases over a number field and
 RationalMatrix's det, inverse, rref and product all go through them.
 Exact arithmetic needs no pivoting heuristic: the first nonzero entry of
 a column is the pivot.
@@ -24,7 +24,12 @@ does so only where the scale provably cancels: a zero test, a span, or
 an identity whose two sides scale alike.  span_rref works this way on
 rational rows: fraction-free Gauss-Jordan on primitive integer rows,
 dividing by the pivots only at the end, which gives the same unique
-reduced echelon form as rref.  Rows with other entries take rref.
+reduced echelon form as rref.  Rows with other entries take rref.  det
+works this way on rational rows too: it clears denominators once (D) and
+runs Bareiss's fraction-free elimination on the integer rows (dense,
+since an int product costs little), each division by the previous pivot
+exact, so det = det(integer rows) / D^n, always a Fraction.  Rows over a
+number field take the forward-elimination loop.
 """
 
 from __future__ import annotations
@@ -104,10 +109,15 @@ def rank(rows) -> int:
 
 
 def det(rows):
-    m = [list(r) for r in rows]
-    n = len(m)
+    """Determinant; a Fraction for int or Fraction rows, which take the
+    Bareiss path, else an element of the rows' field."""
+    n = len(rows)
     if n == 0:
         return Fraction(1)
+    if _is_rational(rows):
+        ints, d = clear_denominators(rows)
+        return Fraction(_bareiss_det(ints), d ** n)
+    m = [list(r) for r in rows]
     d = None
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c]), None)
@@ -128,6 +138,31 @@ def det(rows):
                 for k, y in nz:
                     row[k] = row[k] - f * y
     return d
+
+
+def _bareiss_det(m):
+    """Fraction-free elimination on an integer matrix (modified in place):
+    after step c every entry below row c is a (c+1)-minor of the input,
+    so each division by the previous pivot is exact (Bareiss 1968)."""
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        top, p = m[c], m[c][c]
+        for row in m[c + 1:]:
+            f = row[c]
+            row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = p
+    return sign * m[n - 1][n - 1]
+
+
+def _is_rational(rows):
+    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
 
 
 def solve(a, rhs_cols):
@@ -168,7 +203,7 @@ def _content_free(ints):
 def span_rref(vectors):
     """Canonical (RREF) basis of the span of the given row vectors; over Q
     (int or Fraction entries) by the integer path, as Fraction tuples."""
-    if vectors and all(isinstance(x, (int, Fraction)) for v in vectors for x in v):
+    if vectors and _is_rational(vectors):
         return _rational_span_rref(vectors)
     m, pivots = rref(vectors)
     return [tuple(m[i]) for i in range(len(pivots))]

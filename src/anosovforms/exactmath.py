@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import _fieldlinalg as fl
@@ -215,10 +216,25 @@ class Polynomial:
         return acc
 
     def eval_interval(self, iv: "Interval") -> "Interval":
-        acc = Interval.point(0)
-        for c in reversed(self.coeffs):
-            acc = acc.mul(iv).add(Interval.point(c))
-        return acc
+        """Interval Horner: acc <- acc * iv + c, with the endpoints of each
+        product the min and max of the four endpoint products.  Runs on
+        integer numerators over one positive common denominator (E for
+        the coefficients, D for iv, E * D^k after k steps), which orders
+        them as the rationals they stand for, so the endpoints are exact."""
+        if not self.coeffs:
+            return Interval.point(0)
+        (nums,), e = fl.clear_denominators([self.coeffs])
+        d = lcm(iv.lo.denominator, iv.hi.denominator)
+        a = iv.lo.numerator * (d // iv.lo.denominator)
+        b = iv.hi.numerator * (d // iv.hi.denominator)
+        lo = hi = nums[-1]
+        scale = 1
+        for c in reversed(nums[:-1]):
+            scale *= d
+            prods = (lo * a, lo * b, hi * a, hi * b)
+            shift = c * scale
+            lo, hi = min(prods) + shift, max(prods) + shift
+        return Interval(Fraction(lo, e * scale), Fraction(hi, e * scale))
 
     def compose_mod(self, other: "Polynomial", modulus: "Polynomial") -> "Polynomial":
         acc = Polynomial.zero()
@@ -245,6 +261,7 @@ class Polynomial:
             return self.monic()
         return (self // poly_gcd(self, self.derivative())).monic()
 
+    @property
     def is_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 

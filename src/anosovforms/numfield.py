@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import _fieldlinalg as fl
 from .errors import (
     AutomorphismFailsMinPoly,
     BadEnclosure,
@@ -36,6 +37,9 @@ from .exactmath import Interval, Polynomial, RationalMatrix, poly_xgcd, rat
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 DEFAULT_REFINE_STEPS = 4096
+# the path level at which an interval test that still straddles a
+# threshold first asks the exact algebraic question (a multiple of 4)
+EXACT_TIE_LEVEL = 16
 
 
 @dataclass(frozen=True)
@@ -73,34 +77,6 @@ class GaloisDatum:
             fp = (self.min_poly.coeffs, tuple(a.coeffs for a in self.automorphisms))
             object.__setattr__(self, "_fp", fp)
         return fp
-
-    def _theta_power_rows(self) -> list[tuple[Fraction, ...]]:
-        """theta^(d+k) in the power basis for k = 0..d-2 (cached)."""
-        rows = getattr(self, "_powrows", None)
-        if rows is None:
-            d = self.degree
-            cur = [-c for c in self.min_poly.coeffs[:-1]]
-            rows = [tuple(cur)]
-            for _ in range(max(d - 2, 0)):
-                top = cur[-1]
-                cur = [Fraction(0)] + cur[:-1]
-                if top:
-                    cur = [a + top * b for a, b in zip(cur, rows[0])]
-                rows.append(tuple(cur))
-            object.__setattr__(self, "_powrows", rows)
-        return rows
-
-    def reduce_coeffs(self, cs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Reduce a coefficient vector of length <= 2d-1 mod min_poly."""
-        d = self.degree
-        out = list(cs[:d]) + [Fraction(0)] * max(0, d - len(cs))
-        rows = self._theta_power_rows()
-        for k in range(d, len(cs)):
-            c = cs[k]
-            if c:
-                row = rows[k - d]
-                out = [a + c * b for a, b in zip(out, row)]
-        return tuple(out)
 
     # -- elements ---------------------------------------------------------
 
@@ -206,15 +182,10 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.datum.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    conv[i + j] += a * b
-        return FieldElement(self.datum, self.datum.reduce_coeffs(conv))
+        rows, da = self._scaled_multiplication_rows()
+        (b,), db = fl.clear_denominators([o.coeffs])
+        den = da * db
+        return FieldElement(self.datum, tuple(Fraction(u, den) for u in fl.mat_vec(rows, b)))
 
     __rmul__ = __mul__
 
@@ -274,20 +245,32 @@ class FieldElement:
 
     # -- linear algebra over Q
 
-    def multiplication_matrix(self) -> RationalMatrix:
-        d = self.datum.degree
-        col = list(self.coeffs)
+    def _scaled_multiplication_rows(self) -> tuple[list[tuple], int]:
+        """(M, D) with M / D the matrix of multiplication by x, whose
+        columns are X, theta X, ..., theta^(d-1) X for the cleared
+        numerators X = D * x; each step shifts up and replaces theta^d by
+        -sum_i p_i theta^i (p monic), on ints where p's coefficients are."""
+        (col,), den = fl.clear_denominators([self.coeffs])
+        low = [c.numerator if c.denominator == 1 else c
+               for c in self.datum.min_poly.coeffs[:-1]]
         cols = [col]
-        for _ in range(d - 1):
-            col = list(self.datum.reduce_coeffs([Fraction(0)] + col))
+        for _ in range(len(col) - 1):
+            top = col[-1]
+            col = [a - top * c for a, c in zip([0] + col[:-1], low)]
             cols.append(col)
-        return RationalMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
+        return list(zip(*cols)), den
+
+    def multiplication_matrix(self) -> RationalMatrix:
+        rows, den = self._scaled_multiplication_rows()
+        return RationalMatrix([[Fraction(v, den) for v in row] for row in rows])
 
     def trace(self) -> Fraction:
         return self.multiplication_matrix().trace()
 
     def norm(self) -> Fraction:
-        return self.multiplication_matrix().det()
+        """det(M / D) = det(M) / D^d, with the one rational det."""
+        rows, den = self._scaled_multiplication_rows()
+        return fl.det(rows) / den ** self.datum.degree
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +653,12 @@ def minimal_polynomial(x: FieldElement) -> Polynomial:
 
 def is_algebraic_unit(x: FieldElement) -> bool:
     """True iff the minimal polynomial has integer coefficients with
-    constant term +-1."""
-    mp = minimal_polynomial(x)
-    return mp.is_integer and abs(mp.constant) == 1
+    constant term +-1, read off the characteristic polynomial, its power
+    mp^k: mp^k is integral iff mp is (Gauss's lemma; both are monic), and
+    |mp^k(0)| = |mp(0)|^k."""
+    _require_verified(x.datum)
+    cp = x.multiplication_matrix().charpoly()
+    return cp.is_integer and abs(cp.constant) == 1
 
 
 def sign_against(iv: Interval, c) -> int | None:
@@ -688,6 +674,7 @@ def sign_against(iv: Interval, c) -> int | None:
 def conjugate_levels(x: FieldElement, conjugate_index: int) -> Callable[[int], Interval]:
     """k -> enclosure of sigma_i(x) (totally real datum): x evaluated on
     level k of the path of the root that sigma_i sends theta to."""
+    _require_verified(x.datum)
     poly = x.as_polynomial()
     path = x.datum._paths[x.datum.root_map[conjugate_index]]
     return lambda k: poly.eval_interval(path.level(k))
@@ -727,14 +714,14 @@ def compare_abs_to_one(x: FieldElement, conjugate_index: int) -> int:
     """Exact sign of |sigma_i(x)| - 1: -1, 0 or +1.
 
     The zero case is decided algebraically (a real field element has
-    modulus one exactly when it is +-1), so refinement on the root's path
-    decides the remaining cases; a complex datum uses its fixture moduli.
+    modulus one exactly when it is +-1, and sigma_i(x) is rational exactly
+    when x is), so refinement on the root's path decides the remaining
+    cases; a complex datum uses its fixture moduli.
     """
     datum = x.datum
     _require_verified(datum)
-    sx = apply_automorphism(datum, conjugate_index, x)
-    if sx.is_rational:
-        v = abs(sx.rational_value())
+    if x.is_rational:
+        v = abs(x.rational_value())
         return (v > 1) - (v < 1)
     if not datum.totally_real:
         sign = sign_against(conjugate_modulus_interval(x, conjugate_index, Fraction(1, 4)), 1)

@@ -1,18 +1,25 @@
 """Search and certification of unit Pisot numbers and constrained units.
 
 A multiplicative constraint prod_i |sigma_i(lambda)|^{c_i} < 1 is decided
-exactly: the product is formed as a single field element and its modulus is
-compared to 1 on the bisection path of a root (the tie |mu| = 1 is decided
-algebraically first: a real field element has modulus one only when it is
-+-1).  Embedding signs use the same paths.  No logarithms, no floats.
+exactly.  Over a totally real field the product of the c_i-th powers of
+the enclosures of |sigma_i(lambda)|, each on the bisection path of its
+root, is refined under refine_until's one budget until it excludes 1; one
+that still contains 1 at EXACT_TIE_LEVEL asks once whether
+mu = prod_i sigma_i(lambda)^{c_i} is +-1, the only way a real mu has
+modulus one.  Rational lambda and fields that are not totally real
+compare mu, formed as a field element, to 1.  Embedding signs use the
+same paths.  No logarithms, no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+from . import numfield
 from .errors import BadParameters, PrecisionUnreachable, SearchBudgetExceeded, Undecidable
+from .exactmath import Interval
 from .numfield import (
     FieldElement,
     GaloisDatum,
@@ -49,13 +56,48 @@ class ConeConstraint:
         datum = lam.datum
         if len(self.coeffs) != datum.degree:
             raise BadParameters("constraint length must equal the field degree")
+        if datum.totally_real and not lam.is_rational:
+            sign = self._sign_on_paths(lam)
+        else:
+            sign = compare_abs_to_one(self._product(lam), datum.identity_index)
+        return sign < 0 if self.rel == "<1" else sign > 0
+
+    def _product(self, lam: FieldElement) -> FieldElement:
+        """mu = prod_i sigma_i(lam)^{c_i} as a field element."""
+        datum = lam.datum
         mu = datum.one()
         for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mu = mu * (apply_automorphism(datum, i, lam) ** c)
-        sign = compare_abs_to_one(mu, datum.identity_index)
-        return sign < 0 if self.rel == "<1" else sign > 0
+            if c:
+                mu = mu * (apply_automorphism(datum, i, lam) ** c)
+        return mu
+
+    def _sign_on_paths(self, lam: FieldElement) -> int:
+        """Sign of prod_i |sigma_i(lam)|^{c_i} - 1 on the roots' paths,
+        with the one exact tie test at EXACT_TIE_LEVEL."""
+        factors = [(conjugate_levels(lam, i), c) for i, c in enumerate(self.coeffs) if c]
+
+        def product_enclosure(k: int) -> Interval | None:
+            lo = hi = Fraction(1)
+            for levels, c in factors:
+                iv = levels(k).abs()
+                if c < 0:
+                    if not iv.lo:
+                        return None  # 1/|sigma_i(lam)| is not bounded yet
+                    iv, c = Interval(1 / iv.hi, 1 / iv.lo), -c
+                lo *= iv.lo ** c
+                hi *= iv.hi ** c
+            return Interval(lo, hi)
+
+        def test(k: int) -> int | None:
+            iv = product_enclosure(k)
+            sign = None if iv is None else sign_against(iv, 1)
+            if sign is None and k == numfield.EXACT_TIE_LEVEL:
+                mu = self._product(lam)
+                if mu == 1 or mu == -1:
+                    return 0
+            return sign
+
+        return refine_until(test)
 
 
 def pisot_cone(datum: GaloisDatum) -> list[ConeConstraint]:

@@ -198,42 +198,6 @@ def form_to_json(h: BinaryQuadraticForm) -> dict:
     return {"a": rat_to_str(h.a), "b": rat_to_str(h.b), "c": rat_to_str(h.c)}
 
 
-def representation_to_json(rho) -> dict:
-    return {
-        "datum": datum_to_json(rho.datum),
-        "images": [matrix_to_json(im) for im in rho.images],
-    }
-
-
-@_reader
-def representation_from_json(data, algebra=None):
-    from .galoisform import Representation, verify_representation
-
-    datum = datum_from_json(data["datum"])
-    images = tuple(matrix_from_json(im) for im in data["images"])
-    return verify_representation(Representation(datum, images, algebra))
-
-
-def labeled_algebra_to_json(la) -> dict:
-    out = algebra_to_json(la.algebra)
-    out["field"] = datum_to_json(la.datum)
-    out["labels"] = [element_to_json(lab) for lab in la.labels]
-    out["generators"] = list(la.generators)
-    return out
-
-
-@_reader
-def labeled_algebra_from_json(data):
-    from .galoisform import build_labeled_algebra
-
-    datum = datum_from_json(data["field"])
-    labels = [element_from_json(datum, lab) for lab in data["labels"]]
-    spec = [(_int(i), _int(j), _rat(c), _int(k))
-            for (i, j, k, c) in data["brackets"]]
-    return build_labeled_algebra(labels, spec,
-                                 tuple(_int(g) for g in data["generators"]))
-
-
 @_reader
 def constraints_from_json(data) -> list[ConeConstraint]:
     out = []

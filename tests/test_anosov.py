@@ -14,6 +14,13 @@ class TestIntegerLike:
     def test_doubling(self):
         assert not is_integer_like(RationalMatrix([[2, 0], [0, 2]]))
 
+    def test_unit_determinant_with_fractional_charpoly(self):
+        # det 1, but the charpoly X^2 - 5/2 X + 1 is not integral
+        m = RationalMatrix([[2, 0], [0, "1/2"]])
+        assert m.det() == 1
+        assert not is_integer_like(m)
+        assert not certify(abelian(2), m).integer_like
+
     def test_gold_matrix_with_fractional_entries(self):
         out = recipe_z4_example()
         assert is_integer_like(out.matrix)

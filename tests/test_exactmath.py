@@ -54,6 +54,11 @@ class TestPolynomial:
         q, r = divmod(P([-1, 0, 1]), x - 1)
         assert q == x + 1 and r.is_zero
 
+    def test_is_integer_is_a_property(self):
+        assert P([1, 2, 1]).is_integer is True
+        assert P([1, F(1, 2), 1]).is_integer is False
+        assert P([]).is_integer is True
+
     def test_rat_strings(self):
         assert rat_to_str(F(3, 4)) == "3/4"
         assert rat_to_str(F(-5)) == "-5"

@@ -485,3 +485,95 @@ def test_int_matrices_match_fractions(case):
 def test_int_pivot_inverse_is_a_fraction():
     assert fl.det([[2, 1], [1, 1]]) == 1
     assert fl._inv(4) == F(1, 4) and isinstance(fl._inv(4), F)
+
+
+# ---------------------------------------------------------------------------
+# the Bareiss det against the Fraction elimination it replaced
+
+
+def ref_det(rows):
+    """det by Fraction forward elimination, as the kernel ran it on
+    rational rows; the rows are converted to Fractions first."""
+    m = [[F(x) for x in r] for r in rows]
+    n = len(m)
+    if n == 0:
+        return F(1)
+    d = None
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return m[0][0] - m[0][0]
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            m[c] = [-x for x in m[c]]
+        d = m[c][c] if d is None else d * m[c][c]
+        inv = 1 / m[c][c]
+        nz = [(k, m[c][k]) for k in range(c, n) if m[c][k]]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] * inv
+                row = m[r]
+                for k, y in nz:
+                    row[k] = row[k] - f * y
+    return d
+
+
+@pytest.mark.parametrize("rows, value", [
+    ([[3]], 3),
+    ([[0, 1], [0, 1]], 0),
+    ([[2, 1], [1, 1]], 1),
+    ([], 1),
+    ([[F(1, 2)]], F(1, 2)),
+    ([[0, 2], [3, 0]], -6),
+])
+def test_det_is_a_fraction_on_rational_input(rows, value):
+    out = fl.det(rows)
+    assert type(out) is F and out == value
+    assert repr(out) == repr(ref_det(rows))
+
+
+@st.composite
+def rational_squares(draw):
+    """Int, Fraction or mixed square matrices up to n = 12, with zero
+    entries, zero leading entries (pivot searches and row swaps), zero
+    columns and repeated rows mixed in."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    entry = {
+        "int": st.one_of(st.just(0), st.integers(-9, 9)),
+        "fraction": st.one_of(st.just(F(0)),
+                              st.fractions(min_value=-20, max_value=20, max_denominator=50)),
+        "mixed": st.one_of(st.just(0), st.integers(-9, 9),
+                           st.fractions(min_value=-20, max_value=20, max_denominator=50)),
+    }[kind]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    zero = 0 if kind == "int" else F(0)
+    for extra in draw(st.lists(st.sampled_from(["lead", "column", "repeat"]), max_size=3)):
+        if extra == "lead":
+            for r in range(draw(st.integers(0, n - 1))):
+                rows[r][0] = zero
+        elif extra == "column":
+            j = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[j] = zero
+        elif n > 1:
+            rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=250, deadline=None)
+@given(rational_squares())
+def test_bareiss_det_matches_fraction_elimination(rows):
+    out = fl.det(rows)
+    assert type(out) is F
+    assert repr(out) == repr(ref_det(rows))
+    assert repr(RationalMatrix(rows).det()) == repr(out)
+
+
+def test_bareiss_leaves_field_rows_to_the_generic_loop():
+    datum = FIELDS["sqrt2"]
+    a = [[datum.element([1, 1]), datum.element([0, 1])],
+         [datum.element([2]), datum.element([1, -1])]]
+    out = fl.det(a)
+    assert out == a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    assert not isinstance(out, F)

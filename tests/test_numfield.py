@@ -65,6 +65,18 @@ class TestVerification:
                 [Interval(F(5, 4), F(3, 2)), Interval(F(-3, 2), F(-5, 4))],
             )
 
+    def test_non_integer_min_poly_rejected(self):
+        # X^2 - 1/2 is monic but not integral; is_integer is a property,
+        # so the check reads its value rather than a bound method
+        with pytest.raises(BadParameters, match="integer coefficients"):
+            verify_galois_datum(GaloisDatum(
+                min_poly=P([F(-1, 2), 0, 1]),
+                automorphisms=(P.x(), P([0, -1])),
+                identity_index=0,
+                table=((0, 1), (1, 0)),
+                root_enclosures=(Interval(F(1, 2), 1), Interval(-1, F(-1, 2))),
+            ))
+
     def test_wrong_count(self):
         with pytest.raises(WrongAutomorphismCount):
             verify_galois_datum(GaloisDatum(

@@ -10,14 +10,10 @@ from anosovforms.serialize import (
     datum_to_json,
     element_from_json,
     element_to_json,
-    labeled_algebra_from_json,
-    labeled_algebra_to_json,
     map_from_json,
     map_to_json,
     poly_from_json,
     poly_to_json,
-    representation_from_json,
-    representation_to_json,
 )
 
 
@@ -62,27 +58,6 @@ def test_certificate_shape():
     assert data["signature"] == [2, 4]
     assert data["type"] == [4, 2]
     assert data["determinant"] == "1"
-
-
-def test_representation_round_trip(quartic):
-    from tests_helpers_z4 import z4_labeled_and_rep
-
-    la, rho = z4_labeled_and_rep(quartic)
-    data = json.loads(canonical_dumps(representation_to_json(rho)))
-    back = representation_from_json(data)
-    assert back.images == rho.images
-    assert back.verified
-
-
-def test_labeled_algebra_round_trip(quartic):
-    from tests_helpers_z4 import z4_labeled_and_rep
-
-    la, _ = z4_labeled_and_rep(quartic)
-    data = json.loads(canonical_dumps(labeled_algebra_to_json(la)))
-    back = labeled_algebra_from_json(data)
-    assert back.algebra.brackets == la.algebra.brackets
-    assert back.labels == la.labels
-    assert back.generators == la.generators
 
 
 def test_canonical_dumps_sorted_and_newline():
