@@ -29,7 +29,9 @@ works this way on rational rows too: it clears denominators once (D) and
 runs Bareiss's fraction-free elimination on the integer rows (dense,
 since an int product costs little), each division by the previous pivot
 exact, so det = det(integer rows) / D^n, always a Fraction.  Rows over a
-number field take the forward-elimination loop.
+number field take the forward-elimination loop.  int_charpoly, the one
+characteristic polynomial, runs on cleared integer rows (M, D): its c_k
+is D^(n-k) times the rational coefficient.
 """
 
 from __future__ import annotations
@@ -159,6 +161,40 @@ def _bareiss_det(m):
             row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
         prev = p
     return sign * m[n - 1][n - 1]
+
+
+def int_charpoly(m):
+    """det(X I - m) of a square integer matrix, lowest coefficient first:
+    Berkowitz's division-free recurrence (IPL 18, 1984), O(n^4).  With the
+    trailing block from row r split as [[a, R], [C, A]], its charpoly
+    (highest first) is A's times the Toeplitz matrix of 1, -a, -R C,
+    -R A C, ..., -R A^(n-r-2) C, i.e. the product of the two coefficient
+    lists cut to n - r + 1 terms; A^k C is formed under the zero rule."""
+    n = len(m)
+    v = [1]
+    for r in range(n - 1, -1, -1):
+        rest = m[r + 1:]
+        cols = [[(i, row[j]) for i, row in enumerate(rest) if row[j]] for j in range(r + 1, n)]
+        top = [(j, x) for j, x in enumerate(m[r][r + 1:]) if x]
+        w = [row[r] for row in rest]
+        t = [1, -m[r][r]]
+        for k in range(n - r - 1):
+            if k:
+                nw = [0] * len(w)
+                for j, y in enumerate(w):
+                    if y:
+                        for i, x in cols[j]:
+                            nw[i] += x * y
+                w = nw
+            t.append(-sum(x * w[j] for j, x in top))
+        out = [0] * len(t)
+        for j, y in enumerate(v):
+            if y:
+                for i, x in enumerate(t[:len(t) - j]):
+                    if x:
+                        out[i + j] += x * y
+        v = out
+    return v[::-1]
 
 
 def _is_rational(rows):

@@ -1,8 +1,10 @@
 """Exact rational arithmetic: polynomials, matrices, certified root counting.
 
 Everything here works over Q with `fractions.Fraction` (always in lowest
-terms, positive denominator) and never touches floating point.  The root
-counting routines decide unit-circle and unit-disk membership exactly:
+terms, positive denominator) and never touches floating point.  The
+charpoly is _fieldlinalg's integer Berkowitz kernel on cleared numerators.
+The root counting routines decide unit-circle and unit-disk membership
+exactly:
 
 * real roots in an interval      -> Sturm sequences
 * roots of modulus exactly one   -> the Cayley map z = (1 + it)/(1 - it)
@@ -282,23 +284,6 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def poly_xgcd(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """Return (g, s, t) with s*p + t*q = g = monic gcd(p, q)."""
-    r0, r1 = p, q
-    s0, s1 = Polynomial.one(), Polynomial.zero()
-    t0, t1 = Polynomial.zero(), Polynomial.one()
-    while not r1.is_zero:
-        qu, re = divmod(r0, r1)
-        r0, r1 = r1, re
-        s0, s1 = s1, s0 - qu * s1
-        t0, t1 = t1, t0 - qu * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = r0.leading
-    inv = 1 / lead
-    return r0.monic(), s0 * inv, t0 * inv
-
-
 # ---------------------------------------------------------------------------
 # intervals with rational endpoints
 # ---------------------------------------------------------------------------
@@ -409,10 +394,6 @@ class RationalMatrix:
         return RationalMatrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(r: int, c: int) -> "RationalMatrix":
-        return RationalMatrix([[Fraction(0)] * c for _ in range(r)])
-
-    @staticmethod
     def diagonal(diag: Sequence) -> "RationalMatrix":
         n = len(diag)
         return RationalMatrix(
@@ -420,14 +401,14 @@ class RationalMatrix:
         )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in matrix sum")
         return RationalMatrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -514,55 +495,18 @@ class RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial via exact Hessenberg reduction
+# characteristic polynomial via the integer Berkowitz kernel
 # ---------------------------------------------------------------------------
 
 
 def charpoly(m: RationalMatrix) -> Polynomial:
-    """det(X*I - m), monic, computed by exact Hessenberg reduction.
-
-    The similarity transform keeps everything in Q; the Hessenberg
-    recurrence then yields the characteristic polynomial in O(n^3).
-    """
+    """det(X*I - m), monic: with m = M / D over the common denominator D,
+    coefficient k is c_k / D^(n-k), c_k that of the integer kernel on M."""
     if not m.is_square:
         raise NonSquare(f"charpoly of a {m.rows}x{m.cols} matrix")
+    rows, d = fl.clear_denominators(m.entries)
     n = m.rows
-    if n == 0:
-        return Polynomial.one()
-    h = [list(row) for row in m.entries]
-
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[j + 1], h[piv] = h[piv], h[j + 1]
-            for row in h:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        base = h[j + 1][j]
-        for i in range(j + 2, n):
-            if h[i][j] == 0:
-                continue
-            f = h[i][j] / base
-            for k in range(n):
-                h[i][k] -= f * h[j + 1][k]
-            for r in range(n):
-                h[r][j + 1] += f * h[r][i]
-
-    # p_k = (X - h[k-1][k-1]) p_{k-1} - sum_m h[m-1][k-1] (prod subdiag) p_{m-1}
-    ps = [Polynomial.one()]
-    x = Polynomial.x()
-    for k in range(1, n + 1):
-        p = (x - Polynomial((h[k - 1][k - 1],))) * ps[k - 1]
-        prod = Fraction(1)
-        for mm in range(k - 1, 0, -1):
-            prod *= h[mm][mm - 1]
-            if h[mm - 1][k - 1] != 0 and prod != 0:
-                p = p - (h[mm - 1][k - 1] * prod) * ps[mm - 1]
-            if prod == 0:
-                break
-        ps.append(p)
-    return ps[n]
+    return Polynomial(Fraction(c, d ** (n - k)) for k, c in enumerate(fl.int_charpoly(rows)))
 
 
 def nullspace(m: RationalMatrix) -> list[tuple[Fraction, ...]]:

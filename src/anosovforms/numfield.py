@@ -33,7 +33,7 @@ from .errors import (
     TableNotAGroup,
     WrongAutomorphismCount,
 )
-from .exactmath import Interval, Polynomial, RationalMatrix, poly_xgcd, rat
+from .exactmath import Interval, Polynomial, RationalMatrix, rat
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 DEFAULT_REFINE_STEPS = 4096
@@ -190,12 +190,21 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """Cayley-Hamilton on the cleared multiplication matrix (M, D), with
+        det(XI - M) = sum c_k X^k: x^-1 = -D (M^(d-1) + c_(d-1) M^(d-2) +
+        ... + c_1 I) e_1 / c_0, by Horner on integer mat_vec.  c_0 =
+        (-D)^d Res(p, x) is 0 for a nonzero x iff x shares a factor with p."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        g, s, _ = poly_xgcd(self.as_polynomial(), self.datum.min_poly)
-        if g.degree != 0:
+        rows, den = self._scaled_multiplication_rows()
+        cs = fl.int_charpoly(rows)
+        if not cs[0]:
             raise NotIrreducible("minimal polynomial is reducible")
-        return self.datum.from_polynomial(s * (1 / g.constant))
+        y = [1] + [0] * (len(rows) - 1)
+        for c in reversed(cs[1:-1]):
+            y = fl.mat_vec(rows, y)
+            y[0] += c
+        return FieldElement(self.datum, tuple(Fraction(-den * v, cs[0]) for v in y))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -655,10 +664,13 @@ def is_algebraic_unit(x: FieldElement) -> bool:
     """True iff the minimal polynomial has integer coefficients with
     constant term +-1, read off the characteristic polynomial, its power
     mp^k: mp^k is integral iff mp is (Gauss's lemma; both are monic), and
-    |mp^k(0)| = |mp(0)|^k."""
+    |mp^k(0)| = |mp(0)|^k.  On the cleared multiplication matrix (M, D)
+    the integer kernel's c_k is D^(d-k) times that coefficient."""
     _require_verified(x.datum)
-    cp = x.multiplication_matrix().charpoly()
-    return cp.is_integer and abs(cp.constant) == 1
+    rows, den = x._scaled_multiplication_rows()
+    d = len(rows)
+    cs = fl.int_charpoly(rows)
+    return abs(cs[0]) == den ** d and all(c % den ** (d - k) == 0 for k, c in enumerate(cs))
 
 
 def sign_against(iv: Interval, c) -> int | None:

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anosovforms import _fieldlinalg as fl
+from anosovforms import recipes
+from anosovforms.catalog import cubic_pisot_unit, cyclic_cubic_datum
 from anosovforms.errors import EndpointIsRoot, NonSquare, RootOnCircle, ZeroPolynomial
 from anosovforms.exactmath import (
     Interval,
@@ -17,7 +20,6 @@ from anosovforms.exactmath import (
     count_roots_on_unit_circle,
     nullspace,
     poly_gcd,
-    poly_xgcd,
     rat,
     rat_to_str,
     sturm_count,
@@ -28,6 +30,27 @@ P = Polynomial
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
 )
+
+
+def zeros(r: int, c: int) -> RationalMatrix:
+    return RationalMatrix([[F(0)] * c for _ in range(r)])
+
+
+def poly_xgcd(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """Return (g, s, t) with s*p + t*q = g = monic gcd(p, q)."""
+    r0, r1 = p, q
+    s0, s1 = Polynomial.one(), Polynomial.zero()
+    t0, t1 = Polynomial.zero(), Polynomial.one()
+    while not r1.is_zero:
+        qu, re = divmod(r0, r1)
+        r0, r1 = r1, re
+        s0, s1 = s1, s0 - qu * s1
+        t0, t1 = t1, t0 - qu * t1
+    if r0.is_zero:
+        return r0, s0, t0
+    lead = r0.leading
+    inv = 1 / lead
+    return r0.monic(), s0 * inv, t0 * inv
 
 
 def companion(p: Polynomial) -> RationalMatrix:
@@ -95,17 +118,17 @@ class TestCharpoly:
 
     def test_nonsquare(self):
         with pytest.raises(NonSquare):
-            charpoly(RationalMatrix.zeros(2, 3))
+            charpoly(zeros(2, 3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(rationals, min_size=16, max_size=16))
     def test_cayley_hamilton(self, entries):
         m = RationalMatrix([entries[4 * i:4 * i + 4] for i in range(4)])
         p = charpoly(m)
-        acc = RationalMatrix.zeros(4, 4)
+        acc = zeros(4, 4)
         for i, c in enumerate(p.coeffs):
             acc = acc + (m ** i) * c
-        assert acc == RationalMatrix.zeros(4, 4)
+        assert acc == zeros(4, 4)
 
     def test_det_consistency(self):
         rng = random.Random(5)
@@ -119,9 +142,120 @@ class TestCharpoly:
             assert (-1) ** 4 * p.constant == m.det()
 
 
+def ref_charpoly(m: RationalMatrix) -> Polynomial:
+    """det(X*I - m) by exact Hessenberg reduction over Fractions and its
+    recurrence, the implementation the integer Berkowitz kernel replaced."""
+    n = m.rows
+    if n == 0:
+        return Polynomial.one()
+    h = [list(row) for row in m.entries]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        base = h[j + 1][j]
+        for i in range(j + 2, n):
+            if h[i][j] == 0:
+                continue
+            f = h[i][j] / base
+            for k in range(n):
+                h[i][k] -= f * h[j + 1][k]
+            for r in range(n):
+                h[r][j + 1] += f * h[r][i]
+    ps = [Polynomial.one()]
+    x = Polynomial.x()
+    for k in range(1, n + 1):
+        p = (x - Polynomial((h[k - 1][k - 1],))) * ps[k - 1]
+        prod = F(1)
+        for mm in range(k - 1, 0, -1):
+            prod *= h[mm][mm - 1]
+            if h[mm - 1][k - 1] != 0 and prod != 0:
+                p = p - (h[mm - 1][k - 1] * prod) * ps[mm - 1]
+            if prod == 0:
+                break
+        ps.append(p)
+    return ps[n]
+
+
+@st.composite
+def square_rows(draw, max_n=12):
+    """Square rows of ints, Fractions or both, from dense to mostly zero."""
+    n = draw(st.integers(0, max_n))
+    ints = st.integers(-9, 9)
+    fracs = st.fractions(min_value=-9, max_value=9, max_denominator=40)
+    entry = draw(st.sampled_from([ints, fracs, st.one_of(ints, fracs)]))
+    zero_share = draw(st.sampled_from([0, 0.5, 0.85]))
+    rng = draw(st.randoms(use_true_random=False))
+    return [[draw(entry) if rng.random() >= zero_share else 0 for _ in range(n)]
+            for _ in range(n)]
+
+
+def _assert_same_charpoly(m):
+    p, ref = charpoly(m), ref_charpoly(m)
+    assert repr(p) == repr(ref)
+    assert p.coeffs == ref.coeffs and all(type(c) is F for c in p.coeffs)
+    assert m.charpoly() == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_rows())
+def test_charpoly_matches_hessenberg(rows):
+    _assert_same_charpoly(RationalMatrix(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_rows(), st.integers(1, 10 ** 6))
+def test_int_charpoly_scales_by_the_common_denominator(rows, d):
+    """On integer rows the kernel gives ints; over a denominator D its
+    coefficient k is D^(n-k) times the rational charpoly's."""
+    n = len(rows)
+    ints = [[int(x * 1000) for x in row] for row in rows]
+    cs = fl.int_charpoly(ints)
+    assert all(type(c) is int for c in cs) and cs[-1] == 1 and len(cs) == n + 1
+    ref = ref_charpoly(RationalMatrix([[F(x, d) for x in row] for row in ints]))
+    assert [F(c, d ** (n - k)) for k, c in enumerate(cs)] == list(ref.coeffs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: recipes.recipe_last(cyclic_cubic_datum(),
+                                cubic_pisot_unit(cyclic_cubic_datum()), 6).matrix,
+    lambda: recipes.recipe_csig_default(4).matrix,
+], ids=["recipe_last_c6", "recipe_csig_c4"])
+def test_charpoly_matches_hessenberg_on_recipe_maps(build):
+    m = build()
+    _assert_same_charpoly(m)
+    _assert_same_charpoly(m.transpose())
+
+
+class TestMatrixShapes:
+    def test_sum_and_difference_need_equal_shapes(self):
+        a, b = RationalMatrix([[1, 2]]), RationalMatrix([[1]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a + b
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            b + a
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            RationalMatrix([[1, 2], [3, 4]]) - a
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a - RationalMatrix([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a * b
+
+    def test_sum_and_difference_entrywise(self):
+        a = RationalMatrix([[1, F(1, 2)], [3, 4]])
+        b = RationalMatrix([[F(1, 3), 2], [0, -4]])
+        assert a + b == RationalMatrix([[F(4, 3), F(5, 2)], [3, 0]])
+        assert a - b == RationalMatrix([[F(2, 3), F(-3, 2)], [3, 8]])
+        assert RationalMatrix([]) - RationalMatrix([]) == RationalMatrix([])
+
+
 class TestNullspace:
     def test_zero_matrix(self):
-        basis = nullspace(RationalMatrix.zeros(2, 2))
+        basis = nullspace(zeros(2, 2))
         assert basis == [(F(1), F(0)), (F(0), F(1))]
 
     def test_identity(self):

@@ -2,10 +2,11 @@
 replaced: interval Horner on Interval arithmetic, the field product and
 multiplication matrix by reduction modulo the minimal polynomial, the norm
 as a Fraction determinant, the unit test through the squarefree part of
-the characteristic polynomial, compare_abs_to_one through the conjugate
-element, and the cone check through the product formed as one field
-element.  Endpoints, values and verdicts must be identical, and the cone
-verdicts must not depend on the level of the exact tie test."""
+the Hessenberg characteristic polynomial, the inverse by the extended
+Euclidean algorithm, compare_abs_to_one through the conjugate element, and
+the cone check through the product formed as one field element.
+Endpoints, values and verdicts must be identical, and the cone verdicts
+must not depend on the level of the exact tie test."""
 
 from fractions import Fraction as F
 
@@ -20,7 +21,7 @@ from anosovforms.catalog import (
     quartic_z4_datum,
     sqrt2_datum,
 )
-from anosovforms.errors import BadParameters, PrecisionUnreachable
+from anosovforms.errors import BadParameters, NotIrreducible, PrecisionUnreachable
 from anosovforms.exactmath import Interval, Polynomial, RationalMatrix
 from anosovforms.numfield import (
     DEFAULT_REFINE_STEPS,
@@ -37,6 +38,7 @@ from anosovforms.numfield import (
 )
 from anosovforms.pisot import ConeConstraint, search_unit_pisot, search_units
 from anosovforms.recipes import biquadratic_pisot_unit
+from test_exactmath import poly_xgcd, ref_charpoly
 from test_fieldlinalg import ref_det
 
 # ---------------------------------------------------------------------------
@@ -109,8 +111,17 @@ def ref_norm(x):
 
 
 def ref_is_algebraic_unit(x):
-    mp = ref_multiplication_matrix(x).charpoly().squarefree_part()
+    mp = ref_charpoly(ref_multiplication_matrix(x)).squarefree_part()
     return mp.is_integer and abs(mp.constant) == 1
+
+
+def ref_inverse(x):
+    if x.is_zero:
+        raise ZeroDivisionError("inverse of zero field element")
+    g, s, _ = poly_xgcd(x.as_polynomial(), x.datum.min_poly)
+    if g.degree != 0:
+        raise NotIrreducible("minimal polynomial is reducible")
+    return x.datum.from_polynomial(s * (1 / g.constant))
 
 
 def ref_compare_abs_to_one(x, i):
@@ -230,6 +241,37 @@ def test_non_integral_element_of_norm_one_is_no_unit(sqrt2):
     assert not is_algebraic_unit(x)
     assert not ref_is_algebraic_unit(x)
     assert not Polynomial([1, F(-22, 7), 1]).is_integer
+
+
+def test_unit_test_matches_on_algebraic_integers_outside_z_theta():
+    """Z[theta] is not the ring of integers of Q(sqrt5, sqrt2): sqrt5 =
+    (17 theta - theta^3)/6 is integral, so the divisibility test, not the
+    power-basis denominator, must decide."""
+    datum = DATA["biquad52"]
+    s5 = datum.element([0, F(17, 6), 0, F(-1, 6)])
+    s2 = datum.element([0, F(-11, 6), 0, F(1, 6)])
+    assert s5 * s5 == 5 and s2 * s2 == 2
+    cases = {
+        2 + s5: True, 1 + s2: True, 3 + s5 * s2: True, (2 + s5) * (1 - s2): True,
+        s5: False, (2 + s5) / 2: False, (1 + s5) / 2 + s2 / 3: False,
+    }
+    for x, unit in cases.items():
+        assert is_algebraic_unit(x) is unit
+        assert ref_is_algebraic_unit(x) is unit
+
+
+@pytest.mark.parametrize("name", list(DATA))
+@PROPS
+@given(data=st.data())
+def test_unit_test_matches_over_small_denominators(name, data):
+    datum = DATA[name]
+    den = data.draw(st.integers(1, 6))
+    nums = data.draw(st.lists(st.integers(-4, 4), min_size=datum.degree, max_size=datum.degree))
+    x = datum.element([F(a, den) for a in nums])
+    assert is_algebraic_unit(x) == ref_is_algebraic_unit(x)
+    for u in search_units(datum, 1)[:3] if name != "biquad52" else ():
+        assert is_algebraic_unit(u * den) == ref_is_algebraic_unit(u * den)
+        assert is_algebraic_unit(u + x) == ref_is_algebraic_unit(u + x)
 
 
 def test_unit_test_requires_verified_datum(sqrt2):
@@ -445,3 +487,68 @@ def test_search_units_under_tie_cone_is_empty(quartic):
     for rel in ("<1", ">1"):
         assert search_units(quartic, 1, constraints=[ConeConstraint((1, 1, 1, 1), rel)]) == []
     assert search_units(quartic, 1)
+
+
+# ---------------------------------------------------------------------------
+# the inverse by Cayley-Hamilton against the extended Euclidean algorithm
+
+
+def reducible_datum():
+    """(X^2 - 1)(X^2 - 4), accepted under assume_irreducible with no factor
+    search: X -> -X and X -> +-2/X permute its roots 2, 1, -1, -2."""
+    p = Polynomial([4, 0, -5, 0, 1])
+    half = F(1, 2)
+    auts = (Polynomial.x(), Polynomial([0, -1]), Polynomial([0, 5 * half, 0, -half]),
+            Polynomial([0, -5 * half, 0, half]))
+    table = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    enclosures = tuple(Interval(r - F(1, 4), r + F(1, 4)) for r in (2, 1, -1, -2))
+    return verify_galois_datum(GaloisDatum(
+        min_poly=p, automorphisms=auts, identity_index=0, table=table,
+        root_enclosures=enclosures, assume_irreducible=True), factor_budget=0)
+
+
+INVERSE_DATA = {
+    "sqrt2": DATA["sqrt2"],
+    "cubic": DATA["cubic"],
+    "quartic": DATA["quartic"],
+    "biquad112": biquadratic_datum(11, 2),
+    "reducible": reducible_datum(),
+}
+
+
+def _inverse_outcome(inverse, x):
+    try:
+        return repr(inverse(x))
+    except (ZeroDivisionError, NotIrreducible) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("name", list(INVERSE_DATA))
+@PROPS
+@given(data=st.data())
+def test_inverse_matches_xgcd(name, data):
+    datum = INVERSE_DATA[name]
+    den = data.draw(st.integers(1, 10 ** 4))
+    nums = data.draw(st.lists(st.integers(-30, 30), min_size=datum.degree, max_size=datum.degree))
+    x = datum.element([F(a, den) for a in nums])
+    out = _inverse_outcome(FieldElement.inverse, x)
+    assert out == _inverse_outcome(ref_inverse, x)
+    if isinstance(out, str):
+        assert x * x.inverse() == 1 and all(type(c) is F for c in x.inverse().coeffs)
+
+
+@pytest.mark.parametrize("name", list(INVERSE_DATA))
+def test_inverse_verdicts_on_zero_and_zero_divisors(name):
+    datum = INVERSE_DATA[name]
+    cases = [datum.zero(), datum.one(), datum.element([F(-2, 3)]), datum.generator()]
+    if name == "reducible":
+        # theta - 1, theta^2 - 4 and (1 - theta^2)/2 vanish at roots of p;
+        # 3 + theta at none
+        cases += [datum.element([-1, 1]), datum.element([-4, 0, 1]),
+                  datum.element([F(1, 2), 0, F(-1, 2)]), datum.element([3, 1])]
+    verdicts = [_inverse_outcome(FieldElement.inverse, x) for x in cases]
+    assert verdicts == [_inverse_outcome(ref_inverse, x) for x in cases]
+    assert verdicts[0] == ("ZeroDivisionError", "inverse of zero field element")
+    if name == "reducible":
+        assert [v[0] for v in verdicts[4:7]] == ["NotIrreducible"] * 3
+        assert isinstance(verdicts[7], str)
