@@ -1,12 +1,15 @@
-"""The exact linear-algebra kernel, over Q or a number field.
+"""The exact linear-algebra kernel over Q.
 
-Matrices are plain nested lists (or tuples) whose entries support +, -, *,
-/ and are false exactly when zero; Fraction and FieldElement both qualify.
-rref is the one Gauss-Jordan loop over a field and det the one
-determinant; solve, rank, span bases over a number field and
-RationalMatrix's det, inverse, rref and product all go through them.
-Exact arithmetic needs no pivoting heuristic: the first nonzero entry of
-a column is the pivot.
+Matrices are plain nested lists (or tuples) of int or Fraction entries.
+Elimination (rref, det, solve, rank, span_rref) takes rational rows only:
+every solve of the Galois descent runs on the power-basis coordinates of
+its vectors, which are rational.  Only the products mat_vec and mat_mul
+also take vectors over a number field, whose entries support +, - and *
+and are false exactly when zero, since transport forms rho F and F B with
+field entries.  rref is the one Gauss-Jordan loop with Fraction pivots,
+and RationalMatrix's rref and nullspace go through it.  Exact arithmetic
+needs no pivoting heuristic: the first nonzero entry of a column is the
+pivot.
 
 The zero rule: a term with an exact zero factor is never formed, and an
 entry the pivot row would change by zero times a factor is left as it
@@ -17,21 +20,19 @@ sum with no term left is v[0] * row[0], a zero of that type.  Dense
 inputs run the same loops; sparse ones, such as the monomial images of
 a Galois representation, skip most of the work.
 
-The common-denominator rule: over Q a kernel may clear denominators once
+The common-denominator rule: a kernel may clear denominators once
 (clear_denominators: rational rows in, integer rows and their lcm D out)
 and run on Python ints, so no product pays for a Fraction's gcd.  It
 does so only where the scale provably cancels: a zero test, a span, or
-an identity whose two sides scale alike.  span_rref works this way on
-rational rows: fraction-free Gauss-Jordan on primitive integer rows,
-dividing by the pivots only at the end, which gives the same unique
-reduced echelon form as rref.  Rows with other entries take rref.  det
-works this way on rational rows too: it clears denominators once (D) and
+an identity whose two sides scale alike.  span_rref works this way:
+fraction-free Gauss-Jordan on primitive integer rows, dividing by the
+pivots only at the end, which gives the same unique reduced echelon form
+as rref.  det works this way too: it clears denominators once (D) and
 runs Bareiss's fraction-free elimination on the integer rows (dense,
 since an int product costs little), each division by the previous pivot
-exact, so det = det(integer rows) / D^n, always a Fraction.  Rows over a
-number field take the forward-elimination loop.  int_charpoly, the one
-characteristic polynomial, runs on cleared integer rows (M, D): its c_k
-is D^(n-k) times the rational coefficient.
+exact, so det = det(integer rows) / D^n, always a Fraction.
+int_charpoly, the one characteristic polynomial, runs on cleared integer
+rows (M, D): its c_k is D^(n-k) times the rational coefficient.
 """
 
 from __future__ import annotations
@@ -99,11 +100,7 @@ def rref(rows):
 
 
 def _inv(x):
-    if isinstance(x, Fraction):
-        return 1 / x
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return x.inverse()
+    return 1 / x if isinstance(x, Fraction) else Fraction(1, x)
 
 
 def rank(rows) -> int:
@@ -111,35 +108,13 @@ def rank(rows) -> int:
 
 
 def det(rows):
-    """Determinant; a Fraction for int or Fraction rows, which take the
-    Bareiss path, else an element of the rows' field."""
+    """Determinant of rational rows, a Fraction: the Bareiss path on the
+    rows over their common denominator."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    if _is_rational(rows):
-        ints, d = clear_denominators(rows)
-        return Fraction(_bareiss_det(ints), d ** n)
-    m = [list(r) for r in rows]
-    d = None
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            zero = m[0][0] - m[0][0]
-            return zero
-        if piv != c:
-            # swap then negate one row: determinant unchanged
-            m[c], m[piv] = m[piv], m[c]
-            m[c] = [-x for x in m[c]]
-        d = m[c][c] if d is None else d * m[c][c]
-        inv = _inv(m[c][c])
-        nz = [(k, m[c][k]) for k in range(c, n) if m[c][k]]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                row = m[r]
-                for k, y in nz:
-                    row[k] = row[k] - f * y
-    return d
+    ints, d = clear_denominators(rows)
+    return Fraction(_bareiss_det(ints), d ** n)
 
 
 def _bareiss_det(m):
@@ -197,19 +172,29 @@ def int_charpoly(m):
     return v[::-1]
 
 
-def _is_rational(rows):
-    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
+class Inconsistent(ArithmeticError):
+    """A solve whose right-hand side column `column` lies outside the
+    column span of the matrix."""
+
+    def __init__(self, column: int):
+        super().__init__(f"right-hand side column {column} is inconsistent")
+        self.column = column
 
 
 def solve(a, rhs_cols):
-    """Solve a * X = B for X, where a is square and B is given as a list of
-    columns, by reducing [a | B].  Raises ZeroDivisionError('singular
-    matrix') unless the pivots are exactly the columns of a."""
-    n = len(a)
-    m, pivots = rref([list(a[i]) + [col[i] for col in rhs_cols] for i in range(n)])
+    """Solve a * X = B for X, where a is square or tall with n columns and
+    B is given as a list of columns, by reducing [a | B].  Raises
+    ZeroDivisionError('singular matrix') unless the first n pivots are
+    exactly the columns of a, and else Inconsistent on the first column of
+    B outside a's column span: that column holds the first pivot past a,
+    since every earlier column of B lies in a's span and adds none."""
+    n = len(a[0]) if a else 0
+    m, pivots = rref([list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in m]
+    if len(pivots) > n:
+        raise Inconsistent(pivots[n] - n)
+    return [row[n:] for row in m[:n]]
 
 
 def clear_denominators(rows):
@@ -237,19 +222,14 @@ def _content_free(ints):
 
 
 def span_rref(vectors):
-    """Canonical (RREF) basis of the span of the given row vectors; over Q
-    (int or Fraction entries) by the integer path, as Fraction tuples."""
-    if vectors and _is_rational(vectors):
-        return _rational_span_rref(vectors)
-    m, pivots = rref(vectors)
-    return [tuple(m[i]) for i in range(len(pivots))]
-
-
-def _rational_span_rref(vectors):
-    """Fraction-free Gauss-Jordan: every row stays a primitive integer row,
-    a row reduced to zero is dropped, and each pivot row is divided by its
-    pivot only at the end.  The reduced echelon form of a span is unique,
-    so this is rref's result, entry for entry."""
+    """Canonical (RREF) basis of the span of the given rational row
+    vectors, as Fraction tuples, by fraction-free Gauss-Jordan: every row
+    stays a primitive integer row, a row reduced to zero is dropped, and
+    each pivot row is divided by its pivot only at the end.  The reduced
+    echelon form of a span is unique, so this is rref's result, entry for
+    entry."""
+    if not vectors:
+        return []
     rows = [r for r in map(primitive, vectors) if any(r)]
     pivots = []
     for c in range(len(vectors[0])):

@@ -9,6 +9,13 @@ form of E^m.  When rho lands in automorphisms of a rational Lie algebra,
 the form is a subalgebra, and any E-automorphism commuting with the action
 in the twisted sense transports to a rational matrix on the form.  That
 transported matrix is where the Anosov certificates downstream come from.
+
+Every elimination of the descent runs over Q, on the m*d power-basis
+coordinates of vectors in E^m (coordinate t of component k at k*d + t):
+the defining relation is a rational system on them, the form basis is
+kept as the md x m rational matrix P whose column j flattens vector j,
+and structure constants and transported maps are read off one solve of
+the tall system P X = W, W the flattened brackets or F B.
 """
 
 from __future__ import annotations
@@ -152,6 +159,20 @@ class RationalFormBasis:
         m = self.size
         return [[self.vectors[j][i] for j in range(m)] for i in range(m)]
 
+    def flat_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """P, md x m over Q: column j holds the power-basis coordinates of
+        vector j (computed once per basis)."""
+        cached = getattr(self, "_flat", None)
+        if cached is None:
+            cached = tuple(zip(*(_flatten(v) for v in self.vectors)))
+            object.__setattr__(self, "_flat", cached)
+        return cached
+
+
+def _flatten(v: Sequence[FieldElement]) -> list[Fraction]:
+    """The m*d power-basis coordinates of a vector in E^m."""
+    return [c for x in v for c in x.coeffs]
+
 
 def _satisfies_defining_relation(rho: Representation, v: EVector) -> bool:
     datum = rho.datum
@@ -163,20 +184,15 @@ def _satisfies_defining_relation(rho: Representation, v: EVector) -> bool:
     return True
 
 
-def rational_form(rho: Representation) -> RationalFormBasis:
-    """Solve rho_sigma(v) = v^sigma as a Q-linear system on the m*d
-    coordinates of v in E^m.
-
-    The conditions are imposed for a generating set only, then re-verified
-    for the whole group.  The solution space must have dimension exactly m;
-    anything else means the representation is invalid.
-    """
-    if not rho.verified:
-        raise NotHomomorphism("rational_form requires a verified representation")
+def _relation_rows(rho: Representation, elements: Iterable[int]) -> list[list[Fraction]]:
+    """rho_sigma(v) = v^sigma for each sigma in elements, as rational rows
+    on the m*d coordinates of v: coordinate t of component r reads
+    sum_k rho_sigma[r, k] v_k,t - sum_u A[t, u] v_r,u = 0, A the matrix of
+    sigma^{-1} in the power basis."""
     datum = rho.datum
     m, d = rho.size, datum.degree
     rows: list[list[Fraction]] = []
-    for g in group_generators(datum) or [datum.identity_index]:
+    for g in elements:
         a_inv = automorphism_matrix(datum, datum.inverse_index(g))
         img = rho.images[g]
         for r in range(m):
@@ -191,11 +207,23 @@ def rational_form(rho: Representation) -> RationalFormBasis:
                     if c:
                         row[r * d + u] -= c
                 rows.append(row)
-    if not rows:
-        basis_flat = [tuple(Fraction(i == j) for j in range(m * d))
-                      for i in range(m * d)]
-    else:
-        basis_flat = nullspace(RationalMatrix(rows))
+    return rows
+
+
+def rational_form(rho: Representation) -> RationalFormBasis:
+    """Solve rho_sigma(v) = v^sigma as a Q-linear system on the m*d
+    coordinates of v in E^m.
+
+    The conditions are imposed for a generating set only, then re-verified
+    for the whole group.  The solution space must have dimension exactly m;
+    anything else means the representation is invalid.
+    """
+    if not rho.verified:
+        raise NotHomomorphism("rational_form requires a verified representation")
+    datum = rho.datum
+    m, d = rho.size, datum.degree
+    rows = _relation_rows(rho, group_generators(datum) or [datum.identity_index])
+    basis_flat = nullspace(RationalMatrix(rows)) if rows else []
     if len(basis_flat) != m:
         raise DimensionMismatch(
             f"fixed space has dimension {len(basis_flat)}, expected {m}"
@@ -210,18 +238,37 @@ def rational_form(rho: Representation) -> RationalFormBasis:
 def rational_form_from_vectors(rho: Representation,
                                vectors: Sequence[Sequence[FieldElement]]) -> RationalFormBasis:
     """Wrap explicitly given vectors as a rational form basis, verifying the
-    defining relation for every group element and E-linear independence."""
+    defining relation for every group element and E-linear independence.
+
+    Both checks run over Q on the flat matrix P.  The relation holds for
+    all sigma at once when the rows of _relation_rows annihilate P.
+    Independence is rank(P) = m, i.e. Q-independence, and that suffices
+    (Speiser's lemma, Serre, Local Fields, Ch. X, section 1): take a shortest
+    E-relation sum c_j v_j = 0 among fixed vectors with c_1 = 1.  Since
+    (sigma(c) v)^sigma = c v^sigma, applying rho_sigma to it gives
+    (sum sigma(c_j) v_j)^sigma = 0, so sum (sigma(c_j) - c_j) v_j = 0 is a
+    shorter relation and must vanish: every c_j is fixed by the group,
+    hence rational, and the relation is a Q-relation.
+    """
     if not rho.verified:
         raise NotHomomorphism("requires a verified representation")
+    datum = rho.datum
     m = rho.size
     if len(vectors) != m or any(len(v) != m for v in vectors):
         raise DimensionMismatch("need m vectors of length m")
     vecs = tuple(tuple(v) for v in vectors)
-    for v in vecs:
-        if not _satisfies_defining_relation(rho, v):
-            raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
+    fp = datum.fingerprint()
+    if any(not isinstance(x, FieldElement) or x.datum.fingerprint() != fp
+           for v in vecs for x in v):
+        raise DatumMismatch("vector component from a different field")
     basis = RationalFormBasis(rho, vecs)
-    if fl.det(basis.basis_matrix()) == 0:
+    flat, _ = fl.clear_denominators([_flatten(v) for v in vecs])
+    rows, _ = fl.clear_denominators(_relation_rows(rho, range(datum.degree)))
+    for row in rows:
+        terms = [(k, x) for k, x in enumerate(row) if x]
+        if any(sum(x * v[k] for k, x in terms) for v in flat):
+            raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
+    if fl.rank(flat) != m:
         raise DimensionMismatch("vectors are not linearly independent over E")
     return basis
 
@@ -229,28 +276,33 @@ def rational_form_from_vectors(rho: Representation,
 def structure_constants_on_form(basis: RationalFormBasis,
                                 algebra: LieAlgebra | None = None) -> LieAlgebra:
     """Brackets of the basis vectors, re-expressed in the basis itself; all
-    coordinates must come out rational, giving a Lie algebra over Q."""
+    coordinates must come out rational, giving a Lie algebra over Q.
+
+    Over E the coordinates of a bracket are unique, and they are rational
+    exactly when its flattened column lies in the Q-span of P's columns,
+    so one solve over Q gives them or names the first irrational bracket.
+    """
     rho = basis.representation
     alg = algebra if algebra is not None else rho.algebra
     if alg is None:
         raise DimensionMismatch("no algebra attached to the representation")
     m = basis.size
-    bmat = basis.basis_matrix()
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rhs = [alg.bracket(list(basis.vectors[i]), list(basis.vectors[j])) for i, j in pairs]
-    coords = fl.solve(bmat, rhs) if pairs else []
+    rhs = [_flatten(alg.bracket(list(basis.vectors[i]), list(basis.vectors[j])))
+           for i, j in pairs]
+    try:
+        coords = fl.solve(basis.flat_matrix(), rhs) if pairs else []
+    except fl.Inconsistent as e:
+        i, j = pairs[e.column]
+        raise IrrationalStructureConstant(
+            f"bracket [{i},{j}] has an irrational coordinate") from None
     entries = []
     for col, (i, j) in enumerate(pairs):
         for k in range(m):
             x = coords[k][col]
-            if x.is_zero:
-                continue
-            if not x.is_rational:
-                raise IrrationalStructureConstant(
-                    f"bracket [{i},{j}] has an irrational coordinate on slot {k}"
-                )
-            entries.append((i, j, k, x.rational_value()))
-    out = LieAlgebra("Q", m, tuple(entries))
+            if x:
+                entries.append((i, j, k, x))
+    out = LieAlgebra(m, tuple(entries))
     return require_jacobi(out)
 
 
@@ -267,7 +319,15 @@ def transport(basis: RationalFormBasis, f: EMatrix) -> RationalMatrix:
 
     First certifies the commutation relation f^sigma =
     rho_sigma f rho_{sigma^{-1}} for every group element, then solves
-    B M = F B over E and certifies that M is rational.
+    B M = F B as the flat rational system P M = W, W the flattened F B.
+
+    Once the commutation check passes, IrrationalEntry cannot fire for a
+    basis from rational_form_from_vectors: for a fixed v, (f v)^sigma =
+    f^sigma v^sigma = rho_sigma f v, so f maps the fixed space V into
+    itself, and the basis spans V over Q (dim_Q V = m by descent), so
+    every column of F B has rational coordinates.  The check stays because
+    it costs nothing beyond the solve, and a RationalFormBasis built
+    directly skips from_vectors' checks.
     """
     rho = basis.representation
     datum = rho.datum
@@ -286,20 +346,13 @@ def transport(basis: RationalFormBasis, f: EMatrix) -> RationalMatrix:
                     raise CommutationViolation(
                         f"f^sigma != rho f rho^-1 for group element {s}"
                     )
-    bmat = basis.basis_matrix()
-    fb = fl.mat_mul(flist, bmat)
-    cols = [[fb[i][j] for i in range(m)] for j in range(m)]
-    sol = fl.solve(bmat, cols)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            x = sol[i][j]
-            if not x.is_rational:
-                raise IrrationalEntry(f"transported entry ({i},{j}) is irrational")
-            row.append(x.rational_value())
-        out.append(row)
-    return RationalMatrix(out)
+    fb = fl.mat_mul(flist, basis.basis_matrix())
+    try:
+        sol = fl.solve(basis.flat_matrix(), [_flatten(col) for col in zip(*fb)])
+    except fl.Inconsistent as e:
+        raise IrrationalEntry(
+            f"transported column {e.column} has an irrational entry") from None
+    return RationalMatrix(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +388,7 @@ def build_labeled_algebra(labels: Sequence[FieldElement],
     certify label compatibility and the Jacobi identity."""
     labels = tuple(labels)
     entries = tuple((i, j, k, c) for (i, j, c, k) in bracket_spec)
-    la = LabeledAlgebra(LieAlgebra("Q", len(labels), entries), labels, tuple(generators))
+    la = LabeledAlgebra(LieAlgebra(len(labels), entries), labels, tuple(generators))
     require_jacobi(la.algebra)
     return la
 

@@ -1,58 +1,36 @@
-"""Finite-dimensional Lie algebras over Q or a verified number field,
-presented by sparse structure constants.
+"""Finite-dimensional Lie algebras over Q, presented by sparse structure
+constants.
 
 Brackets are stored for i < j only; antisymmetry is implicit.  Subspaces
 (lower central series terms, spans) are always kept as canonical reduced
 echelon bases so equality of subspaces is bit-exact list comparison.
+bracket also extends the rational constants to vectors over a number
+field, which is how the brackets of a rational form's vectors are taken.
 
-Over Q the kernels follow _fieldlinalg's common-denominator rule: the
-structure constants are kept once more as ints scaled by their lcm C
+The kernels follow _fieldlinalg's common-denominator rule: the structure
+constants are kept once more as ints scaled by their lcm C
 (integer_bracket_map), and check_jacobi, is_automorphism and
 lower_central_series run the one bracket kernel on ints, where every
-identity they test scales by a nonzero constant on both sides.  Over a
-number field they run the same loops on the field elements.
+identity they test scales by a nonzero constant on both sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from . import _fieldlinalg as fl
-from .errors import FieldMismatch, JacobiViolation, NotNilpotent
+from .errors import JacobiViolation, NotNilpotent
 from .exactmath import rat
-from .numfield import FieldElement, GaloisDatum
-
-FieldRef = Union[str, GaloisDatum]  # "Q" or a verified datum
-
-
-def _field_key(f: FieldRef):
-    return "Q" if isinstance(f, str) else f.fingerprint()
-
-
-def _zero(f: FieldRef):
-    return Fraction(0) if isinstance(f, str) else f.zero()
-
-
-def _one(f: FieldRef):
-    return Fraction(1) if isinstance(f, str) else f.one()
-
-
-def _coerce_scalar(f: FieldRef, c):
-    if isinstance(f, str):
-        return rat(c)
-    if isinstance(c, FieldElement):
-        return c
-    return f.element((rat(c),))
 
 
 @dataclass(frozen=True)
 class LieAlgebra:
     """Structure-constant presentation: brackets is a tuple of entries
-    (i, j, k, c) with i < j meaning [b_i, b_j] contains c * b_k."""
+    (i, j, k, c) with i < j meaning [b_i, b_j] contains c * b_k, c
+    rational."""
 
-    field: FieldRef
     dim: int
     brackets: tuple[tuple[int, int, int, object], ...]
     basis_labels: tuple[str, ...] | None = None
@@ -62,9 +40,8 @@ class LieAlgebra:
         for (i, j, k, c) in self.brackets:
             if not (0 <= i < j < self.dim and 0 <= k < self.dim):
                 raise ValueError(f"bad bracket indices ({i},{j},{k})")
-            c = _coerce_scalar(self.field, c)
             row = norm.setdefault((i, j), {})
-            row[k] = row.get(k, _zero(self.field)) + c
+            row[k] = row.get(k, Fraction(0)) + rat(c)
         flat = []
         for (i, j) in sorted(norm):
             for k in sorted(norm[(i, j)]):
@@ -85,12 +62,10 @@ class LieAlgebra:
         return cached
 
     def integer_bracket_map(self) -> tuple[Mapping[tuple[int, int], dict[int, int]], int]:
-        """Over Q: (the bracket map with every constant times C, C), C the
-        lcm of the constants' denominators; computed once per algebra."""
+        """(The bracket map with every constant times C, C), C the lcm of
+        the constants' denominators; computed once per algebra."""
         cached = getattr(self, "_ibmap", None)
         if cached is None:
-            if not isinstance(self.field, str):
-                raise FieldMismatch("integer structure constants exist over Q only")
             (ints,), scale = fl.clear_denominators([[c for (_i, _j, _k, c) in self.brackets]])
             imap: dict[tuple[int, int], dict[int, int]] = {}
             for (i, j, k, _c), x in zip(self.brackets, ints):
@@ -110,8 +85,8 @@ class LieAlgebra:
         return cached
 
     def bracket(self, x: Sequence, y: Sequence) -> list:
-        """Bilinear extension of the structure constants to vectors over the
-        base field or any extension; other slots keep the vectors' zero."""
+        """Bilinear extension of the structure constants to vectors over Q
+        or a number field; other slots keep the vectors' zero."""
         out = _bracket(self.bracket_map(), _support(x), _support(y))
         return [out[k] if k in out else x[k] - x[k] for k in range(self.dim)]
 
@@ -151,8 +126,7 @@ class LinearMap:
             raise ValueError("matrix shape must match the algebra dimension")
         object.__setattr__(
             self, "matrix",
-            tuple(tuple(_coerce_scalar(self.algebra.field, x) for x in row)
-                  for row in self.matrix),
+            tuple(tuple(rat(x) for x in row) for row in self.matrix),
         )
 
     def column(self, j: int) -> list:
@@ -187,18 +161,15 @@ def check_jacobi(a: LieAlgebra) -> bool:
     """Verify sum over cyclic permutations of [[b_i, b_j], b_k] = 0 for all
     i < j < k, exactly."""
     n = a.dim
-    if isinstance(a.field, str):
-        # constants times C: each Jacobi sum is C^2 times the rational one
-        bmap, one = a.integer_bracket_map()[0], 1
-    else:
-        bmap, one = a.bracket_map(), _one(a.field)
+    # constants times C: each Jacobi sum is C^2 times the rational one
+    bmap = a.integer_bracket_map()[0]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 total: dict = {}
                 for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                    pq = _bracket(bmap, {p: one}, {q: one})
-                    _bracket(bmap, pq, {r: one}, total)
+                    pq = _bracket(bmap, {p: 1}, {q: 1})
+                    _bracket(bmap, pq, {r: 1}, total)
                 if any(not v == 0 for v in total.values()):
                     return False
     return True
@@ -216,23 +187,18 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
     nonzero subspace.  Recomputed on every call: library code reads the
     cached LieAlgebra.central_series() instead."""
     n = a.dim
-    zero, one = _zero(a.field), _one(a.field)
-    series = [[tuple(one if j == i else zero for j in range(n)) for i in range(n)]]
-    rational = isinstance(a.field, str)
-    if rational:
-        # integer constants on primitive integer rows: each generator is a
-        # nonzero multiple of the rational one, so every span is the same
-        bmap, zero, one = a.integer_bracket_map()[0], 0, 1
-    else:
-        bmap = a.bracket_map()
+    series = [[tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]]
+    # integer constants on primitive integer rows: each generator is a
+    # nonzero multiple of the rational one, so every span is the same
+    bmap = a.integer_bracket_map()[0]
     while True:
-        prev = [_support(fl.primitive(v) if rational else v) for v in series[-1]]
+        prev = [_support(fl.primitive(v)) for v in series[-1]]
         gens = []
         for i in range(n):
             for v in prev:
-                out = _bracket(bmap, {i: one}, v)
+                out = _bracket(bmap, {i: 1}, v)
                 if out:
-                    gens.append([out.get(k, zero) for k in range(n)])
+                    gens.append([out.get(k, 0) for k in range(n)])
         nxt = fl.span_rref(gens) if gens else []
         if len(nxt) == len(prev):
             raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
@@ -259,16 +225,12 @@ def is_automorphism(a: LieAlgebra, f: LinearMap) -> bool:
     on all basis pairs."""
     if fl.det([list(r) for r in f.matrix]) == 0:
         return False
-    if isinstance(a.field, str):
-        # F = D f and constants times C: [F b_i, F b_j] and D sum_k C c F b_k
-        # are both D^2 C times the rational sides
-        bmap = a.integer_bracket_map()[0]
-        rows, d = fl.clear_denominators(f.matrix)
-        image = {key: {k: d * c for k, c in row.items()} for key, row in bmap.items()}
-        cols = [_support(col) for col in zip(*rows)]
-    else:
-        bmap = image = a.bracket_map()
-        cols = [_support(f.column(j)) for j in range(a.dim)]
+    # F = D f and constants times C: [F b_i, F b_j] and D sum_k C c F b_k
+    # are both D^2 C times the rational sides
+    bmap = a.integer_bracket_map()[0]
+    rows, d = fl.clear_denominators(f.matrix)
+    image = {key: {k: d * c for k, c in row.items()} for key, row in bmap.items()}
+    cols = [_support(col) for col in zip(*rows)]
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
             diff = _bracket(bmap, cols[i], cols[j])
@@ -284,16 +246,13 @@ def is_automorphism(a: LieAlgebra, f: LinearMap) -> bool:
 def direct_sum(algebras: Sequence[LieAlgebra]) -> LieAlgebra:
     if not algebras:
         raise ValueError("empty direct sum")
-    key = _field_key(algebras[0].field)
-    if any(_field_key(x.field) != key for x in algebras):
-        raise FieldMismatch("direct sum needs a common base field")
     brackets = []
     offset = 0
     for alg in algebras:
         for (i, j, k, c) in alg.brackets:
             brackets.append((i + offset, j + offset, k + offset, c))
         offset += alg.dim
-    return LieAlgebra(algebras[0].field, offset, tuple(brackets))
+    return LieAlgebra(offset, tuple(brackets))
 
 
 def check_grading(a: LieAlgebra, g: Grading) -> bool:
@@ -310,8 +269,8 @@ def check_grading(a: LieAlgebra, g: Grading) -> bool:
 
 def heisenberg() -> LieAlgebra:
     """The 3-dimensional Heisenberg algebra [b1, b2] = b3 over Q."""
-    return LieAlgebra("Q", 3, ((0, 1, 2, Fraction(1)),))
+    return LieAlgebra(3, ((0, 1, 2, Fraction(1)),))
 
 
-def abelian(n: int, field: FieldRef = "Q") -> LieAlgebra:
-    return LieAlgebra(field, n, ())
+def abelian(n: int) -> LieAlgebra:
+    return LieAlgebra(n, ())

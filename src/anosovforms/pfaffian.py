@@ -29,7 +29,7 @@ from .errors import (
     SolutionMismatch,
 )
 from .exactmath import Polynomial, RationalMatrix, nullspace, rat, rat_to_str
-from .liealg import LieAlgebra, LinearMap, _zero, is_automorphism
+from .liealg import LieAlgebra, LinearMap, is_automorphism
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +267,7 @@ def j_map(a: LieAlgebra, z: list) -> SkewMap:
     n1, k = adapted_split(a)
     if len(z) != k:
         raise ValueError("center coordinates must have length k")
-    zero = _zero(a.field)
-    rows = [[zero for _ in range(n1)] for _ in range(n1)]
+    rows = [[Fraction(0)] * n1 for _ in range(n1)]
     for (i, j, t, c) in a.brackets:
         pairing = c * z[t - n1]
         rows[i][j] = rows[i][j] + pairing
@@ -392,7 +391,7 @@ def classify_type42(a: LieAlgebra) -> tuple[int, bool]:
 def nk_algebra(k: int) -> LieAlgebra:
     """The standard type-(4,2) algebra of parameter k:
     [X1,X3] = Z1, [X1,X4] = Z2, [X2,X3] = k Z2, [X2,X4] = Z1."""
-    return LieAlgebra("Q", 6, (
+    return LieAlgebra(6, (
         (0, 2, 4, Fraction(1)),
         (0, 3, 5, Fraction(1)),
         (1, 2, 5, Fraction(k)),
@@ -403,7 +402,7 @@ def nk_algebra(k: int) -> LieAlgebra:
 def hk_algebra(k: int) -> LieAlgebra:
     """The type-(4,4) dual of nk_algebra(k): [X1,X2] = Z1, [X1,X3] = Z2,
     [X1,X4] = k Z3, [X2,X3] = -Z3, [X2,X4] = -Z2, [X3,X4] = Z4."""
-    return LieAlgebra("Q", 8, (
+    return LieAlgebra(8, (
         (0, 1, 4, Fraction(1)),
         (0, 2, 5, Fraction(1)),
         (0, 3, 6, Fraction(k)),
@@ -504,7 +503,7 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
             if c != 0:
                 entries.append((i, j, n1 + t, Fraction(c)))
     # kd - width unused complement directions remain as abelian slots
-    return LieAlgebra("Q", n1 + kd, tuple(entries))
+    return LieAlgebra(n1 + kd, tuple(entries))
 
 
 def _skew_b(x, y) -> Fraction:
@@ -517,22 +516,11 @@ def _express_in(basis: list[list[Fraction]], vec: list[Fraction]) -> list[Fracti
     """Coordinates of vec in the given (independent) list, or None."""
     if not basis:
         return None
-    rows = [list(b) for b in basis]
-    m = len(rows)
-    n = len(vec)
-    aug = [[rows[t][s] for t in range(m)] + [vec[s]] for s in range(n)]
-    rr, piv = fl.rref(aug)
-    coeffs = [Fraction(0)] * m
-    for r, p in enumerate(piv):
-        if p == m:
-            return None  # inconsistent: vec not in span
-        coeffs[p] = rr[r][m]
-    # verify
-    for s in range(n):
-        acc = sum((coeffs[t] * rows[t][s] for t in range(m)), Fraction(0))
-        if acc != vec[s]:
-            return None
-    return coeffs
+    try:
+        sol = fl.solve([list(col) for col in zip(*basis)], [vec])
+    except fl.Inconsistent:
+        return None  # vec not in span
+    return [row[0] for row in sol]
 
 
 def dual_automorphism(alpha: RationalMatrix, a: LieAlgebra,

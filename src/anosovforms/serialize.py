@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .anosov import AnosovCertificate
-from .errors import MalformedInput
+from .errors import FieldMismatch, MalformedInput
 from .exactmath import Interval, Polynomial, RationalMatrix, rat, rat_to_str
 from .liealg import LieAlgebra
 from .numfield import FieldElement, GaloisDatum, verify_galois_datum
@@ -143,12 +143,8 @@ def element_from_json(datum: GaloisDatum, data) -> FieldElement:
 
 
 def algebra_to_json(a: LieAlgebra) -> dict:
-    if not isinstance(a.field, str):
-        out_field = datum_to_json(a.field)
-    else:
-        out_field = "Q"
     out = {
-        "field": out_field,
+        "field": "Q",
         "dim": a.dim,
         "brackets": [[i, j, k, rat_to_str(c)] for (i, j, k, c) in a.brackets],
     }
@@ -159,13 +155,13 @@ def algebra_to_json(a: LieAlgebra) -> dict:
 
 @_reader
 def algebra_from_json(data) -> LieAlgebra:
-    f = data["field"]
-    field = "Q" if f == "Q" else datum_from_json(f)
+    if data["field"] != "Q":
+        raise FieldMismatch('Lie algebras are over Q only: "field" must be "Q"')
     brackets = tuple(
         (_int(i), _int(j), _int(k), _rat(c)) for (i, j, k, c) in data["brackets"]
     )
     labels = tuple(data["labels"]) if "labels" in data else None
-    return LieAlgebra(field, _int(data["dim"]), brackets, labels)
+    return LieAlgebra(_int(data["dim"]), brackets, labels)
 
 
 def map_to_json(m: RationalMatrix) -> dict:

@@ -6,12 +6,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from anosovforms.catalog import sqrt2_datum
 from anosovforms.cli import CONSTRUCT_DIM_BUDGET
+from anosovforms.pfaffian import nk_algebra
 from anosovforms.serialize import (
     algebra_to_json,
     canonical_dumps,
     datum_to_json,
 )
+
+
+# the type-(4,2) algebra n_5 with a Galois datum object as its "field"
+FIELD_ALGEBRA = algebra_to_json(nk_algebra(5)) | {"field": datum_to_json(sqrt2_datum())}
 
 
 def run_cli(*args, check=True):
@@ -221,6 +227,21 @@ class TestTools:
         dual = json.loads(proc.stdout)
         assert dual == json.loads(canonical_dumps(algebra_to_json(hk_algebra(5))))
 
+    @pytest.mark.parametrize("command", ["certify", "pfaffian", "classify42", "dualize"])
+    def test_algebra_over_a_field_exit1(self, workdir, command):
+        # algebras are over Q only; certify used to accept this file
+        alg = workdir / "field_algebra.json"
+        alg.write_text(canonical_dumps(FIELD_ALGEBRA))
+        argv = [command, "--algebra", str(alg)]
+        if command == "certify":
+            mp = workdir / "field_algebra_map.json"
+            mp.write_text(canonical_dumps(
+                {"matrix": [["2" if i == j else "0" for j in range(6)] for i in range(6)]}))
+            argv += ["--map", str(mp)]
+        proc = run_cli(*argv, check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "FieldMismatch"
+
     def test_verify_field(self, workdir, sqrt2):
         field = workdir / "sqrt2.json"
         field.write_text(canonical_dumps(datum_to_json(sqrt2)))
@@ -275,7 +296,8 @@ def _documents():
 
     return {
         "field": [datum_to_json(sqrt2_datum()), datum_to_json(cyclic_cubic_datum())],
-        "algebra": [algebra_to_json(heisenberg()), algebra_to_json(abelian(2))],
+        "algebra": [algebra_to_json(heisenberg()), algebra_to_json(abelian(2)),
+                    FIELD_ALGEBRA],
         "map": [{"matrix": [["2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1"]]},
                 {"matrix": [["2", "1"], ["1", "1"]]}],
         "constraints": [[{"coeffs": [1, 0], "rel": "<1"}],

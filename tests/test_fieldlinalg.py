@@ -1,5 +1,6 @@
-"""Properties of the exact linear-algebra kernel over Q and over verified
-number fields, a high-precision mpmath oracle for det, the Galois action's
+"""Properties of the exact linear-algebra kernel over Q, on rational
+matrices and on the flat rational images of matrices over verified number
+fields, a high-precision mpmath oracle for det, the Galois action's
 matrix path against polynomial composition, the kernel's zero rule
 against the dense kernel it replaced, and the integer span_rref against
 the Fraction one it replaced."""
@@ -30,10 +31,6 @@ def _element(name, coords):
     return coords[0] if datum is None else datum.element(coords)
 
 
-def _one(name):
-    return _element(name, [F(1)] + [F(0)] * (_degree(name) - 1))
-
-
 def _zero(name):
     return _element(name, [F(0)] * _degree(name))
 
@@ -59,9 +56,21 @@ def shaped(name):
         lambda rc: matrices(name, *rc))
 
 
-def identity(name, n):
-    return [[_one(name) if i == j else _zero(name) for j in range(n)]
-            for i in range(n)]
+def identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def flat(name, m):
+    """The rational image of a matrix over the field: each entry x becomes
+    the d x d matrix of multiplication by x, so the image acts on the
+    stacked power-basis coordinates as m acts on vectors over the field.
+    Elimination sees field data only in this form."""
+    if FIELDS[name] is None:
+        return m
+    d = _degree(name)
+    blocks = [[x.multiplication_matrix() for x in row] for row in m]
+    return [[blocks[i][j][r, c] for j in range(len(m[0])) for c in range(d)]
+            for i in range(len(m)) for r in range(d)]
 
 
 def columns(m):
@@ -76,21 +85,33 @@ field_names = pytest.mark.parametrize("name", list(FIELDS))
 @given(data=st.data())
 def test_det_multiplicative(name, data):
     a, b = data.draw(square_pair(name))
-    assert fl.det(fl.mat_mul(a, b)) == fl.det(a) * fl.det(b)
+    ab = flat(name, fl.mat_mul(a, b))
+    a, b = flat(name, a), flat(name, b)
+    assert ab == fl.mat_mul(a, b)
+    assert fl.det(ab) == fl.det(a) * fl.det(b)
 
 
 @field_names
 @PROPS
 @given(data=st.data())
 def test_inverse_and_solve(name, data):
-    a, b = data.draw(square_pair(name))
+    a, b = (flat(name, x) for x in data.draw(square_pair(name)))
     n = len(a)
     if fl.det(a) == 0:
         with pytest.raises(ZeroDivisionError, match="singular matrix"):
             fl.solve(a, columns(b))
         return
-    assert fl.mat_mul(a, fl.solve(a, columns(identity(name, n)))) == identity(name, n)
-    assert fl.mat_mul(a, fl.solve(a, columns(b))) == b
+    assert fl.mat_mul(a, fl.solve(a, columns(identity(n)))) == identity(n)
+    x = fl.solve(a, columns(b))
+    assert fl.mat_mul(a, x) == b
+    # a tall system: one more equation, the sum of the others
+    tall = a + [[sum(col) for col in zip(*a)]]
+    rhs = b + [[sum(col) for col in zip(*b)]]
+    assert fl.solve(tall, columns(rhs)) == x
+    rhs[-1][-1] += 1
+    with pytest.raises(fl.Inconsistent) as e:
+        fl.solve(tall, columns(rhs))
+    assert e.value.column == len(b[0]) - 1
 
 
 @field_names
@@ -101,6 +122,7 @@ def test_singular_solve_raises(name, data):
     # the last row repeats a multiple of the first: rank < n
     c = a[0][0]
     singular = a[:-1] + [[c * x for x in a[0]]] if len(a) > 1 else [[_zero(name)]]
+    singular, b = flat(name, singular), flat(name, b)
     with pytest.raises(ZeroDivisionError, match="singular matrix"):
         fl.solve(singular, columns(b))
     assert fl.det(singular) == 0
@@ -110,18 +132,20 @@ def test_singular_solve_raises(name, data):
 @PROPS
 @given(data=st.data())
 def test_rank_nullity_and_idempotent_rref(name, data):
-    m = data.draw(shaped(name))
+    m = flat(name, data.draw(shaped(name)))
     r, pivots = fl.rref(m)
     assert fl.rref(r) == (r, pivots)
     ncols = len(m[0])
     free = [c for c in range(ncols) if c not in pivots]
     for f in free:
-        v = [_zero(name)] * ncols
-        v[f] = _one(name)
+        v = [F(0)] * ncols
+        v[f] = F(1)
         for i, p in enumerate(pivots):
             v[p] = -r[i][f]
         assert all(x == 0 for x in fl.mat_vec(m, v))
     assert fl.rank(m) + len(free) == ncols
+    # the row space of an image is a space over the field: Q-rank d * rank
+    assert fl.rank(m) % _degree(name) == 0
 
 
 @PROPS
@@ -144,15 +168,15 @@ def test_rational_matrix_delegates(data):
 
 
 def _embeddings(name):
-    """Each real root r of the minimal polynomial gives the ring
-    homomorphism x -> x(r) into mpmath reals."""
+    """Each root r of the minimal polynomial gives the ring homomorphism
+    x -> x(r) into mpmath numbers."""
     datum = FIELDS[name]
     if datum is None:
         return [lambda x: mpmath.mpf(x.numerator) / x.denominator]
     coeffs = [int(c) for c in reversed(datum.min_poly.coeffs)]
     roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
     return [
-        (lambda x, r=mpmath.re(r): mpmath.fsum(
+        (lambda x, r=r: mpmath.fsum(
             mpmath.mpf(c.numerator) / c.denominator * r ** i
             for i, c in enumerate(x.coeffs)))
         for r in roots
@@ -173,13 +197,16 @@ def _leibniz_det(rows):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_det_against_mpmath(name, data):
+    # the det of the rational image is the norm of the det over the field:
+    # the product of its images under all embeddings
     n = data.draw(st.integers(1, 4))
     m = data.draw(matrices(name, n, n))
-    exact = fl.det(m)
+    exact = fl.det(flat(name, m))
     with mpmath.workdps(60):
-        for embed in _embeddings(name):
-            approx = _leibniz_det([[embed(x) for x in row] for row in m])
-            assert abs(approx - embed(exact)) <= mpmath.mpf(10) ** -40 * (1 + abs(approx))
+        approx = mpmath.fprod(_leibniz_det([[embed(x) for x in row] for row in m])
+                              for embed in _embeddings(name))
+        exact = mpmath.mpf(exact.numerator) / exact.denominator
+        assert abs(approx - exact) <= mpmath.mpf(10) ** -40 * (1 + abs(approx))
 
 
 def _compose_reference(datum, index, x):
@@ -223,6 +250,15 @@ def _dense_mat_mul(a, b):
     return [_dense_mat_vec(cols, row) for row in a]
 
 
+def _inv(x):
+    """The pivot inverse of the dense loops, over Q or a number field."""
+    if isinstance(x, F):
+        return 1 / x
+    if isinstance(x, int):
+        return F(1, x)
+    return x.inverse()
+
+
 def _dense_rref(rows):
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0])
@@ -233,7 +269,7 @@ def _dense_rref(rows):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = fl._inv(m[r][c])
+        inv = _inv(m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and not m[i][c] == 0:
@@ -258,7 +294,7 @@ def _dense_det(rows):
             m[c], m[piv] = m[piv], m[c]
             m[c] = [-x for x in m[c]]
         d = m[c][c] if d is None else d * m[c][c]
-        inv = fl._inv(m[c][c])
+        inv = _inv(m[c][c])
         for r in range(c + 1, n):
             if not m[r][c] == 0:
                 f = m[r][c] * inv
@@ -313,10 +349,12 @@ def test_zero_rule_matches_dense_kernel(name, data):
     assert repr(fl.mat_mul(a, b)) == repr(_dense_mat_mul(a, b))
     v = [row[0] for row in b]
     assert repr(fl.mat_vec(a, v)) == repr(_dense_mat_vec(a, v))
+    # elimination sees the rational images only
     for m in (a, b):
+        m = flat(name, m)
         assert repr(fl.rref(m)) == repr(_dense_rref(m))
     n = min(len(a), len(a[0]))
-    square = [row[:n] for row in a[:n]]
+    square = flat(name, [row[:n] for row in a[:n]])
     assert repr(fl.det(square)) == repr(_dense_det(square))
 
 
@@ -450,15 +488,6 @@ def test_clear_denominators(rows):
         assert fl.span_rref([p]) == fl.span_rref([v])
 
 
-@pytest.mark.parametrize("name", ["sqrt2", "quartic"])
-@PROPS
-@given(data=st.data())
-def test_field_rows_take_rref(name, data):
-    m = data.draw(shaped(name))
-    r, pivots = fl.rref(m)
-    assert fl.span_rref(m) == [tuple(r[i]) for i in range(len(pivots))]
-
-
 ints = st.integers(-4, 4)
 
 
@@ -569,11 +598,3 @@ def test_bareiss_det_matches_fraction_elimination(rows):
     assert repr(out) == repr(ref_det(rows))
     assert repr(RationalMatrix(rows).det()) == repr(out)
 
-
-def test_bareiss_leaves_field_rows_to_the_generic_loop():
-    datum = FIELDS["sqrt2"]
-    a = [[datum.element([1, 1]), datum.element([0, 1])],
-         [datum.element([2]), datum.element([1, -1])]]
-    out = fl.det(a)
-    assert out == a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    assert not isinstance(out, F)

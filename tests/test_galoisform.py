@@ -3,10 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from anosovforms import _fieldlinalg as fl
+from anosovforms import recipes
+from anosovforms.catalog import cubic_pisot_unit, cyclic_cubic_datum
 from anosovforms.errors import (
     CommutationViolation,
     DimensionMismatch,
     ExtensionInconsistent,
+    IrrationalEntry,
+    IrrationalStructureConstant,
     LabelMismatch,
     NonUnitLabel,
     NotHomomorphism,
@@ -14,8 +19,11 @@ from anosovforms.errors import (
 from anosovforms.exactmath import RationalMatrix
 from anosovforms.galoisform import (
     LabeledAlgebra,
+    RationalFormBasis,
     Representation,
+    _satisfies_defining_relation,
     automorphism_matrix,
+    conjugate_map,
     build_labeled_algebra,
     extend_representation,
     group_generators,
@@ -28,8 +36,15 @@ from anosovforms.galoisform import (
     transport,
     verify_representation,
 )
-from anosovforms.liealg import LieAlgebra, LinearMap, heisenberg, is_automorphism
+from anosovforms.liealg import (
+    LieAlgebra,
+    LinearMap,
+    heisenberg,
+    is_automorphism,
+    require_jacobi,
+)
 from anosovforms.numfield import apply_automorphism
+from test_fieldlinalg import _dense_det, _dense_rref
 
 
 def trivial_rep(datum, m):
@@ -300,7 +315,7 @@ class TestLabeledAlgebra:
         lam = sqrt2.element([1, 1])
         conj = apply_automorphism(sqrt2, 1, lam)
         la = LabeledAlgebra(
-            LieAlgebra("Q", 2, ()), (lam, conj), generators=(0, 1)
+            LieAlgebra(2, ()), (lam, conj), generators=(0, 1)
         )
         assert labels_charpoly(la) == RationalMatrix([[1, 2], [1, 1]]).charpoly()
 
@@ -341,14 +356,14 @@ class TestExtendRepresentation:
 class TestMain2:
     def test_nonunit_label(self, sqrt2):
         s = sqrt2.element([0, 1])  # norm -2, not a unit
-        la = LabeledAlgebra(LieAlgebra("Q", 2, ()), (s, -s), generators=(0, 1))
+        la = LabeledAlgebra(LieAlgebra(2, ()), (s, -s), generators=(0, 1))
         rho = regular_rep(sqrt2)
         with pytest.raises(NonUnitLabel):
             main2_construct(la, rho)
 
     def test_unit_labels_equal_one_construct_but_not_hyperbolic(self, sqrt2):
         one = sqrt2.one()
-        la = LabeledAlgebra(LieAlgebra("Q", 2, ()), (one, one), generators=(0, 1))
+        la = LabeledAlgebra(LieAlgebra(2, ()), (one, one), generators=(0, 1))
         rho = trivial_rep(sqrt2, 2)
         algebra, matrix, _ = main2_construct(la, rho)
         from anosovforms.anosov import certify
@@ -398,11 +413,11 @@ class TestMain2:
         # labels (1, 1), not for (lambda, sigma(lambda))
         rho = trivial_rep(sqrt2, 2)
         one = sqrt2.one()
-        main2_construct(LabeledAlgebra(LieAlgebra("Q", 2, ()), (one, one), (0, 1)), rho)
+        main2_construct(LabeledAlgebra(LieAlgebra(2, ()), (one, one), (0, 1)), rho)
         lam = sqrt2.element([1, 1])
         conj = apply_automorphism(sqrt2, 1, lam)
         with pytest.raises(LabelMismatch):
-            main2_construct(LabeledAlgebra(LieAlgebra("Q", 2, ()), (lam, conj), (0, 1)), rho)
+            main2_construct(LabeledAlgebra(LieAlgebra(2, ()), (lam, conj), (0, 1)), rho)
 
 
 def test_group_generators(sqrt2, biquad52, quartic):
@@ -415,3 +430,206 @@ def test_group_generators(sqrt2, biquad52, quartic):
 def test_automorphism_matrix(sqrt2):
     m = automorphism_matrix(sqrt2, 1)
     assert m == RationalMatrix([[1, 0], [0, -1]])
+
+
+class TestDescentRejects:
+    def test_irrational_structure_constant(self, sqrt2):
+        # [v1, v2] = -2 sqrt2 b_1 has coordinates sqrt2 * (1, 0) in the
+        # form (1, 1), (sqrt2, -sqrt2)
+        basis = rational_form(regular_rep(sqrt2))
+        with pytest.raises(IrrationalStructureConstant, match=r"bracket \[0,1\]"):
+            structure_constants_on_form(basis, LieAlgebra(2, ((0, 1, 1, 1),)))
+
+    def test_dependent_fixed_vectors(self, sqrt2):
+        rho = regular_rep(sqrt2)
+        v = (sqrt2.one(), sqrt2.one())
+        assert _satisfies_defining_relation(rho, v)
+        with pytest.raises(DimensionMismatch, match="not linearly independent"):
+            rational_form_from_vectors(rho, [v, tuple(2 * x for x in v)])
+
+    def test_irrational_entry_on_a_basis_built_directly(self, sqrt2):
+        # (1, 0), (0, sqrt2) is no rational form of the trivial action, so
+        # a rational f that commutes with it still has an irrational matrix
+        one, zero, s = sqrt2.one(), sqrt2.zero(), sqrt2.element([0, 1])
+        basis = RationalFormBasis(trivial_rep(sqrt2, 2), ((one, zero), (zero, s)))
+        f = ((one, one), (zero, one))
+        with pytest.raises(IrrationalEntry, match="column 1"):
+            transport(basis, f)
+        assert _outcome(frozen_transport, basis, f) is IrrationalEntry
+
+
+# ---------------------------------------------------------------------------
+# the flat rational descent against the E-path it replaced
+# ---------------------------------------------------------------------------
+
+
+def _frozen_solve(a, rhs_cols):
+    """fl.solve as it ran on field elements: Gauss-Jordan on [a | B]."""
+    n = len(a)
+    m, pivots = _dense_rref([list(a[i]) + [col[i] for col in rhs_cols] for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in m]
+
+
+def frozen_rational_form_from_vectors(rho, vectors):
+    if not rho.verified:
+        raise NotHomomorphism("requires a verified representation")
+    m = rho.size
+    if len(vectors) != m or any(len(v) != m for v in vectors):
+        raise DimensionMismatch("need m vectors of length m")
+    vecs = tuple(tuple(v) for v in vectors)
+    for v in vecs:
+        if not _satisfies_defining_relation(rho, v):
+            raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
+    basis = RationalFormBasis(rho, vecs)
+    if _dense_det(basis.basis_matrix()) == 0:
+        raise DimensionMismatch("vectors are not linearly independent over E")
+    return basis
+
+
+def frozen_structure_constants_on_form(basis, algebra=None):
+    rho = basis.representation
+    alg = algebra if algebra is not None else rho.algebra
+    if alg is None:
+        raise DimensionMismatch("no algebra attached to the representation")
+    m = basis.size
+    bmat = basis.basis_matrix()
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    rhs = [alg.bracket(list(basis.vectors[i]), list(basis.vectors[j])) for i, j in pairs]
+    coords = _frozen_solve(bmat, rhs) if pairs else []
+    entries = []
+    for col, (i, j) in enumerate(pairs):
+        for k in range(m):
+            x = coords[k][col]
+            if x.is_zero:
+                continue
+            if not x.is_rational:
+                raise IrrationalStructureConstant(
+                    f"bracket [{i},{j}] has an irrational coordinate on slot {k}")
+            entries.append((i, j, k, x.rational_value()))
+    return require_jacobi(LieAlgebra(m, tuple(entries)))
+
+
+def frozen_transport(basis, f):
+    rho = basis.representation
+    datum = rho.datum
+    m = basis.size
+    if len(f) != m or any(len(row) != m for row in f):
+        raise DimensionMismatch("map size must match the form")
+    flist = [list(row) for row in f]
+    for s in range(datum.degree):
+        lhs = conjugate_map(datum, s, f)
+        rs = [list(r) for r in rho.images[s].entries]
+        rsi = [list(r) for r in rho.images[datum.inverse_index(s)].entries]
+        rhs = fl.mat_mul(fl.mat_mul(rs, flist), rsi)
+        for i in range(m):
+            for j in range(m):
+                if not lhs[i][j] == rhs[i][j]:
+                    raise CommutationViolation(
+                        f"f^sigma != rho f rho^-1 for group element {s}")
+    bmat = basis.basis_matrix()
+    fb = fl.mat_mul(flist, bmat)
+    cols = [[fb[i][j] for i in range(m)] for j in range(m)]
+    sol = _frozen_solve(bmat, cols)
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            x = sol[i][j]
+            if not x.is_rational:
+                raise IrrationalEntry(f"transported entry ({i},{j}) is irrational")
+            row.append(x.rational_value())
+        out.append(row)
+    return RationalMatrix(out)
+
+
+def _outcome(fn, *args):
+    """repr of an accept, the error type of a reject."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:  # noqa: BLE001 - the type is the verdict
+        return type(e)
+
+
+def assert_same_descent(basis, algebras=(), maps=()):
+    """New and frozen code agree on the basis vectors, on a dependent and
+    a non-fixed variant of them, and on the given algebras and maps."""
+    rho, vecs = basis.representation, basis.vectors
+    theta = rho.datum.generator()
+    variants = [vecs, (vecs[0], tuple(3 * x for x in vecs[0])) + vecs[2:],
+                (tuple(theta * x for x in vecs[0]),) + vecs[1:]]
+    if len(vecs) > 2:
+        variants.append(vecs[:2] + (tuple(a - b for a, b in zip(vecs[0], vecs[1])),) + vecs[3:])
+    for v in variants:
+        out = _outcome(rational_form_from_vectors, rho, v)
+        assert out == _outcome(frozen_rational_form_from_vectors, rho, v)
+        assert (v is vecs) == isinstance(out, str)
+    for alg in algebras:
+        assert _outcome(structure_constants_on_form, basis, alg) == \
+            _outcome(frozen_structure_constants_on_form, basis, alg)
+    for f in maps:
+        assert _outcome(transport, basis, f) == _outcome(frozen_transport, basis, f)
+
+
+def _with_rational_matrix(basis, mat):
+    """f = B M B^-1 over the field: the map whose matrix on the form is M."""
+    bmat = basis.basis_matrix()
+    m = len(bmat)
+    binv = _frozen_solve(bmat, [[F(int(i == j)) for i in range(m)] for j in range(m)])
+    return tuple(map(tuple, fl.mat_mul(fl.mat_mul(bmat, [list(r) for r in mat.entries]), binv)))
+
+
+class TestFrozenDescent:
+    @pytest.mark.parametrize("group", ["z2", "klein", "z4"])
+    def test_random_conjugated_representations(self, group, sqrt2, biquad52, quartic):
+        datum = {"z2": sqrt2, "klein": biquad52, "z4": quartic}[group]
+        rng = random.Random(2024 + len(group))
+        theta = datum.generator()
+        for _ in range(4):
+            rep = regular_rep(datum)
+            extra = rng.randint(0, max(0, 6 - rep.size))
+            if extra:
+                rep = block_sum(rep, trivial_rep(datum, extra))
+            rep = conjugated(rep, random_invertible(rng, rep.size))
+            basis = rational_form(rep)
+            m = basis.size
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            algebras = [LieAlgebra(m, ()), heisenberg_on(m),
+                        LieAlgebra(m, tuple((i, j, rng.randrange(m), F(rng.randint(1, 3), 2))
+                                            for i, j in rng.sample(pairs, min(2, len(pairs)))))]
+            mat = random_invertible(rng, m)
+            f = _with_rational_matrix(basis, mat)
+            moved = tuple(tuple(x + 1 if (i, j) == (0, 0) else x for j, x in enumerate(row))
+                          for i, row in enumerate(f))
+            scaled = tuple(tuple(theta * x for x in row) for row in f)
+            assert transport(basis, f) == mat
+            assert_same_descent(basis, algebras, [f, moved, scaled])
+
+    @pytest.mark.parametrize("recipe", ["z4", "last4"])
+    def test_recipe_pipelines(self, recipe, monkeypatch):
+        seen = []
+        real = recipes.main2_construct
+
+        def spy(la, rho, explicit_basis=None):
+            seen.append((la, rho, explicit_basis))
+            return real(la, rho, explicit_basis)
+
+        monkeypatch.setattr(recipes, "main2_construct", spy)
+        if recipe == "z4":
+            recipes.recipe_z4_example()
+        else:
+            datum = cyclic_cubic_datum()
+            recipes.recipe_last(datum, cubic_pisot_unit(datum), 4)
+        ((la, rho, explicit),) = seen
+        basis = (rational_form_from_vectors(rho, explicit) if explicit is not None
+                 else rational_form(rho))
+        zero = la.datum.zero()
+        f = tuple(tuple(la.labels[i] if i == j else zero for j in range(la.dim))
+                  for i in range(la.dim))
+        assert_same_descent(basis, [la.algebra, heisenberg_on(la.dim)], [f, f[::-1]])
+
+
+def heisenberg_on(n):
+    """[b_0, b_1] = b_(n-1): usually not preserved by a representation."""
+    return LieAlgebra(n, ((0, 1, n - 1, 1),))

@@ -91,7 +91,7 @@ class TestJMap:
             j_map(abelian(4), [F(1)])  # abelian center part is empty
 
     def test_three_step_rejected(self):
-        f4 = LieAlgebra("Q", 4, ((0, 1, 2, F(1)), (0, 2, 3, F(1))))
+        f4 = LieAlgebra(4, ((0, 1, 2, F(1)), (0, 2, 3, F(1))))
         with pytest.raises(NotTwoStep):
             j_map(f4, [F(1), F(1)])
 
@@ -157,7 +157,7 @@ class TestPfaffianForm:
                 squarefree_part_of_rational(F(4 * k))
 
     def test_heisenberg_padded_rejected(self):
-        padded = LieAlgebra("Q", 4, ((0, 1, 3, F(1)),))
+        padded = LieAlgebra(4, ((0, 1, 3, F(1)),))
         with pytest.raises((NotTwoStep, Exception)):
             binary_form_of(padded)  # type (2,1)-ish, not (4,2)
 
@@ -198,11 +198,11 @@ class TestClassify:
                     for r, c in enumerate(zz):
                         if c != 0:
                             new_brackets.append((p, q, 4 + r, c))
-            changed = LieAlgebra("Q", 6, tuple(new_brackets))
+            changed = LieAlgebra(6, tuple(new_brackets))
             assert classify_type42(changed)[0] == 5
 
     def test_degenerate(self):
-        degen = LieAlgebra("Q", 6, ((0, 1, 4, F(1)),))
+        degen = LieAlgebra(6, ((0, 1, 4, F(1)),))
         with pytest.raises((DegeneratePfaffian, Exception)):
             classify_type42(degen)
 
@@ -316,13 +316,13 @@ class TestScheuneman:
                 nk_algebra(k).brackets
 
     def test_free_two_step_dual_is_abelian(self):
-        free3 = LieAlgebra("Q", 6, ((0, 1, 3, F(1)), (0, 2, 4, F(1)),
+        free3 = LieAlgebra(6, ((0, 1, 3, F(1)), (0, 2, 4, F(1)),
                                     (1, 2, 5, F(1))))
         d = scheuneman_dual(free3)
         assert d.dim == 3 and d.brackets == ()
 
     def test_abelian_dual_is_free_two_step(self):
-        free3 = LieAlgebra("Q", 6, ((0, 1, 3, F(1)), (0, 2, 4, F(1)),
+        free3 = LieAlgebra(6, ((0, 1, 3, F(1)), (0, 2, 4, F(1)),
                                     (1, 2, 5, F(1))))
         d = scheuneman_dual(abelian(3))
         assert d.dim == 6 and d.brackets == free3.brackets

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+from anosovforms.errors import FieldMismatch
+from anosovforms.liealg import heisenberg
 from anosovforms.recipes import recipe_z4_example
 from anosovforms.serialize import (
     algebra_from_json,
@@ -44,6 +48,15 @@ def test_algebra_round_trip():
     back = algebra_from_json(data)
     assert back.brackets == out.algebra.brackets
     assert back.dim == out.algebra.dim
+
+
+@pytest.mark.parametrize("field", ["sqrt2", "q", 3])
+def test_algebra_field_must_be_q(field, sqrt2):
+    data = algebra_to_json(heisenberg())
+    assert data["field"] == "Q"
+    data["field"] = datum_to_json(sqrt2) if field == "sqrt2" else field
+    with pytest.raises(FieldMismatch):
+        algebra_from_json(data)
 
 
 def test_matrix_round_trip():

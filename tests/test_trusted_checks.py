@@ -33,7 +33,7 @@ def test_winding_parity():
 
 def _trivial_pair(sqrt2):
     one = sqrt2.one()
-    la = LabeledAlgebra(LieAlgebra("Q", 2, ()), (one, one), generators=(0, 1))
+    la = LabeledAlgebra(LieAlgebra(2, ()), (one, one), generators=(0, 1))
     ident = RationalMatrix.identity(2)
     return la, Representation(sqrt2, (ident, ident), la.algebra)
 
@@ -58,7 +58,7 @@ from anosovforms.liealg import LieAlgebra
 
 datum = sqrt2_datum()
 one = datum.one()
-la = LabeledAlgebra(LieAlgebra("Q", 2, ()), (one, one), (0, 1))
+la = LabeledAlgebra(LieAlgebra(2, ()), (one, one), (0, 1))
 ident = RationalMatrix.identity(2)
 rho = Representation(datum, (ident, ident), la.algebra)
 galoisform.transport = lambda basis, f: ident * 2
