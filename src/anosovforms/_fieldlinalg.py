@@ -1,12 +1,12 @@
 """The exact linear-algebra kernel over Q.
 
 Matrices are plain nested lists (or tuples) of int or Fraction entries.
-Elimination (rref, det, solve, rank, span_rref) takes rational rows only:
-every solve of the Galois descent runs on the power-basis coordinates of
-its vectors, which are rational.  Only the products mat_vec and mat_mul
-also take vectors over a number field, whose entries support +, - and *
-and are false exactly when zero, since transport forms rho F and F B with
-field entries.  rref is the one Gauss-Jordan loop with Fraction pivots,
+Elimination (rref, det, solve, rank, span_rref) takes rational rows only,
+and every solve and product of the Galois descent runs on the cleared
+power-basis coordinates of its vectors.  mat_vec still takes vectors over
+a number field (entries with +, - and *, false exactly when zero) for one
+caller, the test oracle _satisfies_defining_relation, which applies rho
+to field vectors.  rref is the one Gauss-Jordan loop with Fraction pivots,
 and RationalMatrix's rref and nullspace go through it.  Exact arithmetic
 needs no pivoting heuristic: the first nonzero entry of a column is the
 pivot.

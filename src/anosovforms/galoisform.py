@@ -10,12 +10,12 @@ the form is a subalgebra, and any E-automorphism commuting with the action
 in the twisted sense transports to a rational matrix on the form.  That
 transported matrix is where the Anosov certificates downstream come from.
 
-Every elimination of the descent runs over Q, on the m*d power-basis
-coordinates of vectors in E^m (coordinate t of component k at k*d + t):
-the defining relation is a rational system on them, the form basis is
-kept as the md x m rational matrix P whose column j flattens vector j,
+Every elimination and product of the descent runs over Q, on the m*d
+power-basis coordinates of vectors in E^m (coordinate t of component k
+at k*d + t), cleared to ints: the defining relation is a system on them,
+the form basis is the md x m matrix P whose column j flattens vector j,
 and structure constants and transported maps are read off one solve of
-the tall system P X = W, W the flattened brackets or F B.
+P X = W, W the brackets (restriction of scalars of L (x) E) or F B.
 """
 
 from __future__ import annotations
@@ -39,17 +39,17 @@ from .errors import (
     NotHomomorphism,
 )
 from .exactmath import Polynomial, RationalMatrix, nullspace
-from .liealg import LieAlgebra, LinearMap, is_automorphism, require_jacobi
+from .liealg import LieAlgebra, LinearMap, _bracket, _support, is_automorphism, require_jacobi
 from .numfield import (
     FieldElement,
     GaloisDatum,
+    _require_verified,
     apply_automorphism,
     automorphism_matrix,
     is_algebraic_unit,
 )
 
 EVector = tuple[FieldElement, ...]
-EMatrix = tuple[tuple[FieldElement, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +159,22 @@ class RationalFormBasis:
         m = self.size
         return [[self.vectors[j][i] for j in range(m)] for i in range(m)]
 
-    def flat_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """P, md x m over Q: column j holds the power-basis coordinates of
-        vector j (computed once per basis)."""
-        cached = getattr(self, "_flat", None)
-        if cached is None:
-            cached = tuple(zip(*(_flatten(v) for v in self.vectors)))
-            object.__setattr__(self, "_flat", cached)
-        return cached
+    def flat_matrix(self) -> tuple[list[tuple[int, ...]], int]:
+        """(P, D), P / D md x m over Q: column j holds the power-basis
+        coordinates of vector j (cleared once per basis)."""
+        if not hasattr(self, "_flat"):
+            _set_flat(self, [_flatten(v) for v in self.vectors])
+        return self._flat
+
+
+def _set_flat(basis: RationalFormBasis, flat_vectors: list[list[Fraction]]) -> None:
+    ints, den = fl.clear_denominators(flat_vectors)
+    object.__setattr__(basis, "_flat", (list(zip(*ints)), den))
 
 
 def _flatten(v: Sequence[FieldElement]) -> list[Fraction]:
     """The m*d power-basis coordinates of a vector in E^m."""
     return [c for x in v for c in x.coeffs]
-
-
-def _satisfies_defining_relation(rho: Representation, v: EVector) -> bool:
-    datum = rho.datum
-    for s in range(datum.degree):
-        lhs = rho.images[s].apply(list(v))
-        rhs = right_action(datum, s, v)
-        if any(not a == b for a, b in zip(lhs, rhs)):
-            return False
-    return True
 
 
 def _relation_rows(rho: Representation, elements: Iterable[int]) -> list[list[Fraction]]:
@@ -214,9 +207,12 @@ def rational_form(rho: Representation) -> RationalFormBasis:
     """Solve rho_sigma(v) = v^sigma as a Q-linear system on the m*d
     coordinates of v in E^m.
 
-    The conditions are imposed for a generating set only, then re-verified
-    for the whole group.  The solution space must have dimension exactly m;
-    anything else means the representation is invalid.
+    The conditions are imposed for a generating set only; rho is a
+    rational homomorphism, so rho_{sigma tau} v = rho_sigma(v^tau) =
+    (rho_sigma v)^tau = v^{sigma tau} extends them to the group.  The
+    solution space must have dimension exactly m; anything else means the
+    representation is invalid.  A nullspace basis is Q-independent, hence
+    E-independent (see rational_form_from_vectors): nothing is re-checked.
     """
     if not rho.verified:
         raise NotHomomorphism("rational_form requires a verified representation")
@@ -225,14 +221,11 @@ def rational_form(rho: Representation) -> RationalFormBasis:
     rows = _relation_rows(rho, group_generators(datum) or [datum.identity_index])
     basis_flat = nullspace(RationalMatrix(rows)) if rows else []
     if len(basis_flat) != m:
-        raise DimensionMismatch(
-            f"fixed space has dimension {len(basis_flat)}, expected {m}"
-        )
-    vectors = tuple(
-        tuple(datum.element(flat[j * d:(j + 1) * d]) for j in range(m))
-        for flat in basis_flat
-    )
-    return rational_form_from_vectors(rho, vectors)
+        raise DimensionMismatch(f"fixed space has dimension {len(basis_flat)}, expected {m}")
+    basis = RationalFormBasis(rho, tuple(
+        tuple(datum.element(flat[j * d:(j + 1) * d]) for j in range(m)) for flat in basis_flat))
+    _set_flat(basis, basis_flat)
+    return basis
 
 
 def rational_form_from_vectors(rho: Representation,
@@ -262,15 +255,27 @@ def rational_form_from_vectors(rho: Representation,
            for v in vecs for x in v):
         raise DatumMismatch("vector component from a different field")
     basis = RationalFormBasis(rho, vecs)
-    flat, _ = fl.clear_denominators([_flatten(v) for v in vecs])
+    flat = basis.flat_matrix()[0]
     rows, _ = fl.clear_denominators(_relation_rows(rho, range(datum.degree)))
-    for row in rows:
-        terms = [(k, x) for k, x in enumerate(row) if x]
-        if any(sum(x * v[k] for k, x in terms) for v in flat):
-            raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
+    if any(any(row) for row in fl.mat_mul(rows, flat)):
+        raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
     if fl.rank(flat) != m:
         raise DimensionMismatch("vectors are not linearly independent over E")
     return basis
+
+
+def restricted_bracket_map(alg: LieAlgebra, datum: GaloisDatum) -> tuple[dict, int]:
+    """(Integer bracket map, scale C D_T) of L (x) E viewed over Q, on the md
+    flat coordinates: [b_a theta^s, b_b theta^t] = sum_k c_ab^k theta^s
+    theta^t b_k, so key (a*d + s, b*d + t) maps k*d + u to C c_ab^k
+    T[s*d + t][u], C from integer_bracket_map and T / D_T the products
+    theta^s theta^t off theta^s's cleared multiplication rows."""
+    (bmap, c), d = alg.integer_bracket_map(), datum.degree
+    tensor, dt = fl.clear_denominators([col for s in range(d) for col in zip(
+        *datum.element([0] * s + [1])._scaled_multiplication_rows()[0])])
+    return ({(a * d + s, b * d + t): {k * d + u: x * y for k, x in row.items()
+                                     for u, y in enumerate(tensor[s * d + t]) if y}
+             for (a, b), row in bmap.items() for s in range(d) for t in range(d)}, c * dt)
 
 
 def structure_constants_on_form(basis: RationalFormBasis,
@@ -280,79 +285,92 @@ def structure_constants_on_form(basis: RationalFormBasis,
 
     Over E the coordinates of a bracket are unique, and they are rational
     exactly when its flattened column lies in the Q-span of P's columns,
-    so one solve over Q gives them or names the first irrational bracket.
+    so one solve over Q gives them or names the first irrational bracket;
+    restricted_bracket_map on P's integer columns gives S D^2 W.
     """
     rho = basis.representation
     alg = algebra if algebra is not None else rho.algebra
     if alg is None:
         raise DimensionMismatch("no algebra attached to the representation")
     m = basis.size
+    if alg.dim != m:
+        raise DimensionMismatch("algebra dimension must match the form")
+    flat, den = basis.flat_matrix()
+    bmap, scale = restricted_bracket_map(alg, rho.datum)
+    cols = [_support(col) for col in zip(*flat)]
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rhs = [_flatten(alg.bracket(list(basis.vectors[i]), list(basis.vectors[j])))
-           for i, j in pairs]
+    brackets = (_bracket(bmap, cols[i], cols[j]) for i, j in pairs)
+    rhs = [[w.get(r, 0) for r in range(len(flat))] for w in brackets]
     try:
-        coords = fl.solve(basis.flat_matrix(), rhs) if pairs else []
+        coords = fl.solve(flat, rhs) if pairs else []
     except fl.Inconsistent as e:
         i, j = pairs[e.column]
         raise IrrationalStructureConstant(
             f"bracket [{i},{j}] has an irrational coordinate") from None
-    entries = []
-    for col, (i, j) in enumerate(pairs):
-        for k in range(m):
-            x = coords[k][col]
-            if x:
-                entries.append((i, j, k, x))
-    out = LieAlgebra(m, tuple(entries))
-    return require_jacobi(out)
+    entries = [(i, j, k, Fraction(coords[k][col]) / (scale * den))
+               for col, (i, j) in enumerate(pairs) for k in range(m) if coords[k][col]]
+    return require_jacobi(LieAlgebra(m, tuple(entries)))
 
 
-def conjugate_map(datum: GaloisDatum, sigma_index: int, mat: EMatrix) -> EMatrix:
-    """f^sigma: apply sigma^{-1} entrywise to the matrix of f."""
-    inv = datum.inverse_index(sigma_index)
-    return tuple(
-        tuple(apply_automorphism(datum, inv, x) for x in row) for row in mat
-    )
-
-
-def transport(basis: RationalFormBasis, f: EMatrix) -> RationalMatrix:
-    """Rational matrix of f in the rational-form basis.
+def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix:
+    """Rational matrix of f in the rational-form basis; int and Fraction
+    entries of f are read as elements of the datum's field.
 
     First certifies the commutation relation f^sigma =
     rho_sigma f rho_{sigma^{-1}} for every group element, then solves
-    B M = F B as the flat rational system P M = W, W the flattened F B.
+    B M = F B as P M = W, both on ints.  With f's nonzero entries cleared
+    to d-vectors over D_F, the relation reads D_R D_R' A f_ij = D_A (R f
+    R')_ij, A / D_A the matrix of sigma^{-1} and R / D_R, R' / D_R' the
+    images of sigma and sigma^{-1} (a basis built directly may carry an
+    unverified rho), and (D P) M = M_F (D P) / D_F, M_F's (i, k) block the
+    multiplication matrix of D_F f_ik.
 
     Once the commutation check passes, IrrationalEntry cannot fire for a
     basis from rational_form_from_vectors: for a fixed v, (f v)^sigma =
-    f^sigma v^sigma = rho_sigma f v, so f maps the fixed space V into
-    itself, and the basis spans V over Q (dim_Q V = m by descent), so
-    every column of F B has rational coordinates.  The check stays because
-    it costs nothing beyond the solve, and a RationalFormBasis built
-    directly skips from_vectors' checks.
+    f^sigma v^sigma = rho_sigma f v, so f maps the fixed space V, which
+    the basis spans over Q, into itself.  The check costs nothing beyond
+    the solve and guards a RationalFormBasis built directly.
     """
     rho = basis.representation
     datum = rho.datum
-    m = basis.size
+    m, d = basis.size, datum.degree
     if len(f) != m or any(len(row) != m for row in f):
         raise DimensionMismatch("map size must match the form")
-    flist = [list(row) for row in f]
-    for s in range(datum.degree):
-        lhs = conjugate_map(datum, s, f)
-        rs = [list(r) for r in rho.images[s].entries]
-        rsi = [list(r) for r in rho.images[datum.inverse_index(s)].entries]
-        rhs = fl.mat_mul(fl.mat_mul(rs, flist), rsi)
-        for i in range(m):
-            for j in range(m):
-                if not lhs[i][j] == rhs[i][j]:
-                    raise CommutationViolation(
-                        f"f^sigma != rho f rho^-1 for group element {s}"
-                    )
-    fb = fl.mat_mul(flist, basis.basis_matrix())
+    _require_verified(datum)
+    if any(isinstance(x, FieldElement) and x.datum.fingerprint() != datum.fingerprint()
+           for row in f for x in row):
+        raise DatumMismatch("map entry from a different field")
+    nz = {(i, k): x if isinstance(x, FieldElement) else datum.element((x,))
+          for i, row in enumerate(f) for k, x in enumerate(row) if x}
+    vecs, df = fl.clear_denominators([x.coeffs for x in nz.values()])
+    fz = dict(zip(nz, vecs))
+    images = [fl.clear_denominators(im.entries) for im in rho.images]
+    zero = [0] * d
+    for s in range(d):
+        inv = datum.inverse_index(s)
+        a, da = fl.clear_denominators(automorphism_matrix(datum, inv).entries)
+        (r, dr), (ri, dri) = images[s], images[inv]
+        lhs = {key: [dr * dri * x for x in fl.mat_vec(a, v)] for key, v in fz.items()}
+        rf, rhs = {}, {}
+        for (k, j), v in fz.items():
+            for i, c in ((i, row[k]) for i, row in enumerate(r) if row[k]):
+                rf[i, j] = [x + c * y for x, y in zip(rf.get((i, j), zero), v)]
+        for (i, k), v in rf.items():
+            for j, c in ((j, da * c) for j, c in enumerate(ri[k]) if c):
+                rhs[i, j] = [x + c * y for x, y in zip(rhs.get((i, j), zero), v)]
+        if any(lhs.get(key, zero) != rhs.get(key, zero) for key in lhs.keys() | rhs.keys()):
+            raise CommutationViolation(f"f^sigma != rho f rho^-1 for group element {s}")
+    flat, _den = basis.flat_matrix()
+    mf = [[0] * (m * d) for _ in range(m * d)]
+    for (i, k), v in fz.items():
+        for u, row in enumerate(datum.element(v)._scaled_multiplication_rows()[0]):
+            mf[i * d + u][k * d:(k + 1) * d] = row
     try:
-        sol = fl.solve(basis.flat_matrix(), [_flatten(col) for col in zip(*fb)])
+        sol = fl.solve(flat, list(zip(*fl.mat_mul(mf, flat))))
     except fl.Inconsistent as e:
         raise IrrationalEntry(
             f"transported column {e.column} has an irrational entry") from None
-    return RationalMatrix(sol)
+    return RationalMatrix([[Fraction(x) / df for x in row] for row in sol])
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +548,6 @@ def main2_construct(la: LabeledAlgebra, rho: Representation,
     published presentation) replaces the canonical nullspace basis after
     passing the same defining-relation checks.
     """
-    datum = la.datum
     for idx, lam in enumerate(la.labels):
         if not is_algebraic_unit(lam):
             raise NonUnitLabel(f"label {idx} is not an algebraic unit")
@@ -543,11 +560,7 @@ def main2_construct(la: LabeledAlgebra, rho: Representation,
     else:
         basis = rational_form(rho)
     algebra_q = structure_constants_on_form(basis, la.algebra)
-    zero = datum.zero()
-    f = tuple(
-        tuple(la.labels[i] if i == j else zero for j in range(la.dim))
-        for i in range(la.dim)
-    )
+    f = [[lam if i == j else 0 for j in range(la.dim)] for i, lam in enumerate(la.labels)]
     matrix = transport(basis, f)
     # restriction to a rational form preserves the eigenvalue multiset
     if matrix.charpoly() != labels_charpoly(la):

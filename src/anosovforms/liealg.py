@@ -4,8 +4,8 @@ constants.
 Brackets are stored for i < j only; antisymmetry is implicit.  Subspaces
 (lower central series terms, spans) are always kept as canonical reduced
 echelon bases so equality of subspaces is bit-exact list comparison.
-bracket also extends the rational constants to vectors over a number
-field, which is how the brackets of a rational form's vectors are taken.
+bracket also takes vectors over a number field, but the brackets of a
+rational form's vectors run on ints (galoisform.restricted_bracket_map).
 
 The kernels follow _fieldlinalg's common-denominator rule: the structure
 constants are kept once more as ints scaled by their lcm C

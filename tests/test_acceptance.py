@@ -142,7 +142,7 @@ def _block_sum(r1, r2):
 
 
 def test_criterion_3_prop_gc(sqrt2, biquad52, quartic):
-    from anosovforms.galoisform import _satisfies_defining_relation
+    from test_galoisform import _satisfies_defining_relation
     # the frozen dense determinant over the field: the E-path oracle
     from test_fieldlinalg import _dense_det
 

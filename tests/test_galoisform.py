@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,9 @@ from anosovforms import _fieldlinalg as fl
 from anosovforms import recipes
 from anosovforms.catalog import cubic_pisot_unit, cyclic_cubic_datum
 from anosovforms.errors import (
+    BadParameters,
     CommutationViolation,
+    DatumMismatch,
     DimensionMismatch,
     ExtensionInconsistent,
     IrrationalEntry,
@@ -21,9 +24,8 @@ from anosovforms.galoisform import (
     LabeledAlgebra,
     RationalFormBasis,
     Representation,
-    _satisfies_defining_relation,
+    _flatten,
     automorphism_matrix,
-    conjugate_map,
     build_labeled_algebra,
     extend_representation,
     group_generators,
@@ -31,6 +33,7 @@ from anosovforms.galoisform import (
     main2_construct,
     rational_form,
     rational_form_from_vectors,
+    restricted_bracket_map,
     right_action,
     structure_constants_on_form,
     transport,
@@ -39,12 +42,25 @@ from anosovforms.galoisform import (
 from anosovforms.liealg import (
     LieAlgebra,
     LinearMap,
+    _bracket,
+    _support,
     heisenberg,
     is_automorphism,
     require_jacobi,
 )
 from anosovforms.numfield import apply_automorphism
 from test_fieldlinalg import _dense_det, _dense_rref
+
+
+def _satisfies_defining_relation(rho, v):
+    """rho_sigma(v) = v^sigma for every group element, over the field."""
+    datum = rho.datum
+    for s in range(datum.degree):
+        lhs = rho.images[s].apply(list(v))
+        rhs = right_action(datum, s, v)
+        if any(not a == b for a, b in zip(lhs, rhs)):
+            return False
+    return True
 
 
 def trivial_rep(datum, m):
@@ -225,6 +241,54 @@ class TestStructureConstants:
         out = structure_constants_on_form(basis)
         assert out.brackets == h.brackets
 
+    def test_form_vectors_with_denominators(self, sqrt2):
+        # the flat brackets of P's cleared columns carry the scale S D^2
+        h = heisenberg()
+        rho = verify_representation(Representation(
+            sqrt2, tuple(RationalMatrix.identity(3) for _ in range(2)), h
+        ))
+        one, zero = sqrt2.one(), sqrt2.zero()
+        basis = rational_form_from_vectors(
+            rho, [(one * F(1, 2), zero, zero), (zero, one * F(1, 3), zero), (zero, zero, one)])
+        out = structure_constants_on_form(basis)
+        assert out.brackets == ((0, 1, 2, F(1, 6)),)
+        assert repr(out) == _outcome(frozen_structure_constants_on_form, basis)
+
+    def test_algebra_dimension_must_match_the_form(self, sqrt2):
+        # a larger algebra must not come out abelian on the form, nor a
+        # smaller one index past its end
+        basis = rational_form(trivial_rep(sqrt2, 2))
+        for alg in (LieAlgebra(3, ((0, 1, 2, 1),)), LieAlgebra(1, ())):
+            with pytest.raises(DimensionMismatch, match="algebra dimension must match the form"):
+                structure_constants_on_form(basis, alg)
+
+
+class TestRestrictedBracket:
+    @pytest.mark.parametrize("name", ["sqrt2", "biquad52", "quartic"])
+    def test_flat_bracket_matches_the_field_bracket(self, name, request):
+        datum = request.getfixturevalue(name)
+        d = datum.degree
+        rng = random.Random(7 + d)
+
+        def element():
+            if rng.random() < 0.3:
+                return datum.zero()
+            return datum.element([F(rng.randint(-3, 3), rng.randint(1, 3))
+                                  if rng.random() < 0.7 else 0 for _ in range(d)])
+
+        for m in (2, 3, 5):
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            alg = LieAlgebra(m, tuple(
+                (i, j, rng.randrange(m), rng.choice([F(3, 2), F(-1), F(2, 3), F(5)]))
+                for i, j in rng.sample(pairs, min(4, len(pairs)))))
+            bmap, scale = restricted_bracket_map(alg, datum)
+            for _ in range(8):
+                x, y = (tuple(element() for _ in range(m)) for _ in range(2))
+                (xi, yi), den = fl.clear_denominators([_flatten(x), _flatten(y)])
+                out = _bracket(bmap, _support(xi), _support(yi))
+                flat = [F(out.get(r, 0), scale * den ** 2) for r in range(m * d)]
+                assert flat == _flatten(alg.bracket(list(x), list(y)))
+
 
 class TestTransport:
     def test_identity_map(self, sqrt2):
@@ -268,6 +332,49 @@ class TestTransport:
         mm = [[sqrt2.element([m[i, j]]) for j in range(2)] for i in range(2)]
         bm = fl.mat_mul(bmat, mm)
         assert all(fb[i][j] == bm[i][j] for i in range(2) for j in range(2))
+
+    def test_rational_entries(self, sqrt2):
+        # int and Fraction entries are read as elements of the field
+        basis = rational_form(trivial_rep(sqrt2, 2))
+        assert transport(basis, ((1, 0), (0, 1))) == RationalMatrix.identity(2)
+        mat = RationalMatrix([[F(1, 2), 3], [0, -1]])
+        assert transport(basis, tuple(map(tuple, mat.entries))) == mat
+        # a diagonal written with a plain 0
+        basis = rational_form(regular_rep(sqrt2))
+        lam = sqrt2.element([1, 1])
+        conj, zero = apply_automorphism(sqrt2, 1, lam), sqrt2.zero()
+        assert transport(basis, ((lam, 0), (0, conj))) == \
+            transport(basis, ((lam, zero), (zero, conj)))
+
+    def test_entry_from_another_field(self, sqrt2, biquad52):
+        basis = rational_form(trivial_rep(sqrt2, 2))
+        for other in (biquad52.one(), biquad52.zero()):
+            with pytest.raises(DatumMismatch):
+                transport(basis, ((1, other), (0, 1)))
+
+    def test_unverified_datum(self, sqrt2):
+        raw = replace(sqrt2, verified=False)
+        one = raw.one()
+        rho = Representation(raw, tuple(RationalMatrix.identity(1) for _ in range(2)))
+        basis = RationalFormBasis(rho, ((one,),))
+        with pytest.raises(BadParameters):
+            transport(basis, ((one,),))
+        assert _outcome(frozen_transport, basis, ((one,),)) is BadParameters
+
+    def test_commutation_uses_the_image_of_the_inverse(self, sqrt2):
+        # an unverified rho with rho_sigma = 2 I, no involution: f = I
+        # satisfies f^sigma rho_sigma = rho_sigma f, but not the relation
+        # f^sigma = rho_sigma f rho_(sigma^-1) = 4 f
+        two = RationalMatrix([[2, 0], [0, 2]])
+        rho = Representation(sqrt2, tuple(
+            RationalMatrix.identity(2) if g == sqrt2.identity_index else two
+            for g in range(2)))
+        one, zero = sqrt2.one(), sqrt2.zero()
+        basis = RationalFormBasis(rho, ((one, zero), (zero, one)))
+        f = ((one, zero), (zero, one))
+        with pytest.raises(CommutationViolation):
+            transport(basis, f)
+        assert _outcome(frozen_transport, basis, f) is CommutationViolation
 
 
 class TestLabeledAlgebra:
@@ -511,6 +618,14 @@ def frozen_structure_constants_on_form(basis, algebra=None):
     return require_jacobi(LieAlgebra(m, tuple(entries)))
 
 
+def conjugate_map(datum, sigma_index, mat):
+    """f^sigma: apply sigma^{-1} entrywise to the matrix of f."""
+    inv = datum.inverse_index(sigma_index)
+    return tuple(
+        tuple(apply_automorphism(datum, inv, x) for x in row) for row in mat
+    )
+
+
 def frozen_transport(basis, f):
     rho = basis.representation
     datum = rho.datum
@@ -580,31 +695,48 @@ def _with_rational_matrix(basis, mat):
     return tuple(map(tuple, fl.mat_mul(fl.mat_mul(bmat, [list(r) for r in mat.entries]), binv)))
 
 
+def _frozen_descent_cases(datum, group):
+    """Random conjugated representations with their rational forms, and
+    the algebras, rational matrix and maps each case checks."""
+    rng = random.Random(2024 + len(group))
+    theta = datum.generator()
+    for _ in range(4):
+        rep = regular_rep(datum)
+        extra = rng.randint(0, max(0, 6 - rep.size))
+        if extra:
+            rep = block_sum(rep, trivial_rep(datum, extra))
+        rep = conjugated(rep, random_invertible(rng, rep.size))
+        basis = rational_form(rep)
+        m = basis.size
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        algebras = [LieAlgebra(m, ()), heisenberg_on(m),
+                    LieAlgebra(m, tuple((i, j, rng.randrange(m), F(rng.randint(1, 3), 2))
+                                        for i, j in rng.sample(pairs, min(2, len(pairs)))))]
+        mat = random_invertible(rng, m)
+        f = _with_rational_matrix(basis, mat)
+        moved = tuple(tuple(x + 1 if (i, j) == (0, 0) else x for j, x in enumerate(row))
+                      for i, row in enumerate(f))
+        scaled = tuple(tuple(theta * x for x in row) for row in f)
+        yield basis, algebras, mat, f, moved, scaled
+
+
 class TestFrozenDescent:
     @pytest.mark.parametrize("group", ["z2", "klein", "z4"])
     def test_random_conjugated_representations(self, group, sqrt2, biquad52, quartic):
         datum = {"z2": sqrt2, "klein": biquad52, "z4": quartic}[group]
-        rng = random.Random(2024 + len(group))
-        theta = datum.generator()
-        for _ in range(4):
-            rep = regular_rep(datum)
-            extra = rng.randint(0, max(0, 6 - rep.size))
-            if extra:
-                rep = block_sum(rep, trivial_rep(datum, extra))
-            rep = conjugated(rep, random_invertible(rng, rep.size))
-            basis = rational_form(rep)
-            m = basis.size
-            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-            algebras = [LieAlgebra(m, ()), heisenberg_on(m),
-                        LieAlgebra(m, tuple((i, j, rng.randrange(m), F(rng.randint(1, 3), 2))
-                                            for i, j in rng.sample(pairs, min(2, len(pairs)))))]
-            mat = random_invertible(rng, m)
-            f = _with_rational_matrix(basis, mat)
-            moved = tuple(tuple(x + 1 if (i, j) == (0, 0) else x for j, x in enumerate(row))
-                          for i, row in enumerate(f))
-            scaled = tuple(tuple(theta * x for x in row) for row in f)
+        for basis, algebras, mat, f, moved, scaled in _frozen_descent_cases(datum, group):
             assert transport(basis, f) == mat
             assert_same_descent(basis, algebras, [f, moved, scaled])
+
+    @pytest.mark.parametrize("group", ["z2", "klein", "z4"])
+    def test_rational_form_passes_the_checks_it_skips(self, group, sqrt2, biquad52, quartic):
+        # rational_form checks the relation for generators only and does
+        # not re-wrap its nullspace basis through rational_form_from_vectors
+        datum = {"z2": sqrt2, "klein": biquad52, "z4": quartic}[group]
+        for basis, *_ in _frozen_descent_cases(datum, group):
+            rho = basis.representation
+            assert rational_form_from_vectors(rho, basis.vectors) == basis
+            assert all(_satisfies_defining_relation(rho, v) for v in basis.vectors)
 
     @pytest.mark.parametrize("recipe", ["z4", "last4"])
     def test_recipe_pipelines(self, recipe, monkeypatch):
