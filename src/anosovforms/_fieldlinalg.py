@@ -17,8 +17,9 @@ is.  Over an exact field x * 0 = 0 and x + 0 = x, so no value changes;
 and since the entries of one matrix (or vector) share one type, every
 term of a sum has the same type, so neither does any result's type.  A
 sum with no term left is v[0] * row[0], a zero of that type.  Dense
-inputs run the same loops; sparse ones, such as the monomial images of
-a Galois representation, skip most of the work.
+inputs run the same loops; sparse ones skip most of the work.  The
+images of a Galois representation never come here: galoisform
+multiplies them as sparse integer columns.
 
 The common-denominator rule: a kernel may clear denominators once
 (clear_denominators: rational rows in, integer rows and their lcm D out)

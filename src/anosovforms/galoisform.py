@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import _fieldlinalg as fl
 from .errors import (
+    BadParameters,
     CommutationViolation,
     DatumMismatch,
     DimensionMismatch,
@@ -111,8 +113,34 @@ class Representation:
     def size(self) -> int:
         return self.images[0].rows
 
+    def columns(self) -> tuple[list[list[dict[int, int]]], int]:
+        """(R, D), R[g][j] = {row: int} the nonzero entries of column j of D
+        times image g, D the images' common denominator; computed once."""
+        if not hasattr(self, "_columns"):
+            cols = [[{i: x for i, row in enumerate(im.entries) if (x := row[j])}
+                     for j in range(im.cols)] for im in self.images]
+            den = lcm(1, *(x.denominator for im in cols for col in im for x in col.values()))
+            object.__setattr__(self, "_columns", ([[
+                {i: x.numerator * (den // x.denominator) for i, x in col.items()}
+                for col in im] for im in cols], den))
+        return self._columns
+
+
+def _compose(a: Sequence[Mapping], b: Sequence[Mapping]) -> list[dict]:
+    """The sparse columns of A B: column j is sum_k B[k, j] A[:, k]."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        for k, x in col.items():
+            for i, y in a[k].items():
+                acc[i] = acc[i] + x * y if i in acc else x * y
+        out.append({i: v for i, v in acc.items() if v})
+    return out
+
 
 def verify_representation(rho: Representation) -> Representation:
+    """rho(e) = I and D R_ij = R_i R_j on rho's columns for all d^2 pairs;
+    with an algebra attached, each image but rho(e) an automorphism."""
     datum = rho.datum
     d = datum.degree
     if len(rho.images) != d:
@@ -121,17 +149,20 @@ def verify_representation(rho: Representation) -> Representation:
     for im in rho.images:
         if im.rows != m or im.cols != m:
             raise NotHomomorphism("images must be square of equal size")
-    if rho.images[datum.identity_index] != RationalMatrix.identity(m):
+    cols, den = rho.columns()
+    e = datum.identity_index
+    if cols[e] != [{j: den} for j in range(m)]:
         raise NotHomomorphism("identity must map to the identity matrix")
+    scaled = [[{i: den * x for i, x in col.items()} for col in im] for im in cols]
     for i in range(d):
         for j in range(d):
-            if rho.images[datum.table[i][j]] != rho.images[i] * rho.images[j]:
+            if scaled[datum.table[i][j]] != _compose(cols[i], cols[j]):
                 raise NotHomomorphism(f"homomorphism fails at ({i},{j})")
     if rho.algebra is not None:
         if rho.algebra.dim != m:
             raise DimensionMismatch("algebra dimension must match image size")
         for i, im in enumerate(rho.images):
-            if not is_automorphism(rho.algebra, LinearMap(rho.algebra, im.entries)):
+            if i != e and not is_automorphism(rho.algebra, LinearMap(rho.algebra, im.entries)):
                 raise NotHomomorphism(f"image {i} is not a Lie algebra automorphism")
     object.__setattr__(rho, "verified", True)
     return rho
@@ -180,26 +211,24 @@ def _flatten(v: Sequence[FieldElement]) -> list[Fraction]:
 def _relation_rows(rho: Representation, elements: Iterable[int]) -> list[list[Fraction]]:
     """rho_sigma(v) = v^sigma for each sigma in elements, as rational rows
     on the m*d coordinates of v: coordinate t of component r reads
-    sum_k rho_sigma[r, k] v_k,t - sum_u A[t, u] v_r,u = 0, A the matrix of
-    sigma^{-1} in the power basis."""
+    sum_k R[r, k] v_k,t - D sum_u A[t, u] v_r,u = 0, R / D the image of
+    sigma on rho's cleared columns and A the matrix of sigma^{-1} in the
+    power basis."""
     datum = rho.datum
     m, d = rho.size, datum.degree
+    cols, den = rho.columns()
     rows: list[list[Fraction]] = []
     for g in elements:
-        a_inv = automorphism_matrix(datum, datum.inverse_index(g))
-        img = rho.images[g]
+        a = automorphism_matrix(datum, datum.inverse_index(g)).entries
+        block = [[Fraction(0)] * (m * d) for _ in range(m * d)]
         for r in range(m):
-            for t in range(d):
-                row = [Fraction(0)] * (m * d)
-                for k in range(m):
-                    c = img[r, k]
-                    if c:
-                        row[k * d + t] += c
-                for u in range(d):
-                    c = a_inv[t, u]
-                    if c:
-                        row[r * d + u] -= c
-                rows.append(row)
+            for t, arow in enumerate(a):
+                block[r * d + t][r * d:(r + 1) * d] = [-den * c for c in arow]
+        for k, col in enumerate(cols[g]):
+            for r, c in col.items():
+                for t in range(d):
+                    block[r * d + t][k * d + t] += c
+        rows += block
     return rows
 
 
@@ -319,11 +348,11 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
     First certifies the commutation relation f^sigma =
     rho_sigma f rho_{sigma^{-1}} for every group element, then solves
     B M = F B as P M = W, both on ints.  With f's nonzero entries cleared
-    to d-vectors over D_F, the relation reads D_R D_R' A f_ij = D_A (R f
-    R')_ij, A / D_A the matrix of sigma^{-1} and R / D_R, R' / D_R' the
-    images of sigma and sigma^{-1} (a basis built directly may carry an
-    unverified rho), and (D P) M = M_F (D P) / D_F, M_F's (i, k) block the
-    multiplication matrix of D_F f_ik.
+    to d-vectors over D_F, the relation reads D_R^2 A f_ij = D_A (R f
+    R')_ij, A / D_A the matrix of sigma^{-1} and R / D_R, R' / D_R the
+    images of sigma and sigma^{-1} on rho's cleared columns (a basis built
+    directly may carry an unverified rho), and (D P) M = M_F (D P) / D_F,
+    M_F's (i, k) block the multiplication matrix of D_F f_ik.
 
     Once the commutation check passes, IrrationalEntry cannot fire for a
     basis from rational_form_from_vectors: for a fixed v, (f v)^sigma =
@@ -344,20 +373,21 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
           for i, row in enumerate(f) for k, x in enumerate(row) if x}
     vecs, df = fl.clear_denominators([x.coeffs for x in nz.values()])
     fz = dict(zip(nz, vecs))
-    images = [fl.clear_denominators(im.entries) for im in rho.images]
+    cols, den = rho.columns()
     zero = [0] * d
     for s in range(d):
         inv = datum.inverse_index(s)
         a, da = fl.clear_denominators(automorphism_matrix(datum, inv).entries)
-        (r, dr), (ri, dri) = images[s], images[inv]
-        lhs = {key: [dr * dri * x for x in fl.mat_vec(a, v)] for key, v in fz.items()}
-        rf, rhs = {}, {}
+        lhs = {key: [den * den * x for x in fl.mat_vec(a, v)] for key, v in fz.items()}
+        rf, rhs = {}, {}  # rf[j]: column j of R f as {i: d-vector}
         for (k, j), v in fz.items():
-            for i, c in ((i, row[k]) for i, row in enumerate(r) if row[k]):
-                rf[i, j] = [x + c * y for x, y in zip(rf.get((i, j), zero), v)]
-        for (i, k), v in rf.items():
-            for j, c in ((j, da * c) for j, c in enumerate(ri[k]) if c):
-                rhs[i, j] = [x + c * y for x, y in zip(rhs.get((i, j), zero), v)]
+            col = rf.setdefault(j, {})
+            for i, c in cols[s][k].items():
+                col[i] = [x + c * y for x, y in zip(col.get(i, zero), v)]
+        for j, col in enumerate(cols[inv]):
+            for k, c in col.items():
+                for i, v in rf.get(k, {}).items():
+                    rhs[i, j] = [x + da * c * y for x, y in zip(rhs.get((i, j), zero), v)]
         if any(lhs.get(key, zero) != rhs.get(key, zero) for key in lhs.keys() | rhs.keys()):
             raise CommutationViolation(f"f^sigma != rho f rho^-1 for group element {s}")
     flat, _den = basis.flat_matrix()
@@ -420,19 +450,22 @@ def check_label_compatibility(la: LabeledAlgebra) -> None:
 
 
 def check_label_equivariance(la: LabeledAlgebra, rho: Representation) -> None:
-    """rho_sigma(V_lambda) = V_{sigma(lambda)} for every group element.
-    On success rho keeps la as _equivariant_labels, so a later caller
-    with the same frozen pair can skip the check."""
+    """rho_sigma(V_lambda) = V_{sigma(lambda)} for every group element, on
+    rho's nonzero column entries; on success rho keeps la as
+    _equivariant_labels, so a later caller with the same pair skips it."""
     datum = la.datum
+    if rho.datum.fingerprint() != datum.fingerprint():
+        raise DatumMismatch("representation and labels over different fields")
+    if rho.size != la.dim:
+        raise DimensionMismatch("representation size must match the labeled algebra")
+    cols = rho.columns()[0]
     for s in range(datum.degree):
-        img = rho.images[s]
-        for t in range(la.dim):
+        for t, col in enumerate(cols[s]):
             target = apply_automorphism(datum, s, la.labels[t])
-            for i in range(la.dim):
-                if img[i, t] != 0 and not la.labels[i] == target:
-                    raise LabelMismatch(
-                        f"group element {s} maps slot {t} outside V_sigma(label)"
-                    )
+            if any(not la.labels[i] == target for i in col):
+                raise LabelMismatch(
+                    f"group element {s} maps slot {t} outside V_sigma(label)"
+                )
     object.__setattr__(rho, "_equivariant_labels", la)
 
 
@@ -444,77 +477,63 @@ def extend_representation(la: LabeledAlgebra,
 
     generator_maps: group element index -> {generator slot: (sign, slot)}.
     Signs on non-generator slots are derived from the brackets, which is
-    where the minus signs of the cyclic constructions come from.
+    where the minus signs of the cyclic constructions come from.  Each
+    missing image is formed once, on sparse columns, from the first word
+    that reaches it; verify_representation then checks every pair.
     """
     datum = la.datum
     alg = la.algebra
     dim = la.dim
     gen_set = set(la.generators)
+    bmap = alg.bracket_map()
+    single_target = [(i, j, k, c) for (i, j), row in bmap.items() if len(row) == 1
+                     for k, c in row.items()]
 
-    single_target = []
-    for (i, j), row in alg.bracket_map().items():
-        if len(row) == 1:
-            ((k, c),) = row.items()
-            single_target.append((i, j, k, c))
-
-    images: dict[int, RationalMatrix] = {
-        datum.identity_index: RationalMatrix.identity(dim)
-    }
+    images = {datum.identity_index: [{j: Fraction(1)} for j in range(dim)]}
     for g, mapping in generator_maps.items():
-        cols: list[list[Fraction] | None] = [None] * dim
+        if not 0 <= g < datum.degree:
+            raise BadParameters(f"group element {g} is out of range")
+        cols: list[dict | None] = [None] * dim
         for gen, (sign, slot) in mapping.items():
             if gen not in gen_set:
                 raise NotGenerating(f"slot {gen} is not a declared generator")
-            col = [Fraction(0)] * dim
-            col[slot] = Fraction(sign)
-            cols[gen] = col
+            if not 0 <= slot < dim:
+                raise BadParameters(f"target slot {slot} is out of range")
+            cols[gen] = {slot: Fraction(sign)} if sign else {}
         progress = True
         while progress:
             progress = False
             for (i, j, k, c) in single_target:
                 if cols[i] is None or cols[j] is None:
                     continue
-                derived = alg.bracket(cols[i], cols[j])
-                derived = [x / c for x in derived]
+                derived = {r: x / c for r, x in _bracket(bmap, cols[i], cols[j]).items() if x}
                 if cols[k] is None:
                     cols[k] = derived
                     progress = True
-                elif any(not a == b for a, b in zip(cols[k], derived)):
+                elif cols[k] != derived:
                     raise ExtensionInconsistent(
                         f"slot {k} receives conflicting images under element {g}"
                     )
         if any(c is None for c in cols):
             missing = [i for i, c in enumerate(cols) if c is None]
             raise NotGenerating(f"brackets do not determine slots {missing}")
-        images[g] = RationalMatrix(
-            [[cols[j][i] for j in range(dim)] for i in range(dim)]
-        )
+        images[g] = cols
 
-    # generate the remaining group elements as words in the given ones
-    frontier = list(images)
+    given, frontier = list(images), list(images)
     while frontier:
         a = frontier.pop()
-        for b in list(images):
-            for (x, y) in ((a, b), (b, a)):
-                idx = datum.table[x][y]
-                prod = images[x] * images[y]
-                if idx in images:
-                    if images[idx] != prod:
-                        raise ExtensionInconsistent(
-                            f"two words for group element {idx} disagree"
-                        )
-                else:
-                    images[idx] = prod
-                    frontier.append(idx)
+        for b in given:
+            idx = datum.table[a][b]
+            if idx not in images:
+                images[idx] = _compose(images[a], images[b])
+                frontier.append(idx)
     if len(images) != datum.degree:
         raise NotGenerating("given group elements do not generate the group")
 
-    rho = Representation(
-        datum=datum,
-        images=tuple(images[i] for i in range(datum.degree)),
-        algebra=alg,
-    )
-    rho = verify_representation(rho)
+    zero = Fraction(0)  # one shared zero: RationalMatrix keeps Fractions as they are
+    rho = verify_representation(Representation(datum, tuple(
+        RationalMatrix([[col.get(i, zero) for col in images[g]] for i in range(dim)])
+        for g in range(datum.degree)), alg))
     check_label_equivariance(la, rho)
     return rho
 

@@ -1,4 +1,6 @@
+import functools
 import random
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -17,6 +19,7 @@ from anosovforms.errors import (
     IrrationalStructureConstant,
     LabelMismatch,
     NonUnitLabel,
+    NotGenerating,
     NotHomomorphism,
 )
 from anosovforms.exactmath import RationalMatrix
@@ -27,6 +30,7 @@ from anosovforms.galoisform import (
     _flatten,
     automorphism_matrix,
     build_labeled_algebra,
+    check_label_equivariance,
     extend_representation,
     group_generators,
     labels_charpoly,
@@ -460,6 +464,25 @@ class TestExtendRepresentation:
             )
 
 
+    @pytest.mark.parametrize("maps", [
+        {7: {0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 0)}},
+        {-1: {0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 0)}},
+        {1: {0: (1, 6), 1: (1, 2), 2: (1, 3), 3: (1, 0)}},
+        {1: {0: (1, -1), 1: (1, 2), 2: (1, 3), 3: (1, 0)}},
+    ])
+    def test_out_of_range_indices(self, maps):
+        # a group element index >= d or a target slot >= dim (or negative)
+        # used to raise IndexError or wrap around
+        la = _recipe_representations()[0][1]
+        with pytest.raises(BadParameters):
+            extend_representation(la, maps)
+
+    def test_target_slot_out_of_range_on_a_smaller_algebra(self, sqrt2):
+        with pytest.raises(BadParameters):
+            extend_representation(_central_pair_algebra(sqrt2),
+                                  {1: {0: (1, 5), 1: (1, 0), 2: (1, 3), 3: (1, 2)}})
+
+
 class TestMain2:
     def test_nonunit_label(self, sqrt2):
         s = sqrt2.element([0, 1])  # norm -2, not a unit
@@ -525,6 +548,21 @@ class TestMain2:
         conj = apply_automorphism(sqrt2, 1, lam)
         with pytest.raises(LabelMismatch):
             main2_construct(LabeledAlgebra(LieAlgebra(2, ()), (lam, conj), (0, 1)), rho)
+
+
+    def test_representation_over_another_field(self, sqrt2, quartic):
+        # used to raise a bare IndexError from the label check
+        la = LabeledAlgebra(LieAlgebra(2, ()), (quartic.one(),) * 2, generators=(0, 1))
+        rho = trivial_rep(sqrt2, 2)
+        with pytest.raises(DatumMismatch):
+            main2_construct(la, rho)
+        with pytest.raises(DatumMismatch):
+            check_label_equivariance(la, rho)
+
+    def test_representation_of_another_size(self, sqrt2):
+        la = LabeledAlgebra(LieAlgebra(2, ()), (sqrt2.one(),) * 2, generators=(0, 1))
+        with pytest.raises(DimensionMismatch):
+            check_label_equivariance(la, trivial_rep(sqrt2, 3))
 
 
 def test_group_generators(sqrt2, biquad52, quartic):
@@ -765,3 +803,299 @@ class TestFrozenDescent:
 def heisenberg_on(n):
     """[b_0, b_1] = b_(n-1): usually not preserved by a representation."""
     return LieAlgebra(n, ((0, 1, n - 1, 1),))
+
+
+# ---------------------------------------------------------------------------
+# representations on sparse columns against the dense code they replaced
+# ---------------------------------------------------------------------------
+
+
+def frozen_verify_representation(rho):
+    datum = rho.datum
+    d = datum.degree
+    if len(rho.images) != d:
+        raise NotHomomorphism("need one image per group element")
+    m = rho.images[0].rows
+    for im in rho.images:
+        if im.rows != m or im.cols != m:
+            raise NotHomomorphism("images must be square of equal size")
+    if rho.images[datum.identity_index] != RationalMatrix.identity(m):
+        raise NotHomomorphism("identity must map to the identity matrix")
+    for i in range(d):
+        for j in range(d):
+            if rho.images[datum.table[i][j]] != rho.images[i] * rho.images[j]:
+                raise NotHomomorphism(f"homomorphism fails at ({i},{j})")
+    if rho.algebra is not None:
+        if rho.algebra.dim != m:
+            raise DimensionMismatch("algebra dimension must match image size")
+        for i, im in enumerate(rho.images):
+            if not is_automorphism(rho.algebra, LinearMap(rho.algebra, im.entries)):
+                raise NotHomomorphism(f"image {i} is not a Lie algebra automorphism")
+    object.__setattr__(rho, "verified", True)
+    return rho
+
+
+def frozen_check_label_equivariance(la, rho):
+    datum = la.datum
+    for s in range(datum.degree):
+        img = rho.images[s]
+        for t in range(la.dim):
+            target = apply_automorphism(datum, s, la.labels[t])
+            for i in range(la.dim):
+                if img[i, t] != 0 and not la.labels[i] == target:
+                    raise LabelMismatch(
+                        f"group element {s} maps slot {t} outside V_sigma(label)")
+
+
+def frozen_extend_representation(la, generator_maps):
+    datum = la.datum
+    alg = la.algebra
+    dim = la.dim
+    gen_set = set(la.generators)
+    single_target = []
+    for (i, j), row in alg.bracket_map().items():
+        if len(row) == 1:
+            ((k, c),) = row.items()
+            single_target.append((i, j, k, c))
+    images = {datum.identity_index: RationalMatrix.identity(dim)}
+    for g, mapping in generator_maps.items():
+        cols = [None] * dim
+        for gen, (sign, slot) in mapping.items():
+            if gen not in gen_set:
+                raise NotGenerating(f"slot {gen} is not a declared generator")
+            col = [F(0)] * dim
+            col[slot] = F(sign)
+            cols[gen] = col
+        progress = True
+        while progress:
+            progress = False
+            for (i, j, k, c) in single_target:
+                if cols[i] is None or cols[j] is None:
+                    continue
+                derived = [x / c for x in alg.bracket(cols[i], cols[j])]
+                if cols[k] is None:
+                    cols[k] = derived
+                    progress = True
+                elif any(not a == b for a, b in zip(cols[k], derived)):
+                    raise ExtensionInconsistent(
+                        f"slot {k} receives conflicting images under element {g}")
+        if any(c is None for c in cols):
+            missing = [i for i, c in enumerate(cols) if c is None]
+            raise NotGenerating(f"brackets do not determine slots {missing}")
+        images[g] = RationalMatrix([[cols[j][i] for j in range(dim)] for i in range(dim)])
+    frontier = list(images)
+    while frontier:
+        a = frontier.pop()
+        for b in list(images):
+            for (x, y) in ((a, b), (b, a)):
+                idx = datum.table[x][y]
+                prod = images[x] * images[y]
+                if idx in images:
+                    if images[idx] != prod:
+                        raise ExtensionInconsistent(
+                            f"two words for group element {idx} disagree")
+                else:
+                    images[idx] = prod
+                    frontier.append(idx)
+    if len(images) != datum.degree:
+        raise NotGenerating("given group elements do not generate the group")
+    rho = Representation(datum, tuple(images[i] for i in range(datum.degree)), alg)
+    frozen_verify_representation(rho)
+    frozen_check_label_equivariance(la, rho)
+    return rho
+
+
+def _generates(datum, elements):
+    closure = {datum.identity_index, *elements}
+    while True:
+        new = {datum.table[a][b] for a in closure for b in closure} - closure
+        if not new:
+            return len(closure) == datum.degree
+        closure |= new
+
+
+def _extension_verdicts(la, maps):
+    """(new, frozen) outcomes of extending maps: repr of the images on an
+    accept, the error type on a reject.  Two words that disagree are now
+    caught by the pair check, so the frozen ExtensionInconsistent for
+    them reads as NotHomomorphism, or NotGenerating when the given
+    elements generate a proper subgroup only (no pair check runs then)."""
+    try:
+        new = repr(extend_representation(la, maps).images)
+    except Exception as e:  # noqa: BLE001 - the type is the verdict
+        new = type(e)
+    try:
+        old = repr(frozen_extend_representation(la, maps).images)
+    except ExtensionInconsistent as e:
+        old = ExtensionInconsistent
+        if "two words" in str(e):
+            old = NotHomomorphism if _generates(la.datum, maps) else NotGenerating
+    except Exception as e:  # noqa: BLE001
+        old = type(e)
+    return new, old
+
+
+@functools.lru_cache(maxsize=None)
+def _recipe_representations():
+    """(name, labeled algebra, generator maps or None, representation) as
+    the z4, count(5,2), csig c=3, last c=4 and laur recipes build them."""
+    from anosovforms.catalog import sqrt2_datum
+    from anosovforms.liealg import Grading
+
+    out, maps = [], []
+    real_extend, real_main2 = recipes.extend_representation, recipes.main2_construct
+
+    def spy_extend(la, generator_maps):
+        maps.append(generator_maps)
+        return real_extend(la, generator_maps)
+
+    def spy_main2(la, rho, explicit_basis=None):
+        out.append((la, maps.pop() if maps else None, rho))
+        return real_main2(la, rho, explicit_basis)
+
+    recipes.extend_representation, recipes.main2_construct = spy_extend, spy_main2
+    try:
+        recipes.recipe_z4_example()
+        recipes.recipe_count(5, 2)
+        recipes.recipe_csig_default(3)
+        cubic = cyclic_cubic_datum()
+        recipes.recipe_last(cubic, cubic_pisot_unit(cubic), 4)
+        sqrt2 = sqrt2_datum()
+        recipes.recipe_laur(heisenberg(), Grading((2, 1)), sqrt2, sqrt2.element([1, 1]))
+    finally:
+        recipes.extend_representation, recipes.main2_construct = real_extend, real_main2
+    names = ("z4", "count52", "csig3", "last4", "laur")
+    return tuple((name, *case) for name, case in zip(names, out))
+
+
+def _random_maps(rng, la, maps):
+    """The same group elements, each sent to a seeded random signed
+    permutation of the generators, or to its own map with random signs."""
+    gens = list(la.generators)
+    out = {}
+    for g, mapping in maps.items():
+        if rng.random() < 0.5:
+            out[g] = {gen: (rng.choice((1, -1)), slot) for gen, (_s, slot) in mapping.items()}
+        else:
+            out[g] = {gen: (rng.choice((1, -1)), slot)
+                      for gen, slot in zip(gens, rng.sample(gens, len(gens)))}
+    return out
+
+
+def _central_pair_algebra(sqrt2):
+    """[b0, b1] = [b2, b3] = b4 over Q(sqrt 2), every label one."""
+    return build_labeled_algebra((sqrt2.one(),) * 5, [(0, 1, 1, 4), (2, 3, 1, 4)],
+                                 generators=(0, 1, 2, 3))
+
+
+class TestFrozenRepresentation:
+    @pytest.mark.parametrize("index", range(5))
+    def test_recipe_representations(self, index):
+        name, la, maps, rho = _recipe_representations()[index]
+        fresh = Representation(rho.datum, rho.images, rho.algebra)
+        assert repr(verify_representation(fresh).images) == \
+            repr(frozen_verify_representation(fresh).images)
+        assert check_label_equivariance(la, fresh) is None
+        assert frozen_check_label_equivariance(la, fresh) is None
+        if maps is None:
+            return
+        new, old = _extension_verdicts(la, maps)
+        assert new == old == repr(rho.images)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_random_signed_permutations(self, index):
+        name, la, maps, _rho = _recipe_representations()[index]
+        rng = random.Random(1300 + index)
+        verdicts = set()
+        for _ in range(20):
+            new, old = _extension_verdicts(la, _random_maps(rng, la, maps))
+            assert new == old, name
+            verdicts.add(new if isinstance(new, type) else "accept")
+        assert {"accept", NotHomomorphism} <= verdicts, name
+
+    def test_rejects(self, sqrt2, quartic):
+        la = _central_pair_algebra(sqrt2)
+        z4 = _recipe_representations()[0][1]
+        e = quartic.identity_index
+        cycle = {0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 0)}
+        cases = [
+            # accepted: both brackets send b4 to -b4
+            (la, {1: {0: (1, 1), 1: (1, 0), 2: (1, 3), 3: (1, 2)}}, str),
+            # conflicting slot images: b4 from [b1, b0] and from [b2, b3]
+            (la, {1: {0: (1, 1), 1: (1, 0), 2: (1, 2), 3: (1, 3)}}, ExtensionInconsistent),
+            # disagreeing words: a 3-cycle for an element of order 4
+            (z4, {1: {0: (1, 1), 1: (1, 2), 2: (1, 0), 3: (1, 3)}}, NotHomomorphism),
+            # disagreeing words from two given elements
+            (z4, {1: cycle, 2: cycle}, NotHomomorphism),
+            # non-generating: the element of order 2 alone
+            (z4, {2: {0: (1, 2), 1: (1, 3), 2: (1, 0), 3: (1, 1)}}, NotGenerating),
+            (z4, {1: {0: (1, 1)}}, NotGenerating),
+            (z4, {1: {4: (1, 0)}}, NotGenerating),
+            # a non-identity image for the identity
+            (z4, {e: {0: (1, 1), 1: (1, 0), 2: (1, 2), 3: (1, 3)}, 1: cycle}, NotHomomorphism),
+            # singular images: no automorphism
+            (z4, {1: {0: (1, 0), 1: (1, 2), 2: (1, 1), 3: (1, 3)}}, NotHomomorphism),
+            # an automorphism that moves the labels the wrong way round
+            (z4, {1: {0: (1, 3), 1: (1, 0), 2: (1, 1), 3: (1, 2)}}, LabelMismatch),
+        ]
+        for la_, maps, expected in cases:
+            new, old = _extension_verdicts(la_, maps)
+            assert new == old
+            assert isinstance(new, str) if expected is str else new is expected
+
+    def test_verify_rejects(self, sqrt2):
+        h = heisenberg()
+        eye = RationalMatrix.identity(3)
+        flip = RationalMatrix.diagonal([1, -1, 1])
+        swap = RationalMatrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+        cases = [
+            (Representation(sqrt2, (eye, swap), h), str),
+            (Representation(sqrt2, (eye, flip), h), NotHomomorphism),  # no automorphism
+            (Representation(sqrt2, (eye, flip)), str),
+            (Representation(sqrt2, (swap, eye), h), NotHomomorphism),  # rho(e) != I
+            # an idempotent everywhere passes every pair, not rho(e) = I
+            (Representation(sqrt2, (RationalMatrix.diagonal([1, 0, 0]),) * 2), NotHomomorphism),
+            (Representation(sqrt2, (eye, swap * 2)), NotHomomorphism),
+            (Representation(sqrt2, (eye, eye, eye)), NotHomomorphism),
+            (Representation(sqrt2, (eye, RationalMatrix.identity(2))), NotHomomorphism),
+        ]
+        for rho, expected in cases:
+            new = _outcome(verify_representation, replace(rho))
+            assert new == _outcome(frozen_verify_representation, replace(rho))
+            assert isinstance(new, str) if expected is str else new is expected
+
+    @pytest.mark.parametrize("group", ["z2", "klein", "z4"])
+    def test_dense_conjugated_representations(self, group, sqrt2, biquad52, quartic):
+        datum = {"z2": sqrt2, "klein": biquad52, "z4": quartic}[group]
+        rng = random.Random(1313 + len(group))
+        for _ in range(3):
+            rep = conjugated(regular_rep(datum), random_invertible(rng, datum.degree))
+            assert rep.columns()[1] > 1
+            images = list(rep.images)
+            g = rng.randrange(datum.degree)
+            i, j = rng.randrange(rep.size), rng.randrange(rep.size)
+            moved = [[x + F(1, 3) if (r, c) == (i, j) else x for c, x in enumerate(row)]
+                     for r, row in enumerate(images[g].entries)]
+            images[g] = RationalMatrix(moved)
+            for rho in (rep, Representation(datum, tuple(images))):
+                assert _outcome(verify_representation, replace(rho)) == \
+                    _outcome(frozen_verify_representation, replace(rho))
+
+    def test_label_equivariance_on_swapped_labels(self):
+        # two labels swapped usually break bracket compatibility, so the
+        # labels go in through a bare (datum, labels, dim) record
+        for name, la, _maps, rho in _recipe_representations():
+            rng = random.Random(name)
+            verdicts = []
+            for _ in range(4):
+                labels = list(la.labels)
+                a, b = rng.sample(range(la.dim), 2)
+                labels[a], labels[b] = labels[b], labels[a]
+                swapped = _Labels(la.datum, tuple(labels), la.dim)
+                fresh = Representation(rho.datum, rho.images, rho.algebra)
+                verdicts.append(_outcome(check_label_equivariance, swapped, fresh))
+                assert verdicts[-1] == _outcome(frozen_check_label_equivariance, swapped, fresh)
+            assert LabelMismatch in verdicts, name
+
+
+_Labels = namedtuple("_Labels", "datum labels dim")
