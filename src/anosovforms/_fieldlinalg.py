@@ -6,10 +6,8 @@ and every solve and product of the Galois descent runs on the cleared
 power-basis coordinates of its vectors.  mat_vec still takes vectors over
 a number field (entries with +, - and *, false exactly when zero) for one
 caller, the test oracle _satisfies_defining_relation, which applies rho
-to field vectors.  rref is the one Gauss-Jordan loop with Fraction pivots,
-and RationalMatrix's rref and nullspace go through it.  Exact arithmetic
-needs no pivoting heuristic: the first nonzero entry of a column is the
-pivot.
+to field vectors.  Exact arithmetic needs no pivoting heuristic: the
+first nonzero entry of a column is the pivot.
 
 The zero rule: a term with an exact zero factor is never formed, and an
 entry the pivot row would change by zero times a factor is left as it
@@ -25,15 +23,17 @@ The common-denominator rule: a kernel may clear denominators once
 (clear_denominators: rational rows in, integer rows and their lcm D out)
 and run on Python ints, so no product pays for a Fraction's gcd.  It
 does so only where the scale provably cancels: a zero test, a span, or
-an identity whose two sides scale alike.  span_rref works this way:
-fraction-free Gauss-Jordan on primitive integer rows, dividing by the
-pivots only at the end, which gives the same unique reduced echelon form
-as rref.  det works this way too: it clears denominators once (D) and
-runs Bareiss's fraction-free elimination on the integer rows (dense,
-since an int product costs little), each division by the previous pivot
-exact, so det = det(integer rows) / D^n, always a Fraction.
-int_charpoly, the one characteristic polynomial, runs on cleared integer
-rows (M, D): its c_k is D^(n-k) times the rational coefficient.
+an identity whose two sides scale alike.  rref, the one Gauss-Jordan
+loop, works this way: fraction-free on primitive integer rows, dividing
+by the pivots only at the end, which the unique reduced echelon form
+allows; solve, rank, span_rref and exactmath's nullspace all read it,
+and every entry it returns is a Fraction.  det works this way too: it
+clears denominators once (D) and runs Bareiss's fraction-free
+elimination on the integer rows (dense, since an int product costs
+little), each division by the previous pivot exact, so det = det(integer
+rows) / D^n, always a Fraction.  int_charpoly, the one characteristic
+polynomial, runs on cleared integer rows (M, D): its c_k is D^(n-k)
+times the rational coefficient.
 """
 
 from __future__ import annotations
@@ -72,36 +72,39 @@ def mat_mul(a, b):
 
 
 def rref(rows):
-    """Reduced row echelon form of a copy; returns (rows, pivot_cols)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
+    """Reduced row echelon form of rational rows, as Fraction rows with the
+    zero rows last; returns (rows, pivot_cols).  The integer loop drops a
+    row once it is reduced to zero (see the common-denominator rule)."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    m = [r for r in map(primitive, rows) if any(r)]
     pivots = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = _inv(m[r][c])
-        m[r] = [x * inv if x else x for x in m[r]]
+        p = m[r][c]
         nz = [(k, y) for k, y in enumerate(m[r]) if y]
-        for i in range(nrows):
-            f = m[i][c]
+        for i, row in enumerate(m):
+            f = row[c]
             if i != r and f:
-                row = m[i]
+                g = gcd(p, f)
+                s, f = p // g, f // g
+                if s != 1:
+                    row = [s * x for x in row]
                 for k, y in nz:
-                    row[k] = row[k] - f * y
+                    row[k] -= f * y
+                m[i] = _content_free(row)
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def _inv(x):
-    return 1 / x if isinstance(x, Fraction) else Fraction(1, x)
+        m[r + 1:] = [row for row in m[r + 1:] if any(row)]
+    zero = Fraction(0)
+    return ([[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
+            + [[zero] * ncols for _ in range(len(rows) - len(pivots))]), pivots
 
 
 def rank(rows) -> int:
@@ -224,35 +227,6 @@ def _content_free(ints):
 
 def span_rref(vectors):
     """Canonical (RREF) basis of the span of the given rational row
-    vectors, as Fraction tuples, by fraction-free Gauss-Jordan: every row
-    stays a primitive integer row, a row reduced to zero is dropped, and
-    each pivot row is divided by its pivot only at the end.  The reduced
-    echelon form of a span is unique, so this is rref's result, entry for
-    entry."""
-    if not vectors:
-        return []
-    rows = [r for r in map(primitive, vectors) if any(r)]
-    pivots = []
-    for c in range(len(vectors[0])):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        nz = [(k, y) for k, y in enumerate(rows[r]) if y]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                g = gcd(p, f)
-                s, f = p // g, f // g
-                if s != 1:
-                    row = [s * x for x in row]
-                for k, y in nz:
-                    row[k] -= f * y
-                rows[i] = _content_free(row)
-        pivots.append(c)
-        rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
-    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]
+    vectors, as Fraction tuples: rref's nonzero rows."""
+    m, pivots = rref(vectors)
+    return [tuple(row) for row in m[:len(pivots)]]

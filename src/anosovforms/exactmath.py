@@ -516,14 +516,15 @@ def nullspace(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     free column, with entry 1 at the free column.  Comparing kernels is
     therefore a bit-exact comparison of these lists.
     """
-    r, pivots = m.rref()
+    r, pivots = fl.rref(m.entries)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -r.entries[i][f]
+            if r[i][f]:
+                v[p] = -r[i][f]
         basis.append(tuple(v))
     return basis
 

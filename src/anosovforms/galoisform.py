@@ -41,7 +41,7 @@ from .errors import (
     NotHomomorphism,
 )
 from .exactmath import Polynomial, RationalMatrix, nullspace
-from .liealg import LieAlgebra, LinearMap, _bracket, _support, is_automorphism, require_jacobi
+from .liealg import LieAlgebra, _bracket, _support, preserves_brackets, require_jacobi
 from .numfield import (
     FieldElement,
     GaloisDatum,
@@ -140,7 +140,9 @@ def _compose(a: Sequence[Mapping], b: Sequence[Mapping]) -> list[dict]:
 
 def verify_representation(rho: Representation) -> Representation:
     """rho(e) = I and D R_ij = R_i R_j on rho's columns for all d^2 pairs;
-    with an algebra attached, each image but rho(e) an automorphism."""
+    with an algebra attached, each image but rho(e) preserves brackets.
+    Once those pairs pass, rho(g) rho(g^-1) = rho(e) = I, so every image is
+    invertible and hence an automorphism."""
     datum = rho.datum
     d = datum.degree
     if len(rho.images) != d:
@@ -161,9 +163,9 @@ def verify_representation(rho: Representation) -> Representation:
     if rho.algebra is not None:
         if rho.algebra.dim != m:
             raise DimensionMismatch("algebra dimension must match image size")
-        for i, im in enumerate(rho.images):
-            if i != e and not is_automorphism(rho.algebra, LinearMap(rho.algebra, im.entries)):
-                raise NotHomomorphism(f"image {i} is not a Lie algebra automorphism")
+        for g, image in enumerate(cols):
+            if g != e and not preserves_brackets(rho.algebra, image, den):
+                raise NotHomomorphism(f"image {g} is not a Lie algebra automorphism")
     object.__setattr__(rho, "verified", True)
     return rho
 
@@ -336,7 +338,7 @@ def structure_constants_on_form(basis: RationalFormBasis,
         i, j = pairs[e.column]
         raise IrrationalStructureConstant(
             f"bracket [{i},{j}] has an irrational coordinate") from None
-    entries = [(i, j, k, Fraction(coords[k][col]) / (scale * den))
+    entries = [(i, j, k, coords[k][col] / (scale * den))
                for col, (i, j) in enumerate(pairs) for k in range(m) if coords[k][col]]
     return require_jacobi(LieAlgebra(m, tuple(entries)))
 
@@ -400,7 +402,7 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
     except fl.Inconsistent as e:
         raise IrrationalEntry(
             f"transported column {e.column} has an irrational entry") from None
-    return RationalMatrix([[Fraction(x) / df for x in row] for row in sol])
+    return RationalMatrix([[x / df for x in row] for row in sol])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ rational form's vectors run on ints (galoisform.restricted_bracket_map).
 
 The kernels follow _fieldlinalg's common-denominator rule: the structure
 constants are kept once more as ints scaled by their lcm C
-(integer_bracket_map), and check_jacobi, is_automorphism and
+(integer_bracket_map), and check_jacobi, preserves_brackets and
 lower_central_series run the one bracket kernel on ints, where every
 identity they test scales by a nonzero constant on both sides.
 """
@@ -36,6 +36,8 @@ class LieAlgebra:
     basis_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dim}")
         norm: dict[tuple[int, int], dict[int, object]] = {}
         for (i, j, k, c) in self.brackets:
             if not (0 <= i < j < self.dim and 0 <= k < self.dim):
@@ -225,12 +227,17 @@ def is_automorphism(a: LieAlgebra, f: LinearMap) -> bool:
     on all basis pairs."""
     if fl.det([list(r) for r in f.matrix]) == 0:
         return False
-    # F = D f and constants times C: [F b_i, F b_j] and D sum_k C c F b_k
-    # are both D^2 C times the rational sides
-    bmap = a.integer_bracket_map()[0]
     rows, d = fl.clear_denominators(f.matrix)
+    return preserves_brackets(a, [_support(col) for col in zip(*rows)], d)
+
+
+def preserves_brackets(a: LieAlgebra, cols: Sequence[Mapping], d: int) -> bool:
+    """f[b_i, b_j] = [f b_i, f b_j] on all basis pairs, for f = F / d given
+    by the nonzero entries of F's integer columns; invertibility is not
+    checked.  [F b_i, F b_j] and d sum_k C c F b_k, constants times C, are
+    both d^2 C times the rational sides."""
+    bmap = a.integer_bracket_map()[0]
     image = {key: {k: d * c for k, c in row.items()} for key, row in bmap.items()}
-    cols = [_support(col) for col in zip(*rows)]
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
             diff = _bracket(bmap, cols[i], cols[j])

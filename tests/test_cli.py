@@ -106,8 +106,10 @@ class TestCertify:
         (None, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", 0.5]]),
         (None, [["1", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
         ({"field": "Q", "dim": 3, "brackets": [[0, 1, 2, "1/0"]]}, None),
+        ({"field": "Q", "dim": -1, "brackets": []}, None),
+        ({"field": "Q", "dim": 0, "brackets": []}, None),
     ], ids=["repeated-index", "no-brackets", "float-coefficient",
-            "float-entry", "ragged-map", "zero-denominator"])
+            "float-entry", "ragged-map", "zero-denominator", "negative-dim", "zero-dim"])
     def test_malformed_input_exit2(self, workdir, algebra, matrix):
         alg = workdir / "malformed_alg.json"
         mp = workdir / "malformed_map.json"

@@ -2,8 +2,8 @@
 matrices and on the flat rational images of matrices over verified number
 fields, a high-precision mpmath oracle for det, the Galois action's
 matrix path against polynomial composition, the kernel's zero rule
-against the dense kernel it replaced, and the integer span_rref against
-the Fraction one it replaced."""
+against the dense kernel it replaced, and the integer rref and span_rref
+against the Fraction elimination they replaced."""
 
 import math
 from fractions import Fraction as F
@@ -400,7 +400,7 @@ def test_ragged_rows_raise_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# the integer span_rref against the Fraction one it replaced
+# the integer rref and span_rref against the Fraction elimination they replaced
 
 
 def ref_rref(rows):
@@ -472,6 +472,8 @@ def test_integer_span_rref_matches_fraction_rref(rows):
     out = fl.span_rref(rows)
     assert repr(out) == repr(ref_span_rref(rows))
     assert all(type(x) is F for v in out for x in v)
+    # rref itself: every row, zero rows last, and the pivots
+    assert repr(fl.rref(rows)) == repr(ref_rref([[F(x) for x in v] for v in rows]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -502,18 +504,15 @@ def test_int_matrices_match_fractions(case):
     fm = [[F(x) for x in row] for row in m]
     fcols = [[F(x) for x in col] for col in cols]
     assert fl.det(m) == fl.det(fm)
-    assert fl.rref(m) == fl.rref(fm)
+    assert repr(fl.rref(m)) == repr(fl.rref(fm))
+    assert all(type(x) is F for row in fl.rref(m)[0] for x in row)
     if fl.det(fm) == 0:
         with pytest.raises(ZeroDivisionError):
             fl.solve(m, cols)
     else:
-        assert fl.solve(m, cols) == fl.solve(fm, fcols)
-    assert all(not isinstance(x, float) for row in fl.rref(m)[0] for x in row)
-
-
-def test_int_pivot_inverse_is_a_fraction():
-    assert fl.det([[2, 1], [1, 1]]) == 1
-    assert fl._inv(4) == F(1, 4) and isinstance(fl._inv(4), F)
+        x = fl.solve(m, cols)
+        assert x == fl.solve(fm, fcols)
+        assert all(type(y) is F for row in x for y in row)
 
 
 # ---------------------------------------------------------------------------

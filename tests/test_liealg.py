@@ -21,6 +21,7 @@ from anosovforms.liealg import (
     heisenberg,
     is_automorphism,
     lower_central_series,
+    preserves_brackets,
 )
 from anosovforms.pfaffian import hk_algebra, nk_algebra
 from test_exactmath import zeros
@@ -270,8 +271,10 @@ def ref_lower_central_series(a):
 
 
 def ref_is_automorphism(a, f):
-    if fl.det([list(r) for r in f.matrix]) == 0:
-        return False
+    return fl.det([list(r) for r in f.matrix]) != 0 and ref_preserves_brackets(a, f)
+
+
+def ref_preserves_brackets(a, f):
     cols = [f.column(j) for j in range(a.dim)]
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
@@ -393,6 +396,10 @@ class TestSparseKernelOracle:
         a, f, kind = drawn
         verdict = is_automorphism(a, f)
         assert verdict == ref_is_automorphism(a, f)
+        # the bracket half alone, on columns over a larger common denominator
+        rows, d = fl.clear_denominators(f.matrix)
+        cols = [{i: 3 * x for i, x in enumerate(col) if x} for col in zip(*rows)]
+        assert preserves_brackets(a, cols, 3 * d) == ref_preserves_brackets(a, f)
         if kind == "automorphism":
             assert verdict
         if kind == "singular":
