@@ -2,9 +2,10 @@
 
 The automorphism polynomials were derived once (numerically, by mapping
 the ordered real roots onto each other and rationalizing the interpolation)
-and are re-proven exact here on every construction: verification composes
-them with the minimal polynomial and rejects anything that fails, so the
-numerical provenance never enters the trusted base.
+and are re-proven exact here on every construction: verification checks
+min_poly(q(theta)) = 0 for each, derives the group table from their
+matrices and rejects anything that fails, so the numerical provenance
+never enters the trusted base.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ def quartic_z4_datum() -> GaloisDatum:
 def cyclic_cubic_datum() -> GaloisDatum:
     """The cyclic cubic field of X^3 - 3X - 1 (the real subfield of the
     ninth cyclotomic field); sigma(theta) = theta^2 - theta - 2 cycles the
-    descending roots."""
+    descending roots, and sigma^2(theta) = 2 - theta^2."""
     p = Polynomial([-1, -3, 0, 1])
     sigma = Polynomial([-2, -1, 1])
-    sigma2 = sigma.compose_mod(sigma, p)
+    sigma2 = Polynomial([2, 0, -1])
     enclosures = [
         Interval(Fraction(187, 100), Fraction(188, 100)),
         Interval(Fraction(-35, 100), Fraction(-34, 100)),

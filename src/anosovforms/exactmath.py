@@ -238,12 +238,6 @@ class Polynomial:
             lo, hi = min(prods) + shift, max(prods) + shift
         return Interval(Fraction(lo, e * scale), Fraction(hi, e * scale))
 
-    def compose_mod(self, other: "Polynomial", modulus: "Polynomial") -> "Polynomial":
-        acc = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = (acc * other + Polynomial((c,))) % modulus
-        return acc
-
     # -- normal forms
 
     def monic(self) -> "Polynomial":

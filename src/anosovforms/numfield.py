@@ -4,9 +4,10 @@ A GaloisDatum packages a monic integer minimal polynomial together with
 explicit automorphism polynomials, a composition table and certified real
 root enclosures.  Nothing is ever *discovered* here: the datum is a claim,
 and verify_galois_datum proves every part of it by exact arithmetic
-(irreducibility by bounded factor search, the automorphism property by
-polynomial composition, the group structure from the table).  Downstream
-code only accepts verified data.
+(irreducibility by bounded factor search; the automorphism property and
+the group structure from each automorphism's power-basis matrix, built
+once and kept as the only form of the Galois action).  Downstream code
+only accepts verified data.
 
 Each real root of a verified datum has one bisection path (RootPath), kept
 on the datum; every question about a real conjugate is asked of that path
@@ -48,16 +49,17 @@ class GaloisDatum:
     Galois group action.
 
     automorphisms[i] is the polynomial q_i with sigma_i(theta) = q_i(theta);
-    table[i][j] is the index of sigma_i o sigma_j.  root_enclosures lists
-    disjoint rational intervals for the real roots in descending order; the
-    distinguished embedding sends theta to the root in enclosure
-    distinguished_index (default: the largest root).
+    table[i][j] is the index of sigma_i o sigma_j (None: verification
+    derives it).  root_enclosures lists disjoint rational intervals for the
+    real roots in descending order; the distinguished embedding sends theta
+    to the root in enclosure distinguished_index (default: the largest
+    root).
     """
 
     min_poly: Polynomial
     automorphisms: tuple[Polynomial, ...]
     identity_index: int
-    table: tuple[tuple[int, ...], ...]
+    table: tuple[tuple[int, ...], ...] | None
     root_enclosures: tuple[Interval, ...] | None = None
     totally_real: bool = True
     root_moduli: tuple[Interval, ...] | None = None
@@ -394,10 +396,12 @@ def verify_galois_datum(candidate: GaloisDatum,
     """Run every invariant check and return the datum marked verified.
 
     Checks: irreducibility (or the assume_irreducible escape hatch), that
-    every automorphism polynomial q satisfies min_poly(q(theta)) = 0, that
-    the composition table is the multiplication table of a group of order
-    equal to the degree, and that the root enclosures are genuine, disjoint
-    and descending.  Starts each real root's bisection path from its
+    every automorphism polynomial q is reduced and satisfies
+    min_poly(q(theta)) = 0, that the composition table (derived when None)
+    is the multiplication table of a group of order equal to the degree,
+    and that the root enclosures are genuine, disjoint and descending; both
+    algebraic checks read each automorphism's power-basis matrix, built
+    once and kept.  Starts each real root's bisection path from its
     enclosure and pins down which root each automorphism sends the
     distinguished root to (the root_map).
     """
@@ -418,39 +422,64 @@ def verify_galois_datum(candidate: GaloisDatum,
     if n_aut != d:
         raise WrongAutomorphismCount(f"{n_aut} automorphisms for degree {d}")
 
+    # the Galois action in the power basis: column k of A_i is
+    # q_i(theta)^k, formed on the cleared numerators (M, D) of
+    # multiplication by q_i(theta); column d decides the min-poly check
+    low = [int(c) for c in p.coeffs[:-1]]
+    coords, autmat = [], []
     for i, q in enumerate(candidate.automorphisms):
-        if q.degree >= d and d > 1:
+        if q.degree >= d:
             raise BadParameters(f"automorphism {i} not reduced mod min_poly")
-        if not p.compose_mod(q, p).is_zero:
+        x = candidate.element(q.coeffs)
+        rows, den = x._scaled_multiplication_rows()
+        cols = [[1] + [0] * (d - 1)]
+        for _ in range(d):
+            cols.append(fl.mat_vec(rows, cols[-1]))
+        # D^d min_poly(q_i(theta)) = column d + sum_k p_k D^(d-k) column k
+        residual = cols[d]
+        for k, c in enumerate(low):
+            residual = [a + c * den ** (d - k) * b for a, b in zip(residual, cols[k])]
+        if any(residual):
             raise AutomorphismFailsMinPoly(f"automorphism {i} fails the minimal polynomial")
+        coords.append(x.coeffs)
+        autmat.append(RationalMatrix(
+            [Fraction(col[r], den ** k) for k, col in enumerate(cols[:d])] for r in range(d)))
 
-    if len(set(q.coeffs for q in candidate.automorphisms)) != d:
+    if len(set(coords)) != d:
         raise WrongAutomorphismCount("duplicate automorphism polynomials")
 
     ident = candidate.identity_index
     if not (0 <= ident < d):
         raise TableNotAGroup("identity index out of range")
-    expected_id = Polynomial.x() if d > 1 else candidate.automorphisms[ident]
-    if d > 1 and candidate.automorphisms[ident] != expected_id:
+    if coords[ident] != candidate.generator().coeffs:
         raise TableNotAGroup("identity automorphism is not X")
 
-    if len(candidate.table) != d or any(len(row) != d for row in candidate.table):
+    given = candidate.table
+    if given is not None and (len(given) != d or any(len(row) != d for row in given)):
         raise TableNotAGroup("table has wrong shape")
+    index = {c: i for i, c in enumerate(coords)}
+    table = []
     for i in range(d):
+        row = []
         for j in range(d):
-            # sigma_i o sigma_j has polynomial q_j(q_i(X)) mod p
-            comp = candidate.automorphisms[j].compose_mod(candidate.automorphisms[i], p)
-            k = candidate.table[i][j]
-            if not (0 <= k < d) or candidate.automorphisms[k] != comp:
-                raise TableNotAGroup(f"table entry ({i},{j}) does not match composition")
+            # sigma_i o sigma_j sends theta to sigma_i(q_j(theta))
+            comp = tuple(autmat[i].apply(coords[j]))
+            k = index.get(comp, -1) if given is None else given[i][j]
+            if not (0 <= k < d) or coords[k] != comp:
+                raise TableNotAGroup("automorphisms not closed under composition" if given is None
+                                     else f"table entry ({i},{j}) does not match composition")
+            row.append(k)
+        table.append(tuple(row))
     for i in range(d):
-        if sorted(candidate.table[i]) != list(range(d)):
+        if sorted(table[i]) != list(range(d)):
             raise TableNotAGroup(f"row {i} is not a permutation")
-        if sorted(row[i] for row in candidate.table) != list(range(d)):
+        if sorted(row[i] for row in table) != list(range(d)):
             raise TableNotAGroup(f"column {i} is not a permutation")
-        if candidate.table[ident][i] != i or candidate.table[i][ident] != i:
+        if table[ident][i] != i or table[i][ident] != i:
             raise TableNotAGroup("identity row/column is not the identity")
 
+    if not (0 <= candidate.distinguished_index < d):
+        raise BadParameters("distinguished root index out of range")
     paths: tuple[RootPath, ...] = ()
     if candidate.totally_real:
         encl = candidate.root_enclosures
@@ -464,8 +493,6 @@ def verify_galois_datum(candidate: GaloisDatum,
         for a, b in zip(encl, encl[1:]):
             if not b.hi < a.lo:
                 raise EnclosuresOverlap("enclosures must be disjoint and descending")
-        if not (0 <= candidate.distinguished_index < d):
-            raise BadParameters("distinguished root index out of range")
     else:
         if candidate.root_moduli is None or len(candidate.root_moduli) != d:
             raise BadEnclosure("non-real datum needs per-conjugate modulus enclosures")
@@ -480,10 +507,12 @@ def verify_galois_datum(candidate: GaloisDatum,
 
     out = replace(
         candidate,
+        table=tuple(table),
         assume_irreducible=candidate.assume_irreducible and not proved,
     )
     object.__setattr__(out, "verified", True)
     object.__setattr__(out, "_paths", paths)
+    object.__setattr__(out, "_autmat", tuple(autmat))
     object.__setattr__(out, "root_map",
                        _compute_root_map(out) if out.totally_real else None)
     return out
@@ -560,29 +589,7 @@ def biquadratic_datum(k: int, l: int) -> GaloisDatum:
         )
         return ivs if all(b.hi < a.lo for a, b in zip(ivs, ivs[1:])) else None
 
-    datum = GaloisDatum(
-        min_poly=p,
-        automorphisms=auts,
-        identity_index=0,
-        table=_table_from_polys(auts, p),
-        root_enclosures=refine_until(separated),
-    )
-    return verify_galois_datum(datum)
-
-
-def _table_from_polys(auts: Sequence[Polynomial], p: Polynomial) -> tuple[tuple[int, ...], ...]:
-    d = len(auts)
-    idx = {q.coeffs: i for i, q in enumerate(auts)}
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            comp = auts[j].compose_mod(auts[i], p)
-            if comp.coeffs not in idx:
-                raise TableNotAGroup("automorphisms not closed under composition")
-            row.append(idx[comp.coeffs])
-        table.append(tuple(row))
-    return tuple(table)
+    return datum_from_automorphism_polys(p, auts, refine_until(separated))
 
 
 def biquadratic_sqrts(datum: GaloisDatum, k: int, l: int) -> tuple[FieldElement, FieldElement]:
@@ -602,18 +609,12 @@ def datum_from_automorphism_polys(min_poly: Polynomial,
                                   identity_index: int = 0,
                                   distinguished_index: int = 0) -> GaloisDatum:
     """Assemble and verify a datum when only the automorphism polynomials
-    are known; the composition table is derived then certified."""
-    for i, q in enumerate(auts):
-        if not min_poly.compose_mod(q, min_poly).is_zero:
-            raise AutomorphismFailsMinPoly(
-                f"automorphism {i} fails the minimal polynomial"
-            )
-    table = _table_from_polys(list(auts), min_poly)
+    are known; verification derives the composition table."""
     return verify_galois_datum(GaloisDatum(
         min_poly=min_poly,
         automorphisms=tuple(auts),
         identity_index=identity_index,
-        table=table,
+        table=None,
         root_enclosures=tuple(root_enclosures),
         distinguished_index=distinguished_index,
     ))
@@ -631,17 +632,9 @@ def _require_verified(datum: GaloisDatum):
 
 def automorphism_matrix(datum: GaloisDatum, index: int) -> RationalMatrix:
     """Matrix of the Q-linear map x -> sigma_index(x) in the power basis
-    (cached on the datum)."""
-    cache = vars(datum).setdefault("_autmat", {})
-    if index not in cache:
-        cols = []
-        power = datum.one()
-        sigma_theta = datum.from_polynomial(datum.automorphisms[index])
-        for _ in range(datum.degree):
-            cols.append(power.coeffs)
-            power = power * sigma_theta
-        cache[index] = RationalMatrix(zip(*cols))
-    return cache[index]
+    (column k is sigma_index(theta)^k), as verify_galois_datum built it."""
+    _require_verified(datum)
+    return datum._autmat[index]
 
 
 def apply_automorphism(datum: GaloisDatum, index: int, x: FieldElement) -> FieldElement:

@@ -60,6 +60,12 @@ def _int(x) -> int:
     raise MalformedInput(f"not an integer: {x!r}")
 
 
+def _bool(x) -> bool:
+    if isinstance(x, bool):
+        return x
+    raise MalformedInput(f"not a boolean: {x!r}")
+
+
 # -- polynomials, matrices, intervals --------------------------------------
 
 
@@ -113,7 +119,7 @@ def datum_to_json(d: GaloisDatum) -> dict:
 
 @_reader
 def datum_from_json(data, verify: bool = True) -> GaloisDatum:
-    totally_real = data.get("totally_real", True)
+    totally_real = _bool(data.get("totally_real", True))
     datum = GaloisDatum(
         min_poly=poly_from_json(data["min_poly"]),
         automorphisms=tuple(poly_from_json(q) for q in data["automorphisms"]),
@@ -124,7 +130,7 @@ def datum_from_json(data, verify: bool = True) -> GaloisDatum:
         totally_real=totally_real,
         root_moduli=tuple(interval_from_json(iv) for iv in data.get("moduli", []))
         if not totally_real else None,
-        assume_irreducible=bool(data.get("assume_irreducible", False)),
+        assume_irreducible=_bool(data.get("assume_irreducible", False)),
         distinguished_index=_int(data.get("distinguished", 0)),
     )
     return verify_galois_datum(datum) if verify else datum

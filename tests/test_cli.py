@@ -259,6 +259,44 @@ class TestTools:
         proc = run_cli("verify-field", "--field", str(field), check=False)
         assert proc.returncode == 1
 
+    # X^6 - 101X^3 + 2550 = (X^3 - 50)(X^3 - 51) lies past the factor
+    # budget; one automorphism for degree 6 is wrong whenever the
+    # irreducibility check is passed
+    REDUCIBLE_SEXTIC = {
+        "min_poly": ["2550", "0", "0", "-101", "0", "0", "1"],
+        "automorphisms": [["0", "1"]], "identity": 0, "table": [[0]], "roots": [],
+    }
+
+    def test_verify_field_budget_without_the_flag_exit1(self, workdir):
+        field = workdir / "sextic.json"
+        field.write_text(json.dumps(self.REDUCIBLE_SEXTIC | {"assume_irreducible": False}))
+        proc = run_cli("verify-field", "--field", str(field), check=False)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "IrreducibilityBudgetExceeded"
+
+    @pytest.mark.parametrize("key", ["assume_irreducible", "totally_real"])
+    @pytest.mark.parametrize("value", ["false", "0", "true", 0, 1, None], ids=json.dumps)
+    def test_verify_field_non_boolean_flag_exit2(self, workdir, key, value):
+        field = workdir / "sextic_flag.json"
+        field.write_text(json.dumps(self.REDUCIBLE_SEXTIC | {key: value}))
+        proc = run_cli("verify-field", "--field", str(field), check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("malformed input:")
+
+    def test_verify_field_complex_distinguished_out_of_range_exit1(self, workdir):
+        # X^2 - X + 2 has two complex roots of modulus sqrt 2
+        modulus = {"lo": "7/5", "hi": "3/2"}
+        data = {"min_poly": ["2", "-1", "1"], "automorphisms": [["0", "1"], ["1", "-1"]],
+                "identity": 0, "table": [[0, 1], [1, 0]], "totally_real": False,
+                "moduli": [modulus, modulus], "assume_irreducible": False}
+        field = workdir / "complex.json"
+        field.write_text(json.dumps(data))
+        assert json.loads(run_cli("verify-field", "--field", str(field)).stdout)["verified"]
+        field.write_text(json.dumps(data | {"distinguished": 7}))
+        proc = run_cli("verify-field", "--field", str(field), check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "BadParameters"
+
     def test_pisot_search(self, workdir, sqrt2):
         field = workdir / "sqrt2b.json"
         field.write_text(canonical_dumps(datum_to_json(sqrt2)))

@@ -98,11 +98,6 @@ class TestPolynomial:
             return
         assert p.reciprocal().reciprocal() == p
 
-    def test_compose_mod(self):
-        p = P([1, 1, -4, -4, 1])
-        q = P([-6, 2, 19, -4])
-        assert p.compose_mod(q, p).is_zero
-
 
 class TestCharpoly:
     def test_paper_block(self):

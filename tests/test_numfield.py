@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovforms.errors import (
+    AnosovError,
     AutomorphismFailsMinPoly,
     BadParameters,
     DatumMismatch,
     EnclosuresOverlap,
+    IrreducibilityBudgetExceeded,
     NotIrreducible,
     PrecisionUnreachable,
     TableNotAGroup,
@@ -22,7 +26,7 @@ from anosovforms.catalog import (
     quartic_z4_datum,
     sqrt2_datum,
 )
-from anosovforms.exactmath import Interval, Polynomial
+from anosovforms.exactmath import Interval, Polynomial, RationalMatrix
 from anosovforms.numfield import (
     DEFAULT_FACTOR_BUDGET,
     GaloisDatum,
@@ -30,6 +34,7 @@ from anosovforms.numfield import (
     _check_irreducible,
     _l2_norm_bound,
     apply_automorphism,
+    automorphism_matrix,
     biquadratic_datum,
     biquadratic_sqrts,
     compare_abs_to_one,
@@ -543,3 +548,337 @@ class TestPrunedFactorSearch:
             assert (_outcome(_check_irreducible, p, 10 ** 5)
                     == _outcome(_reference_check_irreducible, p, 10 ** 5))
             assert _outcome(_check_irreducible, p, 10 ** 5)[0] == "NotIrreducible"
+
+
+# ---------------------------------------------------------------------------
+# the power-basis Galois action against the composition path it replaced
+# ---------------------------------------------------------------------------
+
+
+def _frozen_compose_mod(f, g, p):
+    """f(g(X)) mod p by Horner."""
+    acc = Polynomial.zero()
+    for c in reversed(f.coeffs):
+        acc = (acc * g + Polynomial((c,))) % p
+    return acc
+
+
+def _frozen_table_from_polys(auts, p):
+    d = len(auts)
+    idx = {q.coeffs: i for i, q in enumerate(auts)}
+    table = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            comp = _frozen_compose_mod(auts[j], auts[i], p)
+            if comp.coeffs not in idx:
+                raise TableNotAGroup("automorphisms not closed under composition")
+            row.append(idx[comp.coeffs])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _frozen_verify(candidate, factor_budget=DEFAULT_FACTOR_BUDGET):
+    """verify_galois_datum's checks up to the group table, by polynomial
+    composition; returns the table it certified."""
+    p = candidate.min_poly
+    d = p.degree
+    if d < 1:
+        raise BadParameters("minimal polynomial must have degree >= 1")
+    if not p.is_integer or p.leading != 1:
+        raise BadParameters("minimal polynomial must be monic with integer coefficients")
+    proved = _check_irreducible(p, factor_budget)
+    if not proved and not candidate.assume_irreducible:
+        raise IrreducibilityBudgetExceeded(
+            "irreducibility not proven within budget; set assume_irreducible")
+    n_aut = len(candidate.automorphisms)
+    if n_aut != d:
+        raise WrongAutomorphismCount(f"{n_aut} automorphisms for degree {d}")
+    for i, q in enumerate(candidate.automorphisms):
+        if q.degree >= d and d > 1:
+            raise BadParameters(f"automorphism {i} not reduced mod min_poly")
+        if not _frozen_compose_mod(p, q, p).is_zero:
+            raise AutomorphismFailsMinPoly(f"automorphism {i} fails the minimal polynomial")
+    if len(set(q.coeffs for q in candidate.automorphisms)) != d:
+        raise WrongAutomorphismCount("duplicate automorphism polynomials")
+    ident = candidate.identity_index
+    if not (0 <= ident < d):
+        raise TableNotAGroup("identity index out of range")
+    if d > 1 and candidate.automorphisms[ident] != Polynomial.x():
+        raise TableNotAGroup("identity automorphism is not X")
+    if len(candidate.table) != d or any(len(row) != d for row in candidate.table):
+        raise TableNotAGroup("table has wrong shape")
+    for i in range(d):
+        for j in range(d):
+            comp = _frozen_compose_mod(candidate.automorphisms[j], candidate.automorphisms[i], p)
+            k = candidate.table[i][j]
+            if not (0 <= k < d) or candidate.automorphisms[k] != comp:
+                raise TableNotAGroup(f"table entry ({i},{j}) does not match composition")
+    for i in range(d):
+        if sorted(candidate.table[i]) != list(range(d)):
+            raise TableNotAGroup(f"row {i} is not a permutation")
+        if sorted(row[i] for row in candidate.table) != list(range(d)):
+            raise TableNotAGroup(f"column {i} is not a permutation")
+        if candidate.table[ident][i] != i or candidate.table[i][ident] != i:
+            raise TableNotAGroup("identity row/column is not the identity")
+    return tuple(candidate.table)
+
+
+def _frozen_from_polys(min_poly, auts, encl, identity_index=0):
+    """datum_from_automorphism_polys as it was: the min-poly pre-check and
+    the table build, then verification of the table."""
+    for i, q in enumerate(auts):
+        if not _frozen_compose_mod(min_poly, q, min_poly).is_zero:
+            raise AutomorphismFailsMinPoly(f"automorphism {i} fails the minimal polynomial")
+    table = _frozen_table_from_polys(list(auts), min_poly)
+    return _frozen_verify(GaloisDatum(min_poly, tuple(auts), identity_index, table,
+                                      tuple(encl)))
+
+
+def _frozen_automorphism_matrix(datum, index):
+    """The lazy build: columns 1, q(theta), q(theta)^2, ... by field
+    multiplication."""
+    cols = []
+    power = datum.one()
+    sigma_theta = datum.from_polynomial(datum.automorphisms[index])
+    for _ in range(datum.degree):
+        cols.append(power.coeffs)
+        power = power * sigma_theta
+    return RationalMatrix(zip(*cols))
+
+
+def _verdict(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except AnosovError as e:
+        return (type(e).__name__, str(e))
+
+
+def _new_verify(candidate):
+    return verify_galois_datum(candidate).table
+
+
+def _new_from_polys(min_poly, auts, encl, identity_index=0):
+    return datum_from_automorphism_polys(min_poly, auts, encl, identity_index).table
+
+
+def _expected_from_polys(min_poly, auts, encl, identity_index=0):
+    """The frozen verdicts in verify_galois_datum's order: a fault that
+    verification finds before the table (irreducibility, count, reduction,
+    min-poly, duplicates, identity) comes first; otherwise the frozen table
+    build and its verification decide."""
+    try:
+        # a table of None stops the frozen checks at the table, by TypeError
+        _frozen_verify(GaloisDatum(min_poly, tuple(auts), identity_index, None, tuple(encl)))
+    except TypeError:
+        return _verdict(_frozen_from_polys, min_poly, auts, encl, identity_index)
+    except AnosovError as e:
+        return (type(e).__name__, str(e))
+    raise AssertionError("the frozen checks passed a datum with no table")
+
+
+_BIQUADRATIC_GRID = [(2, 3), (3, 2), (5, 2), (2, 5), (6, 5), (7, 2), (10, 3),
+                     (11, 2), (3, 7), (7, 5), (13, 6)]
+
+
+def _frozen_cases():
+    """name -> a verified datum built by the code under test from fixed
+    automorphism polynomials."""
+    cases = {"sqrt2": sqrt2_datum(), "cyclic_cubic": cyclic_cubic_datum(),
+             "quartic_z4": quartic_z4_datum()}
+    cases.update({f"biquadratic{k, l}": biquadratic_datum(k, l) for k, l in _BIQUADRATIC_GRID})
+    return cases
+
+
+_FROZEN_CASES = _frozen_cases()
+
+
+def _with(datum, **changes):
+    fields = dict(min_poly=datum.min_poly, automorphisms=datum.automorphisms,
+                  identity_index=datum.identity_index, table=datum.table,
+                  root_enclosures=datum.root_enclosures)
+    fields.update(changes)
+    return GaloisDatum(**fields)
+
+
+class TestFrozenComposition:
+    @pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
+    def test_catalog_tables_match(self, name):
+        datum = _FROZEN_CASES[name]
+        args = (datum.min_poly, datum.automorphisms, datum.root_enclosures)
+        assert ("ok", datum.table) == _verdict(_frozen_from_polys, *args)
+        assert _verdict(_new_verify, _with(datum)) == _verdict(_frozen_verify, _with(datum))
+        assert _verdict(_new_verify, _with(datum, table=None)) == ("ok", datum.table)
+
+    @pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
+    def test_automorphism_matrix_repr(self, name):
+        datum = _FROZEN_CASES[name]
+        for i in range(datum.degree):
+            assert repr(automorphism_matrix(datum, i)) == \
+                repr(_frozen_automorphism_matrix(datum, i))
+
+    @pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
+    def test_relabeled_automorphisms(self, name):
+        datum = _FROZEN_CASES[name]
+        d = datum.degree
+        perm = list(reversed(range(d)))  # new label a holds old label perm[a]
+        inv = {old: new for new, old in enumerate(perm)}
+        auts = tuple(datum.automorphisms[o] for o in perm)
+        table = tuple(tuple(inv[datum.table[perm[a]][perm[b]]] for b in range(d))
+                      for a in range(d))
+        ident = inv[datum.identity_index]
+        relabeled = _with(datum, automorphisms=auts, table=table, identity_index=ident)
+        assert _verdict(_new_verify, relabeled) == _verdict(_frozen_verify, relabeled) \
+            == ("ok", table)
+        args = (datum.min_poly, auts, datum.root_enclosures, ident)
+        assert _verdict(_new_from_polys, *args) == _verdict(_frozen_from_polys, *args) \
+            == ("ok", table)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_perturbed_coefficients(self, seed):
+        rng = random.Random(seed)
+        datum = _FROZEN_CASES[rng.choice(sorted(_FROZEN_CASES))]
+        d = datum.degree
+        auts = list(datum.automorphisms)
+        i, k = rng.randrange(d), rng.randrange(d)
+        if rng.random() < 0.25:
+            # a valid automorphism in the wrong slot: a duplicate
+            auts[i] = auts[rng.randrange(d)]
+        else:
+            coeffs = [auts[i][m] for m in range(d)]
+            coeffs[k] += rng.choice([F(1), F(-1), F(1, 2), F(-2, 3)])
+            auts[i] = P(coeffs)
+        bad = _with(datum, automorphisms=tuple(auts))
+        assert _verdict(_new_verify, bad) == _verdict(_frozen_verify, bad)
+        args = (datum.min_poly, auts, datum.root_enclosures)
+        assert _verdict(_new_from_polys, *args) == _expected_from_polys(*args)
+
+    @pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
+    def test_bad_tables(self, name):
+        datum = _FROZEN_CASES[name]
+        d = datum.degree
+        t = [list(row) for row in datum.table]
+        tables = []
+        for i in range(d):
+            for j in range(d):
+                for k in (-1, d, (t[i][j] + 1) % d):
+                    bad = [list(row) for row in t]
+                    bad[i][j] = k
+                    tables.append(bad)
+        for i in range(d):
+            swapped = [list(row) for row in t]
+            swapped[i][0], swapped[i][-1] = swapped[i][-1], swapped[i][0]
+            tables.append(swapped)
+        tables.append(t[::-1])
+        tables.append(t[:-1])
+        tables.append([row[:-1] for row in t])
+        for table in tables:
+            bad = _with(datum, table=tuple(tuple(row) for row in table))
+            assert _verdict(_new_verify, bad) == _verdict(_frozen_verify, bad)
+            assert _verdict(_new_verify, bad)[0] == "TableNotAGroup"
+        for ident in (-1, d, *range(d)):
+            bad = _with(datum, identity_index=ident)
+            assert _verdict(_new_verify, bad) == _verdict(_frozen_verify, bad)
+
+    def test_non_closed_set(self):
+        # X^3 - X = X (X - 1)(X + 1) with assume_irreducible: the "field" is
+        # Q^3, and q maps the roots 0, 1, -1 to roots; the transposition
+        # (0 1) and the map theta -> -theta compose to a map outside the set
+        p = P([0, -1, 0, 1])
+        auts = (P.x(), P([1, F(1, 2), F(-3, 2)]), P([0, -1]))
+        encl = (Interval(F(1, 2), F(3, 2)), Interval(F(-1, 2), F(1, 2)),
+                Interval(F(-3, 2), F(-1, 2)))
+        derived = GaloisDatum(p, auts, 0, None, encl, assume_irreducible=True)
+        expected = ("TableNotAGroup", "automorphisms not closed under composition")
+        assert _verdict(verify_galois_datum, derived, 1) == expected
+        assert _verdict(_frozen_table_from_polys, auts, p) == expected
+        given = replace(derived, table=((0, 1, 2), (1, 0, 2), (2, 1, 0)))
+        assert _verdict(lambda c: verify_galois_datum(c, 1).table, given) == \
+            _verdict(_frozen_verify, given, 1) == \
+            ("TableNotAGroup", "table entry (1,2) does not match composition")
+        # from the polynomials alone, irreducibility now comes first
+        assert _verdict(_new_from_polys, p, auts, encl)[0] == "NotIrreducible"
+        assert _verdict(_frozen_from_polys, p, auts, encl) == expected
+        assert _expected_from_polys(p, auts, encl)[0] == "NotIrreducible"
+
+    def test_non_abelian_regular_action(self):
+        # S3 acting on itself by left multiplication, on the six rational
+        # roots 0..5 of p (the algebra Q^6 under assume_irreducible): the
+        # only datum here whose table is not symmetric, so it tells
+        # sigma_i o sigma_j from sigma_j o sigma_i
+        from itertools import permutations
+
+        group = list(permutations(range(3)))
+        roots = range(6)
+        p = math.prod((P([-r, 1]) for r in roots), start=P([1]))
+
+        def interpolate(values):
+            q = P([])
+            for k in roots:
+                basis = P([values[k]])
+                for m in roots:
+                    if m != k:
+                        basis = basis * P([F(-m, k - m), F(1, k - m)])
+                q = q + basis
+            return q
+
+        auts = tuple(interpolate([group.index(tuple(g[h[x]] for x in range(3)))
+                                  for h in group]) for g in group)
+        encl = tuple(Interval(r - F(1, 3), r + F(1, 3)) for r in reversed(roots))
+        derived = GaloisDatum(p, auts, 0, None, encl, assume_irreducible=True)
+        table = _frozen_table_from_polys(auts, p)
+        assert table != tuple(zip(*table))
+        out = verify_galois_datum(derived, 1)
+        assert out.table == table and out.assume_irreducible
+        for t in (table, tuple(zip(*table))):
+            given = replace(derived, table=t)
+            assert _verdict(lambda c: verify_galois_datum(c, 1).table, given) == \
+                _verdict(_frozen_verify, given, 1)
+        for i in range(6):
+            assert repr(automorphism_matrix(out, i)) == \
+                repr(_frozen_automorphism_matrix(out, i))
+
+    @pytest.mark.parametrize("auts, table, ident", [
+        ((P([3]),), ((0,),), 0),
+        ((P([5]),), ((0,),), 0),
+        ((P([3]),), ((1,),), 0),
+        ((P([3]),), ((-1,),), 0),
+        ((P([3]),), ((0,),), 1),
+        ((P([3]),), ((0, 0),), 0),
+        ((P([3]), P([3])), ((0, 0), (0, 0)), 0),
+    ])
+    def test_degree_one(self, auts, table, ident):
+        p = P([-3, 1])
+        encl = (Interval.point(3),)
+        candidate = GaloisDatum(p, auts, ident, table, encl)
+        assert _verdict(_new_verify, candidate) == _verdict(_frozen_verify, candidate)
+        args = (p, auts, encl, ident)
+        assert _verdict(_new_from_polys, *args) == _expected_from_polys(*args)
+
+
+class TestDegreeOneRules:
+    def test_constant_root_accepted(self):
+        d = verify_galois_datum(GaloisDatum(P([-3, 1]), (P([3]),), 0, None,
+                                            (Interval.point(3),)))
+        assert d.table == ((0,),)
+        assert repr(automorphism_matrix(d, 0)) == "RationalMatrix[1]"
+        assert apply_automorphism(d, 0, d.generator()) == 3
+
+    @pytest.mark.parametrize("q", [P.x(), P([0, 0, F(1, 3)])])
+    def test_unreduced_automorphism_rejected(self, q):
+        # theta -> theta is the identity and 3 -> 3^2 / 3 a root, but
+        # neither polynomial is reduced mod X - 3; the frozen composition
+        # path lets both through to the table
+        candidate = GaloisDatum(P([-3, 1]), (q,), 0, ((0,),), (Interval.point(3),))
+        with pytest.raises(BadParameters, match="automorphism 0 not reduced"):
+            verify_galois_datum(candidate)
+        assert _verdict(_frozen_verify, candidate) == \
+            ("TableNotAGroup", "table entry (0,0) does not match composition")
+
+    def test_wrong_constant_rejected(self):
+        with pytest.raises(AutomorphismFailsMinPoly):
+            datum_from_automorphism_polys(P([-3, 1]), [P([4])], [Interval.point(3)])
+
+    def test_automorphism_matrix_needs_verified_datum(self, sqrt2):
+        with pytest.raises(BadParameters):
+            automorphism_matrix(_with(sqrt2), 1)
