@@ -271,11 +271,8 @@ def _as_poly(x) -> Polynomial:
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd over Q; the zero polynomial when both inputs vanish."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd over Q, the chain's last term; zero when both vanish."""
+    return _remainder_chain(p, q)[-1].monic()
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +346,10 @@ class Interval:
 
 
 class RationalMatrix:
-    """Dense matrix over Q.  Immutable; rows of equal length."""
+    """Dense matrix over Q.  Immutable; rows of equal length; keeps its
+    charpoly once computed."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_charpoly")
 
     def __init__(self, rows: Iterable[Iterable]):
         ent = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -482,7 +480,9 @@ class RationalMatrix:
         return len(self.rref()[1])
 
     def charpoly(self) -> Polynomial:
-        return charpoly(self)
+        if not hasattr(self, "_charpoly"):
+            object.__setattr__(self, "_charpoly", charpoly(self))
+        return self._charpoly
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
         return RationalMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
@@ -649,8 +649,8 @@ def count_roots_inside_unit_disk(p: Polynomial) -> int:
 
 
 def count_real_roots(p: Polynomial) -> int:
-    """Distinct real roots of p over the whole real line."""
+    """Distinct real roots of p over the real line, the Cauchy index of
+    p'/p for any multiplicities (Basu, Pollack, Roy, Thm 2.50)."""
     if p.is_zero:
         raise ZeroPolynomial("count_real_roots of the zero polynomial")
-    q = p.squarefree_part()
-    return _chain_index(_remainder_chain(q, q.derivative()))
+    return _chain_index(_remainder_chain(p, p.derivative()))

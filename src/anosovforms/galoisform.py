@@ -107,7 +107,8 @@ class Representation:
     datum: GaloisDatum
     images: tuple[RationalMatrix, ...]
     algebra: LieAlgebra | None = None
-    verified: bool = field(default=False, compare=False)
+    # set by verify_representation only: a replace() copy is unverified
+    verified: bool = field(default=False, init=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -318,6 +319,11 @@ def structure_constants_on_form(basis: RationalFormBasis,
     exactly when its flattened column lies in the Q-span of P's columns,
     so one solve over Q gives them or names the first irrational bracket;
     restricted_bracket_map on P's integer columns gives S D^2 W.
+
+    Jacobi is required of the input L, after the solve: the output's
+    constants are those of L (x) E in the basis b_1, ..., b_m, so the
+    output satisfies Jacobi exactly when L does, and L's kept verdict is
+    read (require_jacobi), not recomputed.
     """
     rho = basis.representation
     alg = algebra if algebra is not None else rho.algebra
@@ -340,7 +346,8 @@ def structure_constants_on_form(basis: RationalFormBasis,
             f"bracket [{i},{j}] has an irrational coordinate") from None
     entries = [(i, j, k, coords[k][col] / (scale * den))
                for col, (i, j) in enumerate(pairs) for k in range(m) if coords[k][col]]
-    return require_jacobi(LieAlgebra(m, tuple(entries)))
+    require_jacobi(alg)
+    return LieAlgebra(m, tuple(entries))
 
 
 def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix:

@@ -11,7 +11,8 @@ The kernels follow _fieldlinalg's common-denominator rule: the structure
 constants are kept once more as ints scaled by their lcm C
 (integer_bracket_map), and check_jacobi, preserves_brackets and
 lower_central_series run the one bracket kernel on ints, where every
-identity they test scales by a nonzero constant on both sides.
+identity they test scales by a nonzero constant on both sides.  An
+algebra keeps its series and its Jacobi verdict (require_jacobi).
 """
 
 from __future__ import annotations
@@ -178,7 +179,10 @@ def check_jacobi(a: LieAlgebra) -> bool:
 
 
 def require_jacobi(a: LieAlgebra) -> LieAlgebra:
-    if not check_jacobi(a):
+    """a, or JacobiViolation; check_jacobi runs once per algebra."""
+    if not hasattr(a, "_jacobi"):
+        object.__setattr__(a, "_jacobi", check_jacobi(a))
+    if not a._jacobi:
         raise JacobiViolation("structure constants violate the Jacobi identity")
     return a
 

@@ -65,9 +65,10 @@ class GaloisDatum:
     root_moduli: tuple[Interval, ...] | None = None
     assume_irreducible: bool = False
     distinguished_index: int = 0
-    verified: bool = field(default=False, compare=False)
-    # automorphism index -> root index under the distinguished embedding
-    root_map: tuple[int, ...] | None = field(default=None, compare=False)
+    # set by verify_galois_datum only (a replace() copy is unverified);
+    # root_map: automorphism index -> root index of the distinguished root
+    verified: bool = field(default=False, init=False, compare=False)
+    root_map: tuple[int, ...] | None = field(default=None, init=False, compare=False)
 
     @property
     def degree(self) -> int:

@@ -458,13 +458,8 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     coords, pairs, n1, k = w_space_coords(a)
     # B(E_ij, E_kl) = 2 delta, so orthogonality under B inside the skew
     # matrices is the standard dot product on the E_ij coordinates
-    if k == 0:
-        # nothing to complement: the dual is the free 2-step algebra
-        nskew = len(pairs)
-        comp = [tuple(Fraction(i == j) for j in range(nskew))
-                for i in range(nskew)]
-    else:
-        comp = nullspace(RationalMatrix(coords))
+    # k = 0: nothing to complement, the dual is the free 2-step algebra
+    comp = nullspace(RationalMatrix(coords or [[0] * len(pairs)]))
     kd = len(comp)
     wt_basis = [_coords_to_skew(v, pairs, n1) for v in comp]
     gram = [[_skew_b(x, y) for y in wt_basis] for x in wt_basis]
@@ -477,25 +472,13 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
             if any(x != 0 for x in vec):
                 raw_brackets[key] = vec
 
-    # canonical center basis: new directions in lexicographic bracket
-    # order, then a primitive-integer rescale with positive first entry
-    greedy: list[list[Fraction]] = []
-    coords_out: dict[tuple[int, int], list[Fraction]] = {}
-    for key in sorted(raw_brackets):
-        vec = raw_brackets[key]
-        co = _express_in(greedy, vec)
-        if co is None:
-            greedy.append(vec)
-            co = [Fraction(0)] * len(greedy)
-            co[-1] = Fraction(1)
-        coords_out[key] = co
-    width = len(greedy)
-    for key, co in coords_out.items():
-        coords_out[key] = co + [Fraction(0)] * (width - len(co))
-    keys = sorted(coords_out)
-    # a column's first nonzero entry is the 1 of the bracket that introduced
-    # its direction, so its primitive rescale has a positive first entry
-    scaled = [fl.primitive([coords_out[key][t] for key in keys]) for t in range(width)]
+    # canonical center basis: the rref of the bracket vectors as columns in
+    # key order; pivot columns are the directions in the order brackets
+    # introduce them, and row t, led by a 1, holds the coordinates on t
+    keys = sorted(raw_brackets)
+    red, pivots = fl.rref([list(row) for row in zip(*(raw_brackets[key] for key in keys))])
+    width = len(pivots)
+    scaled = [fl.primitive(row) for row in red[:width]]
     entries = []
     for r, (i, j) in enumerate(keys):
         for t in range(width):

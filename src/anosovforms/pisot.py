@@ -206,14 +206,15 @@ def search_unit_pisot(datum: GaloisDatum, height_bound: int, power_bound: int = 
                       product_rounds: int = 1) -> list[FieldElement]:
     """Unit Pisot numbers reachable by search_units under the Pisot cone.
 
-    Cone constraints only see moduli, so the raw search also returns
-    negative elements of modulus > 1; this wrapper keeps exactly the
-    elements accepted by is_unit_pisot.
+    Every hit is a unit (integral of norm +-1, or a power or product of
+    such), irrational (no rational lies in the cone; +-1 is never
+    returned) and inside the cone, which only sees moduli: dropping the
+    negative hits leaves exactly those is_unit_pisot accepts.
     """
     cons = pisot_cone(datum) + list(extra_constraints or [])
     hits = search_units(datum, height_bound, power_bound, cons,
                         product_rounds=product_rounds)
-    return [u for u in hits if is_unit_pisot(u)]
+    return [u for u in hits if not embeds_negative(u)]
 
 
 def check_full_rank_condition(lam: FieldElement, exponent_bound: int) -> bool:

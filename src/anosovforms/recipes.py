@@ -197,7 +197,7 @@ def recipe_count(k: int, l: int, lam: FieldElement | None = None,
     if lam is None:
         found = search_unit_pisot(datum, search_height)
         lam = found[0] if found else biquadratic_pisot_unit(datum, k, l)
-    if not is_unit_pisot(lam):
+    elif not is_unit_pisot(lam):
         raise NotPisot("supplied element is not a unit Pisot number")
     conj = {
         datum.identity_index: lam,

@@ -23,6 +23,8 @@ from anosovforms.exactmath import (
     rat,
     rat_to_str,
     sturm_count,
+    _chain_index,
+    _remainder_chain,
 )
 
 P = Polynomial
@@ -110,6 +112,21 @@ class TestCharpoly:
 
     def test_identity(self):
         assert charpoly(RationalMatrix.identity(2)) == P([1, -2, 1])
+
+    def test_kept_on_the_matrix(self, monkeypatch):
+        from anosovforms import exactmath
+
+        calls = []
+        inner = exactmath.charpoly
+        monkeypatch.setattr(exactmath, "charpoly", lambda m: calls.append(m) or inner(m))
+        m = RationalMatrix([[F(-1, 2), F(-1, 2)], [F(-1, 2), F(-5, 2)]])
+        assert m.charpoly() is m.charpoly() and m.charpoly() == P([1, 3, 1])
+        assert calls == [m]
+        # the kept polynomial does not take part in equality or hashing
+        twin = RationalMatrix(m.entries)
+        assert twin == m and hash(twin) == hash(m)
+        with pytest.raises(AttributeError):
+            m._charpoly = P([1])
 
     def test_nonsquare(self):
         with pytest.raises(NonSquare):
@@ -437,6 +454,54 @@ def test_count_real_roots():
     assert count_real_roots(P([1, 1, -4, -4, 1])) == 4
     assert count_real_roots(P([1, 0, 1])) == 0
     assert count_real_roots(P([0, 1]) ** 3) == 1
+
+
+# ---------------------------------------------------------------------------
+# poly_gcd and count_real_roots on the one remainder chain, against the
+# Euclid loop and the squarefree-first count they replaced
+
+
+def frozen_poly_gcd(p, q):
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def frozen_count_real_roots(p):
+    if p.is_zero:
+        raise ZeroPolynomial("count_real_roots of the zero polynomial")
+    q = p.monic() if p.degree <= 0 else (p // frozen_poly_gcd(p, p.derivative())).monic()
+    return _chain_index(_remainder_chain(q, q.derivative()))
+
+
+def _repeated_factor_polys(rng, count):
+    """Products of small random factors with multiplicities up to 3, times
+    a random rational scale: most have repeated factors."""
+    for _ in range(count):
+        p = P([F(rng.randint(-5, 5), rng.randint(1, 4)) or 1])
+        for _ in range(rng.randint(0, 3)):
+            factor = P([rng.randint(-4, 4) for _ in range(rng.randint(2, 3))])
+            if factor.degree >= 1:
+                p = p * factor ** rng.randint(1, 3)
+        yield p
+
+
+def test_remainder_chain_gcd_and_real_roots_match_frozen():
+    rng = random.Random(16)
+    polys = list(_repeated_factor_polys(rng, 3000))
+    zero = P([])
+    for p, q in zip(polys, polys[1:] + polys[:1]):
+        common = polys[rng.randrange(len(polys))]
+        a, b = p * common, q * common
+        assert poly_gcd(a, b) == frozen_poly_gcd(a, b)
+        assert count_real_roots(p) == frozen_count_real_roots(p)
+    for p in (zero, P([3]), P([0, 1]), polys[0]):
+        for q in (zero, P([F(-1, 2)]), polys[1]):
+            assert poly_gcd(p, q) == frozen_poly_gcd(p, q)
+    with pytest.raises(ZeroPolynomial):
+        count_real_roots(zero)
+    assert count_real_roots(P([F(2, 3)])) == frozen_count_real_roots(P([F(2, 3)])) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ from anosovforms.errors import (
     ExtensionInconsistent,
     IrrationalEntry,
     IrrationalStructureConstant,
+    JacobiViolation,
     LabelMismatch,
     NonUnitLabel,
     NotGenerating,
     NotHomomorphism,
 )
-from anosovforms.exactmath import RationalMatrix
+from anosovforms.exactmath import Polynomial, RationalMatrix
 from anosovforms.galoisform import (
     LabeledAlgebra,
     RationalFormBasis,
@@ -186,6 +187,18 @@ class TestRationalForm:
         assert basis.size == 1
         assert basis.vectors[0][0] == sqrt2.element([0, 1])
 
+    def test_replaced_representation_is_unverified(self, sqrt2):
+        # a copy with other images used to keep verified=True and got past
+        # rational_form's gate, failing later with DimensionMismatch
+        rho = regular_rep(sqrt2)
+        two = RationalMatrix.identity(2) * 2
+        copy = replace(rho, images=(RationalMatrix.identity(2), two))
+        assert rho.verified and not copy.verified
+        with pytest.raises(NotHomomorphism):
+            rational_form(copy)
+        with pytest.raises(NotHomomorphism):
+            verify_representation(copy)
+
     def test_explicit_basis_rejected_if_not_fixed(self, sqrt2):
         rho = regular_rep(sqrt2)
         bad = (sqrt2.one(), sqrt2.element([0, 1]))
@@ -257,6 +270,16 @@ class TestStructureConstants:
         out = structure_constants_on_form(basis)
         assert out.brackets == ((0, 1, 2, F(1, 6)),)
         assert repr(out) == _outcome(frozen_structure_constants_on_form, basis)
+
+    def test_non_jacobi_input_is_rejected(self, sqrt2):
+        # [b0, b1] = b2, [b0, b2] = b0: the Jacobi sum on (0, 1, 2) is -b2;
+        # the trivial form reproduces the constants, so only the check on
+        # the input algebra stands between them and a returned algebra
+        bad = LieAlgebra(3, ((0, 1, 2, 1), (0, 2, 0, 1)))
+        basis = rational_form(trivial_rep(sqrt2, 3))
+        with pytest.raises(JacobiViolation):
+            structure_constants_on_form(basis, bad)
+        assert _outcome(frozen_structure_constants_on_form, basis, bad) is JacobiViolation
 
     def test_algebra_dimension_must_match_the_form(self, sqrt2):
         # a larger algebra must not come out abelian on the form, nor a
@@ -357,13 +380,23 @@ class TestTransport:
                 transport(basis, ((1, other), (0, 1)))
 
     def test_unverified_datum(self, sqrt2):
-        raw = replace(sqrt2, verified=False)
+        raw = replace(sqrt2)  # a copy starts unverified
         one = raw.one()
         rho = Representation(raw, tuple(RationalMatrix.identity(1) for _ in range(2)))
         basis = RationalFormBasis(rho, ((one,),))
         with pytest.raises(BadParameters):
             transport(basis, ((one,),))
         assert _outcome(frozen_transport, basis, ((one,),)) is BadParameters
+
+    def test_replaced_datum_is_unverified(self, sqrt2):
+        # a copy used to keep verified=True and root_map, though not the
+        # matrices verification builds, so it passed every gate unchecked
+        for raw in (replace(sqrt2), replace(sqrt2, min_poly=Polynomial([-3, 0, 1]))):
+            assert not raw.verified and raw.root_map is None
+            with pytest.raises(BadParameters):
+                apply_automorphism(raw, 1, raw.generator())
+        with pytest.raises(TypeError):
+            type(sqrt2)(sqrt2.min_poly, sqrt2.automorphisms, 0, sqrt2.table, verified=True)
 
     def test_commutation_uses_the_image_of_the_inverse(self, sqrt2):
         # an unverified rho with rho_sigma = 2 I, no involution: f = I
@@ -548,6 +581,20 @@ class TestMain2:
         conj = apply_automorphism(sqrt2, 1, lam)
         with pytest.raises(LabelMismatch):
             main2_construct(LabeledAlgebra(LieAlgebra(2, ()), (lam, conj), (0, 1)), rho)
+
+    def test_each_check_runs_once_per_construction(self, cubic, cubic_unit, monkeypatch):
+        # build_labeled_algebra checks L, structure_constants_on_form reads
+        # that verdict; main2_construct and certify read one charpoly
+        from anosovforms import exactmath, liealg
+
+        calls = []
+        for module, name in ((liealg, "check_jacobi"), (exactmath, "charpoly")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda x, real=real, name=name:
+                                calls.append(name) or real(x))
+        out = recipes.recipe_last(cubic, cubic_unit, 4)
+        assert sorted(calls) == ["charpoly", "check_jacobi"]
+        assert out.certificate.hyperbolic
 
 
     def test_representation_over_another_field(self, sqrt2, quartic):

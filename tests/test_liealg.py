@@ -70,6 +70,20 @@ class TestJacobi:
         bad = LieAlgebra(3, ((0, 1, 2, F(1)), (0, 2, 0, F(1))))
         assert not check_jacobi(bad)
 
+    def test_verdict_is_kept_on_the_algebra(self, monkeypatch):
+        from anosovforms import liealg
+        from anosovforms.errors import JacobiViolation
+
+        calls = []
+        inner = liealg.check_jacobi
+        monkeypatch.setattr(liealg, "check_jacobi", lambda a: calls.append(a) or inner(a))
+        good, bad = heisenberg(), LieAlgebra(3, ((0, 1, 2, F(1)), (0, 2, 0, F(1))))
+        for _ in range(2):
+            assert liealg.require_jacobi(good) is good
+            with pytest.raises(JacobiViolation):
+                liealg.require_jacobi(bad)
+        assert calls == [good, bad]
+
     def test_sl2_like_fails_nilpotency_not_jacobi(self):
         # [e,f]=h, [h,e]=2e, [h,f]=-2f: a real Lie algebra (Jacobi holds)
         sl2 = LieAlgebra(3, (

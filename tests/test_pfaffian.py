@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from anosovforms import _fieldlinalg as fl
 from anosovforms.anosov import certify
 from anosovforms.errors import (
     BadDiscriminant,
@@ -14,7 +15,7 @@ from anosovforms.errors import (
     PellBudgetExceeded,
     SolutionMismatch,
 )
-from anosovforms.exactmath import Polynomial, RationalMatrix
+from anosovforms.exactmath import Polynomial, RationalMatrix, nullspace
 from anosovforms.liealg import LieAlgebra, abelian, heisenberg
 from anosovforms.pfaffian import (
     BinaryQuadraticForm,
@@ -36,7 +37,11 @@ from anosovforms.pfaffian import (
     scheuneman_dual,
     solve_pell,
     squarefree_part_of_rational,
+    w_space_coords,
     wedge_square,
+    _coords_to_skew,
+    _express_in,
+    _skew_b,
 )
 from anosovforms.recipes import recipe_count
 
@@ -330,6 +335,92 @@ class TestScheuneman:
 
     def test_hk_type(self):
         assert adapted_split(hk_algebra(5)) == (4, 4)
+
+
+def frozen_scheuneman_dual(a):
+    """scheuneman_dual with its greedy center canonicalization: each bracket
+    vector expressed in the directions met so far, or a new direction."""
+    coords, pairs, n1, k = w_space_coords(a)
+    if k == 0:
+        nskew = len(pairs)
+        comp = [tuple(F(i == j) for j in range(nskew)) for i in range(nskew)]
+    else:
+        comp = nullspace(RationalMatrix(coords))
+    kd = len(comp)
+    wt_basis = [_coords_to_skew(v, pairs, n1) for v in comp]
+    gram = [[_skew_b(x, y) for y in wt_basis] for x in wt_basis]
+    raw_brackets = {}
+    if kd:
+        ij_pairs = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
+        sol = fl.solve(gram, [[z[j][i] for z in wt_basis] for i, j in ij_pairs])
+        for col, key in enumerate(ij_pairs):
+            vec = [sol[t][col] for t in range(kd)]
+            if any(x != 0 for x in vec):
+                raw_brackets[key] = vec
+    greedy, coords_out = [], {}
+    for key in sorted(raw_brackets):
+        vec = raw_brackets[key]
+        co = _express_in(greedy, vec)
+        if co is None:
+            greedy.append(vec)
+            co = [F(0)] * len(greedy)
+            co[-1] = F(1)
+        coords_out[key] = co
+    width = len(greedy)
+    for key, co in coords_out.items():
+        coords_out[key] = co + [F(0)] * (width - len(co))
+    keys = sorted(coords_out)
+    scaled = [fl.primitive([coords_out[key][t] for key in keys]) for t in range(width)]
+    entries = [(i, j, n1 + t, F(scaled[t][r])) for r, (i, j) in enumerate(keys)
+               for t in range(width) if scaled[t][r]]
+    return LieAlgebra(n1 + kd, tuple(entries))
+
+
+def _dual_outcome(dual, a):
+    try:
+        out = dual(a)
+    except Exception as e:  # noqa: BLE001 - the type is the verdict
+        return type(e)
+    return out.dim, out.brackets
+
+
+def _mixed_degree_one(a, rng):
+    """a with its degree-1 basis replaced by random integer combinations,
+    the center basis kept: still adapted, with dense bracket vectors."""
+    n1, _k = adapted_split(a)
+    while True:
+        t = [[rng.randint(-2, 2) for _ in range(n1)] for _ in range(n1)]
+        if fl.det(t):
+            break
+    bmap = a.bracket_map()
+    entries = []
+    for p in range(n1):
+        for q in range(p + 1, n1):
+            for i in range(n1):
+                for j in range(i + 1, n1):
+                    c = t[i][p] * t[j][q] - t[j][p] * t[i][q]
+                    for z, x in bmap.get((i, j), {}).items():
+                        entries.append((p, q, z, c * x))
+    return LieAlgebra(a.dim, tuple(entries))
+
+
+class TestFrozenDualCanonicalization:
+    def test_nk_hk_and_abelian(self):
+        free3 = LieAlgebra(6, ((0, 1, 3, F(1)), (0, 2, 4, F(1)), (1, 2, 5, F(1))))
+        cases = [nk_algebra(k) for k in range(-4, 7)] + [hk_algebra(k) for k in (0, 2, 5)]
+        cases += [abelian(n) for n in (1, 2, 3, 4)] + [free3, heisenberg()]
+        for a in cases:
+            assert _dual_outcome(scheuneman_dual, a) == _dual_outcome(frozen_scheuneman_dual, a)
+
+    def test_recipe_outputs_and_mixed_bases(self):
+        rng = random.Random(16)
+        cases = [recipe_count(k, l).algebra for k, l in ((5, 2), (2, 3))]
+        cases += [_mixed_degree_one(a, rng) for a in cases + [nk_algebra(3), hk_algebra(2)]
+                  for _ in range(8)]
+        for a in cases:
+            out = _dual_outcome(scheuneman_dual, a)
+            assert out == _dual_outcome(frozen_scheuneman_dual, a)
+            assert isinstance(out, tuple)
 
 
 class TestDualAutomorphism:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from anosovforms.errors import BadParameters, SearchBudgetExceeded
-from anosovforms.numfield import apply_automorphism
+from anosovforms.numfield import apply_automorphism, biquadratic_datum
 from anosovforms.pisot import (
     SEARCH_BUDGET,
     ConeConstraint,
@@ -115,6 +115,25 @@ class TestSearch:
         extra = ConeConstraint((1, 2), "<1")
         found = search_unit_pisot(sqrt2, 2, extra_constraints=[extra])
         assert sqrt2.element([1, 1]) in found
+
+
+def frozen_search_unit_pisot(datum, height, extra=()):
+    """search_unit_pisot as it re-decided every hit with is_unit_pisot."""
+    hits = search_units(datum, height, 1, pisot_cone(datum) + list(extra))
+    return [u for u in hits if is_unit_pisot(u)]
+
+
+@pytest.mark.parametrize("name,height", [("sqrt2", 3), ("cubic", 2), ("quartic", 2),
+                                         ("biquad52", 2), ("biquad37", 2)])
+def test_search_unit_pisot_matches_frozen(name, height, request):
+    datum = biquadratic_datum(3, 7) if name == "biquad37" else request.getfixturevalue(name)
+    cones = [()]
+    if datum.degree == 4:
+        cones.append((ConeConstraint((1, 0, 2, 0), "<1"),))
+    for extra in cones:
+        found = search_unit_pisot(datum, height, extra_constraints=list(extra))
+        assert found == frozen_search_unit_pisot(datum, height, extra)
+        assert all(type(c) is F for u in found for c in u.coeffs)
 
 
 class TestFullRank:
