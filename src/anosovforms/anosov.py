@@ -59,7 +59,7 @@ def certify(a: LieAlgebra, m: RationalMatrix,
         raise NotAutomorphism("map is not a Lie algebra automorphism")
     p = m.charpoly()
     det = (-1) ** a.dim * p.constant
-    integer_like = p.is_integer and abs(p.constant) == 1
+    integer_like = is_integer_like(m)
     try:
         inside = count_roots_inside_unit_disk(p)
         signature = tuple(sorted((inside, a.dim - inside)))

@@ -7,8 +7,9 @@ root, is refined under refine_until's one budget until it excludes 1; one
 that still contains 1 at EXACT_TIE_LEVEL asks once whether
 mu = prod_i sigma_i(lambda)^{c_i} is +-1, the only way a real mu has
 modulus one.  Rational lambda and fields that are not totally real
-compare mu, formed as a field element, to 1.  Embedding signs use the
-same paths.  No logarithms, no floats.
+compare mu, formed as a field element, to 1.  The Pisot cone check
+decides lambda > 1 on the distinguished root's path and each other
+|sigma_i(lambda)| against 1 on its own.  No logarithms, no floats.
 """
 
 from __future__ import annotations
@@ -100,47 +101,37 @@ class ConeConstraint:
         return refine_until(test)
 
 
-def pisot_cone(datum: GaloisDatum) -> list[ConeConstraint]:
-    """The constraints defining unit Pisot numbers: own embedding > 1 and
-    every other conjugate of modulus < 1."""
-    d = datum.degree
-    out = []
-    for i in range(d):
-        coeffs = tuple(1 if j == i else 0 for j in range(d))
-        out.append(ConeConstraint(coeffs, ">1" if i == datum.identity_index else "<1"))
-    return out
+def in_pisot_cone(lam: FieldElement) -> bool:
+    """The Pisot cone check for lam known to be a unit: lam > 1 under the
+    distinguished embedding and |sigma_i(lam)| < 1 for every other i.
 
-
-def is_unit_pisot(lam: FieldElement) -> bool:
-    """lambda > 1 under the distinguished embedding and |sigma(lambda)| < 1
-    for every other automorphism, with lambda an algebraic unit."""
+    A rational lam is never inside.  Over a totally real field lam > 1 is
+    decided on its root's path, otherwise |lam| > 1 is compared to one.
+    Undecidable: an enclosure could not be refined far enough.
+    """
     datum = lam.datum
     if not datum.verified:
-        raise BadParameters("is_unit_pisot requires a verified datum")
-    if not is_algebraic_unit(lam):
-        return False
+        raise BadParameters("the Pisot cone check requires a verified datum")
     if lam.is_rational:
         return False
     try:
         for i in range(datum.degree):
-            want = 1 if i == datum.identity_index else -1
-            if compare_abs_to_one(lam, i) != want:
+            distinguished = i == datum.identity_index
+            if distinguished and datum.totally_real:
+                conj = conjugate_levels(lam, i)
+                sign = refine_until(lambda k: sign_against(conj(k), 1))
+            else:
+                sign = compare_abs_to_one(lam, i)
+            if sign != (1 if distinguished else -1):
                 return False
-        return not embeds_negative(lam)
-    except PrecisionUnreachable as e:  # pragma: no cover
+        return True
+    except PrecisionUnreachable as e:
         raise Undecidable(str(e)) from e
 
 
-def embeds_negative(lam: FieldElement) -> bool:
-    """True when the distinguished embedding of lam is negative (a Pisot
-    number must itself be a real number > 1, not merely of modulus > 1)."""
-    datum = lam.datum
-    if lam.is_rational:
-        return lam.rational_value() < 0
-    if not datum.totally_real:
-        return False
-    conj = conjugate_levels(lam, datum.identity_index)
-    return refine_until(lambda k: sign_against(conj(k), 0)) < 0
+def is_unit_pisot(lam: FieldElement) -> bool:
+    """lam is an algebraic unit inside the Pisot cone (in_pisot_cone)."""
+    return is_algebraic_unit(lam) and in_pisot_cone(lam)
 
 
 def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
@@ -204,17 +195,16 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
 def search_unit_pisot(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
                       extra_constraints: list[ConeConstraint] | None = None,
                       product_rounds: int = 1) -> list[FieldElement]:
-    """Unit Pisot numbers reachable by search_units under the Pisot cone.
+    """Unit Pisot numbers reachable by search_units: the hits inside the
+    Pisot cone that meet every extra constraint, in search_units' order.
 
     Every hit is a unit (integral of norm +-1, or a power or product of
-    such), irrational (no rational lies in the cone; +-1 is never
-    returned) and inside the cone, which only sees moduli: dropping the
-    negative hits leaves exactly those is_unit_pisot accepts.
+    such) and never +-1, so in_pisot_cone decides it alone, once, before
+    any extra constraint is tested.
     """
-    cons = pisot_cone(datum) + list(extra_constraints or [])
-    hits = search_units(datum, height_bound, power_bound, cons,
-                        product_rounds=product_rounds)
-    return [u for u in hits if not embeds_negative(u)]
+    extra = list(extra_constraints or [])
+    hits = search_units(datum, height_bound, power_bound, product_rounds=product_rounds)
+    return [u for u in hits if in_pisot_cone(u) and all(c.holds_for(u) for c in extra)]
 
 
 def check_full_rank_condition(lam: FieldElement, exponent_bound: int) -> bool:
@@ -229,7 +219,7 @@ def check_full_rank_condition(lam: FieldElement, exponent_bound: int) -> bool:
         raise BadParameters("full rank condition is about algebraic units")
     if datum.degree == 1:
         return True
-    if is_unit_pisot(lam):
+    if in_pisot_cone(lam):
         return True
     return brute_force_full_rank(lam, exponent_bound)
 

@@ -38,9 +38,10 @@ from .numfield import (
     apply_automorphism,
     biquadratic_datum,
     biquadratic_sqrts,
+    is_algebraic_unit,
 )
 from .pfaffian import classify_type42, solve_pell
-from .pisot import ConeConstraint, is_unit_pisot, search_unit_pisot
+from .pisot import ConeConstraint, in_pisot_cone, is_unit_pisot
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,16 @@ def biquadratic_pisot_unit(datum: GaloisDatum, k: int, l: int,
     unit of such fields at desk heights (the order Z[theta] meets the unit
     group in a thin subgroup), while the subfield units generate a finite
     index subgroup of full rank whose intersection with the Pisot cone is
-    reached at tiny exponents."""
+    reached at tiny exponents.  Each Pell unit passes is_algebraic_unit
+    once; a product of units is a unit, so each candidate product only
+    meets in_pisot_cone."""
     sk, sl = biquadratic_sqrts(datum, k, l)
     units = []
     for m, s in ((k, sk), (l, sl), (k * l, sk * sl)):
         sol = solve_pell(m)
         units.append((datum.one() * Fraction(sol.x, 2)) + s * Fraction(sol.y, 2))
+    if not all(is_algebraic_unit(u) for u in units):
+        raise PisotNotFound("a subfield Pell solution is not an algebraic unit")
     inverses = [u.inverse() for u in units]
     exps = sorted(
         product(range(-exponent_bound, exponent_bound + 1), repeat=3),
@@ -168,21 +173,21 @@ def biquadratic_pisot_unit(datum: GaloisDatum, k: int, l: int,
             base = u if x > 0 else iu
             for _ in range(abs(x)):
                 cand = cand * base
-        if is_unit_pisot(cand):
+        if in_pisot_cone(cand):
             return cand
     raise PisotNotFound(
         f"no Pisot unit among subfield-unit products at exponent bound {exponent_bound}"
     )
 
 
-def recipe_count(k: int, l: int, lam: FieldElement | None = None,
-                 search_height: int = 2) -> RecipeOutput:
+def recipe_count(k: int, l: int, lam: FieldElement | None = None) -> RecipeOutput:
     """Anosov automorphism of signature {2,4} on the type-(4,2) algebra of
     parameter k, via the field Q(sqrt k, sqrt l).
 
     Labels are the four conjugates of a unit Pisot number plus the two
     products pairing conjugates over the subfield Q(sqrt k); the output is
-    certified and classified back to k."""
+    certified and classified back to k.  With no lam the unit is
+    biquadratic_pisot_unit's; a supplied lam must pass is_unit_pisot."""
     datum = biquadratic_datum(k, l)
     sk, _sl = biquadratic_sqrts(datum, k, l)
     d = datum.degree
@@ -195,8 +200,7 @@ def recipe_count(k: int, l: int, lam: FieldElement | None = None,
     )
     sigma_tau = datum.table[sigma][tau]
     if lam is None:
-        found = search_unit_pisot(datum, search_height)
-        lam = found[0] if found else biquadratic_pisot_unit(datum, k, l)
+        lam = biquadratic_pisot_unit(datum, k, l)
     elif not is_unit_pisot(lam):
         raise NotPisot("supplied element is not a unit Pisot number")
     conj = {

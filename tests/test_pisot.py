@@ -1,19 +1,82 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from anosovforms.errors import BadParameters, SearchBudgetExceeded
-from anosovforms.numfield import apply_automorphism, biquadratic_datum
+from anosovforms.errors import (
+    BadParameters,
+    PrecisionUnreachable,
+    SearchBudgetExceeded,
+    Undecidable,
+)
+from anosovforms.exactmath import Interval, Polynomial
+from anosovforms.numfield import (
+    GaloisDatum,
+    apply_automorphism,
+    biquadratic_datum,
+    compare_abs_to_one,
+    conjugate_levels,
+    is_algebraic_unit,
+    refine_until,
+    sign_against,
+    verify_galois_datum,
+)
 from anosovforms.pisot import (
     SEARCH_BUDGET,
     ConeConstraint,
     brute_force_full_rank,
     check_full_rank_condition,
+    in_pisot_cone,
     is_unit_pisot,
-    pisot_cone,
     search_unit_pisot,
     search_units,
 )
+from anosovforms.recipes import biquadratic_pisot_unit
+
+# ---------------------------------------------------------------------------
+# frozen references: the Pisot cone as a constraint list, the sign of the
+# distinguished embedding refined a second time, and the unit Pisot test
+# built from both
+
+
+def pisot_cone(datum):
+    """The constraints defining unit Pisot numbers: own embedding > 1 and
+    every other conjugate of modulus < 1."""
+    d = datum.degree
+    return [ConeConstraint(tuple(1 if j == i else 0 for j in range(d)),
+                           ">1" if i == datum.identity_index else "<1")
+            for i in range(d)]
+
+
+def frozen_embeds_negative(lam):
+    datum = lam.datum
+    if lam.is_rational:
+        return lam.rational_value() < 0
+    if not datum.totally_real:
+        return False
+    conj = conjugate_levels(lam, datum.identity_index)
+    return refine_until(lambda k: sign_against(conj(k), 0)) < 0
+
+
+def frozen_is_unit_pisot(lam):
+    datum = lam.datum
+    if not datum.verified:
+        raise BadParameters("is_unit_pisot requires a verified datum")
+    if not is_algebraic_unit(lam) or lam.is_rational:
+        return False
+    try:
+        for i in range(datum.degree):
+            want = 1 if i == datum.identity_index else -1
+            if compare_abs_to_one(lam, i) != want:
+                return False
+        return not frozen_embeds_negative(lam)
+    except PrecisionUnreachable as e:
+        raise Undecidable(str(e)) from e
+
+
+def frozen_in_cone(lam):
+    """The cone as search_unit_pisot decided it on a unit."""
+    return all(c.holds_for(lam) for c in pisot_cone(lam.datum)) and not frozen_embeds_negative(lam)
 
 
 class TestIsUnitPisot:
@@ -120,7 +183,7 @@ class TestSearch:
 def frozen_search_unit_pisot(datum, height, extra=()):
     """search_unit_pisot as it re-decided every hit with is_unit_pisot."""
     hits = search_units(datum, height, 1, pisot_cone(datum) + list(extra))
-    return [u for u in hits if is_unit_pisot(u)]
+    return [u for u in hits if frozen_is_unit_pisot(u)]
 
 
 @pytest.mark.parametrize("name,height", [("sqrt2", 3), ("cubic", 2), ("quartic", 2),
@@ -136,6 +199,85 @@ def test_search_unit_pisot_matches_frozen(name, height, request):
         assert all(type(c) is F for u in found for c in u.coeffs)
 
 
+def _seeded_elements(datum, units, seed, count=40):
+    """Seeded products of units with exponents in [-2, 2], their negatives,
+    and non-units: integer and half-integer vectors and rationals."""
+    rng = random.Random(seed)
+    d = datum.degree
+    out_units = list(units)
+    for _ in range(count):
+        x = datum.one()
+        for u in rng.sample(units, min(3, len(units))):
+            x = x * u ** rng.randint(-2, 2)
+        out_units += [x, -x]
+    others = [datum.element([rng.randint(-3, 3) for _ in range(d)]) for _ in range(count)]
+    others += [datum.element([F(rng.randint(-5, 5), 2) for _ in range(d)]) for _ in range(10)]
+    others += [datum.element([v]) for v in (1, -1, 2, F(1, 2), 0)]
+    return out_units, others
+
+
+def _units_of(name, request):
+    if name in ("biquad52", "biquad37"):
+        k, l = (5, 2) if name == "biquad52" else (3, 7)
+        datum = biquadratic_datum(k, l)
+        u = biquadratic_pisot_unit(datum, k, l)
+        return datum, [apply_automorphism(datum, i, u) for i in range(datum.degree)]
+    datum = request.getfixturevalue(name)
+    return datum, search_units(datum, 1)
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "cubic", "quartic", "biquad52", "biquad37"])
+def test_unit_pisot_verdicts_match_frozen(name, request):
+    datum, units = _units_of(name, request)
+    units, others = _seeded_elements(datum, units, seed=len(name) * 1009 + datum.degree)
+    verdicts = []
+    for x in units + others:
+        verdict = is_unit_pisot(x)
+        assert verdict == frozen_is_unit_pisot(x), x
+        verdicts.append(verdict)
+    for u in units:
+        assert in_pisot_cone(u) == frozen_in_cone(u), u
+    assert True in verdicts and False in verdicts
+
+
+def test_unit_pisot_on_a_complex_datum():
+    """X^2 - X + 2, whose conjugate moduli are fixture data for theta only.
+    is_unit_pisot keeps its verdicts; the cone check on theta reads the
+    fixture modulus of sigma_1(theta) where the constraint list formed
+    1 - theta and raised PrecisionUnreachable, and the cone check turns an
+    unrefinable enclosure into Undecidable, as is_unit_pisot did."""
+    P = Polynomial
+    cplx = verify_galois_datum(GaloisDatum(
+        min_poly=P([2, -1, 1]), automorphisms=(P.x(), P([1, -1])),
+        identity_index=0, table=((0, 1), (1, 0)), totally_real=False,
+        root_moduli=(Interval(F(7, 5), F(3, 2)),) * 2,
+    ))
+    th = cplx.generator()
+    rationals = [cplx.element([v]) for v in (1, -1, 2, F(1, 2), 0)]
+    for x in [th, th + 1, th ** 2, 1 - th] + rationals:
+        assert is_unit_pisot(x) == frozen_is_unit_pisot(x) is False
+    for x in rationals:
+        assert not in_pisot_cone(x)
+    assert not in_pisot_cone(th)
+    with pytest.raises(PrecisionUnreachable):
+        frozen_in_cone(th)
+    with pytest.raises(Undecidable):
+        in_pisot_cone(th + 1)
+    with pytest.raises(PrecisionUnreachable):
+        frozen_in_cone(th + 1)
+
+
+def test_cone_check_requires_verified_datum(sqrt2):
+    raw = GaloisDatum(min_poly=sqrt2.min_poly, automorphisms=sqrt2.automorphisms,
+                      identity_index=0, table=sqrt2.table,
+                      root_enclosures=sqrt2.root_enclosures)
+    for x in (raw.element([1, 1]), raw.element([2])):
+        with pytest.raises(BadParameters):
+            in_pisot_cone(x)
+        with pytest.raises(BadParameters):
+            is_unit_pisot(x)
+
+
 class TestFullRank:
     def test_golden(self, sqrt2):
         lam = sqrt2.element([1, 1])
@@ -143,7 +285,6 @@ class TestFullRank:
         assert brute_force_full_rank(lam, 5)
 
     def test_rational_unit_vacuous(self):
-        from anosovforms.exactmath import Interval, Polynomial
         from anosovforms.numfield import datum_from_automorphism_polys
 
         d = datum_from_automorphism_polys(

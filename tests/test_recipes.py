@@ -1,12 +1,16 @@
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
+from test_pisot import frozen_is_unit_pisot, frozen_search_unit_pisot
 
+from anosovforms import numfield, pisot, recipes
 from anosovforms.anosov import check_type_constraints
-from anosovforms.errors import BadParameters, ConstraintFailed, NotPisot
+from anosovforms.errors import BadParameters, ConstraintFailed, NotPisot, PisotNotFound
 from anosovforms.exactmath import RationalMatrix
 from anosovforms.liealg import Grading, abelian, heisenberg
-from anosovforms.pfaffian import binary_form_of, classify_type42
+from anosovforms.numfield import biquadratic_datum, biquadratic_sqrts
+from anosovforms.pfaffian import PellSolution, binary_form_of, classify_type42, solve_pell
 from anosovforms.pisot import is_unit_pisot
 from anosovforms.recipes import (
     biquadratic_pisot_unit,
@@ -110,6 +114,88 @@ class TestCount:
     def test_non_pisot_rejected(self, biquad52):
         with pytest.raises(NotPisot):
             recipe_count(5, 2, biquad52.element([2]))
+
+
+# frozen references: the subfield-unit search running is_unit_pisot on
+# each candidate, and recipe_count's choice of lambda as a height-2 box
+# search with that search as the fallback
+
+
+def frozen_biquadratic_pisot_unit(datum, k, l, exponent_bound=5):
+    sk, sl = biquadratic_sqrts(datum, k, l)
+    units = []
+    for m, s in ((k, sk), (l, sl), (k * l, sk * sl)):
+        sol = solve_pell(m)
+        units.append((datum.one() * F(sol.x, 2)) + s * F(sol.y, 2))
+    inverses = [u.inverse() for u in units]
+    exps = sorted(product(range(-exponent_bound, exponent_bound + 1), repeat=3),
+                  key=lambda e: (sum(abs(x) for x in e), e))
+    for e in exps:
+        if all(x == 0 for x in e):
+            continue
+        cand = datum.one()
+        for x, u, iu in zip(e, units, inverses):
+            for _ in range(abs(x)):
+                cand = cand * (u if x > 0 else iu)
+        if frozen_is_unit_pisot(cand):
+            return cand
+    raise PisotNotFound("no Pisot unit among subfield-unit products")
+
+
+def frozen_count_lambda(datum, k, l):
+    found = frozen_search_unit_pisot(datum, 2)
+    return found[0] if found else frozen_biquadratic_pisot_unit(datum, k, l)
+
+
+SQUAREFREE_UP_TO_11 = (2, 3, 5, 6, 7, 10, 11)
+
+
+@pytest.mark.parametrize("k,l", list(permutations(SQUAREFREE_UP_TO_11, 2)))
+def test_count_lambda_matches_frozen(k, l):
+    datum = biquadratic_datum(k, l)
+    want = frozen_count_lambda(datum, k, l)
+    lam = biquadratic_pisot_unit(datum, k, l)
+    assert repr(lam) == repr(want)
+    assert repr(frozen_biquadratic_pisot_unit(datum, k, l)) == repr(want)
+    assert recipe_count(k, l).provenance["lambda"] == [str(c) for c in want.coeffs]
+
+
+def test_count_runs_no_box_search(monkeypatch):
+    calls = []
+    search = pisot.search_units
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+    monkeypatch.setattr(pisot, "search_units", counted)
+    recipe_count(5, 2)
+    assert calls == []
+
+
+def test_subfield_unit_search_tests_three_units(monkeypatch):
+    """is_algebraic_unit runs on the three Pell units only: a product of
+    units is a unit, so the candidates meet the cone check alone."""
+    datum = biquadratic_datum(5, 2)
+    calls = []
+    unit_test = numfield.is_algebraic_unit
+
+    def counted(x):
+        calls.append(x)
+        return unit_test(x)
+    for module in (numfield, pisot, recipes):
+        monkeypatch.setattr(module, "is_algebraic_unit", counted, raising=False)
+    lam = biquadratic_pisot_unit(datum, 5, 2)
+    assert len(calls) == 3
+    assert frozen_is_unit_pisot(lam)
+
+
+def test_subfield_unit_search_refuses_a_non_unit_pell_solution(monkeypatch, biquad52):
+    """The candidates skip the unit test only because the Pell units pass
+    it: 1 + sqrt m (norm 1 - m) is refused before any product is formed."""
+    monkeypatch.setattr(recipes, "solve_pell",
+                        lambda m: PellSolution(2, 2) if m == 5 else solve_pell(m))
+    with pytest.raises(PisotNotFound, match="not an algebraic unit"):
+        biquadratic_pisot_unit(biquad52, 5, 2)
 
 
 class TestLaur:
