@@ -132,18 +132,23 @@ class Polynomial:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        """The convolution on each factor's cleared numerators, divided once
+        by the product of the two denominators (the common-denominator
+        rule of _fieldlinalg)."""
         if isinstance(other, (int, Fraction)):
             return Polynomial(rat(other) * c for c in self.coeffs)
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        (a,), da = fl.clear_denominators([self.coeffs])
+        (b,), db = fl.clear_denominators([other.coeffs])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        den = da * db
+        return Polynomial(Fraction(c, den) for c in out)
 
     __rmul__ = __mul__
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import _fieldlinalg as fl
@@ -547,25 +547,6 @@ def extend_representation(la: LabeledAlgebra,
     return rho
 
 
-def labels_charpoly(la: LabeledAlgebra) -> Polynomial:
-    """prod over slots of (X - label), expanded in E[X] and certified to
-    collapse to a rational polynomial."""
-    datum = la.datum
-    coeffs = [datum.one()]
-    for lam in la.labels:
-        nxt = [datum.zero() for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - lam * c
-        coeffs = nxt
-    out = []
-    for c in coeffs:
-        if not c.is_rational:
-            raise IrrationalEntry("label product polynomial is not rational")
-        out.append(c.rational_value())
-    return Polynomial(out)
-
-
 def main2_construct(la: LabeledAlgebra, rho: Representation,
                     explicit_basis: Sequence[Sequence[FieldElement]] | None = None,
                     ) -> tuple[LieAlgebra, RationalMatrix, RationalFormBasis]:
@@ -590,7 +571,12 @@ def main2_construct(la: LabeledAlgebra, rho: Representation,
     algebra_q = structure_constants_on_form(basis, la.algebra)
     f = [[lam if i == j else 0 for j in range(la.dim)] for i, lam in enumerate(la.labels)]
     matrix = transport(basis, f)
-    # restriction to a rational form preserves the eigenvalue multiset
-    if matrix.charpoly() != labels_charpoly(la):
+    # restriction to a rational form keeps the label multiset, so the
+    # charpoly is L = prod over slots of (X - label).  Each rho_sigma is
+    # invertible and maps V_lambda into V_sigma(lambda), so the multiset is
+    # Galois stable and the labels' own charpolys multiply to L^d; monic
+    # d-th roots in Q[X] are unique, so the power check is charpoly = L
+    labels_power = prod((lam.charpoly() for lam in la.labels), start=Polynomial.one())
+    if matrix.charpoly() ** la.datum.degree != labels_power:
         raise EigenvalueMismatch("transported matrix lost the label eigenvalues")
     return algebra_q, matrix, basis

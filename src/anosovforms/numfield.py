@@ -194,16 +194,19 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Cayley-Hamilton on the cleared multiplication matrix (M, D), with
-        det(XI - M) = sum c_k X^k: x^-1 = -D (M^(d-1) + c_(d-1) M^(d-2) +
-        ... + c_1 I) e_1 / c_0, by Horner on integer mat_vec.  c_0 =
-        (-D)^d Res(p, x) is 0 for a nonzero x iff x shares a factor with p."""
+        chi's coefficients a_k read as the integers c_k = D^(d-k) a_k of
+        det(XI - M): x^-1 = -D (M^(d-1) + c_(d-1) M^(d-2) + ... + c_1 I)
+        e_1 / c_0, by Horner on integer mat_vec.  c_0 = (-D)^d Res(p, x) is
+        0 for a nonzero x iff x shares a factor with p."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
         rows, den = self._scaled_multiplication_rows()
-        cs = fl.int_charpoly(rows)
+        d = len(rows)
+        cs = [a.numerator * den ** (d - k) // a.denominator
+              for k, a in enumerate(self.charpoly().coeffs)]
         if not cs[0]:
             raise NotIrreducible("minimal polynomial is reducible")
-        y = [1] + [0] * (len(rows) - 1)
+        y = [1] + [0] * (d - 1)
         for c in reversed(cs[1:-1]):
             y = fl.mat_vec(rows, y)
             y[0] += c
@@ -272,12 +275,23 @@ class FieldElement:
             cols.append(col)
         return list(zip(*cols)), den
 
-    def multiplication_matrix(self) -> RationalMatrix:
-        rows, den = self._scaled_multiplication_rows()
-        return RationalMatrix([[Fraction(v, den) for v in row] for row in rows])
+    def charpoly(self) -> Polynomial:
+        """chi_x = det(X I - M / D), monic of degree d, computed once by the
+        integer kernel on (M, D) and kept: its c_k is D^(d-k) times the
+        rational coefficient.  chi_x is mp_x^(d / deg mp_x)."""
+        chi = getattr(self, "_charpoly", None)
+        if chi is None:
+            rows, den = self._scaled_multiplication_rows()
+            d = len(rows)
+            chi = Polynomial(Fraction(c, den ** (d - k))
+                             for k, c in enumerate(fl.int_charpoly(rows)))
+            object.__setattr__(self, "_charpoly", chi)
+        return chi
 
     def trace(self) -> Fraction:
-        return self.multiplication_matrix().trace()
+        """The diagonal of M over D."""
+        rows, den = self._scaled_multiplication_rows()
+        return Fraction(sum(row[i] for i, row in enumerate(rows)), den)
 
     def norm(self) -> Fraction:
         """det(M / D) = det(M) / D^d, with the one rational det."""
@@ -308,8 +322,12 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
     The exact division p % g alone decides a factor.  Two integer filters
     skip candidates before it: g(0) must divide p(0), and g(t) must divide
     p(t) for t in (1, -1, 2, -2).  A monic integer factor of p passes both
-    (p = g h with h integral), so every verdict, the first factor found and
-    the budget test are those of the unfiltered search.
+    (p = g h with h integral).  The box is sized after the first filter:
+    its constant terms are the divisors of p(0) within the bound (all of
+    them when p(0) = 0).  The box is then no larger than the unfiltered
+    one, so wherever the unfiltered search finishes, the verdict and the
+    first factor found are its own, and the search runs out of budget
+    only where the unfiltered one does.
     """
     d = p.degree
     if d <= 0:
@@ -320,14 +338,12 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
         raise BadParameters("minimal polynomial must be monic with integer coefficients")
     m = _l2_norm_bound(p)
     p0 = int(p.coeffs[0])
+    constants = [c for c in range(-m, m + 1) if not p0 or (c and p0 % c == 0)]
     values = [(t, int(p.eval(t))) for t in (1, -1, 2, -2)]
     for k in range(1, d // 2 + 1):
         bounds = [math.comb(k, j) * m for j in range(k)]
-        total = 1
-        for b in bounds:
-            total *= 2 * b + 1
-            if total > budget:
-                return False
+        if len(constants) * math.prod(2 * b + 1 for b in bounds[1:]) > budget:
+            return False
         def rec(j: int, coeffs: list[int]):
             if j == k:
                 cs = coeffs + [1]
@@ -341,9 +357,7 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
                 if (p % g).is_zero:
                     raise NotIrreducible(f"factor found: {g!r}")
                 return
-            for c in range(-bounds[j], bounds[j] + 1):
-                if j == 0 and p0 and (c == 0 or p0 % c):
-                    continue
+            for c in (constants if j == 0 else range(-bounds[j], bounds[j] + 1)):
                 rec(j + 1, coeffs + [c])
         rec(0, [])
     return True
@@ -647,24 +661,19 @@ def apply_automorphism(datum: GaloisDatum, index: int, x: FieldElement) -> Field
 
 
 def minimal_polynomial(x: FieldElement) -> Polynomial:
-    """Monic minimal polynomial of x over Q: the squarefree part of the
-    characteristic polynomial of multiplication by x (which is that minimal
-    polynomial raised to the power d/deg)."""
+    """Monic minimal polynomial of x over Q: the squarefree part of chi_x
+    (which is that minimal polynomial raised to the power d/deg)."""
     _require_verified(x.datum)
-    return x.multiplication_matrix().charpoly().squarefree_part()
+    return x.charpoly().squarefree_part()
 
 
 def is_algebraic_unit(x: FieldElement) -> bool:
     """True iff the minimal polynomial has integer coefficients with
-    constant term +-1, read off the characteristic polynomial, its power
-    mp^k: mp^k is integral iff mp is (Gauss's lemma; both are monic), and
-    |mp^k(0)| = |mp(0)|^k.  On the cleared multiplication matrix (M, D)
-    the integer kernel's c_k is D^(d-k) times that coefficient."""
+    constant term +-1, read off chi_x = mp^k: mp^k is integral iff mp is
+    (Gauss's lemma; both are monic), and |mp^k(0)| = |mp(0)|^k."""
     _require_verified(x.datum)
-    rows, den = x._scaled_multiplication_rows()
-    d = len(rows)
-    cs = fl.int_charpoly(rows)
-    return abs(cs[0]) == den ** d and all(c % den ** (d - k) == 0 for k, c in enumerate(cs))
+    chi = x.charpoly()
+    return chi.is_integer and abs(chi.constant) == 1
 
 
 def sign_against(iv: Interval, c) -> int | None:

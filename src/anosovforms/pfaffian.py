@@ -495,17 +495,6 @@ def _skew_b(x, y) -> Fraction:
     return sum(x[i][j] * y[i][j] for i in range(n) for j in range(n))
 
 
-def _express_in(basis: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction] | None:
-    """Coordinates of vec in the given (independent) list, or None."""
-    if not basis:
-        return None
-    try:
-        sol = fl.solve([list(col) for col in zip(*basis)], [vec])
-    except fl.Inconsistent:
-        return None  # vec not in span
-    return [row[0] for row in sol]
-
-
 def dual_automorphism(alpha: RationalMatrix, a: LieAlgebra,
                       dual: LieAlgebra) -> tuple[RationalMatrix, RationalMatrix]:
     """Extend alpha on the degree-1 block to automorphisms of a and of its
@@ -526,23 +515,23 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
     if alpha.rows != n1:
         raise ValueError("degree-1 block has the wrong size")
     at = alpha.transpose()
-    center_cols = []
+    images = []
     for t in range(k):
         m = at * RationalMatrix(_coords_to_skew(coords[t], pairs, n1)) * alpha
-        co = _express_in(coords, [m[i, j] for (i, j) in pairs])
-        if co is None:
-            raise DoesNotPreserveW("alpha^T J_Z alpha leaves the image of J")
-        center_cols.append(co)
-    # center_cols[t] = coordinates of alpha^T(Z_t); the center block of the
-    # extended automorphism is the transpose of that matrix
+        images.append([m[i, j] for (i, j) in pairs])
+    # one solve over the k images: column t of the solution holds the
+    # coordinates of alpha^T(Z_t), row t of the extension's center block
+    try:
+        solution = fl.solve([list(col) for col in zip(*coords)], images)
+    except fl.Inconsistent:
+        raise DoesNotPreserveW("alpha^T J_Z alpha leaves the image of J") from None
     n = a.dim
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n1):
         for j in range(n1):
             rows[i][j] = alpha[i, j]
-    for i in range(k):
-        for j in range(k):
-            rows[n1 + i][n1 + j] = center_cols[i][j]
+    for t, col in enumerate(zip(*solution)):
+        rows[n1 + t][n1:n1 + k] = col
     out = RationalMatrix(rows)
     if not is_automorphism(a, LinearMap(a, out.entries)):
         raise DoesNotPreserveW("extension is not an automorphism")

@@ -101,6 +101,42 @@ class TestPolynomial:
         assert p.reciprocal().reciprocal() == p
 
 
+def frozen_poly_mul(p, q):
+    """Polynomial * Polynomial as a Fraction convolution."""
+    if p.is_zero or q.is_zero:
+        return P.zero()
+    out = [F(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return P(out)
+
+
+class TestPolynomialProduct:
+    # the cleared-integer convolution against the Fraction one it replaced
+    polys = st.lists(st.one_of(st.integers(-50, 50), st.just(0),
+                               st.fractions(min_value=-50, max_value=50,
+                                            max_denominator=10 ** 6)),
+                     max_size=9).map(P)
+
+    @settings(max_examples=400, deadline=None)
+    @given(polys, polys)
+    def test_matches_frozen(self, p, q):
+        pq = p * q
+        assert repr(pq) == repr(frozen_poly_mul(p, q))
+        assert all(type(c) is F for c in pq.coeffs)
+
+    def test_zero_constant_and_non_integral_factors(self):
+        cases = [P([]), P([0]), P([3]), P([F(-2, 7)]), P([0, 1]), P([F(1, 2), 0, F(-3, 4)]),
+                 P([1, F(1, 3), 0, 0, F(5, 9)]), P([-6, 11, -6, 1])]
+        for p in cases:
+            for q in cases:
+                assert repr(p * q) == repr(frozen_poly_mul(p, q))
+                assert repr(p ** 3) == repr(frozen_poly_mul(frozen_poly_mul(p, p), p))
+
+
 class TestCharpoly:
     def test_paper_block(self):
         m = RationalMatrix([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, 4], [0, 0, 1, 4]])

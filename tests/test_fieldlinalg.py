@@ -60,6 +60,14 @@ def identity(n):
     return [[F(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def multiplication_matrix(x):
+    """The rational matrix of multiplication by a field element x: the
+    cleared rows over their denominator, as FieldElement built it before
+    its trace read the diagonal directly."""
+    rows, den = x._scaled_multiplication_rows()
+    return RationalMatrix([[F(v, den) for v in row] for row in rows])
+
+
 def flat(name, m):
     """The rational image of a matrix over the field: each entry x becomes
     the d x d matrix of multiplication by x, so the image acts on the
@@ -68,7 +76,7 @@ def flat(name, m):
     if FIELDS[name] is None:
         return m
     d = _degree(name)
-    blocks = [[x.multiplication_matrix() for x in row] for row in m]
+    blocks = [[multiplication_matrix(x) for x in row] for row in m]
     return [[blocks[i][j][r, c] for j in range(len(m[0])) for c in range(d)]
             for i in range(len(m)) for r in range(d)]
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from collections import namedtuple
 from dataclasses import replace
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from anosovforms import _fieldlinalg as fl
+from anosovforms import galoisform as galoisform_module
 from anosovforms import recipes
 from anosovforms.catalog import cubic_pisot_unit, cyclic_cubic_datum
 from anosovforms.errors import (
@@ -14,6 +16,7 @@ from anosovforms.errors import (
     CommutationViolation,
     DatumMismatch,
     DimensionMismatch,
+    EigenvalueMismatch,
     ExtensionInconsistent,
     IrrationalEntry,
     IrrationalStructureConstant,
@@ -34,7 +37,6 @@ from anosovforms.galoisform import (
     check_label_equivariance,
     extend_representation,
     group_generators,
-    labels_charpoly,
     main2_construct,
     rational_form,
     rational_form_from_vectors,
@@ -48,6 +50,7 @@ from anosovforms.liealg import (
     LieAlgebra,
     LinearMap,
     _bracket,
+    Grading,
     _support,
     heisenberg,
     is_automorphism,
@@ -55,6 +58,25 @@ from anosovforms.liealg import (
 )
 from anosovforms.numfield import apply_automorphism
 from test_fieldlinalg import _dense_det, _dense_rref
+
+
+def frozen_labels_charpoly(la):
+    """prod over slots of (X - label), expanded in E[X] and certified to
+    collapse to a rational polynomial: the eigenvalue check's reference."""
+    datum = la.datum
+    coeffs = [datum.one()]
+    for lam in la.labels:
+        nxt = [datum.zero() for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - lam * c
+        coeffs = nxt
+    out = []
+    for c in coeffs:
+        if not c.is_rational:
+            raise IrrationalEntry("label product polynomial is not rational")
+        out.append(c.rational_value())
+    return Polynomial(out)
 
 
 def _satisfies_defining_relation(rho, v):
@@ -461,7 +483,11 @@ class TestLabeledAlgebra:
         la = LabeledAlgebra(
             LieAlgebra(2, ()), (lam, conj), generators=(0, 1)
         )
-        assert labels_charpoly(la) == RationalMatrix([[1, 2], [1, 1]]).charpoly()
+        l = frozen_labels_charpoly(la)
+        assert l == RationalMatrix([[1, 2], [1, 1]]).charpoly()
+        # the labels {lam, sigma(lam)} are one orbit: chi_lam * chi_conj = L^2
+        assert lam.charpoly() == conj.charpoly() == l
+        assert lam.charpoly() * conj.charpoly() == l ** 2
 
 
 class TestExtendRepresentation:
@@ -547,7 +573,7 @@ class TestMain2:
             la, {1: {0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 0)}}
         )
         algebra, matrix, _ = main2_construct(la, rho)
-        assert matrix.charpoly() == labels_charpoly(la)
+        assert matrix.charpoly() == frozen_labels_charpoly(la)
         assert is_automorphism(algebra, LinearMap(algebra, matrix.entries))
 
     def test_equivariance_checked_once_per_pair(self, quartic, monkeypatch):
@@ -610,6 +636,148 @@ class TestMain2:
         la = LabeledAlgebra(LieAlgebra(2, ()), (sqrt2.one(),) * 2, generators=(0, 1))
         with pytest.raises(DimensionMismatch):
             check_label_equivariance(la, trivial_rep(sqrt2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the label eigenvalue check: the labels' own charpolys against the E[X]
+# expansion it replaced
+# ---------------------------------------------------------------------------
+
+
+def _z4_pair(quartic):
+    """The 6-dimensional z4 labeled algebra of test_eigenvalues_are_labels
+    and its cyclic representation."""
+    th = quartic.generator()
+    lams = [th]
+    for _ in range(3):
+        lams.append(apply_automorphism(quartic, 1, lams[-1]))
+    labels = tuple(lams) + (lams[0] * lams[2], lams[1] * lams[3])
+    la = build_labeled_algebra(labels, [(0, 2, 1, 4), (1, 3, 1, 5)], generators=(0, 1, 2, 3))
+    return la, extend_representation(la, {1: {0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 0)}})
+
+
+def _perturbations(n, rng):
+    """Maps m -> m' that keep the charpoly (similarity, transpose) and maps
+    that change it (scaling, negation, squaring, single-entry changes)."""
+    def similar(m):
+        while True:
+            t = RationalMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if t.det():
+                return t * m * t.inverse()
+
+    def entry(m):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = [list(r) for r in m.entries]
+        rows[i][j] += rng.choice([-2, -1, F(1, 3), 1])
+        return RationalMatrix(rows)
+
+    return [lambda m: m, similar, similar, RationalMatrix.transpose, lambda m: m * 2,
+            lambda m: -m, lambda m: m * m, entry, entry, entry, entry]
+
+
+def _recorded_constructions(monkeypatch, runs):
+    """(labeled algebra, representation, matrix) of every main2_construct
+    call the recipe runs make."""
+    seen = []
+    real = recipes.main2_construct
+
+    def main2(la, rho, *args, **kwargs):
+        out = real(la, rho, *args, **kwargs)
+        seen.append((la, rho, out[1]))
+        return out
+    monkeypatch.setattr(recipes, "main2_construct", main2)
+    for run in runs:
+        run()
+    monkeypatch.undo()
+    return seen
+
+
+class TestLabelEigenvalueCheck:
+    def test_labels_power_is_frozen_power_on_every_recipe(self, sqrt2, cubic, cubic_unit,
+                                                          csig_pair, monkeypatch):
+        seen = _recorded_constructions(monkeypatch, [
+            recipes.recipe_z4_example,
+            lambda: recipes.recipe_count(5, 2),
+            lambda: recipes.recipe_count(2, 3),
+            lambda: recipes.recipe_laur(heisenberg(), Grading((2, 1)), sqrt2,
+                                        sqrt2.element([1, 1])),
+            lambda: recipes.recipe_csig(*csig_pair, 3),
+            lambda: recipes.recipe_last(cubic, cubic_unit, 2),
+            lambda: recipes.recipe_last(cubic, cubic_unit, 4),
+        ])
+        assert len(seen) == 7
+        for la, _rho, matrix in seen:
+            frozen = frozen_labels_charpoly(la)
+            power = math.prod((lam.charpoly() for lam in la.labels), start=Polynomial.one())
+            assert frozen ** la.datum.degree == power
+            assert matrix.charpoly() == frozen
+
+    @pytest.mark.parametrize("c, dim", [(4, 12), (6, 18)])
+    def test_eigenvalue_check_forms_no_field_product(self, cubic, cubic_unit, monkeypatch,
+                                                     c, dim):
+        # the E[X] expansion formed dim (dim + 1) / 2 FieldElement products
+        # (78 and 171 here); each label's charpoly is the one kernel run of
+        # its unit test, and the matrix adds one more
+        from anosovforms.numfield import FieldElement
+
+        counts = {"products": 0, "int_charpoly": 0}
+        inside = []
+
+        def counting(key, real):
+            def wrapper(*args):
+                if inside:
+                    counts[key] += 1
+                return real(*args)
+            return wrapper
+
+        real_main2 = recipes.main2_construct
+
+        def main2(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_main2(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(FieldElement, "__mul__", counting("products", FieldElement.__mul__))
+        monkeypatch.setattr(fl, "int_charpoly", counting("int_charpoly", fl.int_charpoly))
+        monkeypatch.setattr(recipes, "main2_construct", main2)
+        out = recipes.recipe_last(cubic, cubic_unit, c)
+        assert out.algebra.dim == dim
+        assert counts == {"products": 0, "int_charpoly": dim + 1}
+
+    def test_mismatch_fires_exactly_when_the_frozen_check_does(self, sqrt2, quartic, cubic,
+                                                                cubic_unit, monkeypatch):
+        rng = random.Random(18)
+        [(la_last, rho_last, _)] = _recorded_constructions(
+            monkeypatch, [lambda: recipes.recipe_last(cubic, cubic_unit, 2)])
+        one = sqrt2.one()
+        trivial = LabeledAlgebra(LieAlgebra(2, ()), (one, one), generators=(0, 1))
+        lam = sqrt2.element([1, 1])
+        orbit = LabeledAlgebra(LieAlgebra(2, ()), (lam, apply_automorphism(sqrt2, 1, lam)),
+                               generators=(0, 1))
+        pairs = [(trivial, trivial_rep(sqrt2, 2)), (orbit, regular_rep(sqrt2)),
+                 _z4_pair(quartic), (la_last, rho_last)]
+        real = transport
+        verdicts = set()
+        for la, rho in pairs:
+            frozen = frozen_labels_charpoly(la)
+            for perturb in _perturbations(la.dim, rng):
+                perturbed = []
+
+                def perturbed_transport(basis, f):
+                    perturbed.append(perturb(real(basis, f)))
+                    return perturbed[-1]
+                monkeypatch.setattr(galoisform_module, "transport", perturbed_transport)
+                try:
+                    main2_construct(la, rho)
+                    raised = False
+                except EigenvalueMismatch:
+                    raised = True
+                assert raised == (perturbed[-1].charpoly() != frozen)
+                verdicts.add(raised)
+                monkeypatch.undo()
+        assert verdicts == {True, False}
 
 
 def test_group_generators(sqrt2, biquad52, quartic):

@@ -514,20 +514,60 @@ _FIELD_POLYS.update({
 })
 
 
+def _assert_kept_relation(p, budget):
+    """The filtered search sizes its box after the constant-term filter, so
+    its box is never larger than the unfiltered one: the outcomes are equal
+    whenever the unfiltered search finishes, and the filtered search runs
+    out of budget only where the unfiltered one does."""
+    out = _outcome(_check_irreducible, p, budget)
+    ref = _outcome(_reference_check_irreducible, p, budget)
+    if ref != ("returned", False):
+        assert out == ref
+    if out == ("returned", False):
+        assert ref == ("returned", False)
+
+
+# the ordered squarefree pairs 2 <= k, l <= 30 whose quartic's factor box,
+# sized before the constant-term filter, exceeded DEFAULT_FACTOR_BUDGET
+_BUDGET_PAIRS = [(2, 26), (2, 29), (2, 30), (3, 26), (3, 29), (3, 30), (5, 29), (5, 30),
+                 (6, 29), (6, 30), (7, 30), (26, 2), (26, 3), (29, 2), (29, 3), (29, 5),
+                 (29, 6), (30, 2), (30, 3), (30, 5), (30, 6), (30, 7)]
+
+
 class TestPrunedFactorSearch:
     # the unfiltered reference tries up to 10^5 Fraction divisions per
     # draw at the largest budget, so that budget gets fewer draws
     @settings(max_examples=60, deadline=None)
     @given(p=st.one_of(_products, _random), budget=st.sampled_from([1, 10 ** 3]))
     def test_matches_unfiltered_search(self, p, budget):
-        assert (_outcome(_check_irreducible, p, budget)
-                == _outcome(_reference_check_irreducible, p, budget))
+        _assert_kept_relation(p, budget)
 
     @settings(max_examples=8, deadline=None)
     @given(p=st.one_of(_products, _random))
     def test_matches_unfiltered_search_large_budget(self, p):
-        assert (_outcome(_check_irreducible, p, 10 ** 5)
-                == _outcome(_reference_check_irreducible, p, 10 ** 5))
+        _assert_kept_relation(p, 10 ** 5)
+
+    def test_box_is_sized_by_the_constant_terms_that_pass(self):
+        # X^4 - 56 X^2 + 576 (k, l = 2, 26): 42 of the 1,159 constant terms
+        # divide 576, so the quadratic box is 42 * 2,317, not 1,159 * 2,317
+        p = P([576, 0, -56, 0, 1])
+        assert _l2_norm_bound(p) == 579
+        assert _reference_check_irreducible(p, DEFAULT_FACTOR_BUDGET) is False
+        assert _check_irreducible(p, 42 * 2317) is True
+        assert _check_irreducible(p, 42 * 2317 - 1) is False
+
+    def test_reducible_sextic_still_runs_out(self):
+        # (X^3 - 50)(X^3 - 51): the cubic box has 48 constant terms times
+        # (6 * 2552 + 1)^2, about 10^10
+        p = P([2550, 0, 0, -101, 0, 0, 1])
+        assert _check_irreducible(p, DEFAULT_FACTOR_BUDGET) is False
+
+    @pytest.mark.parametrize("k, l", _BUDGET_PAIRS)
+    def test_biquadratic_pairs_past_the_unfiltered_budget_build(self, k, l):
+        p = P([(k - l) ** 2, 0, -2 * (k + l), 0, 1])
+        assert _reference_check_irreducible(p, DEFAULT_FACTOR_BUDGET) is False
+        datum = biquadratic_datum(k, l)
+        assert datum.verified and not datum.assume_irreducible
 
     @pytest.mark.parametrize("name", sorted(_FIELD_POLYS))
     def test_field_polynomials(self, name):

@@ -16,7 +16,7 @@ from anosovforms.errors import (
     SolutionMismatch,
 )
 from anosovforms.exactmath import Polynomial, RationalMatrix, nullspace
-from anosovforms.liealg import LieAlgebra, abelian, heisenberg
+from anosovforms.liealg import LieAlgebra, LinearMap, abelian, heisenberg, is_automorphism
 from anosovforms.pfaffian import (
     BinaryQuadraticForm,
     PellSolution,
@@ -40,7 +40,6 @@ from anosovforms.pfaffian import (
     w_space_coords,
     wedge_square,
     _coords_to_skew,
-    _express_in,
     _skew_b,
 )
 from anosovforms.recipes import recipe_count
@@ -337,6 +336,17 @@ class TestScheuneman:
         assert adapted_split(hk_algebra(5)) == (4, 4)
 
 
+def _express_in(basis, vec):
+    """Coordinates of vec in the given (independent) list, or None."""
+    if not basis:
+        return None
+    try:
+        sol = fl.solve([list(col) for col in zip(*basis)], [vec])
+    except fl.Inconsistent:
+        return None  # vec not in span
+    return [row[0] for row in sol]
+
+
 def frozen_scheuneman_dual(a):
     """scheuneman_dual with its greedy center canonicalization: each bracket
     vector expressed in the directions met so far, or a new direction."""
@@ -421,6 +431,64 @@ class TestFrozenDualCanonicalization:
             out = _dual_outcome(scheuneman_dual, a)
             assert out == _dual_outcome(frozen_scheuneman_dual, a)
             assert isinstance(out, tuple)
+
+
+def frozen_extend_degree_one(a, alpha):
+    """extend_degree_one with one _express_in solve per center vector."""
+    coords, pairs, n1, k = w_space_coords(a)
+    if alpha.rows != n1:
+        raise ValueError("degree-1 block has the wrong size")
+    at = alpha.transpose()
+    center_cols = []
+    for t in range(k):
+        m = at * RationalMatrix(_coords_to_skew(coords[t], pairs, n1)) * alpha
+        co = _express_in(coords, [m[i, j] for (i, j) in pairs])
+        if co is None:
+            raise DoesNotPreserveW("alpha^T J_Z alpha leaves the image of J")
+        center_cols.append(co)
+    n = a.dim
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n1):
+        for j in range(n1):
+            rows[i][j] = alpha[i, j]
+    for i in range(k):
+        for j in range(k):
+            rows[n1 + i][n1 + j] = center_cols[i][j]
+    out = RationalMatrix(rows)
+    if not is_automorphism(a, LinearMap(a, out.entries)):
+        raise DoesNotPreserveW("extension is not an automorphism")
+    return out
+
+
+def _extension_outcome(extend, a, alpha):
+    try:
+        return repr(extend(a, alpha))
+    except DoesNotPreserveW as e:
+        return str(e)
+
+
+class TestFrozenExtension:
+    def test_one_solve_matches_per_vector_solves(self):
+        # the degree-1 blocks of recipe maps and Pell automorphisms extend;
+        # random integer blocks mostly leave W, and a few are automorphisms
+        rng = random.Random(18)
+        cases = []
+        for k, l in ((5, 2), (2, 3)):
+            out = recipe_count(k, l)
+            alpha = out.matrix.submatrix(range(4), range(4))
+            cases += [(out.algebra, alpha), (scheuneman_dual(out.algebra), alpha.transpose())]
+        for a in (nk_algebra(5), hk_algebra(2), abelian(4), heisenberg()):
+            n1, _k = adapted_split(a)
+            cases += [(a, RationalMatrix.identity(n1) * F(2))]
+            for _ in range(12):
+                cases.append((a, RationalMatrix(
+                    [[rng.choice([0, 0, 1, -1, 2]) for _ in range(n1)] for _ in range(n1)])))
+        verdicts = set()
+        for a, alpha in cases:
+            out = _extension_outcome(extend_degree_one, a, alpha)
+            assert out == _extension_outcome(frozen_extend_degree_one, a, alpha)
+            verdicts.add(out.startswith("RationalMatrix"))
+        assert verdicts == {True, False}
 
 
 class TestDualAutomorphism:

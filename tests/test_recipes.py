@@ -77,6 +77,12 @@ class TestCount:
         assert out.certificate.signature == (2, 4)
         assert out.provenance["classified"] == 2
 
+    def test_2_26(self):
+        # the field's unfiltered factor box exceeds the budget
+        out = recipe_count(2, 26)
+        assert out.certificate.hyperbolic and out.certificate.signature == (2, 4)
+        assert out.provenance["classified"] == 2
+
     def test_bad_parameters(self):
         with pytest.raises(BadParameters):
             recipe_count(4, 2)

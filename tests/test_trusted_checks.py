@@ -61,11 +61,21 @@ one = datum.one()
 la = LabeledAlgebra(LieAlgebra(2, ()), (one, one), (0, 1))
 ident = RationalMatrix.identity(2)
 rho = Representation(datum, (ident, ident), la.algebra)
-galoisform.transport = lambda basis, f: ident * 2
+# (X - 1)^2 is the labels' polynomial L, X^2 - 4 is not
+jordan = RationalMatrix([[1, 1], [0, 1]])
+doubled = ident * 2
+
+
+def construct_with(m):
+    galoisform.transport = lambda basis, f: m
+    return galoisform.main2_construct(la, rho)
+
+
 print(sys.flags.optimize)
 for check in (lambda: fl.mat_mul([[1, 2]], [[1]]),
               lambda: _inside_count(1, _boundary_chain(P([-1, 1]))),
-              lambda: galoisform.main2_construct(la, rho)):
+              lambda: construct_with(doubled),
+              lambda: construct_with(jordan)):
     try:
         check()
         print("passed")
@@ -79,5 +89,5 @@ def test_checks_survive_python_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "1", "DimensionMismatch", "OddWindingIndex", "EigenvalueMismatch",
+        "1", "DimensionMismatch", "OddWindingIndex", "EigenvalueMismatch", "passed",
     ]

@@ -3,10 +3,12 @@ replaced: interval Horner on Interval arithmetic, the field product and
 multiplication matrix by reduction modulo the minimal polynomial, the norm
 as a Fraction determinant, the unit test through the squarefree part of
 the Hessenberg characteristic polynomial, the inverse by the extended
-Euclidean algorithm, compare_abs_to_one through the conjugate element, and
-the cone check through the product formed as one field element.
-Endpoints, values and verdicts must be identical, and the cone verdicts
-must not depend on the level of the exact tie test."""
+Euclidean algorithm, compare_abs_to_one through the conjugate element,
+the cone check through the product formed as one field element, and the
+unit test, minimal polynomial and inverse on a fresh kernel run per call
+against the element's kept charpoly.  Endpoints, values and verdicts
+must be identical, and the cone verdicts must not depend on the level of
+the exact tie test."""
 
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anosovforms import _fieldlinalg as fl
 from anosovforms import numfield
 from anosovforms.catalog import (
     CSIG_N2_UNIT_COORDS,
@@ -32,6 +35,7 @@ from anosovforms.numfield import (
     compare_abs_to_one,
     conjugate_modulus_interval,
     is_algebraic_unit,
+    minimal_polynomial,
     refine_until,
     sign_against,
     verify_galois_datum,
@@ -39,7 +43,7 @@ from anosovforms.numfield import (
 from anosovforms.pisot import ConeConstraint, search_unit_pisot, search_units
 from anosovforms.recipes import biquadratic_pisot_unit
 from test_exactmath import poly_xgcd, ref_charpoly
-from test_fieldlinalg import ref_det
+from test_fieldlinalg import multiplication_matrix, ref_det
 
 # ---------------------------------------------------------------------------
 # frozen references
@@ -209,10 +213,10 @@ def test_products_and_norms_match(name, data):
     x = data.draw(elements(name))
     y = data.draw(elements(name))
     assert repr(x * y) == repr(ref_mul(x, y))
-    assert repr(x.multiplication_matrix()) == repr(ref_multiplication_matrix(x))
+    assert repr(multiplication_matrix(x)) == repr(ref_multiplication_matrix(x))
     assert repr(x.norm()) == repr(ref_norm(x))
     assert type(x.norm()) is F
-    assert x.trace() == ref_multiplication_matrix(x).trace()
+    assert repr(x.trace()) == repr(ref_multiplication_matrix(x).trace())
     assert is_algebraic_unit(x) == ref_is_algebraic_unit(x)
 
 
@@ -552,3 +556,88 @@ def test_inverse_verdicts_on_zero_and_zero_divisors(name):
     if name == "reducible":
         assert [v[0] for v in verdicts[4:7]] == ["NotIrreducible"] * 3
         assert isinstance(verdicts[7], str)
+
+
+# ---------------------------------------------------------------------------
+# the element charpoly against the per-call kernel runs it replaced
+
+
+def frozen_is_algebraic_unit(x):
+    """The unit test on the integer kernel's c_k, run on each call: |c_0| =
+    D^d and D^(d-k) divides c_k."""
+    rows, den = x._scaled_multiplication_rows()
+    d = len(rows)
+    cs = fl.int_charpoly(rows)
+    return abs(cs[0]) == den ** d and all(c % den ** (d - k) == 0 for k, c in enumerate(cs))
+
+
+def frozen_minimal_polynomial(x):
+    return multiplication_matrix(x).charpoly().squarefree_part()
+
+
+def frozen_inverse(x):
+    """Cayley-Hamilton on a fresh kernel run."""
+    if x.is_zero:
+        raise ZeroDivisionError("inverse of zero field element")
+    rows, den = x._scaled_multiplication_rows()
+    cs = fl.int_charpoly(rows)
+    if not cs[0]:
+        raise NotIrreducible("minimal polynomial is reducible")
+    y = [1] + [0] * (len(rows) - 1)
+    for c in reversed(cs[1:-1]):
+        y = fl.mat_vec(rows, y)
+        y[0] += c
+    return FieldElement(x.datum, tuple(F(-den * v, cs[0]) for v in y))
+
+
+def _element_facts(x, inverse, is_unit, minpoly):
+    return (_inverse_outcome(inverse, x), is_unit(x), repr(minpoly(x)))
+
+
+@pytest.mark.parametrize("name", list(INVERSE_DATA))
+@PROPS
+@given(data=st.data())
+def test_element_facts_match_frozen(name, data):
+    datum = INVERSE_DATA[name]
+    den = data.draw(st.integers(1, 12))
+    nums = data.draw(st.lists(st.integers(-30, 30), min_size=datum.degree, max_size=datum.degree))
+    x = datum.element([F(a, den) for a in nums])
+    # a fresh copy of x for each side, so neither reads the other's chi
+    fresh = datum.element(x.coeffs)
+    assert (_element_facts(x, FieldElement.inverse, is_algebraic_unit, minimal_polynomial)
+            == _element_facts(fresh, frozen_inverse, frozen_is_algebraic_unit,
+                              frozen_minimal_polynomial))
+    assert repr(x.charpoly()) == repr(multiplication_matrix(x).charpoly())
+    assert repr(x.trace()) == repr(multiplication_matrix(x).trace())
+
+
+@pytest.mark.parametrize("name", list(INVERSE_DATA))
+def test_element_facts_on_units_and_catalog_elements(name):
+    datum = INVERSE_DATA[name]
+    cases = [datum.zero(), datum.one(), datum.generator(), -datum.generator(),
+             datum.element([F(1, 2)]), datum.element([0, F(1, 2)])]
+    if name != "reducible":
+        cases += search_units(datum, 1)[:6]
+    if name == "biquad112":
+        u = biquadratic_pisot_unit(datum, 11, 2)
+        cases += [u, -u, u * u]
+    for x in cases:
+        fresh = datum.element(x.coeffs)
+        assert (_element_facts(x, FieldElement.inverse, is_algebraic_unit, minimal_polynomial)
+                == _element_facts(fresh, frozen_inverse, frozen_is_algebraic_unit,
+                                  frozen_minimal_polynomial))
+
+
+def test_each_element_runs_the_kernel_once(monkeypatch):
+    datum = DATA["quartic"]
+    calls = []
+    real = fl.int_charpoly
+    monkeypatch.setattr(fl, "int_charpoly", lambda rows: calls.append(1) or real(rows))
+    x = datum.element([2, 1, 0, F(-1, 3)])
+    assert not is_algebraic_unit(x)
+    minimal_polynomial(x)
+    x.inverse()
+    x.inverse()
+    assert len(calls) == 1
+    x.trace()
+    assert len(calls) == 1
