@@ -327,7 +327,8 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
     them when p(0) = 0).  The box is then no larger than the unfiltered
     one, so wherever the unfiltered search finishes, the verdict and the
     first factor found are its own, and the search runs out of budget
-    only where the unfiltered one does.
+    only where the unfiltered one does.  Listing the divisors takes
+    min(bound, |p(0)|) steps; past the budget it gives up before listing.
     """
     d = p.degree
     if d <= 0:
@@ -338,7 +339,11 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
         raise BadParameters("minimal polynomial must be monic with integer coefficients")
     m = _l2_norm_bound(p)
     p0 = int(p.coeffs[0])
-    constants = [c for c in range(-m, m + 1) if not p0 or (c and p0 % c == 0)]
+    # the unfiltered box, with 2m + 1 constant terms, is over budget too here
+    if (min(m, abs(p0)) if p0 else 2 * m + 1) > budget:
+        return False
+    divisors = [c for c in range(1, min(m, abs(p0)) + 1) if p0 % c == 0]
+    constants = [-c for c in reversed(divisors)] + divisors if p0 else range(-m, m + 1)
     values = [(t, int(p.eval(t))) for t in (1, -1, 2, -2)]
     for k in range(1, d // 2 + 1):
         bounds = [math.comb(k, j) * m for j in range(k)]

@@ -274,6 +274,31 @@ class TestTools:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "IrreducibilityBudgetExceeded"
 
+    # X^2 - (10^14 + 1): the factor box bound and |p(0)| are about 10^14,
+    # so the irreducibility search gives up before listing constant terms
+    LARGE_QUADRATIC = {
+        "min_poly": ["-100000000000001", "0", "1"],
+        "automorphisms": [["0", "1"], ["0", "-1"]], "identity": 0, "table": [[0, 1], [1, 0]],
+        "roots": [{"lo": "10000000", "hi": "10000001"}, {"lo": "-10000001", "hi": "-10000000"}],
+    }
+
+    @pytest.mark.parametrize("flag, code", [(True, 0), (False, 1)])
+    def test_verify_field_large_coefficients_finish(self, workdir, flag, code):
+        field = workdir / "large_quadratic.json"
+        field.write_text(json.dumps(self.LARGE_QUADRATIC | {"assume_irreducible": flag}))
+        proc = subprocess.run([sys.executable, "-m", "anosovforms", "verify-field",
+                               "--field", str(field)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        if code:
+            assert json.loads(proc.stderr)["error"] == "IrreducibilityBudgetExceeded"
+
+    def test_count_with_a_large_prime_exits_at_once(self):
+        proc = subprocess.run([sys.executable, "-m", "anosovforms", "construct", "--recipe",
+                               "count", "--k", "2", "--l", "1000003"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "IrreducibilityBudgetExceeded"
+
     @pytest.mark.parametrize("key", ["assume_irreducible", "totally_real"])
     @pytest.mark.parametrize("value", ["false", "0", "true", 0, 1, None], ids=json.dumps)
     def test_verify_field_non_boolean_flag_exit2(self, workdir, key, value):

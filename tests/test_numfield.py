@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -561,6 +562,29 @@ class TestPrunedFactorSearch:
         # (6 * 2552 + 1)^2, about 10^10
         p = P([2550, 0, 0, -101, 0, 0, 1])
         assert _check_irreducible(p, DEFAULT_FACTOR_BUDGET) is False
+
+    def test_large_constant_term_gives_up_before_listing(self):
+        # X^4 - 2(k + l) X^2 + (k - l)^2 for k, l = 2, 1000003: the bound m
+        # and |p(0)| are about 10^12, so listing the divisors of p(0) would
+        # take days; both searches give up at once, on the first box size
+        p = P([(2 - 1000003) ** 2, 0, -2 * (2 + 1000003), 0, 1])
+        start = time.perf_counter()
+        assert _check_irreducible(p, DEFAULT_FACTOR_BUDGET) is False
+        assert time.perf_counter() - start < 1.0
+        assert _reference_check_irreducible(p, DEFAULT_FACTOR_BUDGET) is False
+        with pytest.raises(IrreducibilityBudgetExceeded):
+            biquadratic_datum(2, 1000003)
+
+    def test_divisor_listing_is_budgeted(self):
+        # X^2 - 1009 * 1013: m = 1,022,118 and |p(0)| = 1,022,117, so the
+        # listing takes 1,022,117 trials for a box of 8 constant terms; a
+        # smaller budget stops it before the listing, where the unfiltered
+        # search's 2m + 1 constant terms are over budget as well
+        p = P([-1009 * 1013, 0, 1])
+        top = min(_l2_norm_bound(p), 1009 * 1013)
+        assert _check_irreducible(p, top) is True
+        assert _check_irreducible(p, top - 1) is False
+        assert _reference_check_irreducible(p, top - 1) is False
 
     @pytest.mark.parametrize("k, l", _BUDGET_PAIRS)
     def test_biquadratic_pairs_past_the_unfiltered_budget_build(self, k, l):
