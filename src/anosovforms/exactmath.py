@@ -47,6 +47,17 @@ def rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def binary_power(x, e: int, one):
+    """x^e for e >= 0: square-and-multiply from one, lowest bit first."""
+    r, b = one, x
+    while e:
+        if e & 1:
+            r = r * b
+        b = b * b
+        e >>= 1
+    return r
+
+
 def rat_to_str(x: Fraction) -> str:
     """Serialize as 'p/q', or 'p' when the denominator is one."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -155,14 +166,7 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
-        r = Polynomial.one()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return binary_power(self, e, Polynomial.one())
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
         den = _as_poly(other)
@@ -430,14 +434,7 @@ class RationalMatrix:
             raise NonSquare("matrix power needs a square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        r = RationalMatrix.identity(self.rows)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return binary_power(self, e, RationalMatrix.identity(self.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.entries == other.entries
@@ -508,18 +505,19 @@ def charpoly(m: RationalMatrix) -> Polynomial:
     return Polynomial(Fraction(c, d ** (n - k)) for k, c in enumerate(fl.int_charpoly(rows)))
 
 
-def nullspace(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the right kernel over Q.
+def nullspace(rows) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of the right kernel over Q of rational rows.
 
-    Basis vectors come from the reduced row echelon form: one vector per
-    free column, with entry 1 at the free column.  Comparing kernels is
-    therefore a bit-exact comparison of these lists.
+    Basis vectors come from the reduced row echelon form of the row space:
+    one vector per free column, with entry 1 at the free column.  Comparing
+    kernels is therefore a bit-exact comparison of these lists.
     """
-    r, pivots = fl.rref(m.entries)
-    free = [c for c in range(m.cols) if c not in pivots]
+    r, pivots = fl.rref(rows)
+    ncols = len(rows[0]) if rows else 0
+    free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             if r[i][f]:

@@ -71,7 +71,9 @@ def right_action(datum: GaloisDatum, sigma_index: int, v: Sequence[FieldElement]
 
 
 def group_generators(datum: GaloisDatum) -> list[int]:
-    """A generating set of the Galois group, greedily built from the table."""
+    """A generating set of the Galois group, greedily built from the table.
+    The bracket, label and relation checks of a homomorphism rho run on it:
+    each holds for rho_(st) = rho_s rho_t once it holds for rho_s and rho_t."""
     d = datum.degree
     gens: list[int] = []
     closure = {datum.identity_index}
@@ -141,9 +143,9 @@ def _compose(a: Sequence[Mapping], b: Sequence[Mapping]) -> list[dict]:
 
 def verify_representation(rho: Representation) -> Representation:
     """rho(e) = I and D R_ij = R_i R_j on rho's columns for all d^2 pairs;
-    with an algebra attached, each image but rho(e) preserves brackets.
+    with an algebra attached, each generator's image preserves brackets.
     Once those pairs pass, rho(g) rho(g^-1) = rho(e) = I, so every image is
-    invertible and hence an automorphism."""
+    invertible and hence an automorphism (see group_generators)."""
     datum = rho.datum
     d = datum.degree
     if len(rho.images) != d:
@@ -164,8 +166,8 @@ def verify_representation(rho: Representation) -> Representation:
     if rho.algebra is not None:
         if rho.algebra.dim != m:
             raise DimensionMismatch("algebra dimension must match image size")
-        for g, image in enumerate(cols):
-            if g != e and not preserves_brackets(rho.algebra, image, den):
+        for g in group_generators(datum):
+            if not preserves_brackets(rho.algebra, cols[g], den):
                 raise NotHomomorphism(f"image {g} is not a Lie algebra automorphism")
     object.__setattr__(rho, "verified", True)
     return rho
@@ -211,26 +213,26 @@ def _flatten(v: Sequence[FieldElement]) -> list[Fraction]:
     return [c for x in v for c in x.coeffs]
 
 
-def _relation_rows(rho: Representation, elements: Iterable[int]) -> list[list[Fraction]]:
-    """rho_sigma(v) = v^sigma for each sigma in elements, as rational rows
-    on the m*d coordinates of v: coordinate t of component r reads
-    sum_k R[r, k] v_k,t - D sum_u A[t, u] v_r,u = 0, R / D the image of
-    sigma on rho's cleared columns and A the matrix of sigma^{-1} in the
-    power basis."""
+def _relation_rows(rho: Representation) -> list[list[int]]:
+    """rho_sigma(v) = v^sigma for each generator sigma (the identity when
+    d = 1), as integer rows on the m*d coordinates of v: coordinate t of
+    component r reads D_A sum_k R[r, k] v_k,t - D_R sum_u A[t, u] v_r,u = 0,
+    R / D_R the image of sigma on rho's cleared columns and A / D_A the
+    matrix of sigma^{-1} in the power basis."""
     datum = rho.datum
     m, d = rho.size, datum.degree
     cols, den = rho.columns()
-    rows: list[list[Fraction]] = []
-    for g in elements:
-        a = automorphism_matrix(datum, datum.inverse_index(g)).entries
-        block = [[Fraction(0)] * (m * d) for _ in range(m * d)]
+    rows: list[list[int]] = []
+    for g in group_generators(datum) or [datum.identity_index]:
+        a, da = automorphism_matrix(datum, datum.inverse_index(g))
+        block = [[0] * (m * d) for _ in range(m * d)]
         for r in range(m):
             for t, arow in enumerate(a):
                 block[r * d + t][r * d:(r + 1) * d] = [-den * c for c in arow]
         for k, col in enumerate(cols[g]):
             for r, c in col.items():
                 for t in range(d):
-                    block[r * d + t][k * d + t] += c
+                    block[r * d + t][k * d + t] += da * c
         rows += block
     return rows
 
@@ -250,8 +252,7 @@ def rational_form(rho: Representation) -> RationalFormBasis:
         raise NotHomomorphism("rational_form requires a verified representation")
     datum = rho.datum
     m, d = rho.size, datum.degree
-    rows = _relation_rows(rho, group_generators(datum) or [datum.identity_index])
-    basis_flat = nullspace(RationalMatrix(rows)) if rows else []
+    basis_flat = nullspace(_relation_rows(rho))
     if len(basis_flat) != m:
         raise DimensionMismatch(f"fixed space has dimension {len(basis_flat)}, expected {m}")
     basis = RationalFormBasis(rho, tuple(
@@ -266,7 +267,7 @@ def rational_form_from_vectors(rho: Representation,
     defining relation for every group element and E-linear independence.
 
     Both checks run over Q on the flat matrix P.  The relation holds for
-    all sigma at once when the rows of _relation_rows annihilate P.
+    all sigma once the generators' rows of _relation_rows annihilate P.
     Independence is rank(P) = m, i.e. Q-independence, and that suffices
     (Speiser's lemma, Serre, Local Fields, Ch. X, section 1): take a shortest
     E-relation sum c_j v_j = 0 among fixed vectors with c_1 = 1.  Since
@@ -288,8 +289,7 @@ def rational_form_from_vectors(rho: Representation,
         raise DatumMismatch("vector component from a different field")
     basis = RationalFormBasis(rho, vecs)
     flat = basis.flat_matrix()[0]
-    rows, _ = fl.clear_denominators(_relation_rows(rho, range(datum.degree)))
-    if any(any(row) for row in fl.mat_mul(rows, flat)):
+    if any(any(row) for row in fl.mat_mul(_relation_rows(rho), flat)):
         raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
     if fl.rank(flat) != m:
         raise DimensionMismatch("vectors are not linearly independent over E")
@@ -386,7 +386,7 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
     zero = [0] * d
     for s in range(d):
         inv = datum.inverse_index(s)
-        a, da = fl.clear_denominators(automorphism_matrix(datum, inv).entries)
+        a, da = automorphism_matrix(datum, inv)
         lhs = {key: [den * den * x for x in fl.mat_vec(a, v)] for key, v in fz.items()}
         rf, rhs = {}, {}  # rf[j]: column j of R f as {i: d-vector}
         for (k, j), v in fz.items():
@@ -459,22 +459,26 @@ def check_label_compatibility(la: LabeledAlgebra) -> None:
 
 
 def check_label_equivariance(la: LabeledAlgebra, rho: Representation) -> None:
-    """rho_sigma(V_lambda) = V_{sigma(lambda)} for every group element, on
-    rho's nonzero column entries; on success rho keeps la as
-    _equivariant_labels, so a later caller with the same pair skips it."""
+    """rho_sigma(V_lambda) = V_{sigma(lambda)} for each generator sigma of
+    a verified rho (verified here if it is not), on rho's nonzero column
+    entries: D_A L_i = A L_t on the labels' cleared integer rows L, A / D_A
+    the matrix of sigma.  On success rho keeps la as _equivariant_labels,
+    so a later caller with the same pair skips it."""
     datum = la.datum
     if rho.datum.fingerprint() != datum.fingerprint():
         raise DatumMismatch("representation and labels over different fields")
     if rho.size != la.dim:
         raise DimensionMismatch("representation size must match the labeled algebra")
+    if not rho.verified:
+        verify_representation(rho)
     cols = rho.columns()[0]
-    for s in range(datum.degree):
+    labels, _ = fl.clear_denominators([x.coeffs for x in la.labels])
+    for s in group_generators(datum):
+        a, da = automorphism_matrix(datum, s)
         for t, col in enumerate(cols[s]):
-            target = apply_automorphism(datum, s, la.labels[t])
-            if any(not la.labels[i] == target for i in col):
-                raise LabelMismatch(
-                    f"group element {s} maps slot {t} outside V_sigma(label)"
-                )
+            target = fl.mat_vec(a, labels[t])
+            if any([da * c for c in labels[i]] != target for i in col):
+                raise LabelMismatch(f"group element {s} maps slot {t} outside V_sigma(label)")
     object.__setattr__(rho, "_equivariant_labels", la)
 
 
@@ -560,8 +564,6 @@ def main2_construct(la: LabeledAlgebra, rho: Representation,
     for idx, lam in enumerate(la.labels):
         if not is_algebraic_unit(lam):
             raise NonUnitLabel(f"label {idx} is not an algebraic unit")
-    if not rho.verified:
-        rho = verify_representation(rho)
     if getattr(rho, "_equivariant_labels", None) is not la:
         check_label_equivariance(la, rho)
     if explicit_basis is not None:

@@ -6,8 +6,8 @@ root enclosures.  Nothing is ever *discovered* here: the datum is a claim,
 and verify_galois_datum proves every part of it by exact arithmetic
 (irreducibility by bounded factor search; the automorphism property and
 the group structure from each automorphism's power-basis matrix, built
-once and kept as the only form of the Galois action).  Downstream code
-only accepts verified data.
+once and kept as an integer matrix over one denominator, the only form
+of the Galois action).  Downstream code only accepts verified data.
 
 Each real root of a verified datum has one bisection path (RootPath), kept
 on the datum; every question about a real conjugate is asked of that path
@@ -34,7 +34,7 @@ from .errors import (
     TableNotAGroup,
     WrongAutomorphismCount,
 )
-from .exactmath import Interval, Polynomial, RationalMatrix, rat
+from .exactmath import Interval, Polynomial, binary_power, rat
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 DEFAULT_REFINE_STEPS = 4096
@@ -106,8 +106,8 @@ class GaloisDatum:
         return self.element((p % self.min_poly).coeffs)
 
     def inverse_index(self, i: int) -> int:
-        row = self.table[i]
-        return row.index(self.identity_index)
+        _check_index(self, i)
+        return self.table[i].index(self.identity_index)
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        rows, da = self._scaled_multiplication_rows()
-        (b,), db = fl.clear_denominators([o.coeffs])
-        den = da * db
-        return FieldElement(self.datum, tuple(Fraction(u, den) for u in fl.mat_vec(rows, b)))
+        return FieldElement(self.datum, _act(self._scaled_multiplication_rows(), o.coeffs))
 
     __rmul__ = __mul__
 
@@ -229,14 +226,7 @@ class FieldElement:
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        r = self.datum.one()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return binary_power(self, e, self.datum.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -411,6 +401,20 @@ def refine_until(test: Callable[[int], object]):
     raise PrecisionUnreachable("refinement budget exhausted")
 
 
+def _check_index(datum: GaloisDatum, index: int) -> None:
+    if not 0 <= index < datum.degree:
+        raise BadParameters(f"automorphism index {index} is out of range")
+
+
+def _act(pair: tuple, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The image of x under the Q-linear map A / D given as the pair (A, D)
+    (an automorphism, or multiplication by an element): A times x's
+    cleared coordinates, divided once."""
+    a, da = pair
+    (b,), db = fl.clear_denominators([coeffs])
+    return tuple(Fraction(u, da * db) for u in fl.mat_vec(a, b))
+
+
 def verify_galois_datum(candidate: GaloisDatum,
                         factor_budget: int = DEFAULT_FACTOR_BUDGET) -> GaloisDatum:
     """Run every invariant check and return the datum marked verified.
@@ -442,8 +446,8 @@ def verify_galois_datum(candidate: GaloisDatum,
     if n_aut != d:
         raise WrongAutomorphismCount(f"{n_aut} automorphisms for degree {d}")
 
-    # the Galois action in the power basis: column k of A_i is
-    # q_i(theta)^k, formed on the cleared numerators (M, D) of
+    # the Galois action in the power basis: column k of A_i / D_i is
+    # q_i(theta)^k = M^k e_1 / D^k, (M, D) the cleared numerators of
     # multiplication by q_i(theta); column d decides the min-poly check
     low = [int(c) for c in p.coeffs[:-1]]
     coords, autmat = [], []
@@ -462,8 +466,11 @@ def verify_galois_datum(candidate: GaloisDatum,
         if any(residual):
             raise AutomorphismFailsMinPoly(f"automorphism {i} fails the minimal polynomial")
         coords.append(x.coeffs)
-        autmat.append(RationalMatrix(
-            [Fraction(col[r], den ** k) for k, col in enumerate(cols[:d])] for r in range(d)))
+        # over D^(d-1), the common gcd divided out: the least denominator
+        top = den ** (d - 1)
+        scaled = [[c * den ** (d - 1 - k) for c in col] for k, col in enumerate(cols[:d])]
+        g = math.gcd(top, *(c for col in scaled for c in col))
+        autmat.append((tuple(zip(*([c // g for c in col] for col in scaled))), top // g))
 
     if len(set(coords)) != d:
         raise WrongAutomorphismCount("duplicate automorphism polynomials")
@@ -483,7 +490,7 @@ def verify_galois_datum(candidate: GaloisDatum,
         row = []
         for j in range(d):
             # sigma_i o sigma_j sends theta to sigma_i(q_j(theta))
-            comp = tuple(autmat[i].apply(coords[j]))
+            comp = _act(autmat[i], coords[j])
             k = index.get(comp, -1) if given is None else given[i][j]
             if not (0 <= k < d) or coords[k] != comp:
                 raise TableNotAGroup("automorphisms not closed under composition" if given is None
@@ -650,19 +657,21 @@ def _require_verified(datum: GaloisDatum):
         raise BadParameters("operation requires a verified GaloisDatum")
 
 
-def automorphism_matrix(datum: GaloisDatum, index: int) -> RationalMatrix:
-    """Matrix of the Q-linear map x -> sigma_index(x) in the power basis
-    (column k is sigma_index(theta)^k), as verify_galois_datum built it."""
+def automorphism_matrix(datum: GaloisDatum, index: int) -> tuple[tuple, int]:
+    """(A, D), A / D the matrix of the Q-linear map x -> sigma_index(x) in
+    the power basis (column k is sigma_index(theta)^k), A integral over the
+    least D, as verify_galois_datum built it."""
     _require_verified(datum)
+    _check_index(datum, index)
     return datum._autmat[index]
 
 
 def apply_automorphism(datum: GaloisDatum, index: int, x: FieldElement) -> FieldElement:
     """sigma_index(x): the automorphism's matrix times x's coordinates."""
-    _require_verified(datum)
+    aut = automorphism_matrix(datum, index)
     if x.datum.fingerprint() != datum.fingerprint():
         raise DatumMismatch("element does not belong to this datum")
-    return FieldElement(datum, tuple(automorphism_matrix(datum, index).apply(x.coeffs)))
+    return FieldElement(datum, _act(aut, x.coeffs))
 
 
 def minimal_polynomial(x: FieldElement) -> Polynomial:

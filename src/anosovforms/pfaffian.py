@@ -459,7 +459,7 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     # B(E_ij, E_kl) = 2 delta, so orthogonality under B inside the skew
     # matrices is the standard dot product on the E_ij coordinates
     # k = 0: nothing to complement, the dual is the free 2-step algebra
-    comp = nullspace(RationalMatrix(coords or [[0] * len(pairs)]))
+    comp = nullspace(coords or [[0] * len(pairs)])
     kd = len(comp)
     wt_basis = [_coords_to_skew(v, pairs, n1) for v in comp]
     gram = [[_skew_b(x, y) for y in wt_basis] for x in wt_basis]

@@ -136,18 +136,17 @@ def is_unit_pisot(lam: FieldElement) -> bool:
 
 def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
                  constraints: list[ConeConstraint] | None = None,
-                 product_rounds: int = 1,
                  candidate_budget: int | None = None) -> list[FieldElement]:
     """Enumerate integer coefficient vectors in [-H, H]^d, keep the
-    algebraic units, close under powers up to power_bound and pairwise
-    products (product_rounds rounds), then filter by the constraints.
+    algebraic units, close under powers up to power_bound and one round of
+    pairwise products, then filter by the constraints.
 
     Complete only in the sense of the enumeration box: units of the ring of
     integers outside Z[theta] are found only if some power or product lands
     in the box closure.  Results are sorted by trace then coordinates, so
     identical calls return identical lists.  SearchBudgetExceeded: the box
-    holds more than candidate_budget points, or a product round would form
-    more than that many pairs.
+    holds more than candidate_budget points, or the product round would
+    form more than that many pairs.
     """
     if not datum.verified:
         raise BadParameters("search_units requires a verified datum")
@@ -172,15 +171,13 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
         for _ in range(2, power_bound + 1):
             acc = acc * u
             seen.setdefault(acc.coeffs, acc)
-    for _ in range(product_rounds):
-        current = list(seen.values())
-        pairs = len(current) * (len(current) - 1) // 2
-        if pairs > budget:
-            raise SearchBudgetExceeded(
-                f"{pairs} pairs in a product round over the budget {budget}")
-        for a, b in combinations_with_replacement(current, 2):
-            ab = a * b
-            seen.setdefault(ab.coeffs, ab)
+    current = list(seen.values())
+    pairs = len(current) * (len(current) - 1) // 2
+    if pairs > budget:
+        raise SearchBudgetExceeded(f"{pairs} pairs in a product round over the budget {budget}")
+    for a, b in combinations_with_replacement(current, 2):
+        ab = a * b
+        seen.setdefault(ab.coeffs, ab)
     one = datum.one()
     out = []
     for u in seen.values():
@@ -194,7 +191,7 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
 
 def search_unit_pisot(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
                       extra_constraints: list[ConeConstraint] | None = None,
-                      product_rounds: int = 1) -> list[FieldElement]:
+                      ) -> list[FieldElement]:
     """Unit Pisot numbers reachable by search_units: the hits inside the
     Pisot cone that meet every extra constraint, in search_units' order.
 
@@ -203,7 +200,7 @@ def search_unit_pisot(datum: GaloisDatum, height_bound: int, power_bound: int = 
     any extra constraint is tested.
     """
     extra = list(extra_constraints or [])
-    hits = search_units(datum, height_bound, power_bound, product_rounds=product_rounds)
+    hits = search_units(datum, height_bound, power_bound)
     return [u for u in hits if in_pisot_cone(u) and all(c.holds_for(u) for c in extra)]
 
 

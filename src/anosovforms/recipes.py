@@ -203,13 +203,7 @@ def recipe_count(k: int, l: int, lam: FieldElement | None = None) -> RecipeOutpu
         lam = biquadratic_pisot_unit(datum, k, l)
     elif not is_unit_pisot(lam):
         raise NotPisot("supplied element is not a unit Pisot number")
-    conj = {
-        datum.identity_index: lam,
-        tau: apply_automorphism(datum, tau, lam),
-        sigma: apply_automorphism(datum, sigma, lam),
-        sigma_tau: apply_automorphism(datum, sigma_tau, lam),
-    }
-    l1, l2, l3, l4 = conj[datum.identity_index], conj[tau], conj[sigma], conj[sigma_tau]
+    l1, l2, l3, l4 = lam, *(apply_automorphism(datum, g, lam) for g in (tau, sigma, sigma_tau))
     labels = (l1, l2, l3, l4, l1 * l2, l3 * l4)
     la = build_labeled_algebra(
         labels, [(0, 1, 1, 4), (2, 3, 1, 5)], generators=(0, 1, 2, 3)
@@ -250,11 +244,8 @@ def recipe_laur(g: LieAlgebra, grading: Grading, datum: GaloisDatum,
     if not is_unit_pisot(lam):
         raise NotPisot("need a unit Pisot number")
     total = direct_sum([g] * m)
-    labels = []
-    for i in range(m):
-        for s in range(g.dim):
-            digit = grading.degree_of(s)
-            labels.append(apply_automorphism(datum, i, lam ** digit))
+    conj = [apply_automorphism(datum, i, lam) for i in range(m)]
+    labels = [c ** grading.degree_of(s) for c in conj for s in range(g.dim)]
     images = []
     for s in range(m):
         mat = [[Fraction(0)] * total.dim for _ in range(total.dim)]
@@ -310,7 +301,7 @@ def recipe_csig(datum: GaloisDatum, lam: FieldElement, c: int) -> RecipeOutput:
     conj = [apply_automorphism(datum, s(i), lam) for i in range(2 * n + 1)]
 
     def mu(i: int, j: int) -> FieldElement:
-        return apply_automorphism(datum, s(i), lam ** (j - 1)) * conj[(i + n) % (2 * n)]
+        return conj[i] ** (j - 1) * conj[(i + n) % (2 * n)]
 
     slots: dict[tuple[int, int], int] = {}
     labels: list[FieldElement] = []

@@ -303,22 +303,38 @@ class TestMatrixShapes:
 
 class TestNullspace:
     def test_zero_matrix(self):
-        basis = nullspace(zeros(2, 2))
+        basis = nullspace(zeros(2, 2).entries)
         assert basis == [(F(1), F(0)), (F(0), F(1))]
 
     def test_identity(self):
-        assert nullspace(RationalMatrix.identity(3)) == []
+        assert nullspace(RationalMatrix.identity(3).entries) == []
 
     def test_rank_one(self):
-        assert nullspace(RationalMatrix([[1, 1], [2, 2]])) == [(F(-1), F(1))]
+        assert nullspace([[1, 1], [2, 2]]) == [(F(-1), F(1))]
 
     def test_kernel_canonical(self):
         m = RationalMatrix([[1, 2, 3], [2, 4, 6]])
-        basis = nullspace(m)
+        basis = nullspace(m.entries)
         assert len(basis) == 2
         for v in basis:
             assert all(sum(row[i] * v[i] for i in range(3)) == 0
                        for row in m.entries)
+
+    def test_int_and_fraction_rows_agree(self):
+        # the kernel depends on the row space only: int rows, the same rows
+        # as Fractions, and rows scaled by rationals give one basis
+        rng = random.Random(19)
+        for _ in range(40):
+            r, c = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [[rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(c)]
+                    for _ in range(r)]
+            basis = nullspace(rows)
+            assert all(isinstance(x, F) for v in basis for x in v)
+            assert repr(nullspace([[F(x) for x in row] for row in rows])) == repr(basis)
+            scaled = [[F(x, k) for x in row] for k, row in enumerate(rows, start=2)]
+            assert repr(nullspace(scaled)) == repr(basis)
+            assert repr(nullspace(RationalMatrix(rows).entries)) == repr(basis)
+            assert len(basis) == c - fl.rank(rows)
 
 
 class TestSturm:

@@ -171,6 +171,13 @@ class TestRightAction:
         rhs = (c * right_action(sqrt2, 1, x)[0],)
         assert lhs == rhs
 
+    def test_out_of_range_index(self, sqrt2):
+        # -1 used to act as the last automorphism, 2 to raise IndexError
+        v = (sqrt2.element([1, 1]),)
+        for index in (-1, 2):
+            with pytest.raises(BadParameters, match="out of range"):
+                right_action(sqrt2, index, v)
+
 
 class TestRationalForm:
     def test_trivial_rep(self, sqrt2):
@@ -788,8 +795,7 @@ def test_group_generators(sqrt2, biquad52, quartic):
 
 
 def test_automorphism_matrix(sqrt2):
-    m = automorphism_matrix(sqrt2, 1)
-    assert m == RationalMatrix([[1, 0], [0, -1]])
+    assert automorphism_matrix(sqrt2, 1) == (((1, 0), (0, -1)), 1)
 
 
 class TestDescentRejects:
@@ -1216,6 +1222,44 @@ class TestFrozenRepresentation:
             return
         new, old = _extension_verdicts(la, maps)
         assert new == old == repr(rho.images)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_group_wide_checks_run_on_generators(self, index, monkeypatch):
+        # the bracket check runs once per generator (last c=4: 1, not 2),
+        # and the label check applies no automorphism to a label
+        from anosovforms import numfield
+
+        name, la, _maps, rho = _recipe_representations()[index]
+        calls = []
+        real = galoisform_module.preserves_brackets
+        monkeypatch.setattr(galoisform_module, "preserves_brackets",
+                            lambda *a: calls.append("brackets") or real(*a))
+        for module in (galoisform_module, numfield):
+            real_apply = module.apply_automorphism
+            monkeypatch.setattr(module, "apply_automorphism", lambda *a, real=real_apply:
+                                calls.append("apply") or real(*a))
+        fresh = Representation(rho.datum, rho.images, rho.algebra)
+        verify_representation(fresh)
+        n_gens = len(group_generators(rho.datum))
+        assert calls == ["brackets"] * n_gens
+        assert n_gens == (2 if name == "count52" else 1)
+        check_label_equivariance(la, fresh)
+        assert calls == ["brackets"] * n_gens
+
+    def test_label_check_verifies_an_unverified_representation(self, sqrt2):
+        # rho_sigma = 2 I satisfies every label condition but is no
+        # homomorphism: the frozen check accepts it, the new one verifies
+        # rho first
+        one = sqrt2.one()
+        la = _Labels(sqrt2, (one, one), 2)
+        two = RationalMatrix([[2, 0], [0, 2]])
+        bad = Representation(sqrt2, (RationalMatrix.identity(2), two))
+        assert frozen_check_label_equivariance(la, bad) is None
+        with pytest.raises(NotHomomorphism):
+            check_label_equivariance(la, bad)
+        good = Representation(sqrt2, (RationalMatrix.identity(2),) * 2)
+        check_label_equivariance(la, good)
+        assert good.verified and good._equivariant_labels is la
 
     @pytest.mark.parametrize("index", range(4))
     def test_random_signed_permutations(self, index):

@@ -27,6 +27,7 @@ from anosovforms.catalog import (
     quartic_z4_datum,
     sqrt2_datum,
 )
+from anosovforms import _fieldlinalg as fl
 from anosovforms.exactmath import Interval, Polynomial, RationalMatrix
 from anosovforms.numfield import (
     DEFAULT_FACTOR_BUDGET,
@@ -711,6 +712,19 @@ def _frozen_automorphism_matrix(datum, index):
     return RationalMatrix(zip(*cols))
 
 
+def _cleared(m):
+    """The integer pair (A, D) of a rational matrix, as clear_denominators
+    gives it, with A's rows as tuples."""
+    a, da = fl.clear_denominators(m.entries)
+    return tuple(map(tuple, a)), da
+
+
+def _frozen_apply(datum, index, x):
+    """apply_automorphism as it was: the frozen Fraction matrix times x's
+    coordinates."""
+    return type(x)(datum, tuple(_frozen_automorphism_matrix(datum, index).apply(x.coeffs)))
+
+
 def _verdict(fn, *args):
     try:
         return ("ok", fn(*args))
@@ -778,8 +792,18 @@ class TestFrozenComposition:
     def test_automorphism_matrix_repr(self, name):
         datum = _FROZEN_CASES[name]
         for i in range(datum.degree):
-            assert repr(automorphism_matrix(datum, i)) == \
-                repr(_frozen_automorphism_matrix(datum, i))
+            assert automorphism_matrix(datum, i) == _cleared(_frozen_automorphism_matrix(datum, i))
+
+    @pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
+    def test_apply_matches_the_frozen_fraction_path(self, name):
+        datum = _FROZEN_CASES[name]
+        rng = random.Random(name)
+        fracs = [F(1, 2), F(-3, 7), F(5, 6), F(2), F(0), F(-1, 9)]
+        elements = [datum.element([rng.choice(fracs) for _ in range(datum.degree)])
+                    for _ in range(6)] + [datum.zero(), datum.one(), datum.generator()]
+        for x in elements:
+            for i in range(datum.degree):
+                assert repr(apply_automorphism(datum, i, x)) == repr(_frozen_apply(datum, i, x))
 
     @pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
     def test_relabeled_automorphisms(self, name):
@@ -899,8 +923,9 @@ class TestFrozenComposition:
             assert _verdict(lambda c: verify_galois_datum(c, 1).table, given) == \
                 _verdict(_frozen_verify, given, 1)
         for i in range(6):
-            assert repr(automorphism_matrix(out, i)) == \
-                repr(_frozen_automorphism_matrix(out, i))
+            assert automorphism_matrix(out, i) == _cleared(_frozen_automorphism_matrix(out, i))
+            x = out.element([F(k + 1, 6 - k) for k in range(6)])
+            assert repr(apply_automorphism(out, i, x)) == repr(_frozen_apply(out, i, x))
 
     @pytest.mark.parametrize("auts, table, ident", [
         ((P([3]),), ((0,),), 0),
@@ -925,7 +950,8 @@ class TestDegreeOneRules:
         d = verify_galois_datum(GaloisDatum(P([-3, 1]), (P([3]),), 0, None,
                                             (Interval.point(3),)))
         assert d.table == ((0,),)
-        assert repr(automorphism_matrix(d, 0)) == "RationalMatrix[1]"
+        assert automorphism_matrix(d, 0) == (((1,),), 1) == \
+            _cleared(_frozen_automorphism_matrix(d, 0))
         assert apply_automorphism(d, 0, d.generator()) == 3
 
     @pytest.mark.parametrize("q", [P.x(), P([0, 0, F(1, 3)])])
@@ -946,3 +972,18 @@ class TestDegreeOneRules:
     def test_automorphism_matrix_needs_verified_datum(self, sqrt2):
         with pytest.raises(BadParameters):
             automorphism_matrix(_with(sqrt2), 1)
+
+
+class TestAutomorphismIndex:
+    @pytest.mark.parametrize("name", ["sqrt2", "quartic_z4"])
+    def test_out_of_range_index_is_rejected(self, name):
+        # -1 used to read the last automorphism, d a bare IndexError
+        datum = _FROZEN_CASES[name]
+        x = datum.element([1, 1])
+        for index in (-1, datum.degree):
+            with pytest.raises(BadParameters, match="out of range"):
+                automorphism_matrix(datum, index)
+            with pytest.raises(BadParameters, match="out of range"):
+                apply_automorphism(datum, index, x)
+            with pytest.raises(BadParameters, match="out of range"):
+                datum.inverse_index(index)

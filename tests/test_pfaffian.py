@@ -355,7 +355,7 @@ def frozen_scheuneman_dual(a):
         nskew = len(pairs)
         comp = [tuple(F(i == j) for j in range(nskew)) for i in range(nskew)]
     else:
-        comp = nullspace(RationalMatrix(coords))
+        comp = nullspace(coords)
     kd = len(comp)
     wt_basis = [_coords_to_skew(v, pairs, n1) for v in comp]
     gram = [[_skew_b(x, y) for y in wt_basis] for x in wt_basis]
