@@ -28,12 +28,14 @@ loop, works this way: fraction-free on primitive integer rows, dividing
 by the pivots only at the end, which the unique reduced echelon form
 allows; solve, rank, span_rref and exactmath's nullspace all read it,
 and every entry it returns is a Fraction.  det works this way too: it
-clears denominators once (D) and runs Bareiss's fraction-free
+clears denominators once (D) and runs int_det, Bareiss's fraction-free
 elimination on the integer rows (dense, since an int product costs
 little), each division by the previous pivot exact, so det = det(integer
 rows) / D^n, always a Fraction.  int_charpoly, the one characteristic
 polynomial, runs on cleared integer rows (M, D): its c_k is D^(n-k)
-times the rational coefficient.
+times the rational coefficient.  A caller that keeps the cleared form of
+its data (a field element keeps (X, D) and (M, D)) calls the integer
+kernels directly, and clears nothing twice.
 """
 
 from __future__ import annotations
@@ -114,18 +116,19 @@ def rank(rows) -> int:
 def det(rows):
     """Determinant of rational rows, a Fraction: the Bareiss path on the
     rows over their common denominator."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
     ints, d = clear_denominators(rows)
-    return Fraction(_bareiss_det(ints), d ** n)
+    return Fraction(int_det(ints), d ** len(rows))
 
 
-def _bareiss_det(m):
-    """Fraction-free elimination on an integer matrix (modified in place):
-    after step c every entry below row c is a (c+1)-minor of the input,
-    so each division by the previous pivot is exact (Bareiss 1968)."""
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    on a copy: after step c every entry below row c is a (c+1)-minor of
+    the input, so each division by the previous pivot is exact (Bareiss
+    1968)."""
+    m = [list(r) for r in rows]
     n = len(m)
+    if n == 0:
+        return 1
     sign, prev = 1, 1
     for c in range(n - 1):
         piv = next((r for r in range(c, n) if m[r][c]), None)

@@ -227,25 +227,9 @@ class Polynomial:
         return acc
 
     def eval_interval(self, iv: "Interval") -> "Interval":
-        """Interval Horner: acc <- acc * iv + c, with the endpoints of each
-        product the min and max of the four endpoint products.  Runs on
-        integer numerators over one positive common denominator (E for
-        the coefficients, D for iv, E * D^k after k steps), which orders
-        them as the rationals they stand for, so the endpoints are exact."""
-        if not self.coeffs:
-            return Interval.point(0)
+        """interval_horner on the cleared coefficients."""
         (nums,), e = fl.clear_denominators([self.coeffs])
-        d = lcm(iv.lo.denominator, iv.hi.denominator)
-        a = iv.lo.numerator * (d // iv.lo.denominator)
-        b = iv.hi.numerator * (d // iv.hi.denominator)
-        lo = hi = nums[-1]
-        scale = 1
-        for c in reversed(nums[:-1]):
-            scale *= d
-            prods = (lo * a, lo * b, hi * a, hi * b)
-            shift = c * scale
-            lo, hi = min(prods) + shift, max(prods) + shift
-        return Interval(Fraction(lo, e * scale), Fraction(hi, e * scale))
+        return interval_horner(nums, e, iv)
 
     # -- normal forms
 
@@ -282,6 +266,28 @@ def _as_poly(x) -> Polynomial:
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd over Q, the chain's last term; zero when both vanish."""
     return _remainder_chain(p, q)[-1].monic()
+
+
+def interval_horner(nums: Sequence[int], e: int, iv: "Interval") -> "Interval":
+    """Enclosure of p(iv) for p = sum_i nums[i] X^i / e (e > 0) by interval
+    Horner: acc <- acc * iv + c, with the endpoints of each product the min
+    and max of the four endpoint products.  Runs on integer numerators over
+    one positive common denominator (e for the coefficients, D for iv,
+    e * D^k after k steps), which orders them as the rationals they stand
+    for, so the endpoints are exact."""
+    if not nums:
+        return Interval.point(0)
+    d = lcm(iv.lo.denominator, iv.hi.denominator)
+    a = iv.lo.numerator * (d // iv.lo.denominator)
+    b = iv.hi.numerator * (d // iv.hi.denominator)
+    lo = hi = nums[-1]
+    scale = 1
+    for c in reversed(nums[:-1]):
+        scale *= d
+        prods = (lo * a, lo * b, hi * a, hi * b)
+        shift = c * scale
+        lo, hi = min(prods) + shift, max(prods) + shift
+    return Interval(Fraction(lo, e * scale), Fraction(hi, e * scale))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,16 @@ the group structure from each automorphism's power-basis matrix, built
 once and kept as an integer matrix over one denominator, the only form
 of the Galois action).  Downstream code only accepts verified data.
 
+Element arithmetic runs on integers computed once per element: its
+cleared form x = X / D and its multiplication rows (M, D), kept on it; a
+product, inverse or automorphism image is created with its own cleared
+form, and the norm is the integer determinant of M over D^d.
+
 Each real root of a verified datum has one bisection path (RootPath), kept
-on the datum; every question about a real conjugate is asked of that path
-by refine_until, under the single level budget DEFAULT_REFINE_STEPS.
+on the datum, whose signs are integer sums over the once-cleared minimal
+polynomial; every question about a real conjugate is asked of that path
+by refine_until, under the single level budget DEFAULT_REFINE_STEPS, and
+read off x's kept numerators by the one interval Horner kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .errors import (
     TableNotAGroup,
     WrongAutomorphismCount,
 )
-from .exactmath import Interval, Polynomial, binary_power, rat
+from .exactmath import Interval, Polynomial, binary_power, interval_horner, rat
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 DEFAULT_REFINE_STEPS = 4096
@@ -106,6 +113,7 @@ class GaloisDatum:
         return self.element((p % self.min_poly).coeffs)
 
     def inverse_index(self, i: int) -> int:
+        _require_verified(self)
         _check_index(self, i)
         return self.table[i].index(self.identity_index)
 
@@ -113,7 +121,12 @@ class GaloisDatum:
 @dataclass(frozen=True)
 class FieldElement:
     """Element of a GaloisDatum's field in the power basis 1, theta, ...,
-    theta^(d-1)."""
+    theta^(d-1).
+
+    Its cleared form (X, D), x = X / D over the least D, and its scaled
+    multiplication rows (M, D) are computed on first use and kept, like its
+    charpoly; a product, an inverse or an automorphism image is created
+    with its cleared form (_element)."""
 
     datum: GaloisDatum
     coeffs: tuple[Fraction, ...]
@@ -185,7 +198,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.datum, _act(self._scaled_multiplication_rows(), o.coeffs))
+        return _act(self.datum, self._scaled_multiplication_rows(), o)
 
     __rmul__ = __mul__
 
@@ -207,7 +220,7 @@ class FieldElement:
         for c in reversed(cs[1:-1]):
             y = fl.mat_vec(rows, y)
             y[0] += c
-        return FieldElement(self.datum, tuple(Fraction(-den * v, cs[0]) for v in y))
+        return _element(self.datum, [-den * v for v in y], cs[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -250,20 +263,35 @@ class FieldElement:
 
     # -- linear algebra over Q
 
+    def _cleared(self) -> tuple[tuple[int, ...], int]:
+        """(X, D) with x = X / D, D the lcm of the coordinates'
+        denominators (fl.clear_denominators), computed once and kept."""
+        form = getattr(self, "_form", None)
+        if form is None:
+            (nums,), den = fl.clear_denominators([self.coeffs])
+            form = (tuple(nums), den)
+            object.__setattr__(self, "_form", form)
+        return form
+
     def _scaled_multiplication_rows(self) -> tuple[list[tuple], int]:
         """(M, D) with M / D the matrix of multiplication by x, whose
         columns are X, theta X, ..., theta^(d-1) X for the cleared
         numerators X = D * x; each step shifts up and replaces theta^d by
-        -sum_i p_i theta^i (p monic), on ints where p's coefficients are."""
-        (col,), den = fl.clear_denominators([self.coeffs])
-        low = [c.numerator if c.denominator == 1 else c
-               for c in self.datum.min_poly.coeffs[:-1]]
-        cols = [col]
-        for _ in range(len(col) - 1):
-            top = col[-1]
-            col = [a - top * c for a, c in zip([0] + col[:-1], low)]
-            cols.append(col)
-        return list(zip(*cols)), den
+        -sum_i p_i theta^i (p monic), on ints where p's coefficients are.
+        Computed once and kept."""
+        kept = getattr(self, "_rows", None)
+        if kept is None:
+            col, den = self._cleared()
+            low = [c.numerator if c.denominator == 1 else c
+                   for c in self.datum.min_poly.coeffs[:-1]]
+            cols = [col]
+            for _ in range(len(col) - 1):
+                top = col[-1]
+                col = [a - top * c for a, c in zip((0, *col[:-1]), low)]
+                cols.append(col)
+            kept = (list(zip(*cols)), den)
+            object.__setattr__(self, "_rows", kept)
+        return kept
 
     def charpoly(self) -> Polynomial:
         """chi_x = det(X I - M / D), monic of degree d, computed once by the
@@ -284,9 +312,23 @@ class FieldElement:
         return Fraction(sum(row[i] for i, row in enumerate(rows)), den)
 
     def norm(self) -> Fraction:
-        """det(M / D) = det(M) / D^d, with the one rational det."""
+        """det(M / D) = det(M) / D^d, det(M) by the integer Bareiss kernel."""
         rows, den = self._scaled_multiplication_rows()
-        return fl.det(rows) / den ** self.datum.degree
+        return Fraction(fl.int_det(rows), den ** len(rows))
+
+
+def _element(datum: GaloisDatum, nums: Sequence[int], den: int) -> FieldElement:
+    """The element nums / den (den != 0) of datum with its cleared form
+    kept: nums and den divided by g = gcd(den, nums), signed so that the
+    denominator is positive, which is what clear_denominators returns on
+    the reduced coordinates."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    nums, den = tuple(u // g for u in nums), den // g
+    x = FieldElement(datum, tuple(Fraction(u, den) for u in nums))
+    object.__setattr__(x, "_form", (nums, den))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +404,26 @@ class RootPath:
     """The bisection path of one real root of p: level 0 is a sign-change
     enclosure, level k + 1 the half of level k that keeps the sign change
     (or the root itself once a midpoint hits it).  Levels are computed on
-    demand and kept, so no question about the root bisects twice."""
+    demand and kept, so no question about the root bisects twice.  p is
+    cleared once; each sign is read off an integer sum (_sign)."""
 
     def __init__(self, p: Polynomial, iv: Interval):
-        flo, fhi = p.eval(iv.lo), p.eval(iv.hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+        (self._nums,), _ = fl.clear_denominators([p.coeffs])
+        flo, fhi = self._sign(iv.lo), self._sign(iv.hi)
+        if flo == 0 or fhi == 0 or flo == fhi:
             raise BadEnclosure(f"no sign change of p on [{iv.lo}, {iv.hi}]")
-        self.p = p
-        self._lo_positive = flo > 0
+        self._lo_sign = flo
         self._levels = [iv]
+
+    def _sign(self, t: Fraction) -> int:
+        """The sign of p(a / b), b > 0: that of the homogeneous integer sum
+        sum_i P_i a^i b^(n-i) over p's cleared coefficients P, by Horner."""
+        a, b = t.numerator, t.denominator
+        acc, scale = 0, 1
+        for c in reversed(self._nums):
+            acc = acc * a + c * scale
+            scale *= b
+        return (acc > 0) - (acc < 0)
 
     def level(self, k: int) -> Interval:
         if k > DEFAULT_REFINE_STEPS:
@@ -379,10 +432,10 @@ class RootPath:
         while len(levels) <= k:
             iv = levels[-1]
             mid = iv.midpoint
-            fm = self.p.eval(mid)
-            if fm == 0:
+            sign = self._sign(mid)
+            if sign == 0:
                 iv = Interval(mid, mid)
-            elif (fm > 0) == self._lo_positive:
+            elif sign == self._lo_sign:
                 iv = Interval(mid, iv.hi)
             else:
                 iv = Interval(iv.lo, mid)
@@ -406,13 +459,13 @@ def _check_index(datum: GaloisDatum, index: int) -> None:
         raise BadParameters(f"automorphism index {index} is out of range")
 
 
-def _act(pair: tuple, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _act(datum: GaloisDatum, pair: tuple, x: FieldElement) -> FieldElement:
     """The image of x under the Q-linear map A / D given as the pair (A, D)
-    (an automorphism, or multiplication by an element): A times x's
-    cleared coordinates, divided once."""
+    (an automorphism, or multiplication by an element), as an element of
+    datum: A times x's kept numerators X over D D_X, one _element."""
     a, da = pair
-    (b,), db = fl.clear_denominators([coeffs])
-    return tuple(Fraction(u, da * db) for u in fl.mat_vec(a, b))
+    b, db = x._cleared()
+    return _element(datum, fl.mat_vec(a, b), da * db)
 
 
 def verify_galois_datum(candidate: GaloisDatum,
@@ -450,7 +503,7 @@ def verify_galois_datum(candidate: GaloisDatum,
     # q_i(theta)^k = M^k e_1 / D^k, (M, D) the cleared numerators of
     # multiplication by q_i(theta); column d decides the min-poly check
     low = [int(c) for c in p.coeffs[:-1]]
-    coords, autmat = [], []
+    elems, autmat = [], []
     for i, q in enumerate(candidate.automorphisms):
         if q.degree >= d:
             raise BadParameters(f"automorphism {i} not reduced mod min_poly")
@@ -465,13 +518,14 @@ def verify_galois_datum(candidate: GaloisDatum,
             residual = [a + c * den ** (d - k) * b for a, b in zip(residual, cols[k])]
         if any(residual):
             raise AutomorphismFailsMinPoly(f"automorphism {i} fails the minimal polynomial")
-        coords.append(x.coeffs)
+        elems.append(x)
         # over D^(d-1), the common gcd divided out: the least denominator
         top = den ** (d - 1)
         scaled = [[c * den ** (d - 1 - k) for c in col] for k, col in enumerate(cols[:d])]
         g = math.gcd(top, *(c for col in scaled for c in col))
         autmat.append((tuple(zip(*([c // g for c in col] for col in scaled))), top // g))
 
+    coords = [x.coeffs for x in elems]
     if len(set(coords)) != d:
         raise WrongAutomorphismCount("duplicate automorphism polynomials")
 
@@ -490,7 +544,7 @@ def verify_galois_datum(candidate: GaloisDatum,
         row = []
         for j in range(d):
             # sigma_i o sigma_j sends theta to sigma_i(q_j(theta))
-            comp = _act(autmat[i], coords[j])
+            comp = _act(candidate, autmat[i], elems[j]).coeffs
             k = index.get(comp, -1) if given is None else given[i][j]
             if not (0 <= k < d) or coords[k] != comp:
                 raise TableNotAGroup("automorphisms not closed under composition" if given is None
@@ -671,7 +725,7 @@ def apply_automorphism(datum: GaloisDatum, index: int, x: FieldElement) -> Field
     aut = automorphism_matrix(datum, index)
     if x.datum.fingerprint() != datum.fingerprint():
         raise DatumMismatch("element does not belong to this datum")
-    return FieldElement(datum, _act(aut, x.coeffs))
+    return _act(datum, aut, x)
 
 
 def minimal_polynomial(x: FieldElement) -> Polynomial:
@@ -701,12 +755,14 @@ def sign_against(iv: Interval, c) -> int | None:
 
 
 def conjugate_levels(x: FieldElement, conjugate_index: int) -> Callable[[int], Interval]:
-    """k -> enclosure of sigma_i(x) (totally real datum): x evaluated on
-    level k of the path of the root that sigma_i sends theta to."""
+    """k -> enclosure of sigma_i(x) (totally real datum): x's kept
+    numerators evaluated by interval_horner on level k of the path of the
+    root that sigma_i sends theta to."""
     _require_verified(x.datum)
-    poly = x.as_polynomial()
+    _check_index(x.datum, conjugate_index)
+    nums, den = x._cleared()
     path = x.datum._paths[x.datum.root_map[conjugate_index]]
-    return lambda k: poly.eval_interval(path.level(k))
+    return lambda k: interval_horner(nums, den, path.level(k))
 
 
 def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
@@ -719,6 +775,7 @@ def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
     """
     datum = x.datum
     _require_verified(datum)
+    _check_index(datum, conjugate_index)
     precision = rat(precision)
     if precision <= 0:
         raise BadParameters("precision must be positive")
@@ -749,6 +806,7 @@ def compare_abs_to_one(x: FieldElement, conjugate_index: int) -> int:
     """
     datum = x.datum
     _require_verified(datum)
+    _check_index(datum, conjugate_index)
     if x.is_rational:
         v = abs(x.rational_value())
         return (v > 1) - (v < 1)

@@ -139,7 +139,9 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
                  candidate_budget: int | None = None) -> list[FieldElement]:
     """Enumerate integer coefficient vectors in [-H, H]^d, keep the
     algebraic units, close under powers up to power_bound and one round of
-    pairwise products, then filter by the constraints.
+    pairwise products, then filter by the constraints.  Only the half of
+    the box whose first nonzero coordinate is positive is visited; each
+    unit x found there brings -x, of the same |norm|.
 
     Complete only in the sense of the enumeration box: units of the ring of
     integers outside Z[theta] are found only if some power or product lands
@@ -159,17 +161,18 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     if box_points > budget:
         raise SearchBudgetExceeded(f"{box_points} box points over the budget {budget}")
     units: list[FieldElement] = []
-    for vec in product(range(-height_bound, height_bound + 1), repeat=d):
-        if all(v == 0 for v in vec):
-            continue
-        x = datum.element(vec)
-        if abs(x.norm()) == 1:
-            units.append(x)
+    span = range(-height_bound, height_bound + 1)
+    for zeros in range(d):
+        for head in range(1, height_bound + 1):
+            for tail in product(span, repeat=d - 1 - zeros):
+                x = datum.element((0,) * zeros + (head,) + tail)
+                if abs(x.norm()) == 1:
+                    units += (x, -x)
     seen = {u.coeffs: u for u in units}
     for u in units:
         acc = u
         for _ in range(2, power_bound + 1):
-            acc = acc * u
+            acc = u * acc
             seen.setdefault(acc.coeffs, acc)
     current = list(seen.values())
     pairs = len(current) * (len(current) - 1) // 2

@@ -172,7 +172,7 @@ def biquadratic_pisot_unit(datum: GaloisDatum, k: int, l: int,
         for x, u, iu in zip(e, units, inverses):
             base = u if x > 0 else iu
             for _ in range(abs(x)):
-                cand = cand * base
+                cand = base * cand  # base keeps its multiplication rows
         if in_pisot_cone(cand):
             return cand
     raise PisotNotFound(

@@ -56,7 +56,7 @@ from anosovforms.liealg import (
     is_automorphism,
     require_jacobi,
 )
-from anosovforms.numfield import apply_automorphism
+from anosovforms.numfield import GaloisDatum, apply_automorphism
 from test_fieldlinalg import _dense_det, _dense_rref
 
 
@@ -177,6 +177,13 @@ class TestRightAction:
         for index in (-1, 2):
             with pytest.raises(BadParameters, match="out of range"):
                 right_action(sqrt2, index, v)
+
+    def test_unverified_datum_without_table(self, sqrt2):
+        # a datum built with table=None used to raise a bare TypeError here
+        raw = GaloisDatum(sqrt2.min_poly, sqrt2.automorphisms, 0, None,
+                          sqrt2.root_enclosures)
+        with pytest.raises(BadParameters, match="verified"):
+            right_action(raw, 1, (raw.element([1, 1]),))
 
 
 class TestRationalForm:

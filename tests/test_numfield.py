@@ -40,6 +40,7 @@ from anosovforms.numfield import (
     biquadratic_datum,
     biquadratic_sqrts,
     compare_abs_to_one,
+    conjugate_levels,
     conjugate_modulus_interval,
     datum_from_automorphism_polys,
     is_algebraic_unit,
@@ -379,10 +380,11 @@ class TestRootPaths:
     def test_second_question_adds_no_bisection(self, monkeypatch):
         datum = sqrt2_datum()
         x = datum.element([1, 1])
+        # each bisection step reads one sign from the path's integer kernel
         evals = []
-        plain_eval = Polynomial.eval
-        monkeypatch.setattr(Polynomial, "eval",
-                            lambda p, t: evals.append(t) or plain_eval(p, t))
+        plain_sign = RootPath._sign
+        monkeypatch.setattr(RootPath, "_sign",
+                            lambda path, t: evals.append(t) or plain_sign(path, t))
         first = conjugate_modulus_interval(x, 1, F(1, 1024))
         steps = len(evals)
         assert steps > 0
@@ -987,3 +989,39 @@ class TestAutomorphismIndex:
                 apply_automorphism(datum, index, x)
             with pytest.raises(BadParameters, match="out of range"):
                 datum.inverse_index(index)
+
+    def test_inverse_index_needs_a_verified_datum(self, sqrt2):
+        # with table=None this used to raise a bare TypeError
+        for table in (None, sqrt2.table):
+            with pytest.raises(BadParameters, match="verified"):
+                _with(sqrt2, table=table).inverse_index(1)
+
+
+class TestConjugateIndex:
+    @pytest.mark.parametrize("name", ["cyclic_cubic", "quartic_z4"])
+    def test_totally_real_path(self, name):
+        # on the cyclic cubic, compare_abs_to_one(1 + theta, -1) used to
+        # answer -1 for the last conjugate, and d raised a bare IndexError
+        datum = _FROZEN_CASES[name]
+        for x in (datum.element([1, 1]), datum.element([F(-3, 2)])):
+            for index in (-1, datum.degree):
+                with pytest.raises(BadParameters, match="out of range"):
+                    conjugate_levels(x, index)
+                with pytest.raises(BadParameters, match="out of range"):
+                    conjugate_modulus_interval(x, index, F(1, 4))
+                with pytest.raises(BadParameters, match="out of range"):
+                    compare_abs_to_one(x, index)
+
+    def test_root_moduli_path(self):
+        datum = verify_galois_datum(GaloisDatum(
+            min_poly=P([2, -1, 1]), automorphisms=(P.x(), P([1, -1])),
+            identity_index=0, table=((0, 1), (1, 0)), totally_real=False,
+            root_moduli=(Interval(F(7, 5), F(3, 2)),) * 2,
+        ))
+        th = datum.generator()
+        assert compare_abs_to_one(th, 1) == 1
+        for index in (-1, 2):
+            with pytest.raises(BadParameters, match="out of range"):
+                conjugate_modulus_interval(th, index, 1)
+            with pytest.raises(BadParameters, match="out of range"):
+                compare_abs_to_one(th, index)
