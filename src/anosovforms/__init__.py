@@ -31,7 +31,6 @@ from .galoisform import (
 from .liealg import (
     Grading,
     LieAlgebra,
-    LinearMap,
     check_grading,
     check_jacobi,
     direct_sum,

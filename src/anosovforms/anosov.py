@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import NonSquare, NotAutomorphism, RootOnCircle
 from .exactmath import Polynomial, RationalMatrix, count_roots_inside_unit_disk
-from .liealg import LieAlgebra, LinearMap, is_automorphism
+from .liealg import LieAlgebra, is_automorphism
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ def certify(a: LieAlgebra, m: RationalMatrix,
     """
     if m.rows != a.dim or m.cols != a.dim:
         raise NonSquare("map dimension must equal the algebra dimension")
-    if not is_automorphism(a, LinearMap(a, m.entries)):
+    if not is_automorphism(a, m):
         raise NotAutomorphism("map is not a Lie algebra automorphism")
-    p = m.charpoly()
+    p = m.charpoly()  # kept by is_automorphism
     det = (-1) ** a.dim * p.constant
     integer_like = is_integer_like(m)
     try:

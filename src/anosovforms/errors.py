@@ -139,10 +139,6 @@ class IrrationalStructureConstant(AnosovError):
     pass
 
 
-class IrrationalEntry(AnosovError):
-    pass
-
-
 class CommutationViolation(AnosovError):
     pass
 

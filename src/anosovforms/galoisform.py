@@ -15,7 +15,9 @@ power-basis coordinates of vectors in E^m (coordinate t of component k
 at k*d + t), cleared to ints: the defining relation is a system on them,
 the form basis is the md x m matrix P whose column j flattens vector j,
 and structure constants and transported maps are read off one solve of
-P X = W, W the brackets (restriction of scalars of L (x) E) or F B.
+P X = W, W the brackets (restriction of scalars of L (x) E) or F B.  The
+transport solve is consistent exactly when the map commutes with the
+action, so it is also the commutation check.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     EigenvalueMismatch,
     ExtensionInconsistent,
-    IrrationalEntry,
     IrrationalStructureConstant,
     LabelMismatch,
     NonUnitLabel,
@@ -142,11 +143,17 @@ def _compose(a: Sequence[Mapping], b: Sequence[Mapping]) -> list[dict]:
 
 
 def verify_representation(rho: Representation) -> Representation:
-    """rho(e) = I and D R_ij = R_i R_j on rho's columns for all d^2 pairs;
-    with an algebra attached, each generator's image preserves brackets.
-    Once those pairs pass, rho(g) rho(g^-1) = rho(e) = I, so every image is
+    """rho(e) = I and D R_sj = R_s R_j on rho's columns for every generator
+    s and every j; with an algebra attached, each generator's image
+    preserves brackets.  The datum must be verified (BadParameters).
+
+    Those products give rho(gh) = rho(g) rho(h) for all g, h by induction
+    on the length of g as a word in the generators: rho(e h) = I rho(h),
+    and rho(s g h) = rho(s) rho(g h) = rho(s) rho(g) rho(h) = rho(s g)
+    rho(h).  Then rho(g) rho(g^-1) = rho(e) = I, so every image is
     invertible and hence an automorphism (see group_generators)."""
     datum = rho.datum
+    _require_verified(datum)
     d = datum.degree
     if len(rho.images) != d:
         raise NotHomomorphism("need one image per group element")
@@ -159,14 +166,15 @@ def verify_representation(rho: Representation) -> Representation:
     if cols[e] != [{j: den} for j in range(m)]:
         raise NotHomomorphism("identity must map to the identity matrix")
     scaled = [[{i: den * x for i, x in col.items()} for col in im] for im in cols]
-    for i in range(d):
+    gens = group_generators(datum)
+    for i in gens:
         for j in range(d):
             if scaled[datum.table[i][j]] != _compose(cols[i], cols[j]):
                 raise NotHomomorphism(f"homomorphism fails at ({i},{j})")
     if rho.algebra is not None:
         if rho.algebra.dim != m:
             raise DimensionMismatch("algebra dimension must match image size")
-        for g in group_generators(datum):
+        for g in gens:
             if not preserves_brackets(rho.algebra, cols[g], den):
                 raise NotHomomorphism(f"image {g} is not a Lie algebra automorphism")
     object.__setattr__(rho, "verified", True)
@@ -185,6 +193,8 @@ class RationalFormBasis:
 
     representation: Representation
     vectors: tuple[EVector, ...]
+    # set by rational_form(_from_vectors) only; transport refuses other bases
+    verified: bool = field(default=False, init=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -258,6 +268,7 @@ def rational_form(rho: Representation) -> RationalFormBasis:
     basis = RationalFormBasis(rho, tuple(
         tuple(datum.element(flat[j * d:(j + 1) * d]) for j in range(m)) for flat in basis_flat))
     _set_flat(basis, basis_flat)
+    object.__setattr__(basis, "verified", True)
     return basis
 
 
@@ -293,6 +304,7 @@ def rational_form_from_vectors(rho: Representation,
         raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
     if fl.rank(flat) != m:
         raise DimensionMismatch("vectors are not linearly independent over E")
+    object.__setattr__(basis, "verified", True)
     return basis
 
 
@@ -351,23 +363,18 @@ def structure_constants_on_form(basis: RationalFormBasis,
 
 
 def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix:
-    """Rational matrix of f in the rational-form basis; int and Fraction
-    entries of f are read as elements of the datum's field.
+    """Rational matrix M of f in the rational-form basis B, f B = B M; int
+    and Fraction entries of f are read as elements of the datum's field.
 
-    First certifies the commutation relation f^sigma =
-    rho_sigma f rho_{sigma^{-1}} for every group element, then solves
-    B M = F B as P M = W, both on ints.  With f's nonzero entries cleared
-    to d-vectors over D_F, the relation reads D_R^2 A f_ij = D_A (R f
-    R')_ij, A / D_A the matrix of sigma^{-1} and R / D_R, R' / D_R the
-    images of sigma and sigma^{-1} on rho's cleared columns (a basis built
-    directly may carry an unverified rho), and (D P) M = M_F (D P) / D_F,
-    M_F's (i, k) block the multiplication matrix of D_F f_ik.
-
-    Once the commutation check passes, IrrationalEntry cannot fire for a
-    basis from rational_form_from_vectors: for a fixed v, (f v)^sigma =
-    f^sigma v^sigma = rho_sigma f v, so f maps the fixed space V, which
-    the basis spans over Q, into itself.  The check costs nothing beyond
-    the solve and guards a RationalFormBasis built directly.
+    B must come from rational_form or rational_form_from_vectors
+    (BadParameters otherwise), so it spans the fixed space V over Q and E^m
+    over E.  One solve of P M = M_F P / D_F on ints, M_F's (i, k) block the
+    multiplication matrix of D_F f_ik, is consistent exactly when f(V) lies
+    in V, which is the commutation relation f^sigma = rho_sigma f
+    rho_sigma^-1 for every sigma: if it holds, (f v)^sigma = f^sigma
+    v^sigma = rho_sigma f v for fixed v; conversely, if each f b is fixed,
+    rho_sigma f b = (f b)^sigma = f^sigma rho_sigma b on the E-basis B.
+    The first inconsistent column raises CommutationViolation.
     """
     rho = basis.representation
     datum = rho.datum
@@ -375,40 +382,25 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
     if len(f) != m or any(len(row) != m for row in f):
         raise DimensionMismatch("map size must match the form")
     _require_verified(datum)
+    if not basis.verified:
+        raise BadParameters("transport needs a basis from a rational_form constructor")
     if any(isinstance(x, FieldElement) and x.datum.fingerprint() != datum.fingerprint()
            for row in f for x in row):
         raise DatumMismatch("map entry from a different field")
     nz = {(i, k): x if isinstance(x, FieldElement) else datum.element((x,))
           for i, row in enumerate(f) for k, x in enumerate(row) if x}
     vecs, df = fl.clear_denominators([x.coeffs for x in nz.values()])
-    fz = dict(zip(nz, vecs))
-    cols, den = rho.columns()
-    zero = [0] * d
-    for s in range(d):
-        inv = datum.inverse_index(s)
-        a, da = automorphism_matrix(datum, inv)
-        lhs = {key: [den * den * x for x in fl.mat_vec(a, v)] for key, v in fz.items()}
-        rf, rhs = {}, {}  # rf[j]: column j of R f as {i: d-vector}
-        for (k, j), v in fz.items():
-            col = rf.setdefault(j, {})
-            for i, c in cols[s][k].items():
-                col[i] = [x + c * y for x, y in zip(col.get(i, zero), v)]
-        for j, col in enumerate(cols[inv]):
-            for k, c in col.items():
-                for i, v in rf.get(k, {}).items():
-                    rhs[i, j] = [x + da * c * y for x, y in zip(rhs.get((i, j), zero), v)]
-        if any(lhs.get(key, zero) != rhs.get(key, zero) for key in lhs.keys() | rhs.keys()):
-            raise CommutationViolation(f"f^sigma != rho f rho^-1 for group element {s}")
     flat, _den = basis.flat_matrix()
     mf = [[0] * (m * d) for _ in range(m * d)]
-    for (i, k), v in fz.items():
+    for (i, k), v in zip(nz, vecs):
         for u, row in enumerate(datum.element(v)._scaled_multiplication_rows()[0]):
             mf[i * d + u][k * d:(k + 1) * d] = row
     try:
         sol = fl.solve(flat, list(zip(*fl.mat_mul(mf, flat))))
     except fl.Inconsistent as e:
-        raise IrrationalEntry(
-            f"transported column {e.column} has an irrational entry") from None
+        raise CommutationViolation(
+            f"f^sigma != rho f rho^-1: f moves basis vector {e.column} "
+            "out of the rational form") from None
     return RationalMatrix([[x / df for x in row] for row in sol])
 
 
@@ -492,7 +484,8 @@ def extend_representation(la: LabeledAlgebra,
     Signs on non-generator slots are derived from the brackets, which is
     where the minus signs of the cyclic constructions come from.  Each
     missing image is formed once, on sparse columns, from the first word
-    that reaches it; verify_representation then checks every pair.
+    that reaches it; verify_representation then checks each generator
+    against every element.
     """
     datum = la.datum
     alg = la.algebra

@@ -13,6 +13,7 @@ constants are kept once more as ints scaled by their lcm C
 lower_central_series run the one bracket kernel on ints, where every
 identity they test scales by a nonzero constant on both sides.  An
 algebra keeps its series and its Jacobi verdict (require_jacobi).
+is_automorphism reads invertibility off a matrix's kept charpoly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 
 from . import _fieldlinalg as fl
 from .errors import JacobiViolation, NotNilpotent
-from .exactmath import rat
+from .exactmath import RationalMatrix, rat
 
 
 @dataclass(frozen=True)
@@ -116,30 +117,6 @@ def _bracket(bmap, x: Mapping, y: Mapping, out: dict | None = None) -> dict:
 
 
 @dataclass(frozen=True)
-class LinearMap:
-    """Square matrix acting on an algebra by columns: the image of b_j is
-    sum_i matrix[i][j] b_i."""
-
-    algebra: LieAlgebra
-    matrix: tuple[tuple[object, ...], ...]
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise ValueError("matrix shape must match the algebra dimension")
-        object.__setattr__(
-            self, "matrix",
-            tuple(tuple(rat(x) for x in row) for row in self.matrix),
-        )
-
-    def column(self, j: int) -> list:
-        return [self.matrix[i][j] for i in range(len(self.matrix))]
-
-    def apply(self, v: Sequence) -> list:
-        return fl.mat_vec([list(r) for r in self.matrix], list(v))
-
-
-@dataclass(frozen=True)
 class Grading:
     """Partition of the basis in order: the first dims[0] vectors span the
     degree-1 piece, the next dims[1] the degree-2 piece, and so on."""
@@ -226,13 +203,16 @@ def nilpotency_class(a: LieAlgebra) -> int:
     return a.central_series()[2]
 
 
-def is_automorphism(a: LieAlgebra, f: LinearMap) -> bool:
-    """f invertible and f[b_i, b_j] = sum_k c_ij^k f(b_k) equals [f b_i, f b_j]
-    on all basis pairs."""
-    if fl.det([list(r) for r in f.matrix]) == 0:
-        return False
-    rows, d = fl.clear_denominators(f.matrix)
-    return preserves_brackets(a, [_support(col) for col in zip(*rows)], d)
+def is_automorphism(a: LieAlgebra, m: RationalMatrix) -> bool:
+    """m (b_j maps to sum_i m[i, j] b_i) preserves brackets on all basis
+    pairs and is invertible.  The bracket check runs first, so a failing
+    map costs no elimination; invertibility is read off the constant term
+    of the charpoly m keeps, which certify reads next."""
+    if m.rows != a.dim or m.cols != a.dim:
+        raise ValueError("matrix shape must match the algebra dimension")
+    rows, d = fl.clear_denominators(m.entries)
+    return preserves_brackets(a, [_support(col) for col in zip(*rows)], d) \
+        and m.charpoly().constant != 0
 
 
 def preserves_brackets(a: LieAlgebra, cols: Sequence[Mapping], d: int) -> bool:

@@ -18,7 +18,9 @@ Each real root of a verified datum has one bisection path (RootPath), kept
 on the datum, whose signs are integer sums over the once-cleared minimal
 polynomial; every question about a real conjugate is asked of that path
 by refine_until, under the single level budget DEFAULT_REFINE_STEPS, and
-read off x's kept numerators by the one interval Horner kernel.
+read off x's kept numerators by the one interval Horner kernel; a datum
+that is not totally real, or of degree 1, has no paths, and
+conjugate_levels refuses it with BadParameters.
 """
 
 from __future__ import annotations
@@ -757,9 +759,12 @@ def sign_against(iv: Interval, c) -> int | None:
 def conjugate_levels(x: FieldElement, conjugate_index: int) -> Callable[[int], Interval]:
     """k -> enclosure of sigma_i(x) (totally real datum): x's kept
     numerators evaluated by interval_horner on level k of the path of the
-    root that sigma_i sends theta to."""
+    root that sigma_i sends theta to.  BadParameters on a datum that is
+    not totally real or of degree 1, which have no root paths."""
     _require_verified(x.datum)
     _check_index(x.datum, conjugate_index)
+    if not x.datum.totally_real or x.datum.degree == 1:
+        raise BadParameters("conjugate levels need a totally real datum of degree > 1")
     nums, den = x._cleared()
     path = x.datum._paths[x.datum.root_map[conjugate_index]]
     return lambda k: interval_horner(nums, den, path.level(k))

@@ -1,8 +1,8 @@
 """Pfaffian forms of 2-step algebras, the type-(4,2) classification,
 Pell-equation automorphisms of binary quadratic forms, Scheuneman duality.
 
-The Pfaffian is the combinatorial sum over perfect matchings, normalized so
-the standard symplectic block matrix has Pfaffian +1.  The Pfaffian form of
+The Pfaffian is expanded along the first row, normalized so the standard
+symplectic block matrix has Pfaffian +1.  The Pfaffian form of
 a 2-step algebra with adapted basis is Pf of the generic skew pencil
 sum_i Y_i J_{Z_i}, a homogeneous polynomial in the center coordinates; in
 type (4,2) its discriminant modulo rational squares classifies the algebra
@@ -29,7 +29,7 @@ from .errors import (
     SolutionMismatch,
 )
 from .exactmath import Polynomial, RationalMatrix, nullspace, rat, rat_to_str
-from .liealg import LieAlgebra, LinearMap, is_automorphism
+from .liealg import LieAlgebra, is_automorphism
 
 
 # ---------------------------------------------------------------------------
@@ -275,54 +275,28 @@ def j_map(a: LieAlgebra, z: list) -> SkewMap:
     return SkewMap(tuple(tuple(r) for r in rows))
 
 
-def _matchings(indices: tuple[int, ...]):
-    if not indices:
-        yield ()
-        return
-    first, rest = indices[0], indices[1:]
-    for idx, second in enumerate(rest):
-        remaining = rest[:idx] + rest[idx + 1:]
-        for sub in _matchings(remaining):
-            yield ((first, second),) + sub
-
-
-def _matching_sign(pairs) -> int:
-    perm = [x for pair in pairs for x in pair]
-    sign = 1
-    seen = [False] * len(perm)
-    pos = {v: i for i, v in enumerate(sorted(perm))}
-    arr = [pos[v] for v in perm]
-    for start in range(len(arr)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = arr[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def pfaffian(s: SkewMap):
-    """Combinatorial Pfaffian: sum over perfect matchings with signs.
+    """Pfaffian by expansion along the first row, Pf(A) = sum_{j>0}
+    (-1)^(j+1) a_0j Pf(A without rows and columns 0 and j); this is the
+    signed sum over perfect matchings grouped by the partner of 0, so
     diag([[0,1],[-1,0]], ...) has Pfaffian +1."""
     n = s.size
     if n % 2 != 0:
         raise OddDimension("Pfaffian needs an even-size skew matrix")
     if n == 0:
         return Fraction(1)
-    acc = None
-    for pairs in _matchings(tuple(range(n))):
-        term = None
-        for (i, j) in pairs:
-            e = s.matrix[i][j]
-            term = e if term is None else term * e
-        if _matching_sign(pairs) < 0:
-            term = -term
-        acc = term if acc is None else acc + term
+    return _pfaffian_rows(s.matrix, tuple(range(n)))
+
+
+def _pfaffian_rows(a, idx: tuple[int, ...]):
+    """Pf of a's principal submatrix on the indices idx (even, nonempty)."""
+    first, rest = idx[0], idx[1:]
+    if len(rest) == 1:
+        return a[first][rest[0]]
+    acc = a[first][rest[0]] * _pfaffian_rows(a, rest[1:])
+    for pos in range(1, len(rest)):
+        term = a[first][rest[pos]] * _pfaffian_rows(a, rest[:pos] + rest[pos + 1:])
+        acc = acc - term if pos % 2 else acc + term
     return acc
 
 
@@ -532,8 +506,9 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
             rows[i][j] = alpha[i, j]
     for t, col in enumerate(zip(*solution)):
         rows[n1 + t][n1:n1 + k] = col
+    # out itself, so the charpoly is_automorphism computes is kept for certify
     out = RationalMatrix(rows)
-    if not is_automorphism(a, LinearMap(a, out.entries)):
+    if not is_automorphism(a, out):
         raise DoesNotPreserveW("extension is not an automorphism")
     return out
 

@@ -168,19 +168,20 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
                 x = datum.element((0,) * zeros + (head,) + tail)
                 if abs(x.norm()) == 1:
                     units += (x, -x)
-    seen = {u.coeffs: u for u in units}
+    # keyed by the kept cleared form: unique per element, cheap to hash
+    seen = {u._cleared(): u for u in units}
     for u in units:
         acc = u
         for _ in range(2, power_bound + 1):
             acc = u * acc
-            seen.setdefault(acc.coeffs, acc)
+            seen.setdefault(acc._cleared(), acc)
     current = list(seen.values())
     pairs = len(current) * (len(current) - 1) // 2
     if pairs > budget:
         raise SearchBudgetExceeded(f"{pairs} pairs in a product round over the budget {budget}")
     for a, b in combinations_with_replacement(current, 2):
         ab = a * b
-        seen.setdefault(ab.coeffs, ab)
+        seen.setdefault(ab._cleared(), ab)
     one = datum.one()
     out = []
     for u in seen.values():

@@ -1,0 +1,442 @@
+"""transport, verify_representation and is_automorphism against the code
+they replaced.
+
+transport used to certify f^sigma = rho_sigma f rho_sigma^-1 by an
+integer loop over every group element before its solve; on a basis from
+rational_form or rational_form_from_vectors the solve decides the same
+relation, so the loop went and a basis built directly is refused.
+verify_representation compared all d^2 image products; each generator
+against every element suffices.  is_automorphism eliminated for a
+determinant before its bracket check; it now runs the bracket check first
+and reads invertibility off the charpoly the matrix keeps.  The frozen
+copies below are those versions: the new code must give the same matrix
+repr, or the same error type.
+"""
+
+import importlib.util
+import json
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+from anosovforms import _fieldlinalg as fl
+from anosovforms import exactmath, galoisform, recipes, serialize
+from anosovforms.anosov import certify
+from anosovforms.catalog import cubic_pisot_unit, cyclic_cubic_datum
+from anosovforms.errors import (
+    BadParameters,
+    CommutationViolation,
+    DatumMismatch,
+    DimensionMismatch,
+    NotHomomorphism,
+)
+from anosovforms.exactmath import RationalMatrix
+from anosovforms.galoisform import (
+    RationalFormBasis,
+    Representation,
+    _compose,
+    group_generators,
+    rational_form,
+    rational_form_from_vectors,
+    transport,
+    verify_representation,
+)
+from anosovforms.liealg import _support, is_automorphism, preserves_brackets
+from anosovforms.numfield import FieldElement, _require_verified, automorphism_matrix
+from anosovforms.pfaffian import dual_automorphism, scheuneman_dual
+from test_acceptance import _z4_labeled
+from test_galoisform import (
+    IrrationalEntry,
+    _frozen_descent_cases,
+    _outcome,
+    _recipe_representations,
+    block_sum,
+    conjugated,
+    random_invertible,
+    regular_rep,
+    trivial_rep,
+)
+
+# ---------------------------------------------------------------------------
+# the frozen code
+# ---------------------------------------------------------------------------
+
+
+def commutation_loop_transport(basis, f):
+    """transport with its integer commutation loop over every group
+    element, then the solve; IrrationalEntry on an inconsistent column."""
+    rho = basis.representation
+    datum = rho.datum
+    m, d = basis.size, datum.degree
+    if len(f) != m or any(len(row) != m for row in f):
+        raise DimensionMismatch("map size must match the form")
+    _require_verified(datum)
+    if any(isinstance(x, FieldElement) and x.datum.fingerprint() != datum.fingerprint()
+           for row in f for x in row):
+        raise DatumMismatch("map entry from a different field")
+    nz = {(i, k): x if isinstance(x, FieldElement) else datum.element((x,))
+          for i, row in enumerate(f) for k, x in enumerate(row) if x}
+    vecs, df = fl.clear_denominators([x.coeffs for x in nz.values()])
+    fz = dict(zip(nz, vecs))
+    cols, den = rho.columns()
+    zero = [0] * d
+    for s in range(d):
+        inv = datum.inverse_index(s)
+        a, da = automorphism_matrix(datum, inv)
+        lhs = {key: [den * den * x for x in fl.mat_vec(a, v)] for key, v in fz.items()}
+        rf, rhs = {}, {}  # rf[j]: column j of R f as {i: d-vector}
+        for (k, j), v in fz.items():
+            col = rf.setdefault(j, {})
+            for i, c in cols[s][k].items():
+                col[i] = [x + c * y for x, y in zip(col.get(i, zero), v)]
+        for j, col in enumerate(cols[inv]):
+            for k, c in col.items():
+                for i, v in rf.get(k, {}).items():
+                    rhs[i, j] = [x + da * c * y for x, y in zip(rhs.get((i, j), zero), v)]
+        if any(lhs.get(key, zero) != rhs.get(key, zero) for key in lhs.keys() | rhs.keys()):
+            raise CommutationViolation(f"f^sigma != rho f rho^-1 for group element {s}")
+    flat, _den = basis.flat_matrix()
+    mf = [[0] * (m * d) for _ in range(m * d)]
+    for (i, k), v in fz.items():
+        for u, row in enumerate(datum.element(v)._scaled_multiplication_rows()[0]):
+            mf[i * d + u][k * d:(k + 1) * d] = row
+    try:
+        sol = fl.solve(flat, list(zip(*fl.mat_mul(mf, flat))))
+    except fl.Inconsistent as e:
+        raise IrrationalEntry(
+            f"transported column {e.column} has an irrational entry") from None
+    return RationalMatrix([[x / df for x in row] for row in sol])
+
+
+def all_pairs_verify_representation(rho):
+    """verify_representation with D R_ij = R_i R_j on all d^2 pairs."""
+    datum = rho.datum
+    d = datum.degree
+    if len(rho.images) != d:
+        raise NotHomomorphism("need one image per group element")
+    m = rho.images[0].rows
+    for im in rho.images:
+        if im.rows != m or im.cols != m:
+            raise NotHomomorphism("images must be square of equal size")
+    cols, den = rho.columns()
+    e = datum.identity_index
+    if cols[e] != [{j: den} for j in range(m)]:
+        raise NotHomomorphism("identity must map to the identity matrix")
+    scaled = [[{i: den * x for i, x in col.items()} for col in im] for im in cols]
+    for i in range(d):
+        for j in range(d):
+            if scaled[datum.table[i][j]] != _compose(cols[i], cols[j]):
+                raise NotHomomorphism(f"homomorphism fails at ({i},{j})")
+    if rho.algebra is not None:
+        for g in group_generators(datum):
+            if not preserves_brackets(rho.algebra, cols[g], den):
+                raise NotHomomorphism(f"image {g} is not a Lie algebra automorphism")
+    object.__setattr__(rho, "verified", True)
+    return rho
+
+
+def determinant_first_is_automorphism(a, m):
+    """is_automorphism as it ran on a LinearMap: the shape check, a
+    determinant, then the bracket check."""
+    if m.rows != a.dim or m.cols != a.dim:
+        raise ValueError("matrix shape must match the algebra dimension")
+    if fl.det([list(r) for r in m.entries]) == 0:
+        return False
+    rows, d = fl.clear_denominators(m.entries)
+    return preserves_brackets(a, [_support(col) for col in zip(*rows)], d)
+
+
+# ---------------------------------------------------------------------------
+# transport
+# ---------------------------------------------------------------------------
+
+
+def _same_transport(basis, f):
+    new = _outcome(transport, basis, f)
+    assert new == _outcome(commutation_loop_transport, basis, f)
+    return new
+
+
+def _diagonal(la):
+    zero = la.datum.zero()
+    return tuple(tuple(la.labels[i] if i == j else zero for j in range(la.dim))
+                 for i in range(la.dim))
+
+
+def _perturbed(rng, f, theta, one):
+    """f with one entry moved by theta or by 1."""
+    i, j = rng.randrange(len(f)), rng.randrange(len(f))
+    rows = [list(r) for r in f]
+    rows[i][j] = rows[i][j] + (theta if rng.random() < 0.5 else one)
+    return tuple(map(tuple, rows))
+
+
+def _construction(run):
+    """(la, rho, explicit basis, output) of the one construction run makes."""
+    seen = []
+    real = recipes.main2_construct
+
+    def spy(la, rho, explicit_basis=None):
+        seen.append((la, rho, explicit_basis))
+        return real(la, rho, explicit_basis)
+
+    recipes.main2_construct = spy
+    try:
+        out = run()
+    finally:
+        recipes.main2_construct = real
+    ((la, rho, explicit),) = seen
+    return la, rho, explicit, out
+
+
+def _last(c):
+    datum = cyclic_cubic_datum()
+    return recipes.recipe_last(datum, cubic_pisot_unit(datum), c)
+
+
+# the deep_class workload's recipes
+DEEP_CLASS = {**{f"last{c}": partial(_last, c) for c in (4, 5, 6)},
+              **{f"csig{c}": partial(recipes.recipe_csig_default, c) for c in (3, 4)}}
+
+
+class TestTransport:
+    @pytest.mark.parametrize("group", ["z2", "klein", "z4"])
+    def test_verified_bases_of_random_representations(self, group, sqrt2, biquad52, quartic):
+        datum = {"z2": sqrt2, "klein": biquad52, "z4": quartic}[group]
+        verdicts = set()
+        for basis, _algebras, mat, f, moved, scaled in _frozen_descent_cases(datum, group):
+            assert basis.verified
+            assert _same_transport(basis, f) == repr(mat)
+            for g in (moved, scaled):
+                verdicts.add(_same_transport(basis, g))
+        for basis in (rational_form(trivial_rep(datum, 3)), rational_form(regular_rep(datum))):
+            theta, one = datum.generator(), datum.one()
+            m = basis.size
+            eye = tuple(tuple(one if i == j else 0 for j in range(m)) for i in range(m))
+            rng = random.Random(4100 + m)
+            verdicts.add(_same_transport(basis, eye))
+            for _ in range(8):
+                verdicts.add(_same_transport(basis, _perturbed(rng, eye, theta, one)))
+        assert CommutationViolation in verdicts
+
+    def test_acceptance_perturbations(self):
+        datum, la, rho = _z4_labeled()
+        basis = rational_form(rho)
+        f = _diagonal(la)
+        assert isinstance(_same_transport(basis, f), str)
+        rng = random.Random(77)
+        theta, one = datum.generator(), datum.one()
+        for _ in range(50):
+            assert _same_transport(basis, _perturbed(rng, f, theta, one)) is CommutationViolation
+
+    @pytest.mark.parametrize("name", sorted(DEEP_CLASS))
+    def test_deep_class_diagonal_maps(self, name):
+        la, rho, explicit, out = _construction(DEEP_CLASS[name])
+        basis = (rational_form_from_vectors(rho, explicit) if explicit is not None
+                 else rational_form(rho))
+        f = _diagonal(la)
+        assert _same_transport(basis, f) == repr(out.matrix)
+        rng = random.Random(name)
+        theta, one = la.datum.generator(), la.datum.one()
+        verdicts = [_same_transport(basis, _perturbed(rng, f, theta, one)) for _ in range(6)]
+        assert CommutationViolation in verdicts
+        # the same vectors wrapped directly: the frozen code accepted them
+        direct = RationalFormBasis(rho, basis.vectors)
+        assert _outcome(commutation_loop_transport, direct, f) == repr(out.matrix)
+        with pytest.raises(BadParameters):
+            transport(direct, f)
+
+    def test_directly_built_basis_is_refused(self, sqrt2):
+        basis = rational_form(regular_rep(sqrt2))
+        for direct in (RationalFormBasis(basis.representation, basis.vectors), replace(basis)):
+            assert direct == basis and not direct.verified
+            assert _outcome(transport, direct, ((1, 0), (0, 1))) is BadParameters
+        assert transport(basis, ((1, 0), (0, 1))) == RationalMatrix.identity(2)
+
+
+# ---------------------------------------------------------------------------
+# verify_representation
+# ---------------------------------------------------------------------------
+
+
+FIELDS = ["sqrt2", "cubic", "quartic", "biquad52"]
+
+
+def _base_representations(datum, rng):
+    yield regular_rep(datum)
+    yield conjugated(regular_rep(datum), random_invertible(rng, datum.degree))
+    yield block_sum(regular_rep(datum), trivial_rep(datum, 1))
+
+
+def _corrupted(rho, rng):
+    """(kind, images): one entry changed, two images swapped, and a
+    non-generator image (the identity's when every other element is a
+    generator) replaced by another image or by a random matrix."""
+    datum, images = rho.datum, list(rho.images)
+    d, m = datum.degree, rho.size
+    g = rng.randrange(d)
+    i, j = rng.randrange(m), rng.randrange(m)
+    rows = [list(r) for r in images[g].entries]
+    rows[i][j] += F(rng.choice((-1, 1)), rng.randint(1, 3))
+    yield "entry", images[:g] + [RationalMatrix(rows)] + images[g + 1:]
+    a, b = rng.sample(range(d), 2)
+    swapped = list(images)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    yield "swap", swapped
+    gens = group_generators(datum)
+    others = [h for h in range(d) if h not in gens]
+    h = rng.choice([x for x in others if x != datum.identity_index] or others)
+    for new in (images[rng.choice([x for x in range(d) if x != h])],
+                random_invertible(rng, m)):
+        yield "non-generator", images[:h] + [new] + images[h + 1:]
+
+
+class TestVerifyRepresentation:
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_corrupted_representations(self, name, sqrt2, cubic, quartic, biquad52):
+        datum = {"sqrt2": sqrt2, "cubic": cubic, "quartic": quartic, "biquad52": biquad52}[name]
+        rng = random.Random(f"verify/{name}")
+        kinds = set()
+        for rho in _base_representations(datum, rng):
+            cases = [("intact", list(rho.images))] + list(_corrupted(rho, rng))
+            for kind, images in cases:
+                new = _outcome(verify_representation, Representation(datum, tuple(images)))
+                old = _outcome(all_pairs_verify_representation,
+                               Representation(datum, tuple(images)))
+                assert new == old, (kind, new, old)
+                kinds.add((kind, new if isinstance(new, type) else "accept"))
+        assert {("intact", "accept"), ("entry", NotHomomorphism), ("swap", NotHomomorphism),
+                ("non-generator", NotHomomorphism)} <= kinds
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_recipe_representations_with_algebras(self, index):
+        name, _la, _maps, rho = _recipe_representations()[index]
+        rng = random.Random(f"recipe/{name}")
+        cases = [list(rho.images)] + [images for _kind, images in _corrupted(rho, rng)]
+        for images in cases:
+            assert _outcome(verify_representation,
+                            Representation(rho.datum, tuple(images), rho.algebra)) == \
+                _outcome(all_pairs_verify_representation,
+                         Representation(rho.datum, tuple(images), rho.algebra))
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_compose_runs_once_per_generator_and_element(self, name, monkeypatch, sqrt2,
+                                                        cubic, quartic, biquad52):
+        datum = {"sqrt2": sqrt2, "cubic": cubic, "quartic": quartic, "biquad52": biquad52}[name]
+        calls = []
+        monkeypatch.setattr(galoisform, "_compose", lambda *a: calls.append(1) or _compose(*a))
+        rho = regular_rep(datum)
+        fresh = Representation(datum, rho.images)
+        calls.clear()
+        verify_representation(fresh)
+        assert fresh.verified
+        assert len(calls) == len(group_generators(datum)) * datum.degree
+        assert len(calls) == (2 * 4 if name == "biquad52" else datum.degree)
+
+
+# ---------------------------------------------------------------------------
+# is_automorphism and certify
+# ---------------------------------------------------------------------------
+
+
+def _bench_generate():
+    """bench/generate.py, which builds the certify_dense inputs without the
+    library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dense_cases(seed):
+    """(kind, algebra, map) for the certify_dense certify inputs."""
+    for item in _bench_generate().dense_inputs(seed):
+        if item["map"] is not None:
+            yield (item["kind"], serialize.algebra_from_json(json.loads(item["algebra"])),
+                   serialize.map_from_json(json.loads(item["map"])))
+
+
+def _same_verdict(a, m):
+    new = is_automorphism(a, RationalMatrix(m.entries))
+    assert new == determinant_first_is_automorphism(a, RationalMatrix(m.entries))
+    return new
+
+
+class _Counter:
+    """Counts the calls of fl.det and of exactmath.charpoly."""
+
+    def __init__(self, monkeypatch):
+        self.det = self.charpoly = 0
+        real_det, real_charpoly = fl.det, exactmath.charpoly
+
+        def det(*a):
+            self.det += 1
+            return real_det(*a)
+
+        def charpoly(*a):
+            self.charpoly += 1
+            return real_charpoly(*a)
+
+        monkeypatch.setattr(fl, "det", det)
+        monkeypatch.setattr(exactmath, "charpoly", charpoly)
+
+
+class TestIsAutomorphism:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certify_dense_inputs(self, seed):
+        rng = random.Random(4300 + seed)
+        expected = {"accept": True, "perturbed": False, "nonhyperbolic": True}
+        for kind, a, m in _dense_cases(seed):
+            assert _same_verdict(a, m) is expected[kind]
+            n = a.dim
+            for _ in range(3):
+                rows = [list(r) for r in m.entries]
+                rows[rng.randrange(n)][rng.randrange(n)] += F(rng.choice((-1, 1)), 3)
+                _same_verdict(a, RationalMatrix(rows))
+            zero = RationalMatrix([[0] * n for _ in range(n)])
+            # the zero map preserves every bracket but is singular
+            assert preserves_brackets(a, [{} for _ in range(n)], 1)
+            assert _same_verdict(a, zero) is False
+
+    def test_shape_mismatch(self):
+        a, m = next((a, m) for _kind, a, m in _dense_cases(1))
+        bigger = RationalMatrix.identity(a.dim + 1)
+        for check in (is_automorphism, determinant_first_is_automorphism):
+            with pytest.raises(ValueError, match="shape"):
+                check(a, bigger)
+
+    def test_bracket_failure_costs_no_elimination(self, monkeypatch):
+        cases = {kind: (a, m) for kind, a, m in _dense_cases(1)}
+        count = _Counter(monkeypatch)
+        a, m = cases["perturbed"]
+        assert not is_automorphism(a, RationalMatrix(m.entries))
+        assert (count.det, count.charpoly) == (0, 0)
+        a, m = cases["accept"]
+        fresh = RationalMatrix(m.entries)
+        assert is_automorphism(a, fresh)
+        assert (count.det, count.charpoly) == (0, 1)
+        # certify reads the charpoly is_automorphism kept
+        cert = certify(a, fresh)
+        assert (count.det, count.charpoly) == (0, 1) and cert.charpoly == fresh.charpoly()
+
+    def test_recipe_last_construct_takes_no_determinant(self, monkeypatch):
+        count = _Counter(monkeypatch)
+        out = _last(4)
+        assert out.certificate.hyperbolic
+        # one charpoly for the eigenvalue check, which certify reads again
+        assert (count.det, count.charpoly) == (0, 1)
+
+    def test_dual_map_keeps_its_charpoly_for_certify(self, monkeypatch):
+        out = recipes.recipe_count(5, 2)
+        alpha = out.matrix.submatrix(range(4), range(4))
+        dual = scheuneman_dual(out.algebra)
+        _ext, dual_map = dual_automorphism(alpha, out.algebra, dual)
+        count = _Counter(monkeypatch)
+        cert = certify(dual, dual_map)
+        assert (count.det, count.charpoly) == (0, 0)
+        assert cert.charpoly == dual_map.charpoly()

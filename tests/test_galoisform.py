@@ -18,7 +18,6 @@ from anosovforms.errors import (
     DimensionMismatch,
     EigenvalueMismatch,
     ExtensionInconsistent,
-    IrrationalEntry,
     IrrationalStructureConstant,
     JacobiViolation,
     LabelMismatch,
@@ -48,7 +47,6 @@ from anosovforms.galoisform import (
 )
 from anosovforms.liealg import (
     LieAlgebra,
-    LinearMap,
     _bracket,
     Grading,
     _support,
@@ -58,6 +56,11 @@ from anosovforms.liealg import (
 )
 from anosovforms.numfield import GaloisDatum, apply_automorphism
 from test_fieldlinalg import _dense_det, _dense_rref
+
+
+class IrrationalEntry(Exception):
+    """Stand-in for the error the frozen references raise on an irrational
+    entry; the library's transport decides the same case by its solve."""
 
 
 def frozen_labels_charpoly(la):
@@ -234,6 +237,19 @@ class TestRationalForm:
             rational_form(copy)
         with pytest.raises(NotHomomorphism):
             verify_representation(copy)
+
+    def test_verify_needs_a_verified_datum(self, sqrt2):
+        # table=None used to raise a bare TypeError, and a replace() copy
+        # of the datum used to come back as a verified representation
+        eye = RationalMatrix.identity(2)
+        swap = RationalMatrix([[0, 1], [1, 0]])
+        for raw in (GaloisDatum(sqrt2.min_poly, sqrt2.automorphisms, 0, None,
+                                sqrt2.root_enclosures), replace(sqrt2)):
+            rho = Representation(raw, (eye, swap))
+            with pytest.raises(BadParameters, match="verified"):
+                verify_representation(rho)
+            assert not rho.verified
+        assert verify_representation(Representation(sqrt2, (eye, swap))).verified
 
     def test_explicit_basis_rejected_if_not_fixed(self, sqrt2):
         rho = regular_rep(sqrt2)
@@ -437,7 +453,9 @@ class TestTransport:
     def test_commutation_uses_the_image_of_the_inverse(self, sqrt2):
         # an unverified rho with rho_sigma = 2 I, no involution: f = I
         # satisfies f^sigma rho_sigma = rho_sigma f, but not the relation
-        # f^sigma = rho_sigma f rho_(sigma^-1) = 4 f
+        # f^sigma = rho_sigma f rho_(sigma^-1) = 4 f.  The frozen check
+        # caught it on a basis built directly; transport now refuses such a
+        # basis, since only a verified one makes its solve decide the relation
         two = RationalMatrix([[2, 0], [0, 2]])
         rho = Representation(sqrt2, tuple(
             RationalMatrix.identity(2) if g == sqrt2.identity_index else two
@@ -445,9 +463,12 @@ class TestTransport:
         one, zero = sqrt2.one(), sqrt2.zero()
         basis = RationalFormBasis(rho, ((one, zero), (zero, one)))
         f = ((one, zero), (zero, one))
-        with pytest.raises(CommutationViolation):
+        assert not basis.verified
+        with pytest.raises(BadParameters, match="rational_form"):
             transport(basis, f)
         assert _outcome(frozen_transport, basis, f) is CommutationViolation
+        with pytest.raises(NotHomomorphism):
+            verify_representation(rho)
 
 
 class TestLabeledAlgebra:
@@ -588,7 +609,7 @@ class TestMain2:
         )
         algebra, matrix, _ = main2_construct(la, rho)
         assert matrix.charpoly() == frozen_labels_charpoly(la)
-        assert is_automorphism(algebra, LinearMap(algebra, matrix.entries))
+        assert is_automorphism(algebra, matrix)
 
     def test_equivariance_checked_once_per_pair(self, quartic, monkeypatch):
         import anosovforms.galoisform as gf
@@ -822,13 +843,23 @@ class TestDescentRejects:
 
     def test_irrational_entry_on_a_basis_built_directly(self, sqrt2):
         # (1, 0), (0, sqrt2) is no rational form of the trivial action, so
-        # a rational f that commutes with it still has an irrational matrix
+        # a rational f that commutes with it still has an irrational matrix.
+        # The frozen code named the irrational entry; transport refuses the
+        # basis, and the verified constructors refuse its vectors
         one, zero, s = sqrt2.one(), sqrt2.zero(), sqrt2.element([0, 1])
-        basis = RationalFormBasis(trivial_rep(sqrt2, 2), ((one, zero), (zero, s)))
+        rho = trivial_rep(sqrt2, 2)
+        basis = RationalFormBasis(rho, ((one, zero), (zero, s)))
         f = ((one, one), (zero, one))
-        with pytest.raises(IrrationalEntry, match="column 1"):
+        with pytest.raises(BadParameters):
             transport(basis, f)
         assert _outcome(frozen_transport, basis, f) is IrrationalEntry
+        with pytest.raises(DimensionMismatch, match="violates"):
+            rational_form_from_vectors(rho, basis.vectors)
+        # a verified basis, or a replace() copy of it, which starts unverified
+        good = rational_form(rho)
+        assert good.verified and transport(good, f) == RationalMatrix([[1, 1], [0, 1]])
+        with pytest.raises(BadParameters):
+            transport(replace(good), f)
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +889,8 @@ def frozen_rational_form_from_vectors(rho, vectors):
     basis = RationalFormBasis(rho, vecs)
     if _dense_det(basis.basis_matrix()) == 0:
         raise DimensionMismatch("vectors are not linearly independent over E")
+    # the accepted basis is a verified one, whose flag shows in its repr
+    object.__setattr__(basis, "verified", True)
     return basis
 
 
@@ -1057,7 +1090,7 @@ def frozen_verify_representation(rho):
         if rho.algebra.dim != m:
             raise DimensionMismatch("algebra dimension must match image size")
         for i, im in enumerate(rho.images):
-            if not is_automorphism(rho.algebra, LinearMap(rho.algebra, im.entries)):
+            if not is_automorphism(rho.algebra, im):
                 raise NotHomomorphism(f"image {i} is not a Lie algebra automorphism")
     object.__setattr__(rho, "verified", True)
     return rho

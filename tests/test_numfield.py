@@ -1025,3 +1025,18 @@ class TestConjugateIndex:
                 conjugate_modulus_interval(th, index, 1)
             with pytest.raises(BadParameters, match="out of range"):
                 compare_abs_to_one(th, index)
+
+    def test_conjugate_levels_without_root_paths(self):
+        # a datum that is not totally real used to raise a bare TypeError
+        # here, and a degree-1 datum a bare IndexError
+        complex_datum = verify_galois_datum(GaloisDatum(
+            min_poly=P([2, -1, 1]), automorphisms=(P.x(), P([1, -1])),
+            identity_index=0, table=((0, 1), (1, 0)), totally_real=False,
+            root_moduli=(Interval(F(7, 5), F(3, 2)),) * 2,
+        ))
+        rational = verify_galois_datum(GaloisDatum(P([-3, 1]), (P([3]),), 0, None,
+                                                   (Interval.point(3),)))
+        for datum in (complex_datum, rational):
+            for index in range(datum.degree):
+                with pytest.raises(BadParameters, match="totally real datum of degree > 1"):
+                    conjugate_levels(datum.generator(), index)

@@ -16,9 +16,10 @@ from anosovforms.errors import (
     SolutionMismatch,
 )
 from anosovforms.exactmath import Polynomial, RationalMatrix, nullspace
-from anosovforms.liealg import LieAlgebra, LinearMap, abelian, heisenberg, is_automorphism
+from anosovforms.liealg import LieAlgebra, abelian, heisenberg, is_automorphism
 from anosovforms.pfaffian import (
     BinaryQuadraticForm,
+    MultiPoly,
     PellSolution,
     SkewMap,
     adapted_split,
@@ -144,6 +145,122 @@ class TestPfaffian:
     def test_odd_dimension(self):
         with pytest.raises(OddDimension):
             pfaffian(SkewMap(((F(0),),)))
+
+
+def frozen_pfaffian(s):
+    """The signed sum over perfect matchings that pfaffian replaced."""
+    n = s.size
+    if n % 2 != 0:
+        raise OddDimension("Pfaffian needs an even-size skew matrix")
+    if n == 0:
+        return F(1)
+    acc = None
+    for pairs in _frozen_matchings(tuple(range(n))):
+        term = None
+        for (i, j) in pairs:
+            e = s.matrix[i][j]
+            term = e if term is None else term * e
+        if _frozen_matching_sign(pairs) < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _frozen_matchings(indices):
+    if not indices:
+        yield ()
+        return
+    first, rest = indices[0], indices[1:]
+    for idx, second in enumerate(rest):
+        remaining = rest[:idx] + rest[idx + 1:]
+        for sub in _frozen_matchings(remaining):
+            yield ((first, second),) + sub
+
+
+def _frozen_matching_sign(pairs):
+    """The sign of the permutation listing the pairs, by its cycle lengths."""
+    perm = [x for pair in pairs for x in pair]
+    sign = 1
+    seen = [False] * len(perm)
+    pos = {v: i for i, v in enumerate(sorted(perm))}
+    arr = [pos[v] for v in perm]
+    for start in range(len(arr)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = arr[i]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _pencil(a):
+    """sum_i Y_i J_(Z_i) as a SkewMap of MultiPolys, as pfaffian_form builds it."""
+    n1, k = adapted_split(a)
+    zero = MultiPoly(k)
+    rows = [[zero] * n1 for _ in range(n1)]
+    for (i, j, t, c) in a.brackets:
+        term = MultiPoly.variable(k, t - n1) * c
+        rows[i][j] = rows[i][j] + term
+        rows[j][i] = rows[j][i] - term
+    return SkewMap(tuple(tuple(r) for r in rows))
+
+
+def _random_two_step(rng, n1, k):
+    """A two-step algebra on an adapted basis with seeded brackets into
+    the k center vectors (each center vector hit at least once)."""
+    pairs = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
+    entries = [(i, j, n1 + t, F(rng.randint(-3, 3) or 1, rng.randint(1, 2)))
+               for t, (i, j) in enumerate(rng.sample(pairs, k))]
+    entries += [(i, j, n1 + rng.randrange(k), F(rng.randint(-3, 3), rng.randint(1, 3)))
+                for i, j in rng.sample(pairs, rng.randint(0, len(pairs)))]
+    return LieAlgebra(n1 + k, tuple(entries))
+
+
+class TestFrozenPfaffian:
+    def test_nk_and_hk_forms(self):
+        for a in [nk_algebra(k) for k in range(-4, 7)] + [hk_algebra(k) for k in (0, 2, 5)]:
+            n1, k = adapted_split(a)
+            pencil = _pencil(a)
+            assert repr(pfaffian(pencil)) == repr(frozen_pfaffian(pencil))
+            assert repr(pfaffian_form(a)) == repr(frozen_pfaffian(pencil))
+            rng = random.Random(a.dim * 100 + len(a.brackets))
+            for _ in range(5):
+                z = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+                jz = j_map(a, z)
+                assert repr(pfaffian(jz)) == repr(frozen_pfaffian(jz))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_seeded_skew_matrices(self, n):
+        rng = random.Random(3100 + n)
+        for _ in range(12 if n <= 6 else 4):
+            s = random_skew(rng, n)
+            got = _outcome(pfaffian, s)
+            assert got == _outcome(frozen_pfaffian, s)
+            assert (got is OddDimension) == (n % 2 == 1)
+        ints = SkewMap(tuple(tuple(int(j - i) for j in range(n)) for i in range(n)))
+        assert _outcome(pfaffian, ints) == _outcome(frozen_pfaffian, ints)
+
+    def test_multipoly_pencils(self):
+        rng = random.Random(3200)
+        cases = [recipe_count(5, 2).algebra, recipe_count(2, 3).algebra]
+        cases += [_random_two_step(rng, n1, k) for n1 in (2, 4, 6) for k in (1, 2, 3)
+                  for _ in range(2) if k <= n1 * (n1 - 1) // 2]
+        for a in cases:
+            pencil = _pencil(a)
+            assert repr(pfaffian(pencil)) == repr(frozen_pfaffian(pencil))
+
+
+def _outcome(fn, *args):
+    """repr of a value, the error type of a reject."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:  # noqa: BLE001 - the type is the verdict
+        return type(e)
 
 
 class TestPfaffianForm:
@@ -455,7 +572,7 @@ def frozen_extend_degree_one(a, alpha):
         for j in range(k):
             rows[n1 + i][n1 + j] = center_cols[i][j]
     out = RationalMatrix(rows)
-    if not is_automorphism(a, LinearMap(a, out.entries)):
+    if not is_automorphism(a, out):
         raise DoesNotPreserveW("extension is not an automorphism")
     return out
 
