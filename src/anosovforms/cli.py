@@ -46,7 +46,7 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: bad JSON or UTF-8
         print(f"cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(2)
 

@@ -11,7 +11,9 @@ The kernels follow _fieldlinalg's common-denominator rule: the structure
 constants are kept once more as ints scaled by their lcm C
 (integer_bracket_map), and check_jacobi, preserves_brackets and
 lower_central_series run the one bracket kernel on ints, where every
-identity they test scales by a nonzero constant on both sides.  An
+identity they test scales by a nonzero constant on both sides.
+preserves_brackets forms each column's ad-images once and combines them
+by bilinearity; the series reads gamma_2 off the bracket map's rows.  An
 algebra keeps its series and its Jacobi verdict (require_jacobi).
 is_automorphism reads invertibility off a matrix's kept charpoly.
 """
@@ -44,8 +46,8 @@ class LieAlgebra:
         for (i, j, k, c) in self.brackets:
             if not (0 <= i < j < self.dim and 0 <= k < self.dim):
                 raise ValueError(f"bad bracket indices ({i},{j},{k})")
-            row = norm.setdefault((i, j), {})
-            row[k] = row.get(k, Fraction(0)) + rat(c)
+            row, c = norm.setdefault((i, j), {}), rat(c)
+            row[k] = row[k] + c if k in row else c
         flat = []
         for (i, j) in sorted(norm):
             for k in sorted(norm[(i, j)]):
@@ -168,27 +170,28 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
     """Canonical bases of gamma_1 > gamma_2 > ..., the type tuple, and the
     nilpotency class.  Raises NotNilpotent when the series stabilizes at a
     nonzero subspace.  Recomputed on every call: library code reads the
-    cached LieAlgebra.central_series() instead."""
+    cached LieAlgebra.central_series() instead.  gamma_2 = [g, g] is
+    spanned by the [b_i, b_j], i < j: the rows of the integer bracket map."""
     n = a.dim
     series = [[tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]]
     # integer constants on primitive integer rows: each generator is a
     # nonzero multiple of the rational one, so every span is the same
     bmap = a.integer_bracket_map()[0]
+    gens = [[row.get(k, 0) for k in range(n)] for row in bmap.values()]
     while True:
-        prev = [_support(fl.primitive(v)) for v in series[-1]]
+        nxt = fl.span_rref(gens) if gens else []
+        if len(nxt) == len(series[-1]):
+            raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
+        if not nxt:
+            break
+        series.append(nxt)
+        prev = [_support(fl.primitive(v)) for v in nxt]
         gens = []
         for i in range(n):
             for v in prev:
                 out = _bracket(bmap, {i: 1}, v)
                 if out:
                     gens.append([out.get(k, 0) for k in range(n)])
-        nxt = fl.span_rref(gens) if gens else []
-        if len(nxt) == len(prev):
-            raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
-        series.append(nxt)
-        if not nxt:
-            series.pop()
-            break
     dims = [len(b) for b in series]
     dims.append(0)
     type_tuple = tuple(dims[i] - dims[i + 1] for i in range(len(series)))
@@ -219,12 +222,24 @@ def preserves_brackets(a: LieAlgebra, cols: Sequence[Mapping], d: int) -> bool:
     """f[b_i, b_j] = [f b_i, f b_j] on all basis pairs, for f = F / d given
     by the nonzero entries of F's integer columns; invertibility is not
     checked.  [F b_i, F b_j] and d sum_k C c F b_k, constants times C, are
-    both d^2 C times the rational sides."""
+    both d^2 C times the rational sides.
+
+    The pairs run column by column: by bilinearity [F b_i, F b_j] =
+    sum_p F_pi a_p with a_p = [b_p, F b_j], and each a_p is formed once
+    per column j, when some F b_i with i < j first needs it.  On dense
+    columns that is O(n^4) work, not the O(n^5) of one bracket per pair."""
     bmap = a.integer_bracket_map()[0]
     image = {key: {k: d * c for k, c in row.items()} for key, row in bmap.items()}
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            diff = _bracket(bmap, cols[i], cols[j])
+    for j in range(1, a.dim):
+        ad: dict[int, dict] = {}
+        for i in range(j):
+            diff: dict = {}
+            for p, x in cols[i].items():
+                if p not in ad:
+                    ad[p] = _bracket(bmap, {p: 1}, cols[j])
+                for m, y in ad[p].items():
+                    v = x * y
+                    diff[m] = diff[m] + v if m in diff else v
             for k, c in image.get((i, j), {}).items():
                 for m, x in cols[k].items():
                     v = c * x

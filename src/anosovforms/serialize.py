@@ -166,8 +166,11 @@ def algebra_from_json(data) -> LieAlgebra:
     brackets = tuple(
         (_int(i), _int(j), _int(k), _rat(c)) for (i, j, k, c) in data["brackets"]
     )
-    labels = tuple(data["labels"]) if "labels" in data else None
-    return LieAlgebra(_int(data["dim"]), brackets, labels)
+    dim, labels = _int(data["dim"]), data.get("labels")
+    if "labels" in data and not (isinstance(labels, list) and len(labels) == dim
+                                 and all(isinstance(x, str) for x in labels)):
+        raise MalformedInput(f"labels must be a list of {dim} strings")
+    return LieAlgebra(dim, brackets, tuple(labels) if "labels" in data else None)
 
 
 def map_to_json(m: RationalMatrix) -> dict:

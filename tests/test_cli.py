@@ -131,6 +131,20 @@ class TestCertify:
                        check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)),
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_json_exit2(self, workdir, content):
+        bad = workdir / "unreadable.json"
+        bad.write_bytes(content)
+        proc = run_cli("certify", "--algebra", str(bad), "--map", str(bad),
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"cannot read {bad}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("lam", ["abc", "1/0", "1,2,3"])
     def test_malformed_lambda_exit2(self, lam):
         proc = run_cli("construct", "--recipe", "laur", "--lambda", lam,

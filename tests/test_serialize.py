@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from anosovforms.errors import FieldMismatch
+from anosovforms.errors import FieldMismatch, MalformedInput
 from anosovforms.liealg import heisenberg
 from anosovforms.recipes import recipe_z4_example
 from anosovforms.serialize import (
@@ -48,6 +48,22 @@ def test_algebra_round_trip():
     back = algebra_from_json(data)
     assert back.brackets == out.algebra.brackets
     assert back.dim == out.algebra.dim
+
+
+def test_algebra_labels_round_trip():
+    data = algebra_to_json(heisenberg()) | {"labels": ["x", "y", "z"]}
+    back = algebra_from_json(json.loads(canonical_dumps(data)))
+    assert back.basis_labels == ("x", "y", "z")
+    assert algebra_to_json(back) == data
+
+
+@pytest.mark.parametrize("labels", ["abc", ["x", "y"], ["x", "y", "z", "w"], ["x", "y", 3],
+                                    None, {"0": "x"}],
+                         ids=["string", "short", "long", "non-string", "null", "object"])
+def test_algebra_labels_must_be_dim_strings(labels):
+    data = algebra_to_json(heisenberg()) | {"labels": labels}
+    with pytest.raises(MalformedInput, match="labels"):
+        algebra_from_json(data)
 
 
 @pytest.mark.parametrize("field", ["sqrt2", "q", 3])
