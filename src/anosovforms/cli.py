@@ -20,7 +20,7 @@ from .catalog import csig_fixture, cyclic_cubic_datum, cubic_pisot_unit, sqrt2_d
 from .errors import AnosovError, DimensionBudgetExceeded, MalformedInput
 from .exactmath import rat, rat_to_str
 from .liealg import Grading, heisenberg
-from .numfield import conjugate_modulus_interval, minimal_polynomial, verify_galois_datum
+from .numfield import conjugate_modulus_interval, minimal_polynomial
 from .pfaffian import (
     binary_form_of,
     classify_type42,
@@ -220,8 +220,7 @@ def cmd_pell(args) -> int:
 
 
 def cmd_verify_field(args) -> int:
-    datum = ser.datum_from_json(_read_json(args.field), verify=False)
-    datum = verify_galois_datum(datum)
+    datum = ser.datum_from_json(_read_json(args.field))
     return _emit({
         "verified": True,
         "degree": datum.degree,

@@ -193,6 +193,10 @@ class PellBudgetExceeded(AnosovError):
     """The continued fraction ran past its step budget unsolved."""
 
 
+class SquarefreeBudgetExceeded(AnosovError):
+    """Trial division for a squarefree part ran past its divisor budget."""
+
+
 class SolutionMismatch(AnosovError):
     pass
 

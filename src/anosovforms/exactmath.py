@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from . import _fieldlinalg as fl
@@ -30,6 +30,7 @@ from .errors import (
     NonSquare,
     OddWindingIndex,
     RootOnCircle,
+    SquarefreeBudgetExceeded,
     ZeroPolynomial,
 )
 
@@ -61,6 +62,32 @@ def binary_power(x, e: int, one):
 def rat_to_str(x: Fraction) -> str:
     """Serialize as 'p/q', or 'p' when the denominator is one."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+# trial divisors of one squarefree_part_of_rational, enough for r < 10^18
+SQUAREFREE_DIVISOR_BUDGET = 10 ** 6
+
+
+def squarefree_part_of_rational(x) -> int:
+    """The unique squarefree integer s with x / s a nonzero rational square
+    (sign preserved).  Trial division of r = |numerator * denominator|
+    stops once d^3 > r: with every prime below d divided out, r has at
+    most two prime factors and is squarefree unless it is a square.
+    SquarefreeBudgetExceeded past SQUAREFREE_DIVISOR_BUDGET divisors."""
+    x = rat(x)
+    if x == 0:
+        raise ValueError("zero has no squarefree part")
+    r, s, d = abs(x.numerator * x.denominator), 1, 2
+    while d * d * d <= r:
+        if d > SQUAREFREE_DIVISOR_BUDGET:
+            raise SquarefreeBudgetExceeded(
+                f"trial division past the budget of {SQUAREFREE_DIVISOR_BUDGET} divisors")
+        e = 0
+        while r % d == 0:
+            r, e = r // d, e + 1
+        s, d = s * d ** (e % 2), d + 1
+    s *= 1 if isqrt(r) ** 2 == r else r
+    return s if x > 0 else -s
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ transported matrix is where the Anosov certificates downstream come from.
 Every elimination and product of the descent runs over Q, on the m*d
 power-basis coordinates of vectors in E^m (coordinate t of component k
 at k*d + t), cleared to ints: the defining relation is a system on them,
-the form basis is the md x m matrix P whose column j flattens vector j,
-and structure constants and transported maps are read off one solve of
-P X = W, W the brackets (restriction of scalars of L (x) E) or F B.  The
-transport solve is consistent exactly when the map commutes with the
-action, so it is also the commutation check.
+and a form basis is kept only as P / D, P the md x m integer matrix whose
+column j flattens vector j; its vectors in E^m are derived on read.
+Structure constants and transported maps are read off one solve of
+P X = W, W the brackets (restriction of scalars of L (x) E) or F B, F's
+blocks the kept multiplication rows of its entries.  The transport solve
+is consistent exactly when the map commutes with the action, so it is
+also the commutation check.
 """
 
 from __future__ import annotations
@@ -188,39 +190,35 @@ def verify_representation(rho: Representation) -> Representation:
 
 @dataclass(frozen=True)
 class RationalFormBasis:
-    """m vectors in E^m spanning the rational form of the representation;
-    each satisfies rho_sigma(v) = v^sigma for every group element."""
+    """The rational form of the representation as P / D: P the md x m
+    integer matrix whose column j holds the power-basis coordinates of
+    basis vector j, as a tuple of rows, and D their least common
+    denominator.  Each vector satisfies rho_sigma(v) = v^sigma for every
+    group element."""
 
     representation: Representation
-    vectors: tuple[EVector, ...]
+    flat: tuple[tuple[int, ...], ...]
+    den: int
     # set by rational_form(_from_vectors) only; transport refuses other bases
     verified: bool = field(default=False, init=False, compare=False)
 
     @property
     def size(self) -> int:
-        return len(self.vectors)
+        return len(self.flat[0])
 
-    def basis_matrix(self) -> list[list[FieldElement]]:
-        """Columns are the basis vectors."""
-        m = self.size
-        return [[self.vectors[j][i] for j in range(m)] for i in range(m)]
-
-    def flat_matrix(self) -> tuple[list[tuple[int, ...]], int]:
-        """(P, D), P / D md x m over Q: column j holds the power-basis
-        coordinates of vector j (cleared once per basis)."""
-        if not hasattr(self, "_flat"):
-            _set_flat(self, [_flatten(v) for v in self.vectors])
-        return self._flat
+    @property
+    def vectors(self) -> tuple[EVector, ...]:
+        """The basis vectors in E^m, derived from P / D on each read."""
+        datum, den = self.representation.datum, self.den
+        d = datum.degree
+        return tuple(tuple(datum.element([Fraction(x, den) for x in col[k * d:(k + 1) * d]])
+                           for k in range(self.size)) for col in zip(*self.flat))
 
 
-def _set_flat(basis: RationalFormBasis, flat_vectors: list[list[Fraction]]) -> None:
-    ints, den = fl.clear_denominators(flat_vectors)
-    object.__setattr__(basis, "_flat", (list(zip(*ints)), den))
-
-
-def _flatten(v: Sequence[FieldElement]) -> list[Fraction]:
-    """The m*d power-basis coordinates of a vector in E^m."""
-    return [c for x in v for c in x.coeffs]
+def _cleared_basis(rho: Representation, flat: Sequence[Sequence]) -> RationalFormBasis:
+    """The basis whose vector j has the rational flat coordinates flat[j]."""
+    ints, den = fl.clear_denominators(flat)
+    return RationalFormBasis(rho, tuple(zip(*ints)), den)
 
 
 def _relation_rows(rho: Representation) -> list[list[int]]:
@@ -260,14 +258,11 @@ def rational_form(rho: Representation) -> RationalFormBasis:
     """
     if not rho.verified:
         raise NotHomomorphism("rational_form requires a verified representation")
-    datum = rho.datum
-    m, d = rho.size, datum.degree
     basis_flat = nullspace(_relation_rows(rho))
-    if len(basis_flat) != m:
-        raise DimensionMismatch(f"fixed space has dimension {len(basis_flat)}, expected {m}")
-    basis = RationalFormBasis(rho, tuple(
-        tuple(datum.element(flat[j * d:(j + 1) * d]) for j in range(m)) for flat in basis_flat))
-    _set_flat(basis, basis_flat)
+    if len(basis_flat) != rho.size:
+        raise DimensionMismatch(
+            f"fixed space has dimension {len(basis_flat)}, expected {rho.size}")
+    basis = _cleared_basis(rho, basis_flat)
     object.__setattr__(basis, "verified", True)
     return basis
 
@@ -289,20 +284,17 @@ def rational_form_from_vectors(rho: Representation,
     """
     if not rho.verified:
         raise NotHomomorphism("requires a verified representation")
-    datum = rho.datum
     m = rho.size
     if len(vectors) != m or any(len(v) != m for v in vectors):
         raise DimensionMismatch("need m vectors of length m")
-    vecs = tuple(tuple(v) for v in vectors)
-    fp = datum.fingerprint()
+    fp = rho.datum.fingerprint()
     if any(not isinstance(x, FieldElement) or x.datum.fingerprint() != fp
-           for v in vecs for x in v):
+           for v in vectors for x in v):
         raise DatumMismatch("vector component from a different field")
-    basis = RationalFormBasis(rho, vecs)
-    flat = basis.flat_matrix()[0]
-    if any(any(row) for row in fl.mat_mul(_relation_rows(rho), flat)):
+    basis = _cleared_basis(rho, [[c for x in v for c in x.coeffs] for v in vectors])
+    if any(any(row) for row in fl.mat_mul(_relation_rows(rho), basis.flat)):
         raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
-    if fl.rank(flat) != m:
+    if fl.rank(basis.flat) != m:
         raise DimensionMismatch("vectors are not linearly independent over E")
     object.__setattr__(basis, "verified", True)
     return basis
@@ -344,19 +336,18 @@ def structure_constants_on_form(basis: RationalFormBasis,
     m = basis.size
     if alg.dim != m:
         raise DimensionMismatch("algebra dimension must match the form")
-    flat, den = basis.flat_matrix()
     bmap, scale = restricted_bracket_map(alg, rho.datum)
-    cols = [_support(col) for col in zip(*flat)]
+    cols = [_support(col) for col in zip(*basis.flat)]
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     brackets = (_bracket(bmap, cols[i], cols[j]) for i, j in pairs)
-    rhs = [[w.get(r, 0) for r in range(len(flat))] for w in brackets]
+    rhs = [[w.get(r, 0) for r in range(len(basis.flat))] for w in brackets]
     try:
-        coords = fl.solve(flat, rhs) if pairs else []
+        coords = fl.solve(basis.flat, rhs) if pairs else []
     except fl.Inconsistent as e:
         i, j = pairs[e.column]
         raise IrrationalStructureConstant(
             f"bracket [{i},{j}] has an irrational coordinate") from None
-    entries = [(i, j, k, coords[k][col] / (scale * den))
+    entries = [(i, j, k, coords[k][col] / (scale * basis.den))
                for col, (i, j) in enumerate(pairs) for k in range(m) if coords[k][col]]
     require_jacobi(alg)
     return LieAlgebra(m, tuple(entries))
@@ -368,12 +359,14 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
 
     B must come from rational_form or rational_form_from_vectors
     (BadParameters otherwise), so it spans the fixed space V over Q and E^m
-    over E.  One solve of P M = M_F P / D_F on ints, M_F's (i, k) block the
-    multiplication matrix of D_F f_ik, is consistent exactly when f(V) lies
-    in V, which is the commutation relation f^sigma = rho_sigma f
-    rho_sigma^-1 for every sigma: if it holds, (f v)^sigma = f^sigma
-    v^sigma = rho_sigma f v for fixed v; conversely, if each f b is fixed,
-    rho_sigma f b = (f b)^sigma = f^sigma rho_sigma b on the E-basis B.
+    over E.  One solve of P M = M_F P / D_F on ints is consistent exactly
+    when f(V) lies in V; M_F's (i, k) block is the multiplication matrix of
+    D_F x for x = f_ik, (D_F / D_x) M_x on x's kept rows (M_x, D_x), D_F
+    the lcm of the D_x.  f(V) in V is the commutation relation f^sigma =
+    rho_sigma f rho_sigma^-1 for every sigma: if it holds, (f v)^sigma =
+    f^sigma v^sigma = rho_sigma f v for fixed v; conversely, if each f b is
+    fixed, rho_sigma f b = (f b)^sigma = f^sigma rho_sigma b on the
+    E-basis B.
     The first inconsistent column raises CommutationViolation.
     """
     rho = basis.representation
@@ -389,14 +382,14 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
         raise DatumMismatch("map entry from a different field")
     nz = {(i, k): x if isinstance(x, FieldElement) else datum.element((x,))
           for i, row in enumerate(f) for k, x in enumerate(row) if x}
-    vecs, df = fl.clear_denominators([x.coeffs for x in nz.values()])
-    flat, _den = basis.flat_matrix()
+    kept = {key: x._scaled_multiplication_rows() for key, x in nz.items()}
+    df = lcm(1, *(dx for _rows, dx in kept.values()))
     mf = [[0] * (m * d) for _ in range(m * d)]
-    for (i, k), v in zip(nz, vecs):
-        for u, row in enumerate(datum.element(v)._scaled_multiplication_rows()[0]):
-            mf[i * d + u][k * d:(k + 1) * d] = row
+    for (i, k), (rows, dx) in kept.items():
+        for u, row in enumerate(rows):
+            mf[i * d + u][k * d:(k + 1) * d] = [df // dx * y for y in row]
     try:
-        sol = fl.solve(flat, list(zip(*fl.mat_mul(mf, flat))))
+        sol = fl.solve(basis.flat, list(zip(*fl.mat_mul(mf, basis.flat))))
     except fl.Inconsistent as e:
         raise CommutationViolation(
             f"f^sigma != rho f rho^-1: f moves basis vector {e.column} "
@@ -491,7 +484,8 @@ def extend_representation(la: LabeledAlgebra,
     alg = la.algebra
     dim = la.dim
     gen_set = set(la.generators)
-    bmap = alg.bracket_map()
+    # constants times C: [x, y] and c both scale by C, so x / c does not
+    bmap = alg.integer_bracket_map()[0]
     single_target = [(i, j, k, c) for (i, j), row in bmap.items() if len(row) == 1
                      for k, c in row.items()]
 

@@ -7,14 +7,15 @@ echelon bases so equality of subspaces is bit-exact list comparison.
 bracket also takes vectors over a number field, but the brackets of a
 rational form's vectors run on ints (galoisform.restricted_bracket_map).
 
-The kernels follow _fieldlinalg's common-denominator rule: the structure
-constants are kept once more as ints scaled by their lcm C
-(integer_bracket_map), and check_jacobi, preserves_brackets and
-lower_central_series run the one bracket kernel on ints, where every
-identity they test scales by a nonzero constant on both sides.
-preserves_brackets forms each column's ad-images once and combines them
-by bilinearity; the series reads gamma_2 off the bracket map's rows.  An
-algebra keeps its series and its Jacobi verdict (require_jacobi).
+The kernels follow _fieldlinalg's common-denominator rule: an algebra
+keeps one bracket map, its structure constants as ints scaled by their
+lcm C (integer_bracket_map).  check_jacobi, preserves_brackets and
+lower_central_series run the one bracket kernel on it, where every
+identity they test scales by a nonzero constant on both sides; bracket
+divides C [x, y] by C.  preserves_brackets forms each column's ad-images
+once and combines them by bilinearity; the series reads gamma_2 off the
+bracket map's rows.  An algebra keeps its series and its Jacobi verdict
+(require_jacobi).
 is_automorphism reads invertibility off a matrix's kept charpoly.
 """
 
@@ -58,15 +59,6 @@ class LieAlgebra:
 
     # -- access
 
-    def bracket_map(self) -> Mapping[tuple[int, int], dict[int, object]]:
-        cached = getattr(self, "_bmap", None)
-        if cached is None:
-            cached = {}
-            for (i, j, k, c) in self.brackets:
-                cached.setdefault((i, j), {})[k] = c
-            object.__setattr__(self, "_bmap", cached)
-        return cached
-
     def integer_bracket_map(self) -> tuple[Mapping[tuple[int, int], dict[int, int]], int]:
         """(The bracket map with every constant times C, C), C the lcm of
         the constants' denominators; computed once per algebra."""
@@ -92,9 +84,10 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> list:
         """Bilinear extension of the structure constants to vectors over Q
-        or a number field; other slots keep the vectors' zero."""
-        out = _bracket(self.bracket_map(), _support(x), _support(y))
-        return [out[k] if k in out else x[k] - x[k] for k in range(self.dim)]
+        or a number field, C [x, y] / C; other slots keep the vectors' zero."""
+        bmap, c = self.integer_bracket_map()
+        out, scale = _bracket(bmap, _support(x), _support(y)), Fraction(c)
+        return [out[k] / scale if k in out else x[k] - x[k] for k in range(self.dim)]
 
 
 def _support(v: Sequence) -> dict:

@@ -43,7 +43,14 @@ from .errors import (
     TableNotAGroup,
     WrongAutomorphismCount,
 )
-from .exactmath import Interval, Polynomial, binary_power, interval_horner, rat
+from .exactmath import (
+    Interval,
+    Polynomial,
+    binary_power,
+    interval_horner,
+    rat,
+    squarefree_part_of_rational,
+)
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 DEFAULT_REFINE_STEPS = 4096
@@ -626,17 +633,6 @@ def _compute_root_map(datum: GaloisDatum) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _is_squarefree_int(n: int) -> bool:
-    if n <= 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 def biquadratic_datum(k: int, l: int) -> GaloisDatum:
     """The verified degree-4 datum for Q(sqrt(k), sqrt(l)).
 
@@ -644,7 +640,7 @@ def biquadratic_datum(k: int, l: int) -> GaloisDatum:
     X^4 - 2(k+l)X^2 + (k-l)^2; the four automorphisms flip the signs of the
     two square roots, giving the Klein four-group.
     """
-    if not (_is_squarefree_int(k) and _is_squarefree_int(l)) or k <= 1 or l <= 1 or k == l:
+    if k <= 1 or l <= 1 or k == l or any(squarefree_part_of_rational(n) != n for n in (k, l)):
         raise BadParameters("need distinct squarefree integers k, l > 1")
     p = Polynomial(((k - l) ** 2, 0, -2 * (k + l), 0, 1))
     den = Fraction(2 * (k - l))

@@ -28,7 +28,14 @@ from .errors import (
     PellBudgetExceeded,
     SolutionMismatch,
 )
-from .exactmath import Polynomial, RationalMatrix, nullspace, rat, rat_to_str
+from .exactmath import (
+    Polynomial,
+    RationalMatrix,
+    nullspace,
+    rat,
+    rat_to_str,
+    squarefree_part_of_rational,
+)
 from .liealg import LieAlgebra, is_automorphism
 
 
@@ -327,26 +334,6 @@ def binary_form_of(a: LieAlgebra) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(
         h.coefficient((2, 0)), h.coefficient((1, 1)), h.coefficient((0, 2))
     )
-
-
-def squarefree_part_of_rational(x: Fraction) -> int:
-    """The unique squarefree integer s with x / s a nonzero rational square
-    (sign preserved)."""
-    x = rat(x)
-    if x == 0:
-        raise ValueError("zero has no squarefree part")
-    n = abs(x.numerator * x.denominator)
-    s = 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-        if n % d == 0:
-            s *= d
-            n //= d
-        d += 1
-    s *= n
-    return s if x > 0 else -s
 
 
 def classify_type42(a: LieAlgebra) -> tuple[int, bool]:

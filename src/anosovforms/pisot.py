@@ -148,7 +148,8 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     in the box closure.  Results are sorted by trace then coordinates, so
     identical calls return identical lists.  SearchBudgetExceeded: the box
     holds more than candidate_budget points, or the product round would
-    form more than that many pairs.
+    form more than that many pairs, known as soon as the distinct powers
+    formed so far do.
     """
     if not datum.verified:
         raise BadParameters("search_units requires a verified datum")
@@ -172,23 +173,21 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     seen = {u._cleared(): u for u in units}
     for u in units:
         acc = u
+        # a torsion unit's powers repeat once they reach 1; seen only grows,
+        # so a product round over the budget shows as soon as seen does
         for _ in range(2, power_bound + 1):
+            if acc == 1 or len(seen) * (len(seen) - 1) // 2 > budget:
+                break
             acc = u * acc
             seen.setdefault(acc._cleared(), acc)
-    current = list(seen.values())
-    pairs = len(current) * (len(current) - 1) // 2
+    pairs = len(seen) * (len(seen) - 1) // 2
     if pairs > budget:
         raise SearchBudgetExceeded(f"{pairs} pairs in a product round over the budget {budget}")
-    for a, b in combinations_with_replacement(current, 2):
+    for a, b in combinations_with_replacement(list(seen.values()), 2):
         ab = a * b
         seen.setdefault(ab._cleared(), ab)
-    one = datum.one()
-    out = []
-    for u in seen.values():
-        if u == one or u == -one:
-            continue
-        if all(c.holds_for(u) for c in constraints):
-            out.append(u)
+    out = [u for u in seen.values()
+           if not (u == 1 or u == -1) and all(c.holds_for(u) for c in constraints)]
     out.sort(key=lambda u: (u.trace(), u.coeffs))
     return out
 

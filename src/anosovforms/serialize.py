@@ -118,7 +118,7 @@ def datum_to_json(d: GaloisDatum) -> dict:
 
 
 @_reader
-def datum_from_json(data, verify: bool = True) -> GaloisDatum:
+def datum_from_json(data) -> GaloisDatum:
     totally_real = _bool(data.get("totally_real", True))
     datum = GaloisDatum(
         min_poly=poly_from_json(data["min_poly"]),
@@ -133,7 +133,7 @@ def datum_from_json(data, verify: bool = True) -> GaloisDatum:
         assume_irreducible=_bool(data.get("assume_irreducible", False)),
         distinguished_index=_int(data.get("distinguished", 0)),
     )
-    return verify_galois_datum(datum) if verify else datum
+    return verify_galois_datum(datum)
 
 
 def element_to_json(x: FieldElement) -> list[str]:

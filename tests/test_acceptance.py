@@ -142,7 +142,7 @@ def _block_sum(r1, r2):
 
 
 def test_criterion_3_prop_gc(sqrt2, biquad52, quartic):
-    from test_galoisform import _satisfies_defining_relation
+    from test_galoisform import _basis_matrix, _satisfies_defining_relation
     # the frozen dense determinant over the field: the E-path oracle
     from test_fieldlinalg import _dense_det
 
@@ -167,7 +167,7 @@ def test_criterion_3_prop_gc(sqrt2, biquad52, quartic):
         assert basis.size == m
         for v in basis.vectors:
             assert _satisfies_defining_relation(rep, v)
-        assert not _dense_det(basis.basis_matrix()) == 0
+        assert not _dense_det(_basis_matrix(basis)) == 0
         checked += 1
     report(3, f"{checked} random rational representations all Galois compatible")
 

@@ -524,3 +524,33 @@ class TestFuzz:
             assert isinstance(obj, dict) and set(obj) == {"error", "detail"}, case
         else:
             assert err.startswith("usage: ") or err.count("\n") == 1, case
+
+
+class TestInputsThatRanWithoutABound:
+    """Each of these ran for minutes, or without end; under the timeout
+    each finishes with its result or its named budget error."""
+
+    def test_classify42_with_a_large_parameter(self, workdir):
+        alg = workdir / "nk_large.json"
+        alg.write_text(canonical_dumps(algebra_to_json(nk_algebra(10 ** 16 + 61))))
+        proc = subprocess.run([sys.executable, "-m", "anosovforms", "classify42",
+                               "--algebra", str(alg)], capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"anosov_compatible": True, "k": 10 ** 16 + 61}
+
+    def test_count_with_a_large_squarefree_parameter(self):
+        proc = subprocess.run([sys.executable, "-m", "anosovforms", "construct", "--recipe",
+                               "count", "--k", "10000000000000061", "--l", "2"],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "IrreducibilityBudgetExceeded"
+
+    @pytest.mark.parametrize("powers", ["100000", "1000000000"])
+    def test_pisot_with_many_powers(self, workdir, powers):
+        field = workdir / "sqrt2.json"
+        field.write_text(canonical_dumps(datum_to_json(sqrt2_datum())))
+        proc = subprocess.run([sys.executable, "-m", "anosovforms", "pisot", "--field",
+                               str(field), "--height", "1", "--powers", powers],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "SearchBudgetExceeded"

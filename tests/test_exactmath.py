@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from anosovforms import _fieldlinalg as fl
 from anosovforms import recipes
 from anosovforms.catalog import cubic_pisot_unit, cyclic_cubic_datum
-from anosovforms.errors import EndpointIsRoot, NonSquare, RootOnCircle, ZeroPolynomial
+from anosovforms.errors import (
+    EndpointIsRoot,
+    NonSquare,
+    RootOnCircle,
+    SquarefreeBudgetExceeded,
+    ZeroPolynomial,
+)
 from anosovforms.exactmath import (
     Interval,
     Polynomial,
@@ -22,6 +29,7 @@ from anosovforms.exactmath import (
     poly_gcd,
     rat,
     rat_to_str,
+    squarefree_part_of_rational,
     sturm_count,
     _chain_index,
     _remainder_chain,
@@ -842,3 +850,101 @@ def test_boundary_chain_fixed_cases():
     assert count_roots_inside_unit_disk(P([0, 3, -1])) == 1
     assert count_roots_on_unit_circle(P([F(-2, 3)])) == 0
     assert count_roots_inside_unit_disk(P([F(-2, 3)])) == 0
+
+
+# ---------------------------------------------------------------------------
+# the squarefree part against the two trial-division routines it replaced
+# ---------------------------------------------------------------------------
+
+
+def frozen_squarefree_part_of_rational(x):
+    """pfaffian's routine: trial division while d^2 <= n, no budget."""
+    x = rat(x)
+    if x == 0:
+        raise ValueError("zero has no squarefree part")
+    n = abs(x.numerator * x.denominator)
+    s = 1
+    d = 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+        if n % d == 0:
+            s *= d
+            n //= d
+        d += 1
+    s *= n
+    return s if x > 0 else -s
+
+
+def frozen_is_squarefree_int(n):
+    """numfield's test: no d^2 with d^2 <= n divides n, no budget."""
+    if n <= 0:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        d += 1
+    return True
+
+
+def _primes(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
+class TestSquarefreePart:
+    def test_matches_the_frozen_routines_up_to_20000(self):
+        for n in range(1, 20_001):
+            s = squarefree_part_of_rational(n)
+            assert s == frozen_squarefree_part_of_rational(n), n
+            assert squarefree_part_of_rational(-n) == -s
+            assert (s == n) == frozen_is_squarefree_int(n), n
+
+    def test_matches_the_frozen_routine_on_seeded_integers_and_fractions(self):
+        # the frozen routine runs to sqrt(n), so these stay below 10^9;
+        # the cofactors past the cube root are covered below
+        rng = random.Random(2301)
+        for _ in range(1_000):
+            n = rng.randrange(1, 10 ** 9)
+            assert squarefree_part_of_rational(n) == frozen_squarefree_part_of_rational(n), n
+            x = F(rng.randrange(-10 ** 4, 10 ** 4) or 1, rng.randrange(1, 10 ** 4))
+            assert squarefree_part_of_rational(x) == frozen_squarefree_part_of_rational(x), x
+
+    def test_cofactors_past_the_cube_root(self):
+        # s q^2 with s squarefree has squarefree part s; large primes put
+        # p, p q or p^2 past the cube root where trial division stops
+        primes = _primes(2 * 10 ** 5)
+        large = [p for p in primes if p > 10 ** 4]
+        rng = random.Random(2302)
+        checked = 0
+        while checked < 600:
+            s = math.prod(set(rng.sample(primes[:40], rng.randint(0, 3))
+                              + rng.sample(large, rng.randint(0, 2))))
+            q = rng.choice([1, rng.choice(primes), rng.choice(large), rng.randint(1, 10 ** 5)])
+            if s * q * q >= 10 ** 13:
+                continue
+            sign = rng.choice((1, -1))
+            assert squarefree_part_of_rational(sign * s * q * q) == sign * s, (s, q)
+            assert squarefree_part_of_rational(F(sign * s, q * q)) == sign * s, (s, q)
+            checked += 1
+        for p in large[-5:]:
+            assert squarefree_part_of_rational(p ** 3) == p
+            assert squarefree_part_of_rational(2 * p ** 2) == 2
+            assert squarefree_part_of_rational(3 * p * large[0]) == 3 * p * large[0]
+
+    def test_large_inputs_finish_or_raise_the_budget_error(self):
+        # 10^16 + 61 is squarefree (classify42 on N_k prints it); n < 10^18
+        # stays inside the budget
+        k = 10 ** 16 + 61
+        assert squarefree_part_of_rational(4 * k) == k
+        assert squarefree_part_of_rational(F(-k, 9)) == -k
+        # three primes past 10^6: d^3 <= r holds beyond the budget
+        with pytest.raises(SquarefreeBudgetExceeded):
+            squarefree_part_of_rational(1_000_003 * 1_000_000_007 * 1_000_000_009)
+        with pytest.raises(ValueError):
+            squarefree_part_of_rational(0)

@@ -1,5 +1,12 @@
-"""transport, verify_representation and is_automorphism against the code
-they replaced.
+"""rational_form, transport, verify_representation and is_automorphism
+against the code they replaced.
+
+rational_form stored its basis as E-vectors, built from the nullspace
+rows as field elements, and cleared P / D from them; a basis is now P / D
+alone, and its vectors are derived on read.  transport cleared the map's
+nonzero entries to a common D_F and rebuilt a field element from each
+cleared vector for its multiplication rows; it now scales each entry's
+kept rows (M_x, D_x) by D_F / D_x.
 
 transport used to certify f^sigma = rho_sigma f rho_sigma^-1 by an
 integer loop over every group element before its solve; on a basis from
@@ -16,7 +23,7 @@ repr, or the same error type.
 import importlib.util
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from functools import partial
 from pathlib import Path
@@ -26,7 +33,7 @@ import pytest
 from anosovforms import _fieldlinalg as fl
 from anosovforms import exactmath, galoisform, recipes, serialize
 from anosovforms.anosov import certify
-from anosovforms.catalog import cubic_pisot_unit, cyclic_cubic_datum
+from anosovforms.catalog import cubic_pisot_unit, cyclic_cubic_datum, sqrt2_datum
 from anosovforms.errors import (
     BadParameters,
     CommutationViolation,
@@ -34,7 +41,7 @@ from anosovforms.errors import (
     DimensionMismatch,
     NotHomomorphism,
 )
-from anosovforms.exactmath import RationalMatrix
+from anosovforms.exactmath import RationalMatrix, nullspace
 from anosovforms.galoisform import (
     RationalFormBasis,
     Representation,
@@ -45,12 +52,14 @@ from anosovforms.galoisform import (
     transport,
     verify_representation,
 )
-from anosovforms.liealg import _support, is_automorphism, preserves_brackets
+from anosovforms.liealg import Grading, _support, heisenberg, is_automorphism, preserves_brackets
 from anosovforms.numfield import FieldElement, _require_verified, automorphism_matrix
 from anosovforms.pfaffian import dual_automorphism, scheuneman_dual
 from test_acceptance import _z4_labeled
 from test_galoisform import (
     IrrationalEntry,
+    _direct_basis,
+    _flatten,
     _frozen_descent_cases,
     _outcome,
     _recipe_representations,
@@ -99,7 +108,7 @@ def commutation_loop_transport(basis, f):
                     rhs[i, j] = [x + da * c * y for x, y in zip(rhs.get((i, j), zero), v)]
         if any(lhs.get(key, zero) != rhs.get(key, zero) for key in lhs.keys() | rhs.keys()):
             raise CommutationViolation(f"f^sigma != rho f rho^-1 for group element {s}")
-    flat, _den = basis.flat_matrix()
+    flat = basis.flat
     mf = [[0] * (m * d) for _ in range(m * d)]
     for (i, k), v in fz.items():
         for u, row in enumerate(datum.element(v)._scaled_multiplication_rows()[0]):
@@ -110,6 +119,55 @@ def commutation_loop_transport(basis, f):
         raise IrrationalEntry(
             f"transported column {e.column} has an irrational entry") from None
     return RationalMatrix([[x / df for x in row] for row in sol])
+
+
+def cleared_rebuild_transport(basis, f):
+    """transport as it built M_F: the nonzero entries cleared to a common
+    D_F, and a field element rebuilt from each cleared vector for its
+    multiplication rows."""
+    rho = basis.representation
+    datum = rho.datum
+    m, d = basis.size, datum.degree
+    if len(f) != m or any(len(row) != m for row in f):
+        raise DimensionMismatch("map size must match the form")
+    _require_verified(datum)
+    if not basis.verified:
+        raise BadParameters("transport needs a basis from a rational_form constructor")
+    if any(isinstance(x, FieldElement) and x.datum.fingerprint() != datum.fingerprint()
+           for row in f for x in row):
+        raise DatumMismatch("map entry from a different field")
+    nz = {(i, k): x if isinstance(x, FieldElement) else datum.element((x,))
+          for i, row in enumerate(f) for k, x in enumerate(row) if x}
+    vecs, df = fl.clear_denominators([x.coeffs for x in nz.values()])
+    flat = basis.flat
+    mf = [[0] * (m * d) for _ in range(m * d)]
+    for (i, k), v in zip(nz, vecs):
+        for u, row in enumerate(datum.element(v)._scaled_multiplication_rows()[0]):
+            mf[i * d + u][k * d:(k + 1) * d] = row
+    try:
+        sol = fl.solve(flat, list(zip(*fl.mat_mul(mf, flat))))
+    except fl.Inconsistent as e:
+        raise CommutationViolation(
+            f"f^sigma != rho f rho^-1: f moves basis vector {e.column} "
+            "out of the rational form") from None
+    return RationalMatrix([[x / df for x in row] for row in sol])
+
+
+def stored_vector_rational_form(rho):
+    """rational_form as it stored E-vectors: (vectors, P, D), each
+    nullspace row built into m field elements and P / D cleared from the
+    rows."""
+    if not rho.verified:
+        raise NotHomomorphism("rational_form requires a verified representation")
+    datum = rho.datum
+    m, d = rho.size, datum.degree
+    basis_flat = nullspace(galoisform._relation_rows(rho))
+    if len(basis_flat) != m:
+        raise DimensionMismatch(f"fixed space has dimension {len(basis_flat)}, expected {m}")
+    vectors = tuple(tuple(datum.element(flat[j * d:(j + 1) * d]) for j in range(m))
+                    for flat in basis_flat)
+    ints, den = fl.clear_denominators(basis_flat)
+    return vectors, list(zip(*ints)), den
 
 
 def all_pairs_verify_representation(rho):
@@ -157,6 +215,7 @@ def determinant_first_is_automorphism(a, m):
 
 def _same_transport(basis, f):
     new = _outcome(transport, basis, f)
+    assert new == _outcome(cleared_rebuild_transport, basis, f)
     assert new == _outcome(commutation_loop_transport, basis, f)
     return new
 
@@ -245,17 +304,90 @@ class TestTransport:
         verdicts = [_same_transport(basis, _perturbed(rng, f, theta, one)) for _ in range(6)]
         assert CommutationViolation in verdicts
         # the same vectors wrapped directly: the frozen code accepted them
-        direct = RationalFormBasis(rho, basis.vectors)
+        direct = _direct_basis(rho, basis.vectors)
         assert _outcome(commutation_loop_transport, direct, f) == repr(out.matrix)
+        assert _outcome(cleared_rebuild_transport, direct, f) is BadParameters
         with pytest.raises(BadParameters):
             transport(direct, f)
 
     def test_directly_built_basis_is_refused(self, sqrt2):
         basis = rational_form(regular_rep(sqrt2))
-        for direct in (RationalFormBasis(basis.representation, basis.vectors), replace(basis)):
+        for direct in (_direct_basis(basis.representation, basis.vectors),
+                       RationalFormBasis(basis.representation, basis.flat, basis.den),
+                       replace(basis)):
             assert direct == basis and not direct.verified
             assert _outcome(transport, direct, ((1, 0), (0, 1))) is BadParameters
         assert transport(basis, ((1, 0), (0, 1))) == RationalMatrix.identity(2)
+
+
+# ---------------------------------------------------------------------------
+# rational_form
+# ---------------------------------------------------------------------------
+
+
+def _laur():
+    datum = sqrt2_datum()
+    return recipes.recipe_laur(heisenberg(), Grading((2, 1)), datum, datum.element([1, 1]))
+
+
+# the paper_examples workload's recipes; the pairs are its (4,2) sweep
+PAPER_EXAMPLES = {
+    "z4": recipes.recipe_z4_example,
+    **{f"count{k},{l}": partial(recipes.recipe_count, k, l)
+       for k, l in ((2, 3), (3, 2), (5, 2), (6, 5), (7, 2), (10, 3), (11, 2))},
+    **{f"csig{c}": partial(recipes.recipe_csig_default, c) for c in (2, 3)},
+    **{f"last{c}": partial(_last, c) for c in (2, 3)},
+    "laur": _laur,
+}
+
+
+def _same_form(rho, explicit=None):
+    """The basis against the stored-vector code: the derived vectors repr
+    for repr, and the same P / D."""
+    if explicit is None:
+        new = rational_form(rho)
+        vectors, flat, den = stored_vector_rational_form(rho)
+    else:
+        new = rational_form_from_vectors(rho, explicit)
+        vectors = tuple(tuple(v) for v in explicit)
+        ints, den = fl.clear_denominators([_flatten(v) for v in vectors])
+        flat = list(zip(*ints))
+    assert repr(new.vectors) == repr(vectors)
+    assert new.flat == tuple(flat) and new.den == den
+    return new
+
+
+class TestRationalForm:
+    @pytest.mark.parametrize("name", sorted({**PAPER_EXAMPLES, **DEEP_CLASS}))
+    def test_recipe_bases(self, name):
+        la, rho, explicit, out = _construction({**PAPER_EXAMPLES, **DEEP_CLASS}[name])
+        basis = _same_form(rho)
+        if explicit is not None:
+            basis = _same_form(rho, explicit)
+        assert _same_form(rho, basis.vectors) == basis
+        assert repr(transport(basis, _diagonal(la))) == repr(out.matrix)
+
+    @pytest.mark.parametrize("group", ["z2", "klein", "z4"])
+    def test_conjugated_representations(self, group, sqrt2, biquad52, quartic):
+        datum = {"z2": sqrt2, "klein": biquad52, "z4": quartic}[group]
+        dens = set()
+        for basis, *_ in _frozen_descent_cases(datum, group):
+            rho = basis.representation
+            assert _same_form(rho) == basis
+            assert _same_form(rho, basis.vectors) == basis
+            dens.add(basis.den)
+        assert len(dens) > 1
+        unverified = Representation(datum, rho.images)
+        assert _outcome(rational_form, unverified) is NotHomomorphism
+        assert _outcome(stored_vector_rational_form, unverified) is NotHomomorphism
+
+    def test_vectors_are_derived_on_read(self, sqrt2):
+        basis = rational_form(regular_rep(sqrt2))
+        assert [f.name for f in fields(basis) if f.init] == ["representation", "flat", "den"]
+        assert basis.vectors == basis.vectors and basis.vectors is not basis.vectors
+        with pytest.raises(AttributeError):
+            basis.vectors = ()
+        assert hash(basis) == hash(RationalFormBasis(basis.representation, basis.flat, basis.den))
 
 
 # ---------------------------------------------------------------------------

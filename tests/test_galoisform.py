@@ -30,7 +30,6 @@ from anosovforms.galoisform import (
     LabeledAlgebra,
     RationalFormBasis,
     Representation,
-    _flatten,
     automorphism_matrix,
     build_labeled_algebra,
     check_label_equivariance,
@@ -56,6 +55,25 @@ from anosovforms.liealg import (
 )
 from anosovforms.numfield import GaloisDatum, apply_automorphism
 from test_fieldlinalg import _dense_det, _dense_rref
+from test_liealg import frozen_bracket_map
+
+
+def _flatten(v):
+    """The m*d power-basis coordinates of a vector in E^m."""
+    return [c for x in v for c in x.coeffs]
+
+
+def _direct_basis(rho, vectors):
+    """An unverified basis built directly from E-vectors: their flat
+    coordinates cleared to P / D."""
+    ints, den = fl.clear_denominators([_flatten(v) for v in vectors])
+    return RationalFormBasis(rho, tuple(zip(*ints)), den)
+
+
+def _basis_matrix(basis):
+    """The m x m matrix over E whose columns are the basis vectors."""
+    vecs = basis.vectors
+    return [[v[i] for v in vecs] for i in range(len(vecs))]
 
 
 class IrrationalEntry(Exception):
@@ -404,7 +422,7 @@ class TestTransport:
         zero = sqrt2.zero()
         f = ((lam, zero), (zero, apply_automorphism(sqrt2, 1, lam)))
         m = transport(basis, f)
-        bmat = basis.basis_matrix()
+        bmat = _basis_matrix(basis)
         from anosovforms import _fieldlinalg as fl
 
         fb = fl.mat_mul([list(r) for r in f], bmat)
@@ -435,7 +453,7 @@ class TestTransport:
         raw = replace(sqrt2)  # a copy starts unverified
         one = raw.one()
         rho = Representation(raw, tuple(RationalMatrix.identity(1) for _ in range(2)))
-        basis = RationalFormBasis(rho, ((one,),))
+        basis = _direct_basis(rho, ((one,),))
         with pytest.raises(BadParameters):
             transport(basis, ((one,),))
         assert _outcome(frozen_transport, basis, ((one,),)) is BadParameters
@@ -461,7 +479,7 @@ class TestTransport:
             RationalMatrix.identity(2) if g == sqrt2.identity_index else two
             for g in range(2)))
         one, zero = sqrt2.one(), sqrt2.zero()
-        basis = RationalFormBasis(rho, ((one, zero), (zero, one)))
+        basis = _direct_basis(rho, ((one, zero), (zero, one)))
         f = ((one, zero), (zero, one))
         assert not basis.verified
         with pytest.raises(BadParameters, match="rational_form"):
@@ -848,7 +866,7 @@ class TestDescentRejects:
         # basis, and the verified constructors refuse its vectors
         one, zero, s = sqrt2.one(), sqrt2.zero(), sqrt2.element([0, 1])
         rho = trivial_rep(sqrt2, 2)
-        basis = RationalFormBasis(rho, ((one, zero), (zero, s)))
+        basis = _direct_basis(rho, ((one, zero), (zero, s)))
         f = ((one, one), (zero, one))
         with pytest.raises(BadParameters):
             transport(basis, f)
@@ -886,8 +904,8 @@ def frozen_rational_form_from_vectors(rho, vectors):
     for v in vecs:
         if not _satisfies_defining_relation(rho, v):
             raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
-    basis = RationalFormBasis(rho, vecs)
-    if _dense_det(basis.basis_matrix()) == 0:
+    basis = _direct_basis(rho, vecs)
+    if _dense_det(_basis_matrix(basis)) == 0:
         raise DimensionMismatch("vectors are not linearly independent over E")
     # the accepted basis is a verified one, whose flag shows in its repr
     object.__setattr__(basis, "verified", True)
@@ -900,7 +918,7 @@ def frozen_structure_constants_on_form(basis, algebra=None):
     if alg is None:
         raise DimensionMismatch("no algebra attached to the representation")
     m = basis.size
-    bmat = basis.basis_matrix()
+    bmat = _basis_matrix(basis)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     rhs = [alg.bracket(list(basis.vectors[i]), list(basis.vectors[j])) for i, j in pairs]
     coords = _frozen_solve(bmat, rhs) if pairs else []
@@ -942,7 +960,7 @@ def frozen_transport(basis, f):
                 if not lhs[i][j] == rhs[i][j]:
                     raise CommutationViolation(
                         f"f^sigma != rho f rho^-1 for group element {s}")
-    bmat = basis.basis_matrix()
+    bmat = _basis_matrix(basis)
     fb = fl.mat_mul(flist, bmat)
     cols = [[fb[i][j] for i in range(m)] for j in range(m)]
     sol = _frozen_solve(bmat, cols)
@@ -988,7 +1006,7 @@ def assert_same_descent(basis, algebras=(), maps=()):
 
 def _with_rational_matrix(basis, mat):
     """f = B M B^-1 over the field: the map whose matrix on the form is M."""
-    bmat = basis.basis_matrix()
+    bmat = _basis_matrix(basis)
     m = len(bmat)
     binv = _frozen_solve(bmat, [[F(int(i == j)) for i in range(m)] for j in range(m)])
     return tuple(map(tuple, fl.mat_mul(fl.mat_mul(bmat, [list(r) for r in mat.entries]), binv)))
@@ -1114,7 +1132,7 @@ def frozen_extend_representation(la, generator_maps):
     dim = la.dim
     gen_set = set(la.generators)
     single_target = []
-    for (i, j), row in alg.bracket_map().items():
+    for (i, j), row in frozen_bracket_map(alg).items():
         if len(row) == 1:
             ((k, c),) = row.items()
             single_target.append((i, j, k, c))
@@ -1163,6 +1181,65 @@ def frozen_extend_representation(la, generator_maps):
     rho = Representation(datum, tuple(images[i] for i in range(datum.degree)), alg)
     frozen_verify_representation(rho)
     frozen_check_label_equivariance(la, rho)
+    return rho
+
+
+def fraction_map_extend_representation(la, generator_maps):
+    """extend_representation as it derived slot images on the Fraction
+    bracket map: x / c with both on the rational constants."""
+    datum = la.datum
+    alg = la.algebra
+    dim = la.dim
+    gen_set = set(la.generators)
+    bmap = frozen_bracket_map(alg)
+    single_target = [(i, j, k, c) for (i, j), row in bmap.items() if len(row) == 1
+                     for k, c in row.items()]
+
+    images = {datum.identity_index: [{j: F(1)} for j in range(dim)]}
+    for g, mapping in generator_maps.items():
+        if not 0 <= g < datum.degree:
+            raise BadParameters(f"group element {g} is out of range")
+        cols = [None] * dim
+        for gen, (sign, slot) in mapping.items():
+            if gen not in gen_set:
+                raise NotGenerating(f"slot {gen} is not a declared generator")
+            if not 0 <= slot < dim:
+                raise BadParameters(f"target slot {slot} is out of range")
+            cols[gen] = {slot: F(sign)} if sign else {}
+        progress = True
+        while progress:
+            progress = False
+            for (i, j, k, c) in single_target:
+                if cols[i] is None or cols[j] is None:
+                    continue
+                derived = {r: x / c for r, x in _bracket(bmap, cols[i], cols[j]).items() if x}
+                if cols[k] is None:
+                    cols[k] = derived
+                    progress = True
+                elif cols[k] != derived:
+                    raise ExtensionInconsistent(
+                        f"slot {k} receives conflicting images under element {g}")
+        if any(c is None for c in cols):
+            missing = [i for i, c in enumerate(cols) if c is None]
+            raise NotGenerating(f"brackets do not determine slots {missing}")
+        images[g] = cols
+
+    given, frontier = list(images), list(images)
+    while frontier:
+        a = frontier.pop()
+        for b in given:
+            idx = datum.table[a][b]
+            if idx not in images:
+                images[idx] = galoisform_module._compose(images[a], images[b])
+                frontier.append(idx)
+    if len(images) != datum.degree:
+        raise NotGenerating("given group elements do not generate the group")
+
+    zero = F(0)
+    rho = verify_representation(Representation(datum, tuple(
+        RationalMatrix([[col.get(i, zero) for col in images[g]] for i in range(dim)])
+        for g in range(datum.degree)), alg))
+    check_label_equivariance(la, rho)
     return rho
 
 
@@ -1398,3 +1475,48 @@ class TestFrozenRepresentation:
 
 
 _Labels = namedtuple("_Labels", "datum labels dim")
+
+
+def _scaled(la, s):
+    """la with every structure constant times s: the same signed
+    permutations extend, and the constants' lcm C is s's denominator."""
+    return LabeledAlgebra(LieAlgebra(la.dim, tuple((i, j, k, c * s) for (i, j, k, c)
+                                                   in la.algebra.brackets)),
+                          la.labels, la.generators)
+
+
+class TestFractionMapExtension:
+    """extend_representation derives slot images on the integer map; the
+    Fraction-map code gives the same images or the same error type."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_recipe_representations(self, index):
+        # the four recipes that extend generator maps (laur gives its rho)
+        name, la, maps, rho = _recipe_representations()[index]
+        assert _outcome(extend_representation, la, maps) == \
+            _outcome(fraction_map_extend_representation, la, maps) == repr(rho)
+        scaled = _scaled(la, F(2, 3))
+        assert scaled.algebra.integer_bracket_map()[1] == 3
+        new = _outcome(extend_representation, scaled, maps)
+        assert isinstance(new, str)
+        assert new == _outcome(fraction_map_extend_representation, scaled, maps)
+        rng = random.Random(f"fraction-map/{name}")
+        for _ in range(10):
+            random_maps = _random_maps(rng, la, maps)
+            for alg in (la, scaled):
+                assert _outcome(extend_representation, alg, random_maps) == \
+                    _outcome(fraction_map_extend_representation, alg, random_maps)
+
+    def test_conflicting_images_with_scaled_constants(self, sqrt2):
+        # [b0, b1] = [b2, b3] = b4 / 2: both brackets send b4 to -b4, or
+        # give b4 two images
+        la = _scaled(_central_pair_algebra(sqrt2), F(1, 2))
+        accept = {1: {0: (1, 1), 1: (1, 0), 2: (1, 3), 3: (1, 2)}}
+        conflict = {1: {0: (1, 1), 1: (1, 0), 2: (1, 2), 3: (1, 3)}}
+        rho = extend_representation(la, accept)
+        assert rho.images[1][4, 4] == -1
+        assert _outcome(extend_representation, la, accept) == \
+            _outcome(fraction_map_extend_representation, la, accept)
+        assert _outcome(extend_representation, la, conflict) is ExtensionInconsistent
+        assert _outcome(fraction_map_extend_representation, la, conflict) is \
+            ExtensionInconsistent

@@ -12,6 +12,8 @@ from anosovforms.exactmath import RationalMatrix
 from anosovforms.liealg import (
     Grading,
     LieAlgebra,
+    _bracket,
+    _support,
     abelian,
     algebra_type,
     check_grading,
@@ -234,7 +236,7 @@ def _ref_bracket_basis(a, i, j):
     sign = 1
     if i > j:
         i, j, sign = j, i, -1
-    for k, c in a.bracket_map().get((i, j), {}).items():
+    for k, c in frozen_bracket_map(a).get((i, j), {}).items():
         out[k] = out[k] + sign * c
     return out
 
@@ -463,3 +465,53 @@ class TestSparseKernelOracle:
         assert {(i, j, k, F(x, c)) for (i, j), row in imap.items()
                 for k, x in row.items()} == set(a.brackets)
         assert math.lcm(*(x.denominator for (_i, _j, _k, x) in a.brackets)) == c
+
+
+# ---------------------------------------------------------------------------
+# the bracket on the one integer map against the Fraction map it replaced
+# ---------------------------------------------------------------------------
+
+
+def frozen_bracket_map(a):
+    """The Fraction bracket map an algebra kept beside its integer one:
+    (i, j) -> {k: c} for i < j."""
+    out = {}
+    for (i, j, k, c) in a.brackets:
+        out.setdefault((i, j), {})[k] = c
+    return out
+
+
+def frozen_bracket(a, x, y):
+    """LieAlgebra.bracket on the Fraction map."""
+    out = _bracket(frozen_bracket_map(a), _support(x), _support(y))
+    return [out[k] if k in out else x[k] - x[k] for k in range(a.dim)]
+
+
+def _typed(v):
+    """Each value with its type: ints, Fractions and field elements must
+    come out as the same types as before."""
+    return [(type(x).__name__, repr(x)) for x in v]
+
+
+class TestFrozenBracket:
+    @ORACLE
+    @given(tables(), st.data())
+    def test_int_fraction_and_field_vectors(self, a, data):
+        field = st.lists(small, min_size=4, max_size=4).map(QUARTIC.element)
+        for coords in (st.integers(-3, 3), small, field):
+            x, y = (data.draw(st.lists(coords, min_size=a.dim, max_size=a.dim))
+                    for _ in range(2))
+            assert _typed(a.bracket(x, y)) == _typed(frozen_bracket(a, x, y))
+
+    def test_scaled_constants(self, sqrt2):
+        # C = 6: the integer map's C [x, y] must come back divided by C
+        a = LieAlgebra(4, ((0, 1, 2, F(1, 2)), (0, 2, 3, F(-2, 3)), (1, 2, 3, F(5))))
+        assert a.integer_bracket_map()[1] == 6
+        theta = sqrt2.generator()
+        cases = [([1, 2, 0, 0], [0, 1, 3, 0]), ([F(1, 2), 0, 1, 0], [1, F(-1, 3), 0, 2]),
+                 ([theta, 1, 0, 0], [0, theta * theta, 1, 0]), ([1, 0, 0, 0], [1, 0, 0, 0])]
+        for x, y in cases:
+            assert _typed(a.bracket(x, y)) == _typed(frozen_bracket(a, x, y))
+        assert a.bracket([1, 0, 0, 0], [0, 1, 0, 0]) == [0, 0, F(1, 2), 0]
+        assert _typed(a.bracket([1, 0, 0, 0], [0, 1, 0, 0])) == \
+            [("int", "0"), ("int", "0"), ("Fraction", "Fraction(1, 2)"), ("int", "0")]

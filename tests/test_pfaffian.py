@@ -44,6 +44,7 @@ from anosovforms.pfaffian import (
     _skew_b,
 )
 from anosovforms.recipes import recipe_count
+from test_liealg import frozen_bracket_map
 
 
 def _pell_search(d, limit):
@@ -519,7 +520,7 @@ def _mixed_degree_one(a, rng):
         t = [[rng.randint(-2, 2) for _ in range(n1)] for _ in range(n1)]
         if fl.det(t):
             break
-    bmap = a.bracket_map()
+    bmap = frozen_bracket_map(a)
     entries = []
     for p in range(n1):
         for q in range(p + 1, n1):

@@ -144,6 +144,37 @@ class TestSearch:
             search_units(sqrt2, 1, candidate_budget=14)
         assert search_units(sqrt2, 1, candidate_budget=15)
 
+    def test_power_round_stops_at_the_pair_budget(self, sqrt2):
+        # the powers of 1 +- sqrt2 never repeat: the search used to form
+        # all 1,000 powers of each unit (about 3,000 elements, 4,504,501
+        # pairs) before its pair check; it now stops once the elements
+        # seen make more pairs than the budget
+        with pytest.raises(SearchBudgetExceeded) as err:
+            search_units(sqrt2, 1, power_bound=1000)
+        pairs = int(str(err.value).split()[0])
+        assert SEARCH_BUDGET < pairs < SEARCH_BUDGET + 1000
+        assert search_units(sqrt2, 1, power_bound=100) == \
+            search_units(sqrt2, 1, power_bound=100, candidate_budget=10 ** 6)
+
+    def test_torsion_unit_chains_stop_at_one(self, monkeypatch):
+        # Z[i]'s units +-1, +-i are torsion: their powers repeat once they
+        # reach 1, so 50 powers cost 0 + 1 + 3 + 3 products, not 4 * 49
+        from anosovforms import numfield
+        from anosovforms.serialize import datum_from_json
+
+        gauss = datum_from_json({
+            "min_poly": ["1", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]],
+            "identity": 0, "table": [[0, 1], [1, 0]], "totally_real": False,
+            "moduli": [{"lo": "1/2", "hi": "3/2"}] * 2})
+        calls = []
+        real = numfield.FieldElement.__mul__
+        monkeypatch.setattr(numfield.FieldElement, "__mul__",
+                            lambda a, b: calls.append(1) or real(a, b))
+        found = search_units(gauss, 1, power_bound=50)
+        assert found == [gauss.element([0, -1]), gauss.element([0, 1])]
+        # 7 powers and the 10 products of the round over 4 elements
+        assert len(calls) == 7 + 10
+
     def test_budget_is_a_constant(self, sqrt2, monkeypatch):
         monkeypatch.setenv("ANOSOV_SEARCH_BUDGET", "1")
         assert search_units(sqrt2, 2) == \
