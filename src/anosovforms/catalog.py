@@ -2,20 +2,24 @@
 
 The automorphism polynomials were derived once (numerically, by mapping
 the ordered real roots onto each other and rationalizing the interpolation)
-and are re-proven exact here on every construction: verification checks
+and are re-proven exact here, once per process: verification checks
 min_poly(q(theta)) = 0 for each, derives the group table from their
 matrices and rejects anything that fails, so the numerical provenance
-never enters the trusted base.
+never enters the trusted base.  Each datum is built and verified on its
+first call and the same frozen object is returned after that; what it
+keeps (root paths, automorphism matrices) is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exactmath import Interval, Polynomial
 from .numfield import GaloisDatum, datum_from_automorphism_polys
 
 
+@cache
 def quartic_z4_datum() -> GaloisDatum:
     """The cyclic quartic field generated by the largest root of
     X^4 - 4X^3 - 4X^2 + X + 1, with the generator of the Galois group
@@ -35,6 +39,7 @@ def quartic_z4_datum() -> GaloisDatum:
     )
 
 
+@cache
 def cyclic_cubic_datum() -> GaloisDatum:
     """The cyclic cubic field of X^3 - 3X - 1 (the real subfield of the
     ninth cyclotomic field); sigma(theta) = theta^2 - theta - 2 cycles the
@@ -59,6 +64,7 @@ def cubic_pisot_unit(datum: GaloisDatum | None = None):
     return d.element((1, 1, 0))
 
 
+@cache
 def sqrt2_datum() -> GaloisDatum:
     """Q(sqrt(2)) with the conjugation automorphism."""
     return datum_from_automorphism_polys(

@@ -2,11 +2,16 @@
 Pell-equation automorphisms of binary quadratic forms, Scheuneman duality.
 
 The Pfaffian is expanded along the first row, normalized so the standard
-symplectic block matrix has Pfaffian +1.  The Pfaffian form of
-a 2-step algebra with adapted basis is Pf of the generic skew pencil
-sum_i Y_i J_{Z_i}, a homogeneous polynomial in the center coordinates; in
-type (4,2) its discriminant modulo rational squares classifies the algebra
-completely.
+symplectic block matrix has Pfaffian +1, and refuses a matrix larger than
+PFAFFIAN_SIZE_BUDGET.  The Pfaffian form of a 2-step algebra with adapted
+basis is Pf of the generic skew pencil sum_i Y_i J_{Z_i}, a homogeneous
+polynomial in the center coordinates; in type (4,2) its discriminant
+modulo rational squares classifies the algebra completely.
+
+The duality layer reads W = J(center) in one form, the k x C(n1, 2)
+coordinate matrix of w_space_coords on the basis E_ij (i < j): the dual's
+center W~ is its nullspace, and alpha^T J_Z alpha is a row of coords times
+the second exterior power of alpha.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import (
     BadDiscriminant,
     BasisNotAdapted,
     DegeneratePfaffian,
+    DimensionBudgetExceeded,
     DoesNotPreserveW,
     JNotInjective,
     NotTwoStep,
@@ -282,14 +288,23 @@ def j_map(a: LieAlgebra, z: list) -> SkewMap:
     return SkewMap(tuple(tuple(r) for r in rows))
 
 
+# largest skew matrix pfaffian expands: the expansion has (n - 1)!! terms,
+# 10,395 at n = 12 and 2,027,025 at n = 16
+PFAFFIAN_SIZE_BUDGET = 12
+
+
 def pfaffian(s: SkewMap):
     """Pfaffian by expansion along the first row, Pf(A) = sum_{j>0}
     (-1)^(j+1) a_0j Pf(A without rows and columns 0 and j); this is the
     signed sum over perfect matchings grouped by the partner of 0, so
-    diag([[0,1],[-1,0]], ...) has Pfaffian +1."""
+    diag([[0,1],[-1,0]], ...) has Pfaffian +1.  A matrix larger than
+    PFAFFIAN_SIZE_BUDGET raises DimensionBudgetExceeded."""
     n = s.size
     if n % 2 != 0:
         raise OddDimension("Pfaffian needs an even-size skew matrix")
+    if n > PFAFFIAN_SIZE_BUDGET:
+        raise DimensionBudgetExceeded(
+            f"skew matrix of size {n} exceeds the Pfaffian budget of {PFAFFIAN_SIZE_BUDGET}")
     if n == 0:
         return Fraction(1)
     return _pfaffian_rows(s.matrix, tuple(range(n)))
@@ -382,14 +397,6 @@ def _skew_basis_index(n1: int) -> list[tuple[int, int]]:
     return list(combinations(range(n1), 2))
 
 
-def _coords_to_skew(v, pairs, n1):
-    rows = [[Fraction(0)] * n1 for _ in range(n1)]
-    for x, (i, j) in zip(v, pairs):
-        rows[i][j] = x
-        rows[j][i] = -x
-    return rows
-
-
 def w_space_coords(a: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int, int]], int, int]:
     """Coordinates of W = span{J_Z} inside the skew matrices, in the basis
     E_ij (i < j).  Raises JNotInjective when J kills part of the center."""
@@ -410,6 +417,14 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     trace(Z1^T Z2), with bracket defined by B([X,Y], Z) = <Z(X), Y> for
     Z ranging over W~.
 
+    B(E_ij, E_kl) = 2 delta on the basis E_ij (i < j), so W~ is the
+    nullspace of W's coordinate rows: kd independent rows C (all of the
+    skew matrices when k = 0).  In the basis C the bracket vector of
+    [X_i, X_j] is column ij of -G^-1 C, with G = 2 C C^T the Gram matrix
+    of B on W~, which is invertible.  That matrix is row-equivalent to C,
+    so both have the same nonzero columns and the same RREF, of rank kd:
+    the canonical center basis below is read off C, with no Gram solve.
+
     The center basis is canonicalized: new basis vectors are introduced in
     the order brackets appear (lexicographic pairs), rescaled so each
     coefficient vector is a primitive integer vector with positive leading
@@ -417,43 +432,15 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     classified type-(4,2) algebras exactly.
     """
     coords, pairs, n1, k = w_space_coords(a)
-    # B(E_ij, E_kl) = 2 delta, so orthogonality under B inside the skew
-    # matrices is the standard dot product on the E_ij coordinates
-    # k = 0: nothing to complement, the dual is the free 2-step algebra
     comp = nullspace(coords or [[0] * len(pairs)])
-    kd = len(comp)
-    wt_basis = [_coords_to_skew(v, pairs, n1) for v in comp]
-    gram = [[_skew_b(x, y) for y in wt_basis] for x in wt_basis]
-    raw_brackets: dict[tuple[int, int], list[Fraction]] = {}
-    if kd:
-        ij_pairs = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
-        sol = fl.solve(gram, [[z[j][i] for z in wt_basis] for i, j in ij_pairs])
-        for col, key in enumerate(ij_pairs):
-            vec = [sol[t][col] for t in range(kd)]
-            if any(x != 0 for x in vec):
-                raw_brackets[key] = vec
-
-    # canonical center basis: the rref of the bracket vectors as columns in
-    # key order; pivot columns are the directions in the order brackets
-    # introduce them, and row t, led by a 1, holds the coordinates on t
-    keys = sorted(raw_brackets)
-    red, pivots = fl.rref([list(row) for row in zip(*(raw_brackets[key] for key in keys))])
-    width = len(pivots)
-    scaled = [fl.primitive(row) for row in red[:width]]
-    entries = []
-    for r, (i, j) in enumerate(keys):
-        for t in range(width):
-            c = scaled[t][r]
-            if c != 0:
-                entries.append((i, j, n1 + t, Fraction(c)))
-    # kd - width unused complement directions remain as abelian slots
-    return LieAlgebra(n1 + kd, tuple(entries))
-
-
-def _skew_b(x, y) -> Fraction:
-    """B(Z1, Z2) = trace(Z1^T Z2)."""
-    n = len(x)
-    return sum(x[i][j] * y[i][j] for i in range(n) for j in range(n))
+    # the RREF of C on its nonzero columns, the bracketing pairs in order:
+    # pivot columns are the directions in the order brackets introduce
+    # them, and row t, led by a 1, holds the coordinates on t
+    cols = [c for c in range(len(pairs)) if any(v[c] for v in comp)]
+    scaled = [fl.primitive(row) for row in fl.span_rref([[v[c] for c in cols] for v in comp])]
+    entries = [(*pairs[c], n1 + t, Fraction(row[r]))
+               for r, c in enumerate(cols) for t, row in enumerate(scaled) if row[r]]
+    return LieAlgebra(n1 + len(comp), tuple(entries))
 
 
 def dual_automorphism(alpha: RationalMatrix, a: LieAlgebra,
@@ -471,15 +458,20 @@ def dual_automorphism(alpha: RationalMatrix, a: LieAlgebra,
 
 def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
     """Block automorphism of a 2-step algebra from its degree-1 action: the
-    center block is solved from alpha^T J_Z alpha = J_{alpha^T Z}."""
+    center block is solved from alpha^T J_Z alpha = J_{alpha^T Z}.
+
+    In E_ij coordinates alpha^T J_Z alpha is coords(Z) * wedge_square(alpha):
+    entry ij is the sum over p < q of c_pq (alpha_pi alpha_qj - alpha_qi
+    alpha_pj), read off the nonzero coordinates c_pq of Z."""
     coords, pairs, n1, k = w_space_coords(a)
-    if alpha.rows != n1:
+    if (alpha.rows, alpha.cols) != (n1, n1):
         raise ValueError("degree-1 block has the wrong size")
-    at = alpha.transpose()
+    m = alpha.entries
     images = []
-    for t in range(k):
-        m = at * RationalMatrix(_coords_to_skew(coords[t], pairs, n1)) * alpha
-        images.append([m[i, j] for (i, j) in pairs])
+    for row in coords:
+        terms = [(c, m[p], m[q]) for c, (p, q) in zip(row, pairs) if c]
+        images.append([sum(c * (mp[i] * mq[j] - mq[i] * mp[j]) for c, mp, mq in terms)
+                       for i, j in pairs])
     # one solve over the k images: column t of the solution holds the
     # coordinates of alpha^T(Z_t), row t of the extension's center block
     try:
@@ -489,8 +481,7 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
     n = a.dim
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n1):
-        for j in range(n1):
-            rows[i][j] = alpha[i, j]
+        rows[i][:n1] = m[i]
     for t, col in enumerate(zip(*solution)):
         rows[n1 + t][n1:n1 + k] = col
     # out itself, so the charpoly is_automorphism computes is kept for certify

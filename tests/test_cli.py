@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from anosovforms.catalog import sqrt2_datum
 from anosovforms.cli import CONSTRUCT_DIM_BUDGET
+from anosovforms.liealg import LieAlgebra
 from anosovforms.pfaffian import nk_algebra
 from anosovforms.serialize import (
     algebra_to_json,
@@ -544,6 +547,21 @@ class TestInputsThatRanWithoutABound:
                               capture_output=True, text=True, timeout=10)
         assert proc.returncode == 1 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "IrreducibilityBudgetExceeded"
+
+    def test_pfaffian_past_its_size_budget(self, workdir):
+        # a dense adapted algebra with n1 = 16, k = 2: 15!! = 2,027,025
+        # matchings, where n1 = 12 has 10,395
+        rng = random.Random(16)
+        alg = workdir / "dense16.json"
+        alg.write_text(canonical_dumps(algebra_to_json(LieAlgebra(18, tuple(
+            (i, j, t, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            for i in range(16) for j in range(i + 1, 16) for t in (16, 17))))))
+        proc = subprocess.run([sys.executable, "-m", "anosovforms", "pfaffian", "--algebra",
+                               str(alg)], capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "DimensionBudgetExceeded",
+            "detail": "skew matrix of size 16 exceeds the Pfaffian budget of 12"}
 
     @pytest.mark.parametrize("powers", ["100000", "1000000000"])
     def test_pisot_with_many_powers(self, workdir, powers):

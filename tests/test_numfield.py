@@ -378,7 +378,8 @@ class TestRootPaths:
             [interval_to_json(iv) for iv in want]
 
     def test_second_question_adds_no_bisection(self, monkeypatch):
-        datum = sqrt2_datum()
+        # a fresh datum: the catalog's kept one may have bisected already
+        datum = sqrt2_datum.__wrapped__()
         x = datum.element([1, 1])
         # each bisection step reads one sign from the path's integer kernel
         evals = []
@@ -779,6 +780,15 @@ def _with(datum, **changes):
                   root_enclosures=datum.root_enclosures)
     fields.update(changes)
     return GaloisDatum(**fields)
+
+
+@pytest.mark.parametrize("build", [sqrt2_datum, cyclic_cubic_datum, quartic_z4_datum])
+def test_catalog_datum_is_built_once(build):
+    first = build()
+    assert first.verified and build() is first
+    fresh = build.__wrapped__()
+    assert fresh.verified and fresh is not first
+    assert (fresh, fresh.root_map) == (first, first.root_map)
 
 
 class TestFrozenComposition:

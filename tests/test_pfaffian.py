@@ -7,8 +7,10 @@ import pytest
 from anosovforms import _fieldlinalg as fl
 from anosovforms.anosov import certify
 from anosovforms.errors import (
+    AnosovError,
     BadDiscriminant,
     DegeneratePfaffian,
+    DimensionBudgetExceeded,
     DoesNotPreserveW,
     NotTwoStep,
     OddDimension,
@@ -20,6 +22,7 @@ from anosovforms.liealg import LieAlgebra, abelian, heisenberg, is_automorphism
 from anosovforms.pfaffian import (
     BinaryQuadraticForm,
     MultiPoly,
+    PFAFFIAN_SIZE_BUDGET,
     PellSolution,
     SkewMap,
     adapted_split,
@@ -40,8 +43,6 @@ from anosovforms.pfaffian import (
     squarefree_part_of_rational,
     w_space_coords,
     wedge_square,
-    _coords_to_skew,
-    _skew_b,
 )
 from anosovforms.recipes import recipe_count
 from test_liealg import frozen_bracket_map
@@ -146,6 +147,17 @@ class TestPfaffian:
     def test_odd_dimension(self):
         with pytest.raises(OddDimension):
             pfaffian(SkewMap(((F(0),),)))
+
+    def test_size_budget(self):
+        def standard(n):
+            rows = [[F(0)] * n for _ in range(n)]
+            for i in range(0, n, 2):
+                rows[i][i + 1], rows[i + 1][i] = F(1), F(-1)
+            return SkewMap(tuple(map(tuple, rows)))
+
+        assert pfaffian(standard(PFAFFIAN_SIZE_BUDGET)) == 1
+        with pytest.raises(DimensionBudgetExceeded):
+            pfaffian(standard(PFAFFIAN_SIZE_BUDGET + 2))
 
 
 def frozen_pfaffian(s):
@@ -465,9 +477,24 @@ def _express_in(basis, vec):
     return [row[0] for row in sol]
 
 
+def _coords_to_skew(v, pairs, n1):
+    rows = [[F(0)] * n1 for _ in range(n1)]
+    for x, (i, j) in zip(v, pairs):
+        rows[i][j] = x
+        rows[j][i] = -x
+    return rows
+
+
+def _skew_b(x, y):
+    """B(Z1, Z2) = trace(Z1^T Z2)."""
+    n = len(x)
+    return sum(x[i][j] * y[i][j] for i in range(n) for j in range(n))
+
+
 def frozen_scheuneman_dual(a):
-    """scheuneman_dual with its greedy center canonicalization: each bracket
-    vector expressed in the directions met so far, or a new direction."""
+    """scheuneman_dual with the Gram solve on full skew matrices and its
+    greedy center canonicalization: each bracket vector expressed in the
+    directions met so far, or a new direction."""
     coords, pairs, n1, k = w_space_coords(a)
     if k == 0:
         nskew = len(pairs)
@@ -550,6 +577,20 @@ class TestFrozenDualCanonicalization:
             assert out == _dual_outcome(frozen_scheuneman_dual, a)
             assert isinstance(out, tuple)
 
+    def test_seeded_random_algebras(self):
+        rng = random.Random(2400)
+        for a in _random_adapted_algebras(rng):
+            out = _dual_outcome(scheuneman_dual, a)
+            assert out == _dual_outcome(frozen_scheuneman_dual, a)
+            assert isinstance(out, tuple)
+
+
+def _random_adapted_algebras(rng, per_type=4):
+    """Seeded adapted 2-step algebras of every type (n1, k) with n1 <= 6
+    and k <= 4, with rational constants."""
+    return [_random_two_step(rng, n1, k) for n1 in range(2, 7)
+            for k in range(1, min(4, n1 * (n1 - 1) // 2) + 1) for _ in range(per_type)]
+
 
 def frozen_extend_degree_one(a, alpha):
     """extend_degree_one with one _express_in solve per center vector."""
@@ -579,10 +620,18 @@ def frozen_extend_degree_one(a, alpha):
 
 
 def _extension_outcome(extend, a, alpha):
+    """repr of an extension, the error type and message of a reject; an
+    accepted extension's center block C also satisfies C * coords =
+    coords * wedge_square(alpha), the images alpha^T J_Z alpha."""
     try:
-        return repr(extend(a, alpha))
-    except DoesNotPreserveW as e:
-        return str(e)
+        out = extend(a, alpha)
+    except (AnosovError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+    coords = w_space_coords(a)[0]
+    if coords:  # abelian: no center block, no images
+        w = RationalMatrix(coords)
+        assert center_block(a, out) * w == w * wedge_square(alpha)
+    return repr(out)
 
 
 class TestFrozenExtension:
@@ -606,6 +655,22 @@ class TestFrozenExtension:
             out = _extension_outcome(extend_degree_one, a, alpha)
             assert out == _extension_outcome(frozen_extend_degree_one, a, alpha)
             verdicts.add(out.startswith("RationalMatrix"))
+        assert verdicts == {True, False}
+
+    def test_seeded_random_algebras_and_blocks(self):
+        # scalar blocks always extend; a random block extends when W is all
+        # of the skew matrices (types (2,1) and (3,3)) and it is invertible
+        rng = random.Random(2401)
+        verdicts = set()
+        for a in _random_adapted_algebras(rng, per_type=2):
+            n1, _k = adapted_split(a)
+            blocks = [RationalMatrix.identity(n1) * F(rng.randint(-3, 3) or 1, rng.randint(1, 3))]
+            blocks += [RationalMatrix([[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n1)]
+                                       for _ in range(n1)]) for _ in range(3)]
+            for alpha in blocks:
+                out = _extension_outcome(extend_degree_one, a, alpha)
+                assert out == _extension_outcome(frozen_extend_degree_one, a, alpha)
+                verdicts.add(out.startswith("RationalMatrix"))
         assert verdicts == {True, False}
 
 
@@ -645,6 +710,17 @@ class TestDualAutomorphism:
         ca = center_block(a, ma).charpoly()
         cd = center_block(d, md).charpoly()
         assert ca * cd == wedge_square(alpha).charpoly()
+
+    @pytest.mark.parametrize("cols", [3, 5])
+    def test_block_shape_checked(self, cols):
+        # a 4 x 5 block used to extend from its first four columns, and a
+        # 4 x 3 block to raise IndexError
+        a = nk_algebra(5)
+        alpha = RationalMatrix([[F(i == j) for j in range(cols)] for i in range(4)])
+        with pytest.raises(ValueError, match="degree-1 block has the wrong size"):
+            extend_degree_one(a, alpha)
+        with pytest.raises(ValueError, match="degree-1 block has the wrong size"):
+            dual_automorphism(alpha, a, scheuneman_dual(a))
 
     def test_does_not_preserve(self):
         a = nk_algebra(5)
