@@ -254,9 +254,9 @@ class Polynomial:
         return acc
 
     def eval_interval(self, iv: "Interval") -> "Interval":
-        """interval_horner on the cleared coefficients."""
+        """interval_horner on the cleared coefficients, as an Interval."""
         (nums,), e = fl.clear_denominators([self.coeffs])
-        return interval_horner(nums, e, iv)
+        return Interval.from_numerators(*interval_horner(nums, e, iv.numerators()))
 
     # -- normal forms
 
@@ -295,26 +295,36 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return _remainder_chain(p, q)[-1].monic()
 
 
-def interval_horner(nums: Sequence[int], e: int, iv: "Interval") -> "Interval":
-    """Enclosure of p(iv) for p = sum_i nums[i] X^i / e (e > 0) by interval
-    Horner: acc <- acc * iv + c, with the endpoints of each product the min
+def interval_horner(nums: Sequence[int], e: int,
+                    level: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(lo, hi, E) with p([a/q, b/q]) inside [lo/E, hi/E], for p = sum_i
+    nums[i] X^i / e (e > 0) and level = (a, b, q), q > 0, by interval
+    Horner: acc <- acc * [a, b] + c, the endpoints of each product the min
     and max of the four endpoint products.  Runs on integer numerators over
-    one positive common denominator (e for the coefficients, D for iv,
-    e * D^k after k steps), which orders them as the rationals they stand
-    for, so the endpoints are exact."""
+    one positive common denominator (e * q^k after k steps), which orders
+    them as the rationals they stand for, so the endpoints are exact.  On
+    b <= 0 it runs on p(-X) over [-b, -a]; on a >= 0 each extreme product
+    is read off the sign of its acc endpoint."""
+    a, b, q = level
     if not nums:
-        return Interval.point(0)
-    d = lcm(iv.lo.denominator, iv.hi.denominator)
-    a = iv.lo.numerator * (d // iv.lo.denominator)
-    b = iv.hi.numerator * (d // iv.hi.denominator)
+        return 0, 0, 1
+    if b <= 0 < -a:
+        nums = [-c if i % 2 else c for i, c in enumerate(nums)]
+        a, b = -b, -a
     lo = hi = nums[-1]
     scale = 1
-    for c in reversed(nums[:-1]):
-        scale *= d
-        prods = (lo * a, lo * b, hi * a, hi * b)
-        shift = c * scale
-        lo, hi = min(prods) + shift, max(prods) + shift
-    return Interval(Fraction(lo, e * scale), Fraction(hi, e * scale))
+    if a >= 0:
+        for c in nums[-2::-1]:
+            scale *= q
+            shift = c * scale
+            lo, hi = lo * (a if lo >= 0 else b) + shift, hi * (b if hi >= 0 else a) + shift
+    else:
+        for c in nums[-2::-1]:
+            scale *= q
+            prods = (lo * a, lo * b, hi * a, hi * b)
+            shift = c * scale
+            lo, hi = min(prods) + shift, max(prods) + shift
+    return lo, hi, e * scale
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +357,17 @@ class Interval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
+
+    @staticmethod
+    def from_numerators(a: int, b: int, q: int) -> "Interval":
+        """[a/q, b/q] for q > 0."""
+        return Interval(Fraction(a, q), Fraction(b, q))
+
+    def numerators(self) -> tuple[int, int, int]:
+        """(a, b, q): [a/q, b/q] over the least common denominator q."""
+        lo, hi = self.lo, self.hi
+        q = lcm(lo.denominator, hi.denominator)
+        return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
 
     def contains(self, x) -> bool:
         return self.lo <= rat(x) <= self.hi

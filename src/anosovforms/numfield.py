@@ -15,12 +15,16 @@ product, inverse or automorphism image is created with its own cleared
 form, and the norm is the integer determinant of M over D^d.
 
 Each real root of a verified datum has one bisection path (RootPath), kept
-on the datum, whose signs are integer sums over the once-cleared minimal
-polynomial; every question about a real conjugate is asked of that path
+on the datum, whose levels are integer triples (a, b, q) for [a/q, b/q]
+and whose signs are integer sums over the once-cleared minimal
+polynomial.  Every question about a real conjugate is asked of that path
 by refine_until, under the single level budget DEFAULT_REFINE_STEPS, and
-read off x's kept numerators by the one interval Horner kernel; a datum
-that is not totally real, or of degree 1, has no paths, and
-conjugate_levels refuses it with BadParameters.
+read off x's kept numerators by the one interval Horner kernel as an
+integer enclosure [lo/E, hi/E]: moduli, signs against 1 and cone
+products compare integers, and an Interval is only the view a caller
+gets back (RootPath.level, conjugate_levels, conjugate_modulus_interval).
+A datum that is not totally real, or of degree 1, has no paths, and
+conjugate_numerators refuses it with BadParameters.
 """
 
 from __future__ import annotations
@@ -412,44 +416,51 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
 class RootPath:
     """The bisection path of one real root of p: level 0 is a sign-change
     enclosure, level k + 1 the half of level k that keeps the sign change
-    (or the root itself once a midpoint hits it).  Levels are computed on
-    demand and kept, so no question about the root bisects twice.  p is
-    cleared once; each sign is read off an integer sum (_sign)."""
+    (or the root itself once a midpoint hits it).  Each level is kept as
+    the integer triple (a, b, q), q > 0, meaning [a/q, b/q]: bisection
+    gives (a + b, 2b, 2q) or (2a, a + b, 2q), or the point (m, m, 2q) with
+    m = a + b, with no reduction.  Levels are computed on demand and kept,
+    so no question about the root bisects twice.  p is cleared once; each
+    sign is read off an integer sum (_sign).  level(k) is the Interval view
+    of the triple."""
 
     def __init__(self, p: Polynomial, iv: Interval):
         (self._nums,), _ = fl.clear_denominators([p.coeffs])
-        flo, fhi = self._sign(iv.lo), self._sign(iv.hi)
+        a, b, q = iv.numerators()
+        flo, fhi = self._sign(a, q), self._sign(b, q)
         if flo == 0 or fhi == 0 or flo == fhi:
             raise BadEnclosure(f"no sign change of p on [{iv.lo}, {iv.hi}]")
         self._lo_sign = flo
-        self._levels = [iv]
+        self._levels = [(a, b, q)]
 
-    def _sign(self, t: Fraction) -> int:
-        """The sign of p(a / b), b > 0: that of the homogeneous integer sum
-        sum_i P_i a^i b^(n-i) over p's cleared coefficients P, by Horner."""
-        a, b = t.numerator, t.denominator
+    def _sign(self, a: int, q: int) -> int:
+        """The sign of p(a / q), q > 0: that of the homogeneous integer sum
+        sum_i P_i a^i q^(n-i) over p's cleared coefficients P, by Horner."""
         acc, scale = 0, 1
         for c in reversed(self._nums):
             acc = acc * a + c * scale
-            scale *= b
+            scale *= q
         return (acc > 0) - (acc < 0)
 
-    def level(self, k: int) -> Interval:
+    def numerators(self, k: int) -> tuple[int, int, int]:
+        """Level k as its triple (a, b, q)."""
         if k > DEFAULT_REFINE_STEPS:
             raise PrecisionUnreachable("bisection budget exhausted")
         levels = self._levels
         while len(levels) <= k:
-            iv = levels[-1]
-            mid = iv.midpoint
-            sign = self._sign(mid)
+            a, b, q = levels[-1]
+            m, q = a + b, 2 * q
+            sign = self._sign(m, q)
             if sign == 0:
-                iv = Interval(mid, mid)
+                levels.append((m, m, q))
             elif sign == self._lo_sign:
-                iv = Interval(mid, iv.hi)
+                levels.append((m, 2 * b, q))
             else:
-                iv = Interval(iv.lo, mid)
-            levels.append(iv)
+                levels.append((2 * a, m, q))
         return levels[k]
+
+    def level(self, k: int) -> Interval:
+        return Interval.from_numerators(*self.numerators(k))
 
 
 def refine_until(test: Callable[[int], object]):
@@ -742,28 +753,45 @@ def is_algebraic_unit(x: FieldElement) -> bool:
     return chi.is_integer and abs(chi.constant) == 1
 
 
-def sign_against(iv: Interval, c) -> int | None:
-    """+1 or -1 when iv lies strictly above or below c, 0 when iv is the
-    point c (a fixture modulus), None while iv contains c."""
-    if iv.strictly_greater(c):
+def sign_against_one(lo: int, hi: int, e: int) -> int | None:
+    """+1 or -1 when [lo/e, hi/e] (e > 0) lies strictly above or below 1,
+    0 when it is the point 1 (a fixture modulus), None while it contains 1."""
+    if lo > e:
         return 1
-    if iv.strictly_less(c):
+    if hi < e:
         return -1
-    return 0 if iv.lo == iv.hi == c else None
+    return 0 if lo == hi == e else None
 
 
-def conjugate_levels(x: FieldElement, conjugate_index: int) -> Callable[[int], Interval]:
-    """k -> enclosure of sigma_i(x) (totally real datum): x's kept
-    numerators evaluated by interval_horner on level k of the path of the
-    root that sigma_i sends theta to.  BadParameters on a datum that is
-    not totally real or of degree 1, which have no root paths."""
+def abs_enclosure(lo: int, hi: int, e: int) -> tuple[int, int, int]:
+    """The integer enclosure (lo', hi', e) of |t| for t in [lo/e, hi/e]."""
+    if lo >= 0:
+        return lo, hi, e
+    if hi <= 0:
+        return -hi, -lo, e
+    return 0, max(-lo, hi), e
+
+
+def conjugate_numerators(x: FieldElement, conjugate_index: int,
+                         ) -> Callable[[int], tuple[int, int, int]]:
+    """k -> (lo, hi, E) with sigma_i(x) in [lo/E, hi/E] (totally real
+    datum): x's kept numerators evaluated by interval_horner on level k of
+    the path of the root that sigma_i sends theta to.  BadParameters on a
+    datum that is not totally real or of degree 1, which have no root
+    paths."""
     _require_verified(x.datum)
     _check_index(x.datum, conjugate_index)
     if not x.datum.totally_real or x.datum.degree == 1:
         raise BadParameters("conjugate levels need a totally real datum of degree > 1")
     nums, den = x._cleared()
     path = x.datum._paths[x.datum.root_map[conjugate_index]]
-    return lambda k: interval_horner(nums, den, path.level(k))
+    return lambda k: interval_horner(nums, den, path.numerators(k))
+
+
+def conjugate_levels(x: FieldElement, conjugate_index: int) -> Callable[[int], Interval]:
+    """k -> the Interval view of conjugate_numerators(x, i)(k)."""
+    enclose = conjugate_numerators(x, conjugate_index)
+    return lambda k: Interval.from_numerators(*enclose(k))
 
 
 def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
@@ -771,7 +799,8 @@ def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
     """Certified enclosure of |sigma_i(x)| with width <= precision.
 
     Totally real case: the first level 0, 4, 8, ... of the root's path on
-    which the enclosure of sigma_i(x) is narrow enough.  Otherwise x must
+    which the enclosure of sigma_i(x) is narrow enough, tested on its
+    numerators; the Interval is built once, on return.  Otherwise x must
     be theta, whose conjugate moduli are fixture data.
     """
     datum = x.datum
@@ -789,11 +818,14 @@ def conjugate_modulus_interval(x: FieldElement, conjugate_index: int,
         raise PrecisionUnreachable(
             "complex modulus enclosures are fixture data for theta and cannot be refined"
         )
-    conj = conjugate_levels(x, conjugate_index)
+    enclose = conjugate_numerators(x, conjugate_index)
+    num, den = precision.numerator, precision.denominator
 
     def narrow(k: int) -> Interval | None:
-        iv = conj(k).abs()
-        return iv if iv.width <= precision else None
+        lo, hi, e = abs_enclosure(*enclose(k))
+        if (hi - lo) * den <= num * e:
+            return Interval.from_numerators(lo, hi, e)
+        return None
     return refine_until(narrow)
 
 
@@ -803,7 +835,8 @@ def compare_abs_to_one(x: FieldElement, conjugate_index: int) -> int:
     The zero case is decided algebraically (a real field element has
     modulus one exactly when it is +-1, and sigma_i(x) is rational exactly
     when x is), so refinement on the root's path decides the remaining
-    cases; a complex datum uses its fixture moduli.
+    cases on the enclosure's numerators; a complex datum uses its fixture
+    moduli.
     """
     datum = x.datum
     _require_verified(datum)
@@ -812,9 +845,10 @@ def compare_abs_to_one(x: FieldElement, conjugate_index: int) -> int:
         v = abs(x.rational_value())
         return (v > 1) - (v < 1)
     if not datum.totally_real:
-        sign = sign_against(conjugate_modulus_interval(x, conjugate_index, Fraction(1, 4)), 1)
+        iv = conjugate_modulus_interval(x, conjugate_index, Fraction(1, 4))
+        sign = sign_against_one(*iv.numerators())
         if sign is None:
             raise PrecisionUnreachable("fixture modulus enclosure contains 1")
         return sign
-    conj = conjugate_levels(x, conjugate_index)
-    return refine_until(lambda k: sign_against(conj(k).abs(), 1))
+    enclose = conjugate_numerators(x, conjugate_index)
+    return refine_until(lambda k: sign_against_one(*abs_enclosure(*enclose(k))))

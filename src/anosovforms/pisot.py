@@ -2,34 +2,35 @@
 
 A multiplicative constraint prod_i |sigma_i(lambda)|^{c_i} < 1 is decided
 exactly.  Over a totally real field the product of the c_i-th powers of
-the enclosures of |sigma_i(lambda)|, each on the bisection path of its
-root, is refined under refine_until's one budget until it excludes 1; one
-that still contains 1 at EXACT_TIE_LEVEL asks once whether
+the integer enclosures of |sigma_i(lambda)|, each on the bisection path
+of its root, is kept as four integers (the numerators and denominators
+of its ends) and refined under refine_until's one budget until it
+excludes 1; one that still contains 1 at EXACT_TIE_LEVEL asks once whether
 mu = prod_i sigma_i(lambda)^{c_i} is +-1, the only way a real mu has
 modulus one.  Rational lambda and fields that are not totally real
 compare mu, formed as a field element, to 1.  The Pisot cone check
 decides lambda > 1 on the distinguished root's path and each other
-|sigma_i(lambda)| against 1 on its own.  No logarithms, no floats.
+|sigma_i(lambda)| against 1 on its own; over a totally real field both
+read integers and build no Interval.  No logarithms, no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from . import numfield
 from .errors import BadParameters, PrecisionUnreachable, SearchBudgetExceeded, Undecidable
-from .exactmath import Interval
 from .numfield import (
     FieldElement,
     GaloisDatum,
+    abs_enclosure,
     apply_automorphism,
     compare_abs_to_one,
-    conjugate_levels,
+    conjugate_numerators,
     is_algebraic_unit,
     refine_until,
-    sign_against,
+    sign_against_one,
 )
 
 
@@ -75,23 +76,26 @@ class ConeConstraint:
     def _sign_on_paths(self, lam: FieldElement) -> int:
         """Sign of prod_i |sigma_i(lam)|^{c_i} - 1 on the roots' paths,
         with the one exact tie test at EXACT_TIE_LEVEL."""
-        factors = [(conjugate_levels(lam, i), c) for i, c in enumerate(self.coeffs) if c]
+        factors = [(conjugate_numerators(lam, i), c) for i, c in enumerate(self.coeffs) if c]
 
-        def product_enclosure(k: int) -> Interval | None:
-            lo = hi = Fraction(1)
-            for levels, c in factors:
-                iv = levels(k).abs()
-                if c < 0:
-                    if not iv.lo:
-                        return None  # 1/|sigma_i(lam)| is not bounded yet
-                    iv, c = Interval(1 / iv.hi, 1 / iv.lo), -c
-                lo *= iv.lo ** c
-                hi *= iv.hi ** c
-            return Interval(lo, hi)
+        def product_sign(k: int) -> int | None:
+            # the product lies in [ln/ld, un/ud]; a factor [lo/e, hi/e]
+            # with c < 0 is [e/hi, e/lo] to the power -c
+            ln = ld = un = ud = 1
+            for enclose, c in factors:
+                lo, hi, e = abs_enclosure(*enclose(k))
+                if c > 0:
+                    ec = e ** c
+                    ln, ld, un, ud = ln * lo ** c, ld * ec, un * hi ** c, ud * ec
+                elif not lo:
+                    return None  # 1/|sigma_i(lam)| is not bounded yet
+                else:
+                    ec = e ** -c
+                    ln, ld, un, ud = ln * ec, ld * hi ** -c, un * ec, ud * lo ** -c
+            return sign_against_one(ln * ud, un * ld, ld * ud)
 
         def test(k: int) -> int | None:
-            iv = product_enclosure(k)
-            sign = None if iv is None else sign_against(iv, 1)
+            sign = product_sign(k)
             if sign is None and k == numfield.EXACT_TIE_LEVEL:
                 mu = self._product(lam)
                 if mu == 1 or mu == -1:
@@ -118,8 +122,8 @@ def in_pisot_cone(lam: FieldElement) -> bool:
         for i in range(datum.degree):
             distinguished = i == datum.identity_index
             if distinguished and datum.totally_real:
-                conj = conjugate_levels(lam, i)
-                sign = refine_until(lambda k: sign_against(conj(k), 1))
+                enclose = conjugate_numerators(lam, i)
+                sign = refine_until(lambda k: sign_against_one(*enclose(k)))
             else:
                 sign = compare_abs_to_one(lam, i)
             if sign != (1 if distinguished else -1):

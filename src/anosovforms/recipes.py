@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .anosov import AnosovCertificate, certify
@@ -141,6 +142,15 @@ def recipe_z4_example() -> RecipeOutput:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _exponent_order(bound: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero exponent triples with entries in [-bound, bound], by
+    (sum of |e_i|, e)."""
+    exps = sorted(product(range(-bound, bound + 1), repeat=3),
+                  key=lambda e: (sum(abs(x) for x in e), e))
+    return tuple(e for e in exps if any(e))
+
+
 def biquadratic_pisot_unit(datum: GaloisDatum, k: int, l: int,
                            exponent_bound: int = 5) -> FieldElement:
     """A unit Pisot number in Q(sqrt k, sqrt l) built from the Pell units
@@ -161,18 +171,22 @@ def biquadratic_pisot_unit(datum: GaloisDatum, k: int, l: int,
     if not all(is_algebraic_unit(u) for u in units):
         raise PisotNotFound("a subfield Pell solution is not an algebraic unit")
     inverses = [u.inverse() for u in units]
-    exps = sorted(
-        product(range(-exponent_bound, exponent_bound + 1), repeat=3),
-        key=lambda e: (sum(abs(x) for x in e), e),
-    )
-    for e in exps:
-        if all(x == 0 for x in e):
-            continue
-        cand = datum.one()
-        for x, u, iu in zip(e, units, inverses):
-            base = u if x > 0 else iu
-            for _ in range(abs(x)):
-                cand = base * cand  # base keeps its multiplication rows
+    # u^e for |e| <= exponent_bound, filled on first use; a candidate is a
+    # product of at most three entries, each keeping its multiplication rows
+    tables = [{0: datum.one(), 1: u, -1: iu} for u, iu in zip(units, inverses)]
+
+    def power(i: int, e: int) -> FieldElement:
+        table = tables[i]
+        if e not in table:
+            table[e] = (units[i] * power(i, e - 1) if e > 0
+                        else inverses[i] * power(i, e + 1))
+        return table[e]
+
+    for e in _exponent_order(exponent_bound):
+        cand = None
+        for i, x in enumerate(e):
+            if x:
+                cand = power(i, x) if cand is None else power(i, x) * cand
         if in_pisot_cone(cand):
             return cand
     raise PisotNotFound(

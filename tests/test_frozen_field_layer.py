@@ -1,21 +1,31 @@
 """The field layer on kept integer numerators against frozen copies of the
 Fraction code it replaced: the product that cleared both factors on every
 call, the norm through the rational det, the automorphism image from the
-Fraction coordinates, the root path that bisected on Polynomial.eval, and
-the unit search over the whole box.  Values must match repr for repr,
+Fraction coordinates, the root path that bisected on Polynomial.eval, the
+unit search over the whole box, and the conjugate questions (moduli,
+|sigma_i(x)| against 1, the Pisot cone, cone products) asked of Interval
+levels by an Interval Horner loop.  Values must match repr for repr,
 enclosures endpoint for endpoint, verdicts and search lists exactly."""
 
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
+from math import lcm
 
 import pytest
 
 from anosovforms import _fieldlinalg as fl
-from anosovforms.catalog import csig_fixture, cyclic_cubic_datum, quartic_z4_datum, sqrt2_datum
+from anosovforms.catalog import (
+    csig_fixture,
+    cubic_pisot_unit,
+    cyclic_cubic_datum,
+    quartic_z4_datum,
+    sqrt2_datum,
+)
 from anosovforms.errors import BadEnclosure
 from anosovforms.exactmath import Interval, Polynomial
 from anosovforms.numfield import (
+    EXACT_TIE_LEVEL,
     FieldElement,
     RootPath,
     apply_automorphism,
@@ -23,10 +33,11 @@ from anosovforms.numfield import (
     biquadratic_datum,
     compare_abs_to_one,
     conjugate_levels,
+    conjugate_modulus_interval,
     refine_until,
-    sign_against,
 )
-from anosovforms.pisot import ConeConstraint, search_unit_pisot, search_units
+from anosovforms.pisot import ConeConstraint, in_pisot_cone, search_unit_pisot, search_units
+from anosovforms.recipes import biquadratic_pisot_unit
 from anosovforms.serialize import interval_to_json
 
 P = Polynomial
@@ -111,12 +122,113 @@ def frozen_conjugate_levels(x, i):
     return lambda k: frozen_eval_interval(poly, path.level(k))
 
 
+def sign_against(iv, c):
+    """+1 or -1 when iv lies strictly above or below c, 0 when iv is the
+    point c, None while iv contains c: the Interval sign the questions
+    read."""
+    if iv.strictly_greater(c):
+        return 1
+    if iv.strictly_less(c):
+        return -1
+    return 0 if iv.lo == iv.hi == c else None
+
+
+def frozen_interval_horner(nums, e, iv):
+    """interval_horner as it took an Interval and returned one: the
+    endpoints over lcm of iv's reduced denominators, as Fractions."""
+    if not nums:
+        return Interval.point(0)
+    d = lcm(iv.lo.denominator, iv.hi.denominator)
+    a = iv.lo.numerator * (d // iv.lo.denominator)
+    b = iv.hi.numerator * (d // iv.hi.denominator)
+    lo = hi = nums[-1]
+    scale = 1
+    for c in reversed(nums[:-1]):
+        scale *= d
+        prods = (lo * a, lo * b, hi * a, hi * b)
+        shift = c * scale
+        lo, hi = min(prods) + shift, max(prods) + shift
+    return Interval(F(lo, e * scale), F(hi, e * scale))
+
+
+_FROZEN_PATHS = {}
+
+
+def frozen_levels(x, i):
+    """conjugate_levels as it was asked: x's cleared numerators by the
+    Interval Horner loop on the Interval levels of the root's path, one
+    kept path per root."""
+    datum = x.datum
+    root = datum.root_map[i]
+    key = (id(datum), root)
+    if key not in _FROZEN_PATHS:
+        _FROZEN_PATHS[key] = (datum, FrozenRootPath(datum.min_poly, datum.root_enclosures[root]))
+    path = _FROZEN_PATHS[key][1]
+    (nums,), den = fl.clear_denominators([x.coeffs])
+    return lambda k: frozen_interval_horner(nums, den, path.level(k))
+
+
 def frozen_compare_abs_to_one(x, i):
     if x.is_rational:
         v = abs(x.rational_value())
         return (v > 1) - (v < 1)
-    conj = frozen_conjugate_levels(x, i)
+    conj = frozen_levels(x, i)
     return refine_until(lambda k: sign_against(conj(k).abs(), 1))
+
+
+def frozen_modulus_interval(x, i, precision):
+    if x.is_rational:
+        return Interval.point(abs(x.rational_value()))
+    conj = frozen_levels(x, i)
+
+    def narrow(k):
+        iv = conj(k).abs()
+        return iv if iv.width <= precision else None
+    return refine_until(narrow)
+
+
+def frozen_in_pisot_cone(lam):
+    datum = lam.datum
+    if lam.is_rational:
+        return False
+    for i in range(datum.degree):
+        distinguished = i == datum.identity_index
+        if distinguished:
+            conj = frozen_levels(lam, i)
+            sign = refine_until(lambda k: sign_against(conj(k), 1))
+        else:
+            sign = frozen_compare_abs_to_one(lam, i)
+        if sign != (1 if distinguished else -1):
+            return False
+    return True
+
+
+def frozen_sign_on_paths(constraint, lam):
+    """ConeConstraint._sign_on_paths on Fraction products of the Interval
+    levels."""
+    factors = [(frozen_levels(lam, i), c) for i, c in enumerate(constraint.coeffs) if c]
+
+    def product_enclosure(k):
+        lo = hi = F(1)
+        for levels, c in factors:
+            iv = levels(k).abs()
+            if c < 0:
+                if not iv.lo:
+                    return None
+                iv, c = Interval(1 / iv.hi, 1 / iv.lo), -c
+            lo *= iv.lo ** c
+            hi *= iv.hi ** c
+        return Interval(lo, hi)
+
+    def test(k):
+        iv = product_enclosure(k)
+        sign = None if iv is None else sign_against(iv, 1)
+        if sign is None and k == EXACT_TIE_LEVEL:
+            mu = constraint._product(lam)
+            if mu == 1 or mu == -1:
+                return 0
+        return sign
+    return refine_until(test)
 
 
 def frozen_search_units(datum, height_bound, power_bound=1, constraints=()):
@@ -153,6 +265,7 @@ FIELDS = {
     "quartic": quartic_z4_datum(),
     "csig": csig_fixture()[0],
     "biquad52": biquadratic_datum(5, 2),
+    "biquad226": biquadratic_datum(2, 26),
 }
 
 
@@ -273,6 +386,133 @@ def test_enclosures_and_verdicts_match(name):
             got, want = conjugate_levels(x, i), frozen_conjugate_levels(x, i)
             for k in (0, 4, 8, 16, 32):
                 assert interval_to_json(got(k)) == interval_to_json(want(k))
+
+
+# ---------------------------------------------------------------------------
+# conjugate questions on integer enclosures
+
+_QUESTION_FIELDS = ["sqrt2", "cubic", "quartic", "biquad52", "biquad226"]
+
+
+def _unit(name):
+    datum = FIELDS[name]
+    if name == "sqrt2":
+        return datum.element([1, 1])
+    if name == "cubic":
+        return cubic_pisot_unit(datum)
+    if name == "quartic":
+        return csig_fixture()[1]
+    k, l = {"biquad52": (5, 2), "biquad226": (2, 26)}[name]
+    return biquadratic_pisot_unit(datum, k, l)
+
+
+def question_elements(name):
+    """The seeded elements (rationals among them), the unit, its inverse
+    and square, and theta - lo for each root enclosure [lo, hi], whose
+    conjugate at that root has a level-0 enclosure touching 0."""
+    datum = FIELDS[name]
+    theta = datum.generator()
+    u = _unit(name)
+    return (seeded_elements(name) + [u, u.inverse(), u * u]
+            + [theta - iv.lo for iv in datum.root_enclosures])
+
+
+def question_cones(name):
+    """Seeded exponent vectors in [-2, 2]^d, negative ones among them, the
+    all-ones vector (the norm) and the all-minus-ones vector."""
+    d = FIELDS[name].degree
+    rng = random.Random("cone" + name)
+    cones = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(6)]
+    return cones + [(1,) * d, (-1,) * d]
+
+
+def _outcome(fn, *args):
+    """repr of a value, the error type of a reject."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:  # noqa: BLE001 - the type is the verdict
+        return type(e)
+
+
+@pytest.mark.parametrize("name", _QUESTION_FIELDS)
+def test_root_path_levels_match_the_interval_path(name):
+    datum = FIELDS[name]
+    for root, iv in enumerate(datum.root_enclosures):
+        got, want = RootPath(datum.min_poly, iv), FrozenRootPath(datum.min_poly, iv)
+        for k in (0, 1, 2, 5, 16, 33, 64, 100):
+            assert repr(got.level(k)) == repr(want.level(k))
+            a, b, q = got.numerators(k)
+            assert q > 0 and (F(a, q), F(b, q)) == (want.level(k).lo, want.level(k).hi)
+        assert got.level(100) == datum._paths[root].level(100)
+
+
+def test_midpoint_root_path_and_its_questions():
+    # the first midpoint of [0, 1] is the root of 2X - 1: every later level
+    # is the point 1/2, kept as (m, m, 2q)
+    got = RootPath(P([-1, 2]), Interval(F(0), F(1)))
+    want = FrozenRootPath(P([-1, 2]), Interval(F(0), F(1)))
+    polys = [P([F(-1, 2), 1]), P([1, -3, F(5, 7)]), P([F(-1, 4), 0, 1]), P([3])]
+    for k in range(0, 41):
+        assert repr(got.level(k)) == repr(want.level(k))
+        a, b, q = got.numerators(k)
+        if k:
+            assert a == b and got.level(k) == Interval.point(F(1, 2))
+        for p in polys:
+            (nums,), e = fl.clear_denominators([p.coeffs])
+            assert repr(p.eval_interval(got.level(k))) == \
+                repr(frozen_interval_horner(nums, e, want.level(k)))
+
+
+@pytest.mark.parametrize("name", _QUESTION_FIELDS)
+def test_moduli_and_verdicts_match_the_interval_questions(name):
+    datum = FIELDS[name]
+    elements = question_elements(name)
+    assert any(x.is_rational for x in elements)
+    for x in elements:
+        for i in range(datum.degree):
+            assert compare_abs_to_one(x, i) == frozen_compare_abs_to_one(x, i)
+            for precision in (F(1, 4), F(1, 10 ** 6), F(1, 10 ** 30)):
+                got = conjugate_modulus_interval(x, i, precision)
+                assert repr(got) == repr(frozen_modulus_interval(x, i, precision))
+            if not x.is_rational:
+                assert repr(conjugate_levels(x, i)(4)) == repr(frozen_levels(x, i)(4))
+        assert _outcome(in_pisot_cone, x) == _outcome(frozen_in_pisot_cone, x)
+    assert in_pisot_cone(_unit(name)) and frozen_in_pisot_cone(_unit(name))
+
+
+@pytest.mark.parametrize("name", _QUESTION_FIELDS)
+def test_cone_products_match_the_fraction_products(name):
+    datum = FIELDS[name]
+    touched = 0
+    for x in question_elements(name):
+        for coeffs in question_cones(name):
+            cone = ConeConstraint(coeffs, "<1")
+            got = _outcome(cone._sign_on_paths, x)
+            assert got == _outcome(frozen_sign_on_paths, cone, x)
+            touched += any(c < 0 and frozen_levels(x, i)(0).abs().lo == 0
+                           for i, c in enumerate(coeffs))
+    # a negative exponent on an enclosure that touches 0 at level 0 waits
+    # for a level that excludes 0
+    assert touched > 0
+    # the norm of a unit is +-1: the product encloses 1 at every level and
+    # the exact tie test answers
+    assert ConeConstraint((1,) * datum.degree)._sign_on_paths(_unit(name)) == 0
+
+
+def test_compare_abs_to_one_builds_no_interval(monkeypatch):
+    # a fresh datum, so the questions bisect its paths under the count
+    datum = quartic_z4_datum.__wrapped__()
+    xs = [datum.generator(), datum.element([0, -1, -1, 1]),
+          datum.element([F(1, 2), 3, 0, F(-1, 3)]), datum.element([F(-9, 10), 1, 0, 0])]
+    want = [frozen_compare_abs_to_one(x, i) for x in xs for i in range(datum.degree)]
+    built = []
+    post_init = Interval.__post_init__
+    monkeypatch.setattr(Interval, "__post_init__", lambda iv: built.append(iv) or post_init(iv))
+    got = [compare_abs_to_one(x, i) for x in xs for i in range(datum.degree)]
+    assert got == want
+    assert built == []
+    Interval(F(0), F(1))
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,7 @@ class TestRootPaths:
         evals = []
         plain_sign = RootPath._sign
         monkeypatch.setattr(RootPath, "_sign",
-                            lambda path, t: evals.append(t) or plain_sign(path, t))
+                            lambda path, a, q: evals.append((a, q)) or plain_sign(path, a, q))
         first = conjugate_modulus_interval(x, 1, F(1, 1024))
         steps = len(evals)
         assert steps > 0

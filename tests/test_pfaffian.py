@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction as F
@@ -266,6 +267,22 @@ class TestFrozenPfaffian:
         for a in cases:
             pencil = _pencil(a)
             assert repr(pfaffian(pencil)) == repr(frozen_pfaffian(pencil))
+
+
+def test_pfaffian_expands_each_index_subset_once(monkeypatch):
+    """At the budget's size the memoised expansion makes fewer than
+    2^(n-1) calls, against (n-1)!! = 10,395 matchings, and keeps the
+    matchings' value."""
+    module = importlib.import_module("anosovforms.pfaffian")
+    n = PFAFFIAN_SIZE_BUDGET
+    s = random_skew(random.Random(1200), n)
+    want = frozen_pfaffian(s)
+    calls = []
+    expand = module._pfaffian_rows
+    monkeypatch.setattr(module, "_pfaffian_rows",
+                        lambda a, idx, memo: calls.append(idx) or expand(a, idx, memo))
+    assert repr(pfaffian(s)) == repr(want)
+    assert 0 < len(calls) < 2 ** (n - 1)
 
 
 def _outcome(fn, *args):

@@ -18,7 +18,6 @@ from anosovforms.numfield import (
     conjugate_levels,
     is_algebraic_unit,
     refine_until,
-    sign_against,
     verify_galois_datum,
 )
 from anosovforms.pisot import (
@@ -32,6 +31,7 @@ from anosovforms.pisot import (
     search_units,
 )
 from anosovforms.recipes import biquadratic_pisot_unit
+from test_frozen_field_layer import sign_against
 
 # ---------------------------------------------------------------------------
 # frozen references: the Pisot cone as a constraint list, the sign of the

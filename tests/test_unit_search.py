@@ -37,13 +37,13 @@ from anosovforms.numfield import (
     is_algebraic_unit,
     minimal_polynomial,
     refine_until,
-    sign_against,
     verify_galois_datum,
 )
 from anosovforms.pisot import ConeConstraint, search_unit_pisot, search_units
 from anosovforms.recipes import biquadratic_pisot_unit
 from test_exactmath import poly_xgcd, ref_charpoly
 from test_fieldlinalg import multiplication_matrix, ref_det
+from test_frozen_field_layer import sign_against
 
 # ---------------------------------------------------------------------------
 # frozen references
