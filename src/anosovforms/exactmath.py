@@ -302,28 +302,17 @@ def interval_horner(nums: Sequence[int], e: int,
     Horner: acc <- acc * [a, b] + c, the endpoints of each product the min
     and max of the four endpoint products.  Runs on integer numerators over
     one positive common denominator (e * q^k after k steps), which orders
-    them as the rationals they stand for, so the endpoints are exact.  On
-    b <= 0 it runs on p(-X) over [-b, -a]; on a >= 0 each extreme product
-    is read off the sign of its acc endpoint."""
+    them as the rationals they stand for, so the endpoints are exact."""
     a, b, q = level
     if not nums:
         return 0, 0, 1
-    if b <= 0 < -a:
-        nums = [-c if i % 2 else c for i, c in enumerate(nums)]
-        a, b = -b, -a
     lo = hi = nums[-1]
     scale = 1
-    if a >= 0:
-        for c in nums[-2::-1]:
-            scale *= q
-            shift = c * scale
-            lo, hi = lo * (a if lo >= 0 else b) + shift, hi * (b if hi >= 0 else a) + shift
-    else:
-        for c in nums[-2::-1]:
-            scale *= q
-            prods = (lo * a, lo * b, hi * a, hi * b)
-            shift = c * scale
-            lo, hi = min(prods) + shift, max(prods) + shift
+    for c in nums[-2::-1]:
+        scale *= q
+        prods = (lo * a, lo * b, hi * a, hi * b)
+        shift = c * scale
+        lo, hi = min(prods) + shift, max(prods) + shift
     return lo, hi, e * scale
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import _fieldlinalg as fl
@@ -308,24 +309,24 @@ def pfaffian(s: SkewMap):
             f"skew matrix of size {n} exceeds the Pfaffian budget of {PFAFFIAN_SIZE_BUDGET}")
     if n == 0:
         return Fraction(1)
-    return _pfaffian_rows(s.matrix, tuple(range(n)), {})
+    return _pfaffian_rows(s.matrix, tuple(range(n)))
 
 
-def _pfaffian_rows(a, idx: tuple[int, ...], memo: dict):
-    """Pf of a's principal submatrix on the indices idx (even, nonempty).
-    memo keeps each index tuple's Pf within one pfaffian call, so at most
-    2^(n-1) subsets are expanded, not every matching."""
-    first, rest = idx[0], idx[1:]
-    if len(rest) == 1:
-        return a[first][rest[0]]
-    if idx in memo:
-        return memo[idx]
-    acc = a[first][rest[0]] * _pfaffian_rows(a, rest[1:], memo)
-    for pos in range(1, len(rest)):
-        term = a[first][rest[pos]] * _pfaffian_rows(a, rest[:pos] + rest[pos + 1:], memo)
-        acc = acc - term if pos % 2 else acc + term
-    memo[idx] = acc
-    return acc
+def _pfaffian_rows(a, idx: tuple[int, ...]):
+    """Pf of a's principal submatrix on the indices idx (even, nonempty),
+    each index subset expanded once: at most 2^(len(idx) - 1) subsets, not
+    every matching."""
+    @cache
+    def pf(idx):
+        first, rest = idx[0], idx[1:]
+        if len(rest) == 1:
+            return a[first][rest[0]]
+        acc = a[first][rest[0]] * pf(rest[1:])
+        for pos in range(1, len(rest)):
+            term = a[first][rest[pos]] * pf(rest[:pos] + rest[pos + 1:])
+            acc = acc - term if pos % 2 else acc + term
+        return acc
+    return pf(idx)
 
 
 def pfaffian_form(a: LieAlgebra) -> MultiPoly:
