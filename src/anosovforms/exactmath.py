@@ -378,19 +378,6 @@ class Interval:
                  self.hi * other.lo, self.hi * other.hi)
         return Interval(min(prods), max(prods))
 
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return self.neg()
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
-    def strictly_greater(self, x) -> bool:
-        return self.lo > rat(x)
-
-    def strictly_less(self, x) -> bool:
-        return self.hi < rat(x)
-
 
 # ---------------------------------------------------------------------------
 # rational matrices
@@ -427,22 +414,9 @@ class RationalMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
-
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
         return RationalMatrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diagonal(diag: Sequence) -> "RationalMatrix":
-        n = len(diag)
-        return RationalMatrix(
-            [[rat(diag[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -491,13 +465,6 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.entries)) if self.entries else [])
-
-    def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector; entries may be any ring elements
-        that support multiplication by Fraction (field elements included)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return fl.mat_vec(self.entries, vec)
 
     def trace(self) -> Fraction:
         if not self.is_square:

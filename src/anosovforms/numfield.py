@@ -122,9 +122,6 @@ class GaloisDatum:
             return self.element((-self.min_poly[0],))
         return self.element((0, 1))
 
-    def from_polynomial(self, p: Polynomial) -> "FieldElement":
-        return self.element((p % self.min_poly).coeffs)
-
     def inverse_index(self, i: int) -> int:
         _require_verified(self)
         _check_index(self, i)
@@ -139,7 +136,7 @@ class FieldElement:
     Its cleared form (X, D), x = X / D over the least D, and its scaled
     multiplication rows (M, D) are computed on first use and kept, like its
     charpoly; a product, an inverse or an automorphism image is created
-    with its cleared form (_element)."""
+    with its cleared form (_build)."""
 
     datum: GaloisDatum
     coeffs: tuple[Fraction, ...]
@@ -176,9 +173,6 @@ class FieldElement:
             raise ValueError("element is not rational")
         return self.coeffs[0]
 
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial(self.coeffs)
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -211,7 +205,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _act(self.datum, self._scaled_multiplication_rows(), o)
+        return _build(self.datum, _act(self._scaled_multiplication_rows(), o._cleared()))
 
     __rmul__ = __mul__
 
@@ -233,7 +227,7 @@ class FieldElement:
         for c in reversed(cs[1:-1]):
             y = fl.mat_vec(rows, y)
             y[0] += c
-        return _element(self.datum, [-den * v for v in y], cs[0])
+        return _build(self.datum, _reduced([-den * v for v in y], cs[0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -287,22 +281,13 @@ class FieldElement:
         return form
 
     def _scaled_multiplication_rows(self) -> tuple[list[tuple], int]:
-        """(M, D) with M / D the matrix of multiplication by x, whose
-        columns are X, theta X, ..., theta^(d-1) X for the cleared
-        numerators X = D * x; each step shifts up and replaces theta^d by
-        -sum_i p_i theta^i (p monic), on ints where p's coefficients are.
-        Computed once and kept."""
+        """(M, D) with M / D the matrix of multiplication by x: M is
+        _multiplication_rows of the cleared numerators X = D * x.  Computed
+        once and kept."""
         kept = getattr(self, "_rows", None)
         if kept is None:
-            col, den = self._cleared()
-            low = [c.numerator if c.denominator == 1 else c
-                   for c in self.datum.min_poly.coeffs[:-1]]
-            cols = [col]
-            for _ in range(len(col) - 1):
-                top = col[-1]
-                col = [a - top * c for a, c in zip((0, *col[:-1]), low)]
-                cols.append(col)
-            kept = (list(zip(*cols)), den)
+            nums, den = self._cleared()
+            kept = (_multiplication_rows(self.datum, nums), den)
             object.__setattr__(self, "_rows", kept)
         return kept
 
@@ -330,17 +315,37 @@ class FieldElement:
         return Fraction(fl.int_det(rows), den ** len(rows))
 
 
-def _element(datum: GaloisDatum, nums: Sequence[int], den: int) -> FieldElement:
-    """The element nums / den (den != 0) of datum with its cleared form
-    kept: nums and den divided by g = gcd(den, nums), signed so that the
-    denominator is positive, which is what clear_denominators returns on
-    the reduced coordinates."""
+def _multiplication_rows(datum: GaloisDatum, col: Sequence) -> list[tuple]:
+    """Rows of the matrix with columns X, theta X, ..., theta^(d-1) X for X
+    = col: each step shifts up and replaces theta^d by -sum_i p_i theta^i
+    (p monic), on ints where p's coefficients and X are."""
+    low = [c.numerator if c.denominator == 1 else c for c in datum.min_poly.coeffs[:-1]]
+    cols = [col]
+    for _ in range(len(col) - 1):
+        top = col[-1]
+        col = [a - top * c for a, c in zip((0, *col[:-1]), low)]
+        cols.append(col)
+    return list(zip(*cols))
+
+
+def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The cleared form of nums / den (den != 0): nums and den divided by
+    g = gcd(den, nums), signed so that the denominator is positive, which
+    is what clear_denominators returns on the reduced coordinates."""
     g = math.gcd(den, *nums)
     if den < 0:
         g = -g
-    nums, den = tuple(u // g for u in nums), den // g
+    return tuple(u // g for u in nums), den // g
+
+
+def _build(datum: GaloisDatum, form: tuple, rows: list[tuple] | None = None) -> FieldElement:
+    """The element X / D of datum with its cleared form (X, D) kept, and
+    its multiplication rows (M, D) when M is given."""
+    nums, den = form
     x = FieldElement(datum, tuple(Fraction(u, den) for u in nums))
-    object.__setattr__(x, "_form", (nums, den))
+    object.__setattr__(x, "_form", form)
+    if rows is not None:
+        object.__setattr__(x, "_rows", (rows, den))
     return x
 
 
@@ -479,13 +484,14 @@ def _check_index(datum: GaloisDatum, index: int) -> None:
         raise BadParameters(f"automorphism index {index} is out of range")
 
 
-def _act(datum: GaloisDatum, pair: tuple, x: FieldElement) -> FieldElement:
-    """The image of x under the Q-linear map A / D given as the pair (A, D)
-    (an automorphism, or multiplication by an element), as an element of
-    datum: A times x's kept numerators X over D D_X, one _element."""
+def _act(pair: tuple, form: tuple) -> tuple[tuple[int, ...], int]:
+    """The cleared form of the image of X / D_X, given as its form (X, D_X),
+    under the Q-linear map A / D given as the pair (A, D) (an automorphism,
+    or multiplication by an element): A X over D D_X, _reduced.  Every
+    product and automorphism image is formed here."""
     a, da = pair
-    b, db = x._cleared()
-    return _element(datum, fl.mat_vec(a, b), da * db)
+    b, db = form
+    return _reduced(fl.mat_vec(a, b), da * db)
 
 
 def verify_galois_datum(candidate: GaloisDatum,
@@ -545,14 +551,14 @@ def verify_galois_datum(candidate: GaloisDatum,
         g = math.gcd(top, *(c for col in scaled for c in col))
         autmat.append((tuple(zip(*([c // g for c in col] for col in scaled))), top // g))
 
-    coords = [x.coeffs for x in elems]
+    coords = [x._cleared() for x in elems]
     if len(set(coords)) != d:
         raise WrongAutomorphismCount("duplicate automorphism polynomials")
 
     ident = candidate.identity_index
     if not (0 <= ident < d):
         raise TableNotAGroup("identity index out of range")
-    if coords[ident] != candidate.generator().coeffs:
+    if coords[ident] != candidate.generator()._cleared():
         raise TableNotAGroup("identity automorphism is not X")
 
     given = candidate.table
@@ -564,7 +570,7 @@ def verify_galois_datum(candidate: GaloisDatum,
         row = []
         for j in range(d):
             # sigma_i o sigma_j sends theta to sigma_i(q_j(theta))
-            comp = _act(candidate, autmat[i], elems[j]).coeffs
+            comp = _act(autmat[i], coords[j])
             k = index.get(comp, -1) if given is None else given[i][j]
             if not (0 <= k < d) or coords[k] != comp:
                 raise TableNotAGroup("automorphisms not closed under composition" if given is None
@@ -734,7 +740,7 @@ def apply_automorphism(datum: GaloisDatum, index: int, x: FieldElement) -> Field
     aut = automorphism_matrix(datum, index)
     if x.datum.fingerprint() != datum.fingerprint():
         raise DatumMismatch("element does not belong to this datum")
-    return _act(datum, aut, x)
+    return _build(datum, _act(aut, x._cleared()))
 
 
 def minimal_polynomial(x: FieldElement) -> Polynomial:

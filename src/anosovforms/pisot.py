@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
+from . import _fieldlinalg as fl
 from . import numfield
 from .errors import BadParameters, PrecisionUnreachable, SearchBudgetExceeded, Undecidable
 from .numfield import (
@@ -147,13 +148,20 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     the box whose first nonzero coordinate is positive is visited; each
     unit x found there brings -x, of the same |norm|.
 
+    Every element formed lies in Z[theta]: the box is integral, p is monic
+    over Z, and a product is integer rows times integer numerators.  So a
+    box point's |N(x)| = 1 is the determinant of its integer rows, an
+    element is built only for a unit or a product whose cleared form
+    (X, 1) is new, and Tr(x) = sum_i X_i s_i with s_i = Tr(theta^i), the
+    power sums of p's roots, read once off the rows of each theta^i.
+    Results are sorted by (Tr(x), X), the order of (trace, coordinates),
+    so identical calls return identical lists.
+
     Complete only in the sense of the enumeration box: units of the ring of
     integers outside Z[theta] are found only if some power or product lands
-    in the box closure.  Results are sorted by trace then coordinates, so
-    identical calls return identical lists.  SearchBudgetExceeded: the box
-    holds more than candidate_budget points, or the product round would
-    form more than that many pairs, known as soon as the distinct powers
-    formed so far do.
+    in the box closure.  SearchBudgetExceeded: the box holds more than
+    candidate_budget points, or the product round would form more than
+    that many pairs, known as soon as the distinct powers formed so far do.
     """
     if not datum.verified:
         raise BadParameters("search_units requires a verified datum")
@@ -170,11 +178,20 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     for zeros in range(d):
         for head in range(1, height_bound + 1):
             for tail in product(span, repeat=d - 1 - zeros):
-                x = datum.element((0,) * zeros + (head,) + tail)
-                if abs(x.norm()) == 1:
-                    units += (x, -x)
+                nums = (0,) * zeros + (head,) + tail
+                rows = numfield._multiplication_rows(datum, nums)
+                if abs(fl.int_det(rows)) == 1:
+                    units += (numfield._build(datum, (nums, 1), rows),
+                              numfield._build(datum, (tuple(-u for u in nums), 1)))
     # keyed by the kept cleared form: unique per element, cheap to hash
     seen = {u._cleared(): u for u in units}
+
+    def kept(form: tuple) -> FieldElement:
+        x = seen.get(form)
+        if x is None:
+            x = seen[form] = numfield._build(datum, form)
+        return x
+
     for u in units:
         acc = u
         # a torsion unit's powers repeat once they reach 1; seen only grows,
@@ -182,17 +199,17 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
         for _ in range(2, power_bound + 1):
             if acc == 1 or len(seen) * (len(seen) - 1) // 2 > budget:
                 break
-            acc = u * acc
-            seen.setdefault(acc._cleared(), acc)
+            acc = kept(numfield._act(u._scaled_multiplication_rows(), acc._cleared()))
     pairs = len(seen) * (len(seen) - 1) // 2
     if pairs > budget:
         raise SearchBudgetExceeded(f"{pairs} pairs in a product round over the budget {budget}")
-    for a, b in combinations_with_replacement(list(seen.values()), 2):
-        ab = a * b
-        seen.setdefault(ab._cleared(), ab)
+    for (_, a), (form, _) in combinations_with_replacement(list(seen.items()), 2):
+        kept(numfield._act(a._scaled_multiplication_rows(), form))
+    sums = [sum(row[i] for i, row in enumerate(numfield._multiplication_rows(datum, e)))
+            for e in ((0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d))]
     out = [u for u in seen.values()
            if not (u == 1 or u == -1) and all(c.holds_for(u) for c in constraints)]
-    out.sort(key=lambda u: (u.trace(), u.coeffs))
+    out.sort(key=lambda u: (sum(x * s for x, s in zip(u._cleared()[0], sums)), u._cleared()[0]))
     return out
 
 

@@ -45,9 +45,15 @@ def _reader(fn):
 
 
 def _rat(x) -> Fraction:
-    """An exact rational from a string or an integer; floats are refused."""
+    """An exact rational from a string or an integer; floats are refused.
+    An ASCII "p" or "p/q" of digits, p optionally signed "-", is read with
+    int; every other input by rat, which accepts what Fraction does."""
     if isinstance(x, (str, int, Fraction)) and not isinstance(x, bool):
         try:
+            if isinstance(x, str) and x.isascii():
+                num, slash, den = x.partition("/")
+                if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return rat(str(x))
         except (ValueError, ZeroDivisionError):
             pass

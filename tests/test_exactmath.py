@@ -46,6 +46,20 @@ def zeros(r: int, c: int) -> RationalMatrix:
     return RationalMatrix([[F(0)] * c for _ in range(r)])
 
 
+def diagonal(diag) -> RationalMatrix:
+    return RationalMatrix([[F(diag[i]) if i == j else F(0) for j in range(len(diag))]
+                           for i in range(len(diag))])
+
+
+def interval_abs(iv: Interval) -> Interval:
+    """The Interval {|t| : t in iv}."""
+    if iv.lo >= 0:
+        return iv
+    if iv.hi <= 0:
+        return iv.neg()
+    return Interval(F(0), max(-iv.lo, iv.hi))
+
+
 def poly_xgcd(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """Return (g, s, t) with s*p + t*q = g = monic gcd(p, q)."""
     r0, r1 = p, q
@@ -501,8 +515,8 @@ class TestInterval:
         assert prod.lo == -8 and prod.hi == 12
 
     def test_abs(self):
-        assert Interval(F(-3), F(2)).abs() == Interval(F(0), F(3))
-        assert Interval(F(-3), F(-2)).abs() == Interval(F(2), F(3))
+        assert interval_abs(Interval(F(-3), F(2))) == Interval(F(0), F(3))
+        assert interval_abs(Interval(F(-3), F(-2))) == Interval(F(2), F(3))
 
     def test_poly_eval(self):
         p = P([-2, 0, 1])

@@ -167,13 +167,33 @@ class TestSearch:
             "identity": 0, "table": [[0, 1], [1, 0]], "totally_real": False,
             "moduli": [{"lo": "1/2", "hi": "3/2"}] * 2})
         calls = []
-        real = numfield.FieldElement.__mul__
-        monkeypatch.setattr(numfield.FieldElement, "__mul__",
-                            lambda a, b: calls.append(1) or real(a, b))
+        real = numfield._act
+        monkeypatch.setattr(numfield, "_act",
+                            lambda pair, form: calls.append(1) or real(pair, form))
         found = search_units(gauss, 1, power_bound=50)
         assert found == [gauss.element([0, -1]), gauss.element([0, 1])]
-        # 7 powers and the 10 products of the round over 4 elements
+        # 7 powers and the 10 products of the round over 4 elements, each
+        # formed at the one product site
         assert len(calls) == 7 + 10
+
+    def test_builds_one_element_per_kept_key(self, quartic, monkeypatch):
+        # the box loop reads |N(x)| off integer rows and the product round
+        # looks each product's key up before it builds; at h = 2 the search
+        # built 1,711 elements for 416 kept before
+        from anosovforms import numfield
+
+        built = []
+        real = numfield.FieldElement.__post_init__
+        monkeypatch.setattr(numfield.FieldElement, "__post_init__",
+                            lambda x: built.append(x) or real(x))
+        found = search_units(quartic, 2)
+        assert len(found) == 416
+        keys = {x._cleared() for x in built}
+        # one construction per key of seen: the hits and, if formed, +-1
+        assert len(built) == len(keys)
+        assert keys - {((1, 0, 0, 0), 1), ((-1, 0, 0, 0), 1)} == {u._cleared() for u in found}
+        # every element built is a unit, so no non-unit box point built one
+        assert all(abs(x.norm()) == 1 for x in built)
 
     def test_budget_is_a_constant(self, sqrt2, monkeypatch):
         monkeypatch.setenv("ANOSOV_SEARCH_BUDGET", "1")

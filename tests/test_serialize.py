@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from anosovforms.errors import FieldMismatch, MalformedInput
 from anosovforms.liealg import heisenberg
 from anosovforms.recipes import recipe_z4_example
 from anosovforms.serialize import (
+    _rat,
     algebra_from_json,
     algebra_to_json,
     canonical_dumps,
@@ -92,3 +94,22 @@ def test_certificate_shape():
 def test_canonical_dumps_sorted_and_newline():
     s = canonical_dumps({"b": 1, "a": [2, 3]})
     assert s == '{"a":[2,3],"b":1}\n'
+
+
+@pytest.mark.parametrize("s", [
+    "3", "-3", "+3", " 3", "3_0", "3__0", "3/-4", "-3/-4", "3 / 4", "1.5", "1e3",
+    "\u0663", "\u00b2", "3/0", "", "-", "/3", "3/", "0x10", "007/010", "3/4/5", "--3",
+    "7" * 5000,
+], ids=lambda s: s if len(s) < 10 else f"{len(s)}-digits")
+def test_rat_reads_what_fraction_reads(s):
+    # "p" and "p/q" are read with int; the value, or the refusal and its
+    # message, is Fraction's on every string
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(MalformedInput) as e:
+            _rat(s)
+        assert str(e.value) == f"not an exact rational: {s!r}"
+    else:
+        got = _rat(s)
+        assert type(got) is Fraction and got == want

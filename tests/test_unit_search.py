@@ -41,7 +41,7 @@ from anosovforms.numfield import (
 )
 from anosovforms.pisot import ConeConstraint, search_unit_pisot, search_units
 from anosovforms.recipes import biquadratic_pisot_unit
-from test_exactmath import poly_xgcd, ref_charpoly
+from test_exactmath import interval_abs, poly_xgcd, ref_charpoly
 from test_fieldlinalg import multiplication_matrix, ref_det
 from test_frozen_field_layer import sign_against
 
@@ -122,10 +122,10 @@ def ref_is_algebraic_unit(x):
 def ref_inverse(x):
     if x.is_zero:
         raise ZeroDivisionError("inverse of zero field element")
-    g, s, _ = poly_xgcd(x.as_polynomial(), x.datum.min_poly)
+    g, s, _ = poly_xgcd(Polynomial(x.coeffs), x.datum.min_poly)
     if g.degree != 0:
         raise NotIrreducible("minimal polynomial is reducible")
-    return x.datum.from_polynomial(s * (1 / g.constant))
+    return x.datum.element((s * (1 / g.constant) % x.datum.min_poly).coeffs)
 
 
 def ref_compare_abs_to_one(x, i):
@@ -139,9 +139,9 @@ def ref_compare_abs_to_one(x, i):
         if sign is None:
             raise PrecisionUnreachable("fixture modulus enclosure contains 1")
         return sign
-    poly = x.as_polynomial()
+    poly = Polynomial(x.coeffs)
     path = datum._paths[datum.root_map[i]]
-    return refine_until(lambda k: sign_against(ref_eval_interval(poly, path.level(k)).abs(), 1))
+    return refine_until(lambda k: sign_against(interval_abs(ref_eval_interval(poly, path.level(k))), 1))
 
 
 def ref_holds_for(cone, lam):
