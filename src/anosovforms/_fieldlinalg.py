@@ -34,8 +34,9 @@ little), each division by the previous pivot exact, so det = det(integer
 rows) / D^n, always a Fraction.  int_charpoly, the one characteristic
 polynomial, runs on cleared integer rows (M, D): its c_k is D^(n-k)
 times the rational coefficient.  A caller that keeps the cleared form of
-its data (a field element keeps (X, D) and (M, D)) calls the integer
-kernels directly, and clears nothing twice.
+its data calls the integer kernels directly and clears nothing twice: a
+field element keeps (X, D) and (M, D), and a polynomial its numerators
+over one denominator, each in the canonical form `reduced` returns.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def rref(rows):
                     row = [s * x for x in row]
                 for k, y in nz:
                     row[k] -= f * y
-                m[i] = _content_free(row)
+                m[i] = content_free(row)
         pivots.append(c)
         m[r + 1:] = [row for row in m[r + 1:] if any(row)]
     zero = Fraction(0)
@@ -220,10 +221,20 @@ def primitive(row):
     """The integer row spanning the same line as a rational row: cleared
     denominators with the gcd of the entries divided out."""
     (ints,), _ = clear_denominators([row])
-    return _content_free(ints)
+    return content_free(ints)
 
 
-def _content_free(ints):
+def reduced(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical form of nums / den (den != 0): nums and den divided by
+    g = gcd(den, *nums), signed so that the denominator is positive, which
+    is what clear_denominators returns on the reduced quotients."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return tuple(u // g for u in nums), den // g
+
+
+def content_free(ints):
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 

@@ -1,26 +1,31 @@
 """Exact rational arithmetic: polynomials, matrices, certified root counting.
 
-Everything here works over Q with `fractions.Fraction` (always in lowest
-terms, positive denominator) and never touches floating point.  The
-charpoly is _fieldlinalg's integer Berkowitz kernel on cleared numerators.
-The root counting routines decide unit-circle and unit-disk membership
-exactly:
+Nothing here touches floating point.  A Polynomial is kept as integer
+numerators over one positive denominator, the form of a FieldElement and
+a RationalFormBasis, and its products, its one division loop (integer
+pseudo-division) and its remainder chain run on those ints; its Fraction
+coefficients are a view.  Matrix entries are `fractions.Fraction` (lowest
+terms, positive denominator).  The charpoly is _fieldlinalg's integer
+Berkowitz kernel on cleared numerators.  The root counting routines decide
+unit-circle and unit-disk membership exactly:
 
 * real roots in an interval      -> Sturm sequences
 * roots of modulus exactly one   -> the Cayley map z = (1 + it)/(1 - it)
   and inside the unit disk          turns p on the circle into A(t) + i B(t)
-                                    of degree deg p; one signed remainder
-                                    chain of A and B ends in gcd(A, B),
-                                    whose real roots are the circle roots
-                                    other than -1, and its leading signs
-                                    give the Cauchy index that counts the
-                                    roots inside by the argument principle
+                                    of degree deg p; one primitive signed
+                                    remainder chain of A and B on ints ends
+                                    in gcd(A, B), whose real roots are the
+                                    circle roots other than -1, and its
+                                    leading signs give the Cauchy index
+                                    that counts the roots inside by the
+                                    argument principle
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -41,9 +46,7 @@ def rat(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -96,42 +99,68 @@ def squarefree_part_of_rational(x) -> int:
 
 
 class Polynomial:
-    """Univariate polynomial over Q, coefficients stored ascending.
+    """Univariate polynomial over Q, kept as integer numerators over one
+    denominator: p = sum_i nums[i] X^i / den, den > 0, nums ascending with
+    no trailing zero and gcd(den, *nums) = 1.  That is what
+    fl.clear_denominators returns on the reduced coefficients, so the form
+    is canonical; every operation runs on it.  coeffs, the ascending
+    Fraction coefficients, is the view built on first read and kept.
 
-    The zero polynomial has degree -1 and an empty coefficient tuple.
-    Instances are immutable and hashable.
+    The zero polynomial has degree -1 and nums = ().  Instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = _trimmed(rat(c) for c in coeffs)
+        (nums,), den = fl.clear_denominators([cs])
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", tuple(cs))
+
+    @staticmethod
+    def from_numerators(nums: Iterable[int], den: int = 1) -> "Polynomial":
+        """sum_i nums[i] X^i / den for integers nums and den != 0."""
+        p = object.__new__(Polynomial)
+        nums, den = fl.reduced(_trimmed(nums), den)
+        object.__setattr__(p, "nums", nums)
+        object.__setattr__(p, "den", den)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
+    # __getitem__ answers 0 past the degree, so iterating would never stop
+    __iter__ = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = getattr(self, "_coeffs", None)
+        if cs is None:
+            cs = tuple(Fraction(u, self.den) for u in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self.degree]
 
     @property
     def constant(self) -> Fraction:
@@ -141,27 +170,29 @@ class Polynomial:
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return Polynomial.from_numerators(())
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((1,))
+        return Polynomial.from_numerators((1,))
 
     @staticmethod
     def x() -> "Polynomial":
-        return Polynomial((0, 1))
+        return Polynomial.from_numerators((0, 1))
 
-    # -- ring operations
+    # -- ring operations, on the numerators
 
     def __add__(self, other) -> "Polynomial":
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self[i] + other[i] for i in range(n))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Polynomial.from_numerators(
+            (a * x + b * y for x, y in zip_longest(self.nums, other.nums, fillvalue=0)), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial.from_numerators((-c for c in self.nums), self.den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_as_poly(other))
@@ -170,23 +201,16 @@ class Polynomial:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        """The convolution on each factor's cleared numerators, divided once
-        by the product of the two denominators (the common-denominator
-        rule of _fieldlinalg)."""
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(rat(other) * c for c in self.coeffs)
+        """The convolution of the numerators over the product of the
+        denominators."""
         other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        (a,), da = fl.clear_denominators([self.coeffs])
-        (b,), db = fl.clear_denominators([other.coeffs])
-        out = [0] * (len(a) + len(b) - 1)
+        a, b = self.nums, other.nums
+        out = [0] * max(len(a) + len(b) - 1, 0)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        den = da * db
-        return Polynomial(Fraction(c, den) for c in out)
+        return Polynomial.from_numerators(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -196,23 +220,16 @@ class Polynomial:
         return binary_power(self, e, Polynomial.one())
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        den = _as_poly(other)
-        if den.is_zero:
+        """Quotient and remainder over Q from the pseudo-division s A = q B
+        + r of the numerators of self = A / a and other = B / b: self = (q
+        b / (s a)) other + r / (s a)."""
+        other = _as_poly(other)
+        if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(den.coeffs) + 1, 1)
-        rem = list(self.coeffs)
-        dd, dl = den.degree, den.leading
-        while len(rem) - 1 >= dd:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - 1 - dd
-            c = rem[-1] / dl
-            q[shift] += c
-            for i, dc in enumerate(den.coeffs):
-                rem[shift + i] -= c * dc
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
+        q, r, s = _pseudo_divmod(self.nums, other.nums)
+        den = s * self.den
+        return (Polynomial.from_numerators((other.den * c for c in q), den),
+                Polynomial.from_numerators(r, den))
 
     def __mod__(self, other) -> "Polynomial":
         return divmod(self, other)[1]
@@ -222,11 +239,12 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+            other = _as_poly(other)
+        return isinstance(other, Polynomial) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a polynomial of degree <= 0 equals its value, so hashes like it
+        return hash(self.constant) if self.degree <= 0 else hash((self.nums, self.den))
 
     def __repr__(self):
         if self.is_zero:
@@ -245,41 +263,43 @@ class Polynomial:
     # -- calculus and evaluation
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return Polynomial.from_numerators([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def eval(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(a / q) = horner(nums, a, q) / (den q^deg p)."""
+        x = rat(x)
+        if self.is_zero:
+            return Fraction(0)
+        q = x.denominator
+        return Fraction(horner(self.nums, x.numerator, q), self.den * q ** self.degree)
 
     def eval_interval(self, iv: "Interval") -> "Interval":
-        """interval_horner on the cleared coefficients, as an Interval."""
-        (nums,), e = fl.clear_denominators([self.coeffs])
-        return Interval.from_numerators(*interval_horner(nums, e, iv.numerators()))
+        """interval_horner on the numerators, as an Interval."""
+        return Interval.from_numerators(*interval_horner(self.nums, self.den, iv.numerators()))
 
     # -- normal forms
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return self if lead == 1 else Polynomial(c / lead for c in self.coeffs)
+        return Polynomial.from_numerators(self.nums, self.nums[-1]) if self.nums else self
 
     def reciprocal(self) -> "Polynomial":
         """X^deg * p(1/X): the coefficient list reversed."""
         if self.is_zero:
             raise ZeroPolynomial("reciprocal of the zero polynomial")
-        return Polynomial(reversed(self.coeffs))
+        return Polynomial.from_numerators(self.nums[::-1], self.den)
 
     def squarefree_part(self) -> "Polynomial":
+        """p / gcd(p, p'), monic: the numerators divided by the last term of
+        their remainder chain with p'."""
         if self.degree <= 0:
             return self.monic()
-        return (self // poly_gcd(self, self.derivative())).monic()
+        g = _remainder_chain(self.nums, self.derivative().nums)[-1]
+        q = _pseudo_divmod(self.nums, g)[0]
+        return Polynomial.from_numerators(q, q[-1])
 
     @property
     def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
 
 def _as_poly(x) -> Polynomial:
@@ -290,9 +310,46 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot coerce {x!r} to Polynomial")
 
 
+def _trimmed(nums: Iterable) -> list:
+    """The coefficient list without its trailing zeros."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    return nums
+
+
+def horner(nums: Sequence[int], a: int, q: int = 1) -> int:
+    """q^n p(a / q) for p = sum_i nums[i] X^i of degree n and q > 0: the
+    integer sum sum_i nums[i] a^i q^(n-i) by Horner, whose sign is p(a/q)'s."""
+    acc, scale = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * scale
+        scale *= q
+    return acc
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s a = q b + r, deg r < deg b and s > 0 a power of
+    |lc(b)|, for integer lists a and b (b nonzero, trimmed): the one
+    polynomial division.  A nonzero top coefficient c of r scales q and r
+    by |lc(b)| and is cancelled by sign(lc(b)) c X^k b."""
+    n, lead = len(b) - 1, b[-1]
+    sb, sign = abs(lead), (1 if lead > 0 else -1)
+    r, q, s = list(a), [0] * max(len(a) - n, 0), 1
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = r.pop() * sign
+        if c:
+            if sb != 1:
+                r, q, s = [sb * x for x in r], [sb * x for x in q], s * sb
+            q[k] = c
+            for i, y in enumerate(b[:-1]):
+                r[k + i] -= c * y
+    return q, _trimmed(r), s
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd over Q, the chain's last term; zero when both vanish."""
-    return _remainder_chain(p, q)[-1].monic()
+    return Polynomial.from_numerators(_remainder_chain(p.nums, q.nums)[-1]).monic()
 
 
 def interval_horner(nums: Sequence[int], e: int,
@@ -506,13 +563,18 @@ class RationalMatrix:
 
 
 def charpoly(m: RationalMatrix) -> Polynomial:
-    """det(X*I - m), monic: with m = M / D over the common denominator D,
-    coefficient k is c_k / D^(n-k), c_k that of the integer kernel on M."""
+    """det(X*I - m), monic: scaled_charpoly of m = M / D over the common
+    denominator D."""
     if not m.is_square:
         raise NonSquare(f"charpoly of a {m.rows}x{m.cols} matrix")
-    rows, d = fl.clear_denominators(m.entries)
-    n = m.rows
-    return Polynomial(Fraction(c, d ** (n - k)) for k, c in enumerate(fl.int_charpoly(rows)))
+    return scaled_charpoly(*fl.clear_denominators(m.entries))
+
+
+def scaled_charpoly(rows, d: int) -> Polynomial:
+    """det(X*I - M / d) for a square integer matrix M and d > 0: coefficient
+    k of fl.int_charpoly(M) is d^(n-k) times the rational one."""
+    cs = fl.int_charpoly(rows)
+    return Polynomial.from_numerators((c * d ** k for k, c in enumerate(cs)), d ** len(rows))
 
 
 def nullspace(rows) -> list[tuple[Fraction, ...]]:
@@ -541,17 +603,22 @@ def nullspace(rows) -> list[tuple[Fraction, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _remainder_chain(a: Polynomial, b: Polynomial) -> list[Polynomial]:
-    """The signed remainder sequence a, b, -(a mod b), ... up to its last
-    nonzero term: the Sturm chain when b = a'."""
-    chain = [a, b]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
+def _remainder_chain(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
+    """The primitive signed remainder chain of the integer lists a, b up to
+    its last nonzero term: each next term is -r / content(r), r the
+    pseudo-remainder of the two before it (Collins 1967; Brown and Traub
+    1971).  By induction each term is a positive multiple of the signed
+    remainder sequence a, b, -(a mod b), ... over Q, so the degrees, the
+    signs, the Cauchy index and the gcd up to a scalar are that sequence's;
+    the Sturm chain when b = a'."""
+    chain = [list(a), list(b)]
+    while chain[-1]:
+        chain.append(fl.content_free([-x for x in _pseudo_divmod(chain[-2], chain[-1])[1]]))
     chain.pop()
     return chain
 
 
-def _sign_changes(vals: Iterable[Fraction]) -> int:
+def _sign_changes(vals: Iterable) -> int:
     signs = [v > 0 for v in vals if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -568,44 +635,41 @@ def sturm_count(p: Polynomial, interval: tuple) -> int:
         raise ValueError("empty interval")
     if p.is_zero:
         raise ZeroPolynomial("sturm_count of the zero polynomial")
-    if p.eval(a) == 0 or p.eval(b) == 0:
+    chain = _remainder_chain(p.nums, p.derivative().nums)
+    va, vb = ([horner(t, x.numerator, x.denominator) for t in chain] for x in (a, b))
+    if not (va[0] and vb[0]):
         raise EndpointIsRoot(f"polynomial vanishes at an endpoint of ({a}, {b})")
-    chain = _remainder_chain(p, p.derivative())
-    va = _sign_changes(q.eval(a) for q in chain)
-    vb = _sign_changes(q.eval(b) for q in chain)
-    return va - vb
+    return _sign_changes(va) - _sign_changes(vb)
 
 
-def _chain_index(chain: list[Polynomial]) -> int:
+def _chain_index(chain: list[list[int]]) -> int:
     """The Cauchy index of chain[1]/chain[0] over the whole real line, read
-    off the leading signs of their signed remainder chain: jumps from -inf
-    to +inf count +1."""
-    at_pos = _sign_changes(q.leading for q in chain if not q.is_zero)
-    at_neg = _sign_changes(
-        q.leading * (-1) ** q.degree for q in chain if not q.is_zero
-    )
+    off the leading signs of their remainder chain: jumps from -inf to +inf
+    count +1."""
+    at_pos = _sign_changes(t[-1] for t in chain if t)
+    at_neg = _sign_changes(t[-1] if len(t) % 2 else -t[-1] for t in chain if t)
     return at_neg - at_pos
 
 
-def _boundary_chain(p: Polynomial) -> list[Polynomial]:
+def _boundary_chain(p: Polynomial) -> list[list[int]]:
     """The remainder chain of p restricted to the unit circle.
 
     The Cayley map z = (1 + it)/(1 - it) takes the real line onto the
     circle without -1, and (1 - it)^n p(z) = A(t) + i B(t) with real A, B
     of degree at most n = deg p.  Writing F(t) = (1 - t)^n p((1 + t)/(1 - t))
-    (a homogeneous Horner loop), A + iB = F(it): A holds the even and B
-    the odd powers of t.  The chain starts with the part whose degree is n
-    when p(-1) != 0, A for even n and B for odd n; its last term is
-    gcd(A, B).
+    (a homogeneous Horner loop, here on p's numerators, so F is den F),
+    A + iB = F(it): A holds the even and B the odd powers of t.  The chain
+    starts with the part whose degree is n when p(-1) != 0, A for even n
+    and B for odd n; its last term is gcd(A, B) up to a scalar.
     """
-    f = [p.leading]
+    f = [p.nums[-1]]
     w = [1]
-    for a in reversed(p.coeffs[:-1]):
+    for a in reversed(p.nums[:-1]):
         w = [x - y for x, y in zip(w + [0], [0] + w)]
         f = [x + y + a * z for x, y, z in zip(f + [0], [0] + f, w)]
     sign = (1, 1, -1, -1)
-    re = Polynomial(sign[j % 4] * c if j % 2 == 0 else 0 for j, c in enumerate(f))
-    im = Polynomial(sign[j % 4] * c if j % 2 else 0 for j, c in enumerate(f))
+    re, im = (_trimmed(sign[j % 4] * c if j % 2 == odd else 0 for j, c in enumerate(f))
+              for odd in (0, 1))
     return _remainder_chain(re, im) if p.degree % 2 == 0 else _remainder_chain(im, re)
 
 
@@ -631,10 +695,12 @@ def _circle_split(p: Polynomial) -> tuple[int, int | None]:
     The roots on the circle are z = -1 when p(-1) = 0 and the images of
     the real roots of gcd(A, B); both counts come from one boundary chain.
     """
+    if p.is_zero:
+        raise ZeroPolynomial("root count of the zero polynomial")
     chain = _boundary_chain(p)
-    on = int(p.eval(-1) == 0)
-    if chain[-1].degree > 0:
-        on += count_real_roots(chain[-1])
+    on = int(horner(p.nums, -1) == 0)
+    if len(chain[-1]) > 1:
+        on += count_real_roots(Polynomial.from_numerators(chain[-1]))
     if on:
         return on, None
     return 0, _inside_count(p.degree, chain)
@@ -642,8 +708,6 @@ def _circle_split(p: Polynomial) -> tuple[int, int | None]:
 
 def count_roots_on_unit_circle(p: Polynomial) -> int:
     """Distinct complex roots of p with modulus exactly 1."""
-    if p.is_zero:
-        raise ZeroPolynomial("count_roots_on_unit_circle of the zero polynomial")
     return _circle_split(p)[0]
 
 
@@ -653,8 +717,6 @@ def count_roots_inside_unit_disk(p: Polynomial) -> int:
     Requires that no root lies on the unit circle (checked; RootOnCircle
     otherwise).
     """
-    if p.is_zero:
-        raise ZeroPolynomial("count_roots_inside_unit_disk of the zero polynomial")
     _, inside = _circle_split(p)
     if inside is None:
         raise RootOnCircle("polynomial has a root of modulus one")
@@ -666,4 +728,4 @@ def count_real_roots(p: Polynomial) -> int:
     p'/p for any multiplicities (Basu, Pollack, Roy, Thm 2.50)."""
     if p.is_zero:
         raise ZeroPolynomial("count_real_roots of the zero polynomial")
-    return _chain_index(_remainder_chain(p, p.derivative()))
+    return _chain_index(_remainder_chain(p.nums, p.derivative().nums))

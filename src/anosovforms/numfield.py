@@ -16,8 +16,8 @@ form, and the norm is the integer determinant of M over D^d.
 
 Each real root of a verified datum has one bisection path (RootPath), kept
 on the datum, whose levels are integer triples (a, b, q) for [a/q, b/q]
-and whose signs are integer sums over the once-cleared minimal
-polynomial.  Every question about a real conjugate is asked of that path
+and whose signs are integer sums over the minimal polynomial's kept
+numerators.  Every question about a real conjugate is asked of that path
 by refine_until, under the single level budget DEFAULT_REFINE_STEPS, and
 read off x's kept numerators by the one interval Horner kernel as an
 integer enclosure [lo/E, hi/E]: moduli, signs against 1 and cone
@@ -51,8 +51,10 @@ from .exactmath import (
     Interval,
     Polynomial,
     binary_power,
+    horner,
     interval_horner,
     rat,
+    scaled_charpoly,
     squarefree_part_of_rational,
 )
 
@@ -95,11 +97,7 @@ class GaloisDatum:
         return self.min_poly.degree
 
     def fingerprint(self) -> tuple:
-        fp = getattr(self, "_fp", None)
-        if fp is None:
-            fp = (self.min_poly.coeffs, tuple(a.coeffs for a in self.automorphisms))
-            object.__setattr__(self, "_fp", fp)
-        return fp
+        return self.min_poly, tuple(self.automorphisms)
 
     # -- elements ---------------------------------------------------------
 
@@ -210,24 +208,23 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Cayley-Hamilton on the cleared multiplication matrix (M, D), with
-        chi's coefficients a_k read as the integers c_k = D^(d-k) a_k of
-        det(XI - M): x^-1 = -D (M^(d-1) + c_(d-1) M^(d-2) + ... + c_1 I)
-        e_1 / c_0, by Horner on integer mat_vec.  c_0 = (-D)^d Res(p, x) is
-        0 for a nonzero x iff x shares a factor with p."""
+        """Cayley-Hamilton on chi's numerators n_0, ..., n_d (n_d its
+        denominator): x^-1 = -(n_d x^(d-1) + ... + n_2 x + n_1) / n_0, by
+        Horner on the cleared multiplication matrix (M, D) with integer
+        mat_vec; after j steps the vector is D^j times the partial sum.
+        n_0 is 0 for a nonzero x iff x shares a factor with p."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
         rows, den = self._scaled_multiplication_rows()
-        d = len(rows)
-        cs = [a.numerator * den ** (d - k) // a.denominator
-              for k, a in enumerate(self.charpoly().coeffs)]
-        if not cs[0]:
+        chi = self.charpoly().nums
+        if not chi[0]:
             raise NotIrreducible("minimal polynomial is reducible")
-        y = [1] + [0] * (d - 1)
-        for c in reversed(cs[1:-1]):
+        y, scale = [chi[-1]] + [0] * (len(rows) - 1), 1
+        for c in reversed(chi[1:-1]):
             y = fl.mat_vec(rows, y)
-            y[0] += c
-        return _build(self.datum, _reduced([-den * v for v in y], cs[0]))
+            scale *= den
+            y[0] += c * scale
+        return _build(self.datum, fl.reduced([-v for v in y], chi[0] * scale))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -282,25 +279,26 @@ class FieldElement:
 
     def _scaled_multiplication_rows(self) -> tuple[list[tuple], int]:
         """(M, D) with M / D the matrix of multiplication by x: M is
-        _multiplication_rows of the cleared numerators X = D * x.  Computed
-        once and kept."""
+        _multiplication_rows of the cleared numerators X = D * x, cleared
+        once more over an unverified datum's non-integral p.  Computed once
+        and kept."""
         kept = getattr(self, "_rows", None)
         if kept is None:
             nums, den = self._cleared()
-            kept = (_multiplication_rows(self.datum, nums), den)
+            rows = _multiplication_rows(self.datum, nums)
+            if not self.datum.min_poly.is_integer:
+                rows, e = fl.clear_denominators(rows)
+                den *= e
+            kept = (rows, den)
             object.__setattr__(self, "_rows", kept)
         return kept
 
     def charpoly(self) -> Polynomial:
-        """chi_x = det(X I - M / D), monic of degree d, computed once by the
-        integer kernel on (M, D) and kept: its c_k is D^(d-k) times the
-        rational coefficient.  chi_x is mp_x^(d / deg mp_x)."""
+        """chi_x = det(X I - M / D), monic of degree d, computed once by
+        scaled_charpoly on (M, D) and kept.  chi_x is mp_x^(d / deg mp_x)."""
         chi = getattr(self, "_charpoly", None)
         if chi is None:
-            rows, den = self._scaled_multiplication_rows()
-            d = len(rows)
-            chi = Polynomial(Fraction(c, den ** (d - k))
-                             for k, c in enumerate(fl.int_charpoly(rows)))
+            chi = scaled_charpoly(*self._scaled_multiplication_rows())
             object.__setattr__(self, "_charpoly", chi)
         return chi
 
@@ -318,24 +316,16 @@ class FieldElement:
 def _multiplication_rows(datum: GaloisDatum, col: Sequence) -> list[tuple]:
     """Rows of the matrix with columns X, theta X, ..., theta^(d-1) X for X
     = col: each step shifts up and replaces theta^d by -sum_i p_i theta^i
-    (p monic), on ints where p's coefficients and X are."""
-    low = [c.numerator if c.denominator == 1 else c for c in datum.min_poly.coeffs[:-1]]
+    (p monic), on ints where p's numerators and X are.  An unverified
+    datum's p may be non-integral; its Fractions then enter the rows."""
+    p = datum.min_poly
+    low = p.nums[:-1] if p.is_integer else p.coeffs[:-1]
     cols = [col]
     for _ in range(len(col) - 1):
         top = col[-1]
         col = [a - top * c for a, c in zip((0, *col[:-1]), low)]
         cols.append(col)
     return list(zip(*cols))
-
-
-def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """The cleared form of nums / den (den != 0): nums and den divided by
-    g = gcd(den, nums), signed so that the denominator is positive, which
-    is what clear_denominators returns on the reduced coordinates."""
-    g = math.gcd(den, *nums)
-    if den < 0:
-        g = -g
-    return tuple(u // g for u in nums), den // g
 
 
 def _build(datum: GaloisDatum, form: tuple, rows: list[tuple] | None = None) -> FieldElement:
@@ -355,10 +345,7 @@ def _build(datum: GaloisDatum, form: tuple, rows: list[tuple] | None = None) -> 
 
 
 def _l2_norm_bound(p: Polynomial) -> int:
-    s = 0
-    for c in p.coeffs:
-        s += c.numerator * c.numerator
-    return math.isqrt(s) + 1
+    return math.isqrt(sum(c * c for c in p.nums)) + 1
 
 
 def _check_irreducible(p: Polynomial, budget: int) -> bool:
@@ -388,13 +375,13 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
     if not p.is_integer or p.leading != 1:
         raise BadParameters("minimal polynomial must be monic with integer coefficients")
     m = _l2_norm_bound(p)
-    p0 = int(p.coeffs[0])
+    p0 = p.nums[0]
     # the unfiltered box, with 2m + 1 constant terms, is over budget too here
     if (min(m, abs(p0)) if p0 else 2 * m + 1) > budget:
         return False
     divisors = [c for c in range(1, min(m, abs(p0)) + 1) if p0 % c == 0]
     constants = [-c for c in reversed(divisors)] + divisors if p0 else range(-m, m + 1)
-    values = [(t, int(p.eval(t))) for t in (1, -1, 2, -2)]
+    values = [(t, horner(p.nums, t)) for t in (1, -1, 2, -2)]
     for k in range(1, d // 2 + 1):
         bounds = [math.comb(k, j) * m for j in range(k)]
         if len(constants) * math.prod(2 * b + 1 for b in bounds[1:]) > budget:
@@ -403,12 +390,10 @@ def _check_irreducible(p: Polynomial, budget: int) -> bool:
             if j == k:
                 cs = coeffs + [1]
                 for t, pt in values:
-                    gt = 0
-                    for c in reversed(cs):
-                        gt = gt * t + c
+                    gt = horner(cs, t)
                     if pt % gt if gt else pt:
                         return
-                g = Polynomial(cs)
+                g = Polynomial.from_numerators(cs)
                 if (p % g).is_zero:
                     raise NotIrreducible(f"factor found: {g!r}")
                 return
@@ -425,12 +410,12 @@ class RootPath:
     the integer triple (a, b, q), q > 0, meaning [a/q, b/q]: bisection
     gives (a + b, 2b, 2q) or (2a, a + b, 2q), or the point (m, m, 2q) with
     m = a + b, with no reduction.  Levels are computed on demand and kept,
-    so no question about the root bisects twice.  p is cleared once; each
-    sign is read off an integer sum (_sign).  level(k) is the Interval view
-    of the triple."""
+    so no question about the root bisects twice.  Each sign is read off
+    an integer sum over p's numerators (_sign).  level(k) is the Interval
+    view of the triple."""
 
     def __init__(self, p: Polynomial, iv: Interval):
-        (self._nums,), _ = fl.clear_denominators([p.coeffs])
+        self._nums = p.nums
         a, b, q = iv.numerators()
         flo, fhi = self._sign(a, q), self._sign(b, q)
         if flo == 0 or fhi == 0 or flo == fhi:
@@ -439,12 +424,8 @@ class RootPath:
         self._levels = [(a, b, q)]
 
     def _sign(self, a: int, q: int) -> int:
-        """The sign of p(a / q), q > 0: that of the homogeneous integer sum
-        sum_i P_i a^i q^(n-i) over p's cleared coefficients P, by Horner."""
-        acc, scale = 0, 1
-        for c in reversed(self._nums):
-            acc = acc * a + c * scale
-            scale *= q
+        """The sign of p(a / q), q > 0: that of horner over p's numerators."""
+        acc = horner(self._nums, a, q)
         return (acc > 0) - (acc < 0)
 
     def numerators(self, k: int) -> tuple[int, int, int]:
@@ -487,11 +468,11 @@ def _check_index(datum: GaloisDatum, index: int) -> None:
 def _act(pair: tuple, form: tuple) -> tuple[tuple[int, ...], int]:
     """The cleared form of the image of X / D_X, given as its form (X, D_X),
     under the Q-linear map A / D given as the pair (A, D) (an automorphism,
-    or multiplication by an element): A X over D D_X, _reduced.  Every
+    or multiplication by an element): A X over D D_X, fl.reduced.  Every
     product and automorphism image is formed here."""
     a, da = pair
     b, db = form
-    return _reduced(fl.mat_vec(a, b), da * db)
+    return fl.reduced(fl.mat_vec(a, b), da * db)
 
 
 def verify_galois_datum(candidate: GaloisDatum,
@@ -528,7 +509,7 @@ def verify_galois_datum(candidate: GaloisDatum,
     # the Galois action in the power basis: column k of A_i / D_i is
     # q_i(theta)^k = M^k e_1 / D^k, (M, D) the cleared numerators of
     # multiplication by q_i(theta); column d decides the min-poly check
-    low = [int(c) for c in p.coeffs[:-1]]
+    low = p.nums[:-1]
     elems, autmat = [], []
     for i, q in enumerate(candidate.automorphisms):
         if q.degree >= d:
@@ -545,11 +526,10 @@ def verify_galois_datum(candidate: GaloisDatum,
         if any(residual):
             raise AutomorphismFailsMinPoly(f"automorphism {i} fails the minimal polynomial")
         elems.append(x)
-        # over D^(d-1), the common gcd divided out: the least denominator
-        top = den ** (d - 1)
-        scaled = [[c * den ** (d - 1 - k) for c in col] for k, col in enumerate(cols[:d])]
-        g = math.gcd(top, *(c for col in scaled for c in col))
-        autmat.append((tuple(zip(*([c // g for c in col] for col in scaled))), top // g))
+        # over D^(d-1), reduced: the least denominator
+        flat, top = fl.reduced([c * den ** (d - 1 - k) for k, col in enumerate(cols[:d])
+                                for c in col], den ** (d - 1))
+        autmat.append((tuple(zip(*(flat[k * d:(k + 1) * d] for k in range(d)))), top))
 
     coords = [x._cleared() for x in elems]
     if len(set(coords)) != d:

@@ -31,9 +31,8 @@ from anosovforms.exactmath import (
     rat_to_str,
     squarefree_part_of_rational,
     sturm_count,
-    _chain_index,
-    _remainder_chain,
 )
+from test_frozen_polynomial import FrozenPolynomial, frozen_chain_index, frozen_remainder_chain
 
 P = Polynomial
 
@@ -536,17 +535,20 @@ def test_count_real_roots():
 
 
 def frozen_poly_gcd(p, q):
-    a, b = p, q
+    """The Euclid loop on the frozen Fraction polynomials, as a Polynomial."""
+    a, b = FrozenPolynomial(p.coeffs), FrozenPolynomial(q.coeffs)
     while not b.is_zero:
         a, b = b, a % b
-    return a.monic()
+    return P(a.monic().coeffs)
 
 
 def frozen_count_real_roots(p):
     if p.is_zero:
         raise ZeroPolynomial("count_real_roots of the zero polynomial")
-    q = p.monic() if p.degree <= 0 else (p // frozen_poly_gcd(p, p.derivative())).monic()
-    return _chain_index(_remainder_chain(q, q.derivative()))
+    g = FrozenPolynomial(frozen_poly_gcd(p, p.derivative()).coeffs)
+    p = FrozenPolynomial(p.coeffs)
+    q = p.monic() if p.degree <= 0 else (p // g).monic()
+    return frozen_chain_index(frozen_remainder_chain(q, q.derivative()))
 
 
 def _repeated_factor_polys(rng, count):

@@ -1051,3 +1051,34 @@ class TestConjugateIndex:
             for index in range(datum.degree):
                 with pytest.raises(BadParameters, match="totally real datum of degree > 1"):
                     conjugate_levels(datum.generator(), index)
+
+
+class TestNonIntegralMinPoly:
+    """An unverified datum whose monic minimal polynomial X^2 + X/2 - 1 is
+    not integral (verification refuses it).  Its elements' charpoly, trace
+    and norm are what they were when _multiplication_rows read p's
+    Fractions; a product and the inverse, which then raised TypeError and
+    returned theta, are exact."""
+
+    @pytest.fixture
+    def datum(self):
+        p = P([-1, F(1, 2), 1])
+        return GaloisDatum(p, (P.x(), P([F(-1, 2), -1])), 0, None,
+                           (Interval(F(1, 2), 1), Interval(-2, -1)))
+
+    def test_charpoly_trace_and_norm(self, datum):
+        th, x = datum.generator(), datum.element([F(1, 3), 2])
+        assert repr(th.charpoly()) == "Polynomial(-1 + 1/2*X + X^2)"
+        assert (th.trace(), th.norm()) == (F(-1, 2), F(-1))
+        assert repr(x.charpoly()) == "Polynomial(-38/9 + 1/3*X + X^2)"
+        assert (x.trace(), x.norm()) == (F(-1, 3), F(-38, 9))
+        assert repr(datum.element([3]).charpoly()) == "Polynomial(9 + -6*X + X^2)"
+
+    def test_product_and_inverse(self, datum):
+        th = datum.generator()
+        assert th * th == datum.element([1, F(-1, 2)])
+        assert th.inverse() == datum.element([F(1, 2), 1])
+        assert th * th.inverse() == 1
+        assert datum.element([3]) * th == datum.element([0, 3])
+        with pytest.raises(BadParameters):
+            verify_galois_datum(datum)
