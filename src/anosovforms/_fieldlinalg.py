@@ -33,10 +33,11 @@ elimination on the integer rows (dense, since an int product costs
 little), each division by the previous pivot exact, so det = det(integer
 rows) / D^n, always a Fraction.  int_charpoly, the one characteristic
 polynomial, runs on cleared integer rows (M, D): its c_k is D^(n-k)
-times the rational coefficient.  A caller that keeps the cleared form of
-its data calls the integer kernels directly and clears nothing twice: a
-field element keeps (X, D) and (M, D), and a polynomial its numerators
-over one denominator, each in the canonical form `reduced` returns.
+times the rational coefficient.  A caller whose data are integer
+numerators over one denominator calls the integer kernels directly and
+clears nothing: a field element is its pair (X, D) and keeps (M, D), and
+a polynomial is its numerators over one denominator, each in the
+canonical form `reduced` returns.
 """
 
 from __future__ import annotations

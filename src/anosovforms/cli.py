@@ -18,7 +18,7 @@ from . import serialize as ser
 from .anosov import certify
 from .catalog import csig_fixture, cyclic_cubic_datum, cubic_pisot_unit, sqrt2_datum
 from .errors import AnosovError, DimensionBudgetExceeded, MalformedInput
-from .exactmath import rat, rat_to_str
+from .exactmath import rat_to_str
 from .liealg import Grading, heisenberg
 from .numfield import conjugate_modulus_interval, minimal_polynomial
 from .pfaffian import (
@@ -58,7 +58,7 @@ def _emit(obj) -> int:
 
 def _parse_lambda(datum, text: str):
     try:
-        return datum.element([rat(part.strip()) for part in text.split(",")])
+        return datum.element(part.strip() for part in text.split(","))
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedInput(f"--lambda {text!r}: {e}") from e
 

@@ -48,6 +48,7 @@ from .liealg import LieAlgebra, _bracket, _support, preserves_brackets, require_
 from .numfield import (
     FieldElement,
     GaloisDatum,
+    _act,
     _require_verified,
     apply_automorphism,
     automorphism_matrix,
@@ -63,14 +64,10 @@ EVector = tuple[FieldElement, ...]
 
 
 def right_action(datum: GaloisDatum, sigma_index: int, v: Sequence[FieldElement]) -> EVector:
-    """v^sigma: apply sigma^{-1} to every component."""
+    """v^sigma: apply sigma^{-1} to every component (DatumMismatch for a
+    component of another field, from apply_automorphism)."""
     inv = datum.inverse_index(sigma_index)
-    out = []
-    for x in v:
-        if x.datum.fingerprint() != datum.fingerprint():
-            raise DatumMismatch("vector component from a different field")
-        out.append(apply_automorphism(datum, inv, x))
-    return tuple(out)
+    return tuple(apply_automorphism(datum, inv, x) for x in v)
 
 
 def group_generators(datum: GaloisDatum) -> list[int]:
@@ -211,14 +208,8 @@ class RationalFormBasis:
         """The basis vectors in E^m, derived from P / D on each read."""
         datum, den = self.representation.datum, self.den
         d = datum.degree
-        return tuple(tuple(datum.element([Fraction(x, den) for x in col[k * d:(k + 1) * d]])
+        return tuple(tuple(FieldElement(datum, col[k * d:(k + 1) * d], den)
                            for k in range(self.size)) for col in zip(*self.flat))
-
-
-def _cleared_basis(rho: Representation, flat: Sequence[Sequence]) -> RationalFormBasis:
-    """The basis whose vector j has the rational flat coordinates flat[j]."""
-    ints, den = fl.clear_denominators(flat)
-    return RationalFormBasis(rho, tuple(zip(*ints)), den)
 
 
 def _relation_rows(rho: Representation) -> list[list[int]]:
@@ -262,7 +253,8 @@ def rational_form(rho: Representation) -> RationalFormBasis:
     if len(basis_flat) != rho.size:
         raise DimensionMismatch(
             f"fixed space has dimension {len(basis_flat)}, expected {rho.size}")
-    basis = _cleared_basis(rho, basis_flat)
+    ints, den = fl.clear_denominators(basis_flat)
+    basis = RationalFormBasis(rho, tuple(zip(*ints)), den)
     object.__setattr__(basis, "verified", True)
     return basis
 
@@ -291,7 +283,9 @@ def rational_form_from_vectors(rho: Representation,
     if any(not isinstance(x, FieldElement) or x.datum.fingerprint() != fp
            for v in vectors for x in v):
         raise DatumMismatch("vector component from a different field")
-    basis = _cleared_basis(rho, [[c for x in v for c in x.coeffs] for v in vectors])
+    den = lcm(*(x.den for v in vectors for x in v))
+    flat = [[u * (den // x.den) for x in v for u in x.nums] for v in vectors]
+    basis = RationalFormBasis(rho, tuple(zip(*flat)), den)
     if any(any(row) for row in fl.mat_mul(_relation_rows(rho), basis.flat)):
         raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
     if fl.rank(basis.flat) != m:
@@ -446,9 +440,10 @@ def check_label_compatibility(la: LabeledAlgebra) -> None:
 def check_label_equivariance(la: LabeledAlgebra, rho: Representation) -> None:
     """rho_sigma(V_lambda) = V_{sigma(lambda)} for each generator sigma of
     a verified rho (verified here if it is not), on rho's nonzero column
-    entries: D_A L_i = A L_t on the labels' cleared integer rows L, A / D_A
-    the matrix of sigma.  On success rho keeps la as _equivariant_labels,
-    so a later caller with the same pair skips it."""
+    entries: sigma(L_t) = L_i on the labels' integer pairs, the image
+    formed by numfield._act from the matrix of sigma.  On success rho
+    keeps la as _equivariant_labels, so a later caller with the same pair
+    skips it."""
     datum = la.datum
     if rho.datum.fingerprint() != datum.fingerprint():
         raise DatumMismatch("representation and labels over different fields")
@@ -457,12 +452,12 @@ def check_label_equivariance(la: LabeledAlgebra, rho: Representation) -> None:
     if not rho.verified:
         verify_representation(rho)
     cols = rho.columns()[0]
-    labels, _ = fl.clear_denominators([x.coeffs for x in la.labels])
+    labels = [(x.nums, x.den) for x in la.labels]
     for s in group_generators(datum):
-        a, da = automorphism_matrix(datum, s)
+        aut = automorphism_matrix(datum, s)
         for t, col in enumerate(cols[s]):
-            target = fl.mat_vec(a, labels[t])
-            if any([da * c for c in labels[i]] != target for i in col):
+            image = _act(aut, labels[t])
+            if any(labels[i] != image for i in col):
                 raise LabelMismatch(f"group element {s} maps slot {t} outside V_sigma(label)")
     object.__setattr__(rho, "_equivariant_labels", la)
 

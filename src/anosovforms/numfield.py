@@ -9,10 +9,11 @@ the group structure from each automorphism's power-basis matrix, built
 once and kept as an integer matrix over one denominator, the only form
 of the Galois action).  Downstream code only accepts verified data.
 
-Element arithmetic runs on integers computed once per element: its
-cleared form x = X / D and its multiplication rows (M, D), kept on it; a
-product, inverse or automorphism image is created with its own cleared
-form, and the norm is the integer determinant of M over D^d.
+A field element is its integer pair x = X / D in the canonical form
+fl.reduced returns, and every operation runs on that pair: sums over the
+lcm of the denominators, products and automorphism images as an integer
+matrix times X (_act), its multiplication rows (M, D) kept on it, and the
+norm the integer determinant of M over D^d.
 
 Each real root of a verified datum has one bisection path (RootPath), kept
 on the datum, whose levels are integer triples (a, b, q) for [a/q, b/q]
@@ -102,11 +103,9 @@ class GaloisDatum:
     # -- elements ---------------------------------------------------------
 
     def element(self, coeffs: Iterable) -> "FieldElement":
-        cs = [rat(c) for c in coeffs]
-        if len(cs) > self.degree:
-            raise ValueError("too many coordinates for this field")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        """The element with these leading coordinates, the rest zero."""
+        cs = tuple(coeffs)
+        return FieldElement(self, cs + (0,) * (self.degree - len(cs)))
 
     def zero(self) -> "FieldElement":
         return self.element(())
@@ -129,19 +128,36 @@ class GaloisDatum:
 @dataclass(frozen=True)
 class FieldElement:
     """Element of a GaloisDatum's field in the power basis 1, theta, ...,
-    theta^(d-1).
-
-    Its cleared form (X, D), x = X / D over the least D, and its scaled
-    multiplication rows (M, D) are computed on first use and kept, like its
-    charpoly; a product, an inverse or an automorphism image is created
-    with its cleared form (_build)."""
+    theta^(d-1): x = sum_i nums[i] theta^i / den in the canonical form
+    fl.reduced returns (den > 0, gcd(den, *nums) = 1), rational or string
+    coordinates read through rat.  coeffs, the Fraction coordinates, is
+    the view built on first read and kept, like the multiplication rows
+    (M, D) and the charpoly."""
 
     datum: GaloisDatum
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.coeffs) != self.datum.degree:
+        nums, den = self.nums, self.den
+        if len(nums) != self.datum.degree:
             raise ValueError("coordinate count must equal the field degree")
+        if not all(isinstance(u, int) for u in nums):
+            (nums,), scale = fl.clear_denominators([[rat(c) for c in nums]])
+            den *= scale
+        if not den:
+            raise ZeroDivisionError("field element with denominator zero")
+        nums, den = fl.reduced(nums, den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = getattr(self, "_coeffs", None)
+        if cs is None:
+            cs = tuple(Fraction(u, self.den) for u in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     # -- coercion and structure
 
@@ -157,19 +173,19 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic
 
@@ -177,12 +193,14 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.datum, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        den = math.lcm(self.den, o.den)
+        a, b = den // self.den, den // o.den
+        return FieldElement(self.datum, [a * x + b * y for x, y in zip(self.nums, o.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.datum, tuple(-a for a in self.coeffs))
+        return FieldElement(self.datum, [-u for u in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -198,12 +216,12 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return FieldElement(self.datum, tuple(c * a for a in self.coeffs))
+            return FieldElement(self.datum, [u * other.numerator for u in self.nums],
+                                self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _build(self.datum, _act(self._scaled_multiplication_rows(), o._cleared()))
+        return FieldElement(self.datum, *_act(self._scaled_multiplication_rows(), (o.nums, o.den)))
 
     __rmul__ = __mul__
 
@@ -224,11 +242,12 @@ class FieldElement:
             y = fl.mat_vec(rows, y)
             scale *= den
             y[0] += c * scale
-        return _build(self.datum, fl.reduced([-v for v in y], chi[0] * scale))
+        return FieldElement(self.datum, [-v for v in y], chi[0] * scale)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (1 / rat(other))
+            return FieldElement(self.datum, [u * other.denominator for u in self.nums],
+                                self.den * other.numerator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -247,18 +266,19 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.is_rational and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
         return (
             isinstance(other, FieldElement)
             and self.datum.fingerprint() == other.datum.fingerprint()
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums and self.den == other.den
         )
 
     def __hash__(self):
         # a rational element equals its Fraction value, so hashes like it
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash(self.coeffs)
+        if self.is_rational:
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         from .exactmath import rat_to_str
@@ -268,28 +288,17 @@ class FieldElement:
     # -- linear algebra over Q
 
     def _cleared(self) -> tuple[tuple[int, ...], int]:
-        """(X, D) with x = X / D, D the lcm of the coordinates'
-        denominators (fl.clear_denominators), computed once and kept."""
-        form = getattr(self, "_form", None)
-        if form is None:
-            (nums,), den = fl.clear_denominators([self.coeffs])
-            form = (tuple(nums), den)
-            object.__setattr__(self, "_form", form)
-        return form
+        """The pair (X, D) with x = X / D."""
+        return self.nums, self.den
 
     def _scaled_multiplication_rows(self) -> tuple[list[tuple], int]:
         """(M, D) with M / D the matrix of multiplication by x: M is
-        _multiplication_rows of the cleared numerators X = D * x, cleared
-        once more over an unverified datum's non-integral p.  Computed once
-        and kept."""
+        _multiplication_rows of the numerators X, over D = den e^(d-1) for
+        p = P / e.  Computed once and kept."""
         kept = getattr(self, "_rows", None)
         if kept is None:
-            nums, den = self._cleared()
-            rows = _multiplication_rows(self.datum, nums)
-            if not self.datum.min_poly.is_integer:
-                rows, e = fl.clear_denominators(rows)
-                den *= e
-            kept = (rows, den)
+            kept = (_multiplication_rows(self.datum, self.nums),
+                    self.den * self.datum.min_poly.den ** (self.datum.degree - 1))
             object.__setattr__(self, "_rows", kept)
         return kept
 
@@ -313,30 +322,22 @@ class FieldElement:
         return Fraction(fl.int_det(rows), den ** len(rows))
 
 
-def _multiplication_rows(datum: GaloisDatum, col: Sequence) -> list[tuple]:
-    """Rows of the matrix with columns X, theta X, ..., theta^(d-1) X for X
-    = col: each step shifts up and replaces theta^d by -sum_i p_i theta^i
-    (p monic), on ints where p's numerators and X are.  An unverified
-    datum's p may be non-integral; its Fractions then enter the rows."""
+def _multiplication_rows(datum: GaloisDatum, col: Sequence[int]) -> list[tuple]:
+    """Integer rows of e^(d-1) times the matrix with columns X, theta X,
+    ..., theta^(d-1) X for integers X = col, p = P / e (e = 1 on a verified
+    datum).  Column k is kept as e^k theta^k X: each step shifts up, scales
+    by e and replaces e theta^d by -sum_i P_i theta^i (p monic); column k
+    is then scaled by e^(d-1-k)."""
     p = datum.min_poly
-    low = p.nums[:-1] if p.is_integer else p.coeffs[:-1]
+    low, e = p.nums[:-1], p.den
     cols = [col]
     for _ in range(len(col) - 1):
         top = col[-1]
-        col = [a - top * c for a, c in zip((0, *col[:-1]), low)]
+        col = [e * a - top * c for a, c in zip((0, *col[:-1]), low)]
         cols.append(col)
+    if e != 1:
+        cols = [[x * e ** (len(cols) - 1 - k) for x in c] for k, c in enumerate(cols)]
     return list(zip(*cols))
-
-
-def _build(datum: GaloisDatum, form: tuple, rows: list[tuple] | None = None) -> FieldElement:
-    """The element X / D of datum with its cleared form (X, D) kept, and
-    its multiplication rows (M, D) when M is given."""
-    nums, den = form
-    x = FieldElement(datum, tuple(Fraction(u, den) for u in nums))
-    object.__setattr__(x, "_form", form)
-    if rows is not None:
-        object.__setattr__(x, "_rows", (rows, den))
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +515,7 @@ def verify_galois_datum(candidate: GaloisDatum,
     for i, q in enumerate(candidate.automorphisms):
         if q.degree >= d:
             raise BadParameters(f"automorphism {i} not reduced mod min_poly")
-        x = candidate.element(q.coeffs)
+        x = FieldElement(candidate, q.nums + (0,) * (d - len(q.nums)), q.den)
         rows, den = x._scaled_multiplication_rows()
         cols = [[1] + [0] * (d - 1)]
         for _ in range(d):
@@ -531,14 +532,14 @@ def verify_galois_datum(candidate: GaloisDatum,
                                 for c in col], den ** (d - 1))
         autmat.append((tuple(zip(*(flat[k * d:(k + 1) * d] for k in range(d)))), top))
 
-    coords = [x._cleared() for x in elems]
+    coords = [(x.nums, x.den) for x in elems]
     if len(set(coords)) != d:
         raise WrongAutomorphismCount("duplicate automorphism polynomials")
 
     ident = candidate.identity_index
     if not (0 <= ident < d):
         raise TableNotAGroup("identity index out of range")
-    if coords[ident] != candidate.generator()._cleared():
+    if elems[ident] != candidate.generator():
         raise TableNotAGroup("identity automorphism is not X")
 
     given = candidate.table
@@ -630,6 +631,11 @@ def _compute_root_map(datum: GaloisDatum) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _biquadratic_sqrt_numerators(k: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """sqrt(k), sqrt(l) over 2(k - l), solving (theta, theta^3) = M (sqrt k, sqrt l)."""
+    return (0, 3 * k + l, 0, -1), (0, -(k + 3 * l), 0, 1)
+
+
 def biquadratic_datum(k: int, l: int) -> GaloisDatum:
     """The verified degree-4 datum for Q(sqrt(k), sqrt(l)).
 
@@ -640,10 +646,8 @@ def biquadratic_datum(k: int, l: int) -> GaloisDatum:
     if k <= 1 or l <= 1 or k == l or any(squarefree_part_of_rational(n) != n for n in (k, l)):
         raise BadParameters("need distinct squarefree integers k, l > 1")
     p = Polynomial(((k - l) ** 2, 0, -2 * (k + l), 0, 1))
-    den = Fraction(2 * (k - l))
-    # solve (theta, theta^3) = M (sqrt k, sqrt l) for the square roots
-    sqrt_k = Polynomial((0, Fraction(3 * k + l) / den, 0, Fraction(-1) / den))
-    sqrt_l = Polynomial((0, Fraction(-(k + 3 * l)) / den, 0, Fraction(1) / den))
+    sqrt_k, sqrt_l = (Polynomial.from_numerators(nums, 2 * (k - l))
+                      for nums in _biquadratic_sqrt_numerators(k, l))
     ident = Polynomial.x()
     tau = (sqrt_k - sqrt_l) % p          # fixes sqrt(k), flips sqrt(l)
     sigma = (sqrt_l - sqrt_k) % p        # flips sqrt(k), fixes sqrt(l)
@@ -671,9 +675,8 @@ def biquadratic_datum(k: int, l: int) -> GaloisDatum:
 def biquadratic_sqrts(datum: GaloisDatum, k: int, l: int) -> tuple[FieldElement, FieldElement]:
     """The elements sqrt(k), sqrt(l) inside a biquadratic_datum(k, l),
     certified by squaring."""
-    den = Fraction(2 * (k - l))
-    sk = datum.element((0, Fraction(3 * k + l) / den, 0, Fraction(-1) / den))
-    sl = datum.element((0, Fraction(-(k + 3 * l)) / den, 0, Fraction(1) / den))
+    sk, sl = (FieldElement(datum, nums, 2 * (k - l))
+              for nums in _biquadratic_sqrt_numerators(k, l))
     if not (sk * sk == k and sl * sl == l):
         raise BadParameters("datum is not the biquadratic field of (k, l)")
     return sk, sl
@@ -720,7 +723,7 @@ def apply_automorphism(datum: GaloisDatum, index: int, x: FieldElement) -> Field
     aut = automorphism_matrix(datum, index)
     if x.datum.fingerprint() != datum.fingerprint():
         raise DatumMismatch("element does not belong to this datum")
-    return _build(datum, _act(aut, x._cleared()))
+    return FieldElement(datum, *_act(aut, (x.nums, x.den)))
 
 
 def minimal_polynomial(x: FieldElement) -> Polynomial:
@@ -769,9 +772,8 @@ def conjugate_numerators(x: FieldElement, conjugate_index: int,
     _check_index(x.datum, conjugate_index)
     if not x.datum.totally_real or x.datum.degree == 1:
         raise BadParameters("conjugate levels need a totally real datum of degree > 1")
-    nums, den = x._cleared()
     path = x.datum._paths[x.datum.root_map[conjugate_index]]
-    return lambda k: interval_horner(nums, den, path.numerators(k))
+    return lambda k: interval_horner(x.nums, x.den, path.numerators(k))
 
 
 def conjugate_levels(x: FieldElement, conjugate_index: int) -> Callable[[int], Interval]:

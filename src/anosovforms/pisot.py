@@ -151,7 +151,7 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
     Every element formed lies in Z[theta]: the box is integral, p is monic
     over Z, and a product is integer rows times integer numerators.  So a
     box point's |N(x)| = 1 is the determinant of its integer rows, an
-    element is built only for a unit or a product whose cleared form
+    element is built only for a unit or a product whose integer pair
     (X, 1) is new, and Tr(x) = sum_i X_i s_i with s_i = Tr(theta^i), the
     power sums of p's roots, read once off the rows of each theta^i.
     Results are sorted by (Tr(x), X), the order of (trace, coordinates),
@@ -181,15 +181,15 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
                 nums = (0,) * zeros + (head,) + tail
                 rows = numfield._multiplication_rows(datum, nums)
                 if abs(fl.int_det(rows)) == 1:
-                    units += (numfield._build(datum, (nums, 1), rows),
-                              numfield._build(datum, (tuple(-u for u in nums), 1)))
-    # keyed by the kept cleared form: unique per element, cheap to hash
-    seen = {u._cleared(): u for u in units}
+                    x = FieldElement(datum, nums)
+                    units += (x, -x)
+    # keyed by the integer pair: unique per element, cheap to hash
+    seen = {(u.nums, u.den): u for u in units}
 
     def kept(form: tuple) -> FieldElement:
         x = seen.get(form)
         if x is None:
-            x = seen[form] = numfield._build(datum, form)
+            x = seen[form] = FieldElement(datum, *form)
         return x
 
     for u in units:
@@ -199,7 +199,7 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
         for _ in range(2, power_bound + 1):
             if acc == 1 or len(seen) * (len(seen) - 1) // 2 > budget:
                 break
-            acc = kept(numfield._act(u._scaled_multiplication_rows(), acc._cleared()))
+            acc = kept(numfield._act(u._scaled_multiplication_rows(), (acc.nums, acc.den)))
     pairs = len(seen) * (len(seen) - 1) // 2
     if pairs > budget:
         raise SearchBudgetExceeded(f"{pairs} pairs in a product round over the budget {budget}")
@@ -209,7 +209,7 @@ def search_units(datum: GaloisDatum, height_bound: int, power_bound: int = 1,
             for e in ((0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d))]
     out = [u for u in seen.values()
            if not (u == 1 or u == -1) and all(c.holds_for(u) for c in constraints)]
-    out.sort(key=lambda u: (sum(x * s for x, s in zip(u._cleared()[0], sums)), u._cleared()[0]))
+    out.sort(key=lambda u: (sum(x * s for x, s in zip(u.nums, sums)), u.nums))
     return out
 
 

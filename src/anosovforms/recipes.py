@@ -23,7 +23,7 @@ from .errors import (
     NotPisot,
     PisotNotFound,
 )
-from .exactmath import RationalMatrix, rat_to_str
+from .exactmath import RationalMatrix
 from .galoisform import (
     LabeledAlgebra,
     Representation,
@@ -43,6 +43,7 @@ from .numfield import (
 )
 from .pfaffian import classify_type42, solve_pell
 from .pisot import ConeConstraint, in_pisot_cone, is_unit_pisot
+from .serialize import element_to_json, poly_to_json
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class RecipeOutput:
 
 def _assumptions(datum: GaloisDatum) -> tuple[str, ...]:
     if datum.assume_irreducible:
-        coeffs = ",".join(rat_to_str(c) for c in datum.min_poly.coeffs)
+        coeffs = ",".join(poly_to_json(datum.min_poly))
         return (f"assume_irreducible:[{coeffs}]",)
     return ()
 
@@ -131,9 +132,9 @@ def recipe_z4_example() -> RecipeOutput:
     cert = certify(algebra, matrix, assumptions=_assumptions(datum))
     return RecipeOutput(algebra, matrix, cert, {
         "recipe": "z4",
-        "min_poly": [rat_to_str(c) for c in datum.min_poly.coeffs],
-        "lambda": [rat_to_str(c) for c in theta.coeffs],
-        "labels": [[rat_to_str(c) for c in lab.coeffs] for lab in labels],
+        "min_poly": poly_to_json(datum.min_poly),
+        "lambda": element_to_json(theta),
+        "labels": [element_to_json(lab) for lab in labels],
     })
 
 
@@ -235,7 +236,7 @@ def recipe_count(k: int, l: int, lam: FieldElement | None = None) -> RecipeOutpu
         "recipe": "count",
         "k": k,
         "l": l,
-        "lambda": [rat_to_str(c) for c in lam.coeffs],
+        "lambda": element_to_json(lam),
         "classified": cls,
     })
 
@@ -278,7 +279,7 @@ def recipe_laur(g: LieAlgebra, grading: Grading, datum: GaloisDatum,
         "recipe": "laur",
         "copies": m,
         "grading": list(grading.subspace_dims),
-        "lambda": [rat_to_str(c) for c in lam.coeffs],
+        "lambda": element_to_json(lam),
     })
 
 
@@ -339,7 +340,7 @@ def recipe_csig(datum: GaloisDatum, lam: FieldElement, c: int) -> RecipeOutput:
             return slots[(i if i <= n else i - n, 2)]
         return slots[(i % (2 * n), j)]
 
-    if len(set(l.coeffs for l in labels)) != len(labels):
+    if len(set(labels)) != len(labels):
         raise LabelCollision("distinct slots received equal labels")
 
     brackets = []
@@ -364,7 +365,7 @@ def recipe_csig(datum: GaloisDatum, lam: FieldElement, c: int) -> RecipeOutput:
         "recipe": "csig",
         "n": n,
         "class": c,
-        "lambda": [rat_to_str(c_) for c_ in lam.coeffs],
+        "lambda": element_to_json(lam),
     })
 
 
@@ -399,7 +400,7 @@ def recipe_last(datum: GaloisDatum, lam: FieldElement, c: int) -> RecipeOutput:
         return (conj[i] ** j) * conj[(i + 1) % n]
 
     labels = [label(i, j) for j in range(c) for i in range(n)]
-    if len(set(l.coeffs for l in labels)) != len(labels):
+    if len(set(labels)) != len(labels):
         raise LabelCollision("the mu labels are not pairwise distinct")
 
     def slot(i: int, j: int) -> int:
@@ -421,5 +422,5 @@ def recipe_last(datum: GaloisDatum, lam: FieldElement, c: int) -> RecipeOutput:
         "recipe": "last",
         "n": n,
         "class": c,
-        "lambda": [rat_to_str(c_) for c_ in lam.coeffs],
+        "lambda": element_to_json(lam),
     })

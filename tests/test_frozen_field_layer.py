@@ -1,6 +1,6 @@
 """The field layer on kept integer numerators against frozen copies of the
-Fraction code it replaced: the product that cleared both factors on every
-call, the norm through the rational det, the automorphism image from the
+Fraction code it replaced: the element that kept Fraction coordinates, the
+product that cleared both factors on every call, the norm through the rational det, the automorphism image from the
 Fraction coordinates, the root path that bisected on Polynomial.eval, the
 unit search over the whole box, and the conjugate questions (moduli,
 |sigma_i(x)| against 1, the Pisot cone, cone products) asked of Interval
@@ -22,11 +22,12 @@ from anosovforms.catalog import (
     quartic_z4_datum,
     sqrt2_datum,
 )
-from anosovforms.errors import BadEnclosure
-from anosovforms.exactmath import Interval, Polynomial
+from anosovforms.errors import BadEnclosure, DatumMismatch, NotIrreducible
+from anosovforms.exactmath import Interval, Polynomial, rat_to_str, scaled_charpoly
 from anosovforms.numfield import (
     EXACT_TIE_LEVEL,
     FieldElement,
+    GaloisDatum,
     RootPath,
     apply_automorphism,
     automorphism_matrix,
@@ -79,6 +80,125 @@ def frozen_apply(datum, index, x):
 def frozen_norm(x):
     rows, den = frozen_rows(x)
     return fl.det(rows) / den ** x.datum.degree
+
+
+class FrozenElement:
+    """FieldElement as it kept Fraction coordinates: sums, scalar products
+    and equality on the Fractions, a product or an inverse on the rows
+    cleared from them on every call, its result built back as Fractions."""
+
+    def __init__(self, datum, coeffs):
+        if len(coeffs) != datum.degree:
+            raise ValueError("coordinate count must equal the field degree")
+        self.datum, self.coeffs = datum, tuple(coeffs)
+
+    def _coerce(self, other):
+        if isinstance(other, FrozenElement):
+            if other.datum is not self.datum and \
+                    other.datum.fingerprint() != self.datum.fingerprint():
+                raise DatumMismatch("elements of different fields")
+            return other
+        if isinstance(other, (int, F)):
+            return FrozenElement(self.datum, (F(other),) + (F(0),) * (self.datum.degree - 1))
+        return None
+
+    @property
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    @property
+    def is_rational(self):
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def rational_value(self):
+        if not self.is_rational:
+            raise ValueError("element is not rational")
+        return self.coeffs[0]
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FrozenElement(self.datum, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FrozenElement(self.datum, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def _rows(self):
+        rows, den = frozen_rows(self)
+        if not self.datum.min_poly.is_integer:
+            rows, e = fl.clear_denominators(rows)
+            den *= e
+        return rows, den
+
+    def __mul__(self, other):
+        if isinstance(other, (int, F)):
+            return FrozenElement(self.datum, [F(other) * a for a in self.coeffs])
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        rows, da = self._rows()
+        (b,), db = fl.clear_denominators([o.coeffs])
+        return FrozenElement(self.datum, [F(u, da * db) for u in fl.mat_vec(rows, b)])
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero field element")
+        rows, den = self._rows()
+        chi = scaled_charpoly(rows, den).nums
+        if not chi[0]:
+            raise NotIrreducible("minimal polynomial is reducible")
+        y, scale = [chi[-1]] + [0] * (len(rows) - 1), 1
+        for c in reversed(chi[1:-1]):
+            y = fl.mat_vec(rows, y)
+            scale *= den
+            y[0] += c * scale
+        return FrozenElement(self.datum, [F(-v, chi[0] * scale) for v in y])
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, F)):
+            return self * (1 / F(other))
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, F)):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        return (isinstance(other, FrozenElement)
+                and self.datum.fingerprint() == other.datum.fingerprint()
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return "FieldElement(" + ", ".join(rat_to_str(c) for c in self.coeffs) + ")"
 
 
 class FrozenRootPath:
@@ -340,6 +460,89 @@ def test_negated_and_summed_elements_clear_on_first_use(name):
         for z in (-x, x + y, x - y, x * F(-2, 3)):
             assert _kept_form_is_cleared(z)
             assert repr(z * y) == repr(frozen_mul(z, y))
+
+
+# an unverified datum whose monic p is not integral: X^3 - 3/4 X + 1/2,
+# irreducible (no rational root), its multiplication rows cleared twice
+UNVERIFIED = GaloisDatum(min_poly=P([F(1, 2), F(-3, 4), 0, 1]), automorphisms=(),
+                         identity_index=0, table=None)
+
+
+def integer_pairs(datum, name):
+    """Seeded (numerators, denominator) inputs, negative denominators
+    among them, and the Fraction coordinates of the seeded elements."""
+    rng = random.Random("pairs" + name)
+    d = datum.degree
+    pairs = [(tuple(rng.randint(-9, 9) for _ in range(d)), rng.choice([1, 2, -3, 6, -7, 12]))
+             for _ in range(8)]
+    pairs += [((0,) * d, -5), ((4,) + (0,) * (d - 1), -6), ((1, -1) + (0,) * (d - 2), 1)]
+    fracs = [F(1, 2), F(-3, 7), F(5, 6), F(2), F(0), F(-1, 9)]
+    pairs += [(tuple(rng.choice(fracs) for _ in range(d)), 1) for _ in range(4)]
+    return pairs + [((F(-7, 3),) + (0,) * (d - 1), 1)]
+
+
+def _element_pair(datum, nums, den):
+    return FieldElement(datum, nums, den), FrozenElement(datum, [F(u) / den for u in nums])
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS) + ["unverified"])
+def test_elements_match_the_fraction_coordinate_element(name):
+    datum = UNVERIFIED if name == "unverified" else FIELDS[name]
+    pairs = [_element_pair(datum, nums, den) for nums, den in integer_pairs(datum, name)]
+    pairs.append((datum.generator(), FrozenElement(datum, datum.generator().coeffs)))
+    assert any(x.is_zero for x, _ in pairs) and any(x.is_rational and x for x, _ in pairs)
+    # -7/3 equals a seeded rational, -2/5 shares the numerator of -2/3
+    scalars = [0, 3, -1, F(1, 2), F(-5, 6), F(-7, 3), F(-2, 5)]
+    for x, fx in pairs:
+        assert repr(x) == repr(fx) and x.coeffs == fx.coeffs
+        assert x.is_zero == fx.is_zero and x.is_rational == fx.is_rational
+        assert _outcome(x.rational_value) == _outcome(fx.rational_value)
+        assert _outcome(x.inverse) == _outcome(fx.inverse)
+        assert repr(-x) == repr(-fx)
+        if x.is_rational:
+            assert hash(x) == hash(fx) == hash(x.rational_value())
+        for c in scalars:
+            for op in (lambda a: a + c, lambda a: c + a, lambda a: a - c, lambda a: c - a,
+                       lambda a: a * c, lambda a: c * a, lambda a: a / c, lambda a: c / a):
+                assert _outcome(op, x) == _outcome(op, fx)
+            assert (x == c) == (fx == c) and (x != c) == (fx != c)
+        assert (x == 0.5) is (fx == 0.5) is False
+        for y, fy in pairs:
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                       lambda a, b: a / b):
+                assert _outcome(op, x, y) == _outcome(op, fx, fy)
+            assert (x == y) == (fx == fy)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def test_elements_of_other_fields_mismatch_alike():
+    x, fx = _element_pair(FIELDS["sqrt2"], (1, 1), 2)
+    y, fy = _element_pair(FIELDS["quartic"], (1, 0, 0, 1), 1)
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b):
+        assert _outcome(op, x, y) == _outcome(op, fx, fy) == DatumMismatch
+    assert (x == y) is (fx == fy) is False
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS) + ["unverified"])
+def test_element_arithmetic_builds_no_fraction(name, monkeypatch):
+    datum = UNVERIFIED if name == "unverified" else FIELDS[name]
+    d = datum.degree
+    x = FieldElement(datum, tuple(range(1, d + 1)), 6)
+    y = FieldElement(datum, tuple(range(d, 0, -1)), -35)
+    half = F(1, 2)
+    built = []
+    real = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
+    z = -(x + y) - x + 1
+    w = (x * y) * half / 3 + z * z
+    v = w.inverse() * x ** 2 - 1
+    images = [apply_automorphism(datum, i, v) for i in range(d)] if datum.verified else []
+    assert built == [] and v and not v.is_rational and v != half
+    assert all(len(u.nums) == d for u in images)
+    # the Fraction view is built on first read, and kept
+    assert len(v.coeffs) == d and len(built) == d
+    assert v.coeffs is v.coeffs and len(built) == d
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from anosovforms import _fieldlinalg as fl
 from anosovforms.exactmath import Interval, Polynomial, RationalMatrix
 from anosovforms.numfield import (
     DEFAULT_FACTOR_BUDGET,
+    FieldElement,
     GaloisDatum,
     RootPath,
     _check_irreducible,
@@ -222,6 +223,25 @@ class TestElements:
         assert half == F(1, 2) and hash(half) == hash(F(1, 2))
         # elements equal to each other hash alike, rational or not
         assert hash(sqrt2.element([1, 1])) == hash(sqrt2.element([F(2, 2), 1]))
+
+    def test_constructor_reads_coordinates_through_rat(self, sqrt2):
+        # a float used to be stored as it came and failed later, in repr
+        # or *; a string was stored unequal to its value
+        with pytest.raises(TypeError):
+            FieldElement(sqrt2, (0.5, 0))
+        with pytest.raises(TypeError):
+            sqrt2.element([1, 0.5])
+        half = FieldElement(sqrt2, ("1/2", 0))
+        assert half == sqrt2.element(["1/2"]) == F(1, 2)
+        assert half + 1 == F(3, 2) and repr(half * half) == "FieldElement(1/4, 0)"
+        x = FieldElement(sqrt2, (3, -6), -9)
+        assert x == sqrt2.element([F(-1, 3), F(2, 3)]) and (x.nums, x.den) == ((-1, 2), 3)
+        with pytest.raises(ValueError):
+            FieldElement(sqrt2, (1, 2, 3))
+        with pytest.raises(ValueError):
+            sqrt2.element([1, 2, 3])
+        with pytest.raises(ZeroDivisionError):
+            FieldElement(sqrt2, (1, 2), 0)
 
 
 class TestEnclosures:
