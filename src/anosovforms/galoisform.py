@@ -15,11 +15,10 @@ power-basis coordinates of vectors in E^m (coordinate t of component k
 at k*d + t), cleared to ints: the defining relation is a system on them,
 and a form basis is kept only as P / D, P the md x m integer matrix whose
 column j flattens vector j; its vectors in E^m are derived on read.
-Structure constants and transported maps are read off one solve of
-P X = W, W the brackets (restriction of scalars of L (x) E) or F B, F's
-blocks the kept multiplication rows of its entries.  The transport solve
-is consistent exactly when the map commutes with the action, so it is
-also the commutation check.
+Structure constants and transported maps are read off P's left inverse,
+c = Q w_I / e for each integer column w of W (the brackets of L (x) E
+over Q, or F B); the check P c = w decides consistency exactly,
+and for transport it is the commutation check.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from .numfield import (
     FieldElement,
     GaloisDatum,
     _act,
+    _multiplication_rows,
     _require_verified,
     apply_automorphism,
     automorphism_matrix,
@@ -196,7 +196,7 @@ class RationalFormBasis:
     representation: Representation
     flat: tuple[tuple[int, ...], ...]
     den: int
-    # set by rational_form(_from_vectors) only; transport refuses other bases
+    # set by rational_form(_from_vectors) only, with rows I; the descent refuses others
     verified: bool = field(default=False, init=False, compare=False)
 
     @property
@@ -210,6 +210,23 @@ class RationalFormBasis:
         d = datum.degree
         return tuple(tuple(FieldElement(datum, col[k * d:(k + 1) * d], den)
                            for k in range(self.size)) for col in zip(*self.flat))
+
+    def left_inverse(self) -> tuple[list[dict[int, int]], int, list[dict[int, int]]]:
+        """(Q, e, C), built on first use: Q P_I = e 1 on the m rows I of P the
+        constructor kept (BadParameters on an unverified basis), Q's column k
+        at row I_k, and C P's columns, all sparse.  On a nullspace basis I is
+        the free columns, so Q = 1 and e = D; else Q / e = P_I^-1 by a solve."""
+        if not hasattr(self, "_inverse"):
+            if not self.verified:
+                raise BadParameters("needs a basis from a rational_form constructor")
+            block, den = [self.flat[r] for r in self._rows], self.den
+            eye = [[int(i == j) for j in range(self.size)] for i in range(self.size)]
+            q, e = ((eye, den) if block == [tuple(den * x for x in r) for r in eye]
+                    else fl.clear_denominators(fl.solve(block, eye)))
+            q = dict(zip(self._rows, map(_support, zip(*q))))
+            object.__setattr__(self, "_inverse", ([q.get(r, {}) for r in range(len(self.flat))],
+                                                  e, [_support(c) for c in zip(*self.flat)]))
+        return self._inverse
 
 
 def _relation_rows(rho: Representation) -> list[list[int]]:
@@ -256,6 +273,8 @@ def rational_form(rho: Representation) -> RationalFormBasis:
     ints, den = fl.clear_denominators(basis_flat)
     basis = RationalFormBasis(rho, tuple(zip(*ints)), den)
     object.__setattr__(basis, "verified", True)
+    # I: each vector's free column, its last nonzero entry, which is D
+    object.__setattr__(basis, "_rows", [len(v) - 1 - v[::-1].index(den) for v in ints])
     return basis
 
 
@@ -266,7 +285,7 @@ def rational_form_from_vectors(rho: Representation,
 
     Both checks run over Q on the flat matrix P.  The relation holds for
     all sigma once the generators' rows of _relation_rows annihilate P.
-    Independence is rank(P) = m, i.e. Q-independence, and that suffices
+    Independence over Q is rank(P^T) = m (its rref's pivots are I), and that suffices
     (Speiser's lemma, Serre, Local Fields, Ch. X, section 1): take a shortest
     E-relation sum c_j v_j = 0 among fixed vectors with c_1 = 1.  Since
     (sigma(c) v)^sigma = c v^sigma, applying rho_sigma to it gives
@@ -288,24 +307,37 @@ def rational_form_from_vectors(rho: Representation,
     basis = RationalFormBasis(rho, tuple(zip(*flat)), den)
     if any(any(row) for row in fl.mat_mul(_relation_rows(rho), basis.flat)):
         raise DimensionMismatch("vector violates rho_sigma(v) = v^sigma")
-    if fl.rank(basis.flat) != m:
+    if len(rows := fl.rref(flat)[1]) != m:
         raise DimensionMismatch("vectors are not linearly independent over E")
     object.__setattr__(basis, "verified", True)
+    object.__setattr__(basis, "_rows", rows)
     return basis
 
 
 def restricted_bracket_map(alg: LieAlgebra, datum: GaloisDatum) -> tuple[dict, int]:
-    """(Integer bracket map, scale C D_T) of L (x) E viewed over Q, on the md
+    """(Integer bracket map, scale C) of L (x) E viewed over Q, on the md
     flat coordinates: [b_a theta^s, b_b theta^t] = sum_k c_ab^k theta^s
     theta^t b_k, so key (a*d + s, b*d + t) maps k*d + u to C c_ab^k
-    T[s*d + t][u], C from integer_bracket_map and T / D_T the products
-    theta^s theta^t off theta^s's cleared multiplication rows."""
+    T[s*d + t][u], C from integer_bracket_map and T the integer products
+    theta^s theta^t off theta^s's multiplication rows (verified datum)."""
     (bmap, c), d = alg.integer_bracket_map(), datum.degree
-    tensor, dt = fl.clear_denominators([col for s in range(d) for col in zip(
-        *datum.element([0] * s + [1])._scaled_multiplication_rows()[0])])
+    tensor = [col for s in range(d)
+              for col in zip(*_multiplication_rows(datum, [int(t == s) for t in range(d)]))]
     return ({(a * d + s, b * d + t): {k * d + u: x * y for k, x in row.items()
                                      for u, y in enumerate(tensor[s * d + t]) if y}
-             for (a, b), row in bmap.items() for s in range(d) for t in range(d)}, c * dt)
+             for (a, b), row in bmap.items() for s in range(d) for t in range(d)}, c)
+
+
+def _coordinates(basis: RationalFormBasis, cols: list[dict], scale: int) -> list[dict]:
+    """Q w_I / (e scale) for each sparse integer column w.  P has full
+    column rank, so that solves P c = w / scale if P Q w_I = e w, and
+    nothing does otherwise: fl.Inconsistent names the first such column."""
+    q, e, pcols = basis.left_inverse()
+    xs = _compose(q, cols)
+    for n, (w, pw) in enumerate(zip(cols, _compose(pcols, xs))):
+        if pw != {r: e * y for r, y in w.items() if y}:
+            raise fl.Inconsistent(n)
+    return [{k: Fraction(x, e * scale) for k, x in sorted(x.items())} for x in xs]
 
 
 def structure_constants_on_form(basis: RationalFormBasis,
@@ -315,10 +347,11 @@ def structure_constants_on_form(basis: RationalFormBasis,
 
     Over E the coordinates of a bracket are unique, and they are rational
     exactly when its flattened column lies in the Q-span of P's columns,
-    so one solve over Q gives them or names the first irrational bracket;
-    restricted_bracket_map on P's integer columns gives S D^2 W.
+    so the read-off gives them or names the first irrational bracket;
+    restricted_bracket_map on P's integer columns gives S D^2 W.  The
+    basis must come from a rational_form constructor (BadParameters).
 
-    Jacobi is required of the input L, after the solve: the output's
+    Jacobi is required of the input L, after the read-off: the output's
     constants are those of L (x) E in the basis b_1, ..., b_m, so the
     output satisfies Jacobi exactly when L does, and L's kept verdict is
     read (require_jacobi), not recomputed.
@@ -330,19 +363,17 @@ def structure_constants_on_form(basis: RationalFormBasis,
     m = basis.size
     if alg.dim != m:
         raise DimensionMismatch("algebra dimension must match the form")
+    cols = basis.left_inverse()[2]
     bmap, scale = restricted_bracket_map(alg, rho.datum)
-    cols = [_support(col) for col in zip(*basis.flat)]
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    brackets = (_bracket(bmap, cols[i], cols[j]) for i, j in pairs)
-    rhs = [[w.get(r, 0) for r in range(len(basis.flat))] for w in brackets]
+    brackets = [_bracket(bmap, cols[i], cols[j]) for i, j in pairs]
     try:
-        coords = fl.solve(basis.flat, rhs) if pairs else []
+        coords = _coordinates(basis, brackets, scale * basis.den)
     except fl.Inconsistent as e:
         i, j = pairs[e.column]
         raise IrrationalStructureConstant(
             f"bracket [{i},{j}] has an irrational coordinate") from None
-    entries = [(i, j, k, coords[k][col] / (scale * basis.den))
-               for col, (i, j) in enumerate(pairs) for k in range(m) if coords[k][col]]
+    entries = [(i, j, k, x) for (i, j), col in zip(pairs, coords) for k, x in col.items()]
     require_jacobi(alg)
     return LieAlgebra(m, tuple(entries))
 
@@ -353,15 +384,14 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
 
     B must come from rational_form or rational_form_from_vectors
     (BadParameters otherwise), so it spans the fixed space V over Q and E^m
-    over E.  One solve of P M = M_F P / D_F on ints is consistent exactly
+    over E.  Reading M off the left inverse, from M_F P on ints, works exactly
     when f(V) lies in V; M_F's (i, k) block is the multiplication matrix of
-    D_F x for x = f_ik, (D_F / D_x) M_x on x's kept rows (M_x, D_x), D_F
-    the lcm of the D_x.  f(V) in V is the commutation relation f^sigma =
+    D_F x for x = f_ik, (D_F / D_x) M_x on x's kept rows (M_x, D_x), D_F the
+    lcm of the D_x.  f(V) in V is the commutation relation f^sigma =
     rho_sigma f rho_sigma^-1 for every sigma: if it holds, (f v)^sigma =
     f^sigma v^sigma = rho_sigma f v for fixed v; conversely, if each f b is
-    fixed, rho_sigma f b = (f b)^sigma = f^sigma rho_sigma b on the
-    E-basis B.
-    The first inconsistent column raises CommutationViolation.
+    fixed, rho_sigma f b = (f b)^sigma = f^sigma rho_sigma b on the E-basis
+    B.  The first inconsistent column raises CommutationViolation.
     """
     rho = basis.representation
     datum = rho.datum
@@ -369,8 +399,7 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
     if len(f) != m or any(len(row) != m for row in f):
         raise DimensionMismatch("map size must match the form")
     _require_verified(datum)
-    if not basis.verified:
-        raise BadParameters("transport needs a basis from a rational_form constructor")
+    pcols = basis.left_inverse()[2]
     if any(isinstance(x, FieldElement) and x.datum.fingerprint() != datum.fingerprint()
            for row in f for x in row):
         raise DatumMismatch("map entry from a different field")
@@ -378,17 +407,18 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
           for i, row in enumerate(f) for k, x in enumerate(row) if x}
     kept = {key: x._scaled_multiplication_rows() for key, x in nz.items()}
     df = lcm(1, *(dx for _rows, dx in kept.values()))
-    mf = [[0] * (m * d) for _ in range(m * d)]
+    mf: list[dict] = [{} for _ in range(m * d)]  # M_F's sparse columns
     for (i, k), (rows, dx) in kept.items():
-        for u, row in enumerate(rows):
-            mf[i * d + u][k * d:(k + 1) * d] = [df // dx * y for y in row]
+        for t, col in enumerate(zip(*rows)):
+            mf[k * d + t].update({i * d + u: df // dx * y for u, y in enumerate(col) if y})
     try:
-        sol = fl.solve(basis.flat, list(zip(*fl.mat_mul(mf, basis.flat))))
+        sol = _coordinates(basis, _compose(mf, pcols), df)
     except fl.Inconsistent as e:
         raise CommutationViolation(
             f"f^sigma != rho f rho^-1: f moves basis vector {e.column} "
             "out of the rational form") from None
-    return RationalMatrix([[x / df for x in row] for row in sol])
+    zero = Fraction(0)  # one shared zero: RationalMatrix keeps Fractions as they are
+    return RationalMatrix([[col.get(i, zero) for col in sol] for i in range(m)])
 
 
 # ---------------------------------------------------------------------------

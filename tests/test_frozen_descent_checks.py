@@ -18,6 +18,13 @@ determinant before its bracket check; it now runs the bracket check first
 and reads invertibility off the charpoly the matrix keeps.  The frozen
 copies below are those versions: the new code must give the same matrix
 repr, or the same error type.
+
+structure_constants_on_form and transport each solved [P | W] by
+elimination, transport after a dense M_F P product; both now read the
+coordinates off the basis's kept left inverse (Q, e), Q P_I = e 1, and
+check P X = e W on P's sparse columns.  The solve-based versions are
+frozen below too: the new code must give the same repr, or the same error
+type with the same message, so the same first failing column.
 """
 
 import importlib.util
@@ -26,6 +33,7 @@ import random
 from dataclasses import fields, replace
 from fractions import Fraction as F
 from functools import partial
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -39,6 +47,7 @@ from anosovforms.errors import (
     CommutationViolation,
     DatumMismatch,
     DimensionMismatch,
+    IrrationalStructureConstant,
     NotHomomorphism,
 )
 from anosovforms.exactmath import RationalMatrix, nullspace
@@ -49,10 +58,21 @@ from anosovforms.galoisform import (
     group_generators,
     rational_form,
     rational_form_from_vectors,
+    restricted_bracket_map,
+    structure_constants_on_form,
     transport,
     verify_representation,
 )
-from anosovforms.liealg import Grading, _support, heisenberg, is_automorphism, preserves_brackets
+from anosovforms.liealg import (
+    Grading,
+    LieAlgebra,
+    _bracket,
+    _support,
+    heisenberg,
+    is_automorphism,
+    preserves_brackets,
+    require_jacobi,
+)
 from anosovforms.numfield import FieldElement, _require_verified, automorphism_matrix
 from anosovforms.pfaffian import dual_automorphism, scheuneman_dual
 from test_acceptance import _z4_labeled
@@ -153,6 +173,75 @@ def cleared_rebuild_transport(basis, f):
     return RationalMatrix([[x / df for x in row] for row in sol])
 
 
+def solve_restricted_bracket_map(alg, datum):
+    """restricted_bracket_map as it cleared the products theta^s theta^t
+    to T / D_T and scaled by C D_T."""
+    (bmap, c), d = alg.integer_bracket_map(), datum.degree
+    tensor, dt = fl.clear_denominators([col for s in range(d) for col in zip(
+        *datum.element([0] * s + [1])._scaled_multiplication_rows()[0])])
+    return ({(a * d + s, b * d + t): {k * d + u: x * y for k, x in row.items()
+                                     for u, y in enumerate(tensor[s * d + t]) if y}
+             for (a, b), row in bmap.items() for s in range(d) for t in range(d)}, c * dt)
+
+
+def solve_structure_constants_on_form(basis, algebra=None):
+    """structure_constants_on_form as it solved [P | W] by elimination, on
+    any basis (a rank-deficient one raised ZeroDivisionError)."""
+    rho = basis.representation
+    alg = algebra if algebra is not None else rho.algebra
+    if alg is None:
+        raise DimensionMismatch("no algebra attached to the representation")
+    m = basis.size
+    if alg.dim != m:
+        raise DimensionMismatch("algebra dimension must match the form")
+    bmap, scale = solve_restricted_bracket_map(alg, rho.datum)
+    cols = [_support(col) for col in zip(*basis.flat)]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    brackets = (_bracket(bmap, cols[i], cols[j]) for i, j in pairs)
+    rhs = [[w.get(r, 0) for r in range(len(basis.flat))] for w in brackets]
+    try:
+        coords = fl.solve(basis.flat, rhs) if pairs else []
+    except fl.Inconsistent as e:
+        i, j = pairs[e.column]
+        raise IrrationalStructureConstant(
+            f"bracket [{i},{j}] has an irrational coordinate") from None
+    entries = [(i, j, k, coords[k][col] / (scale * basis.den))
+               for col, (i, j) in enumerate(pairs) for k in range(m) if coords[k][col]]
+    require_jacobi(alg)
+    return LieAlgebra(m, tuple(entries))
+
+
+def solve_transport(basis, f):
+    """transport as it formed the dense md x md M_F from the kept rows,
+    multiplied it by P and solved [P | M_F P]."""
+    rho = basis.representation
+    datum = rho.datum
+    m, d = basis.size, datum.degree
+    if len(f) != m or any(len(row) != m for row in f):
+        raise DimensionMismatch("map size must match the form")
+    _require_verified(datum)
+    if not basis.verified:
+        raise BadParameters("transport needs a basis from a rational_form constructor")
+    if any(isinstance(x, FieldElement) and x.datum.fingerprint() != datum.fingerprint()
+           for row in f for x in row):
+        raise DatumMismatch("map entry from a different field")
+    nz = {(i, k): x if isinstance(x, FieldElement) else datum.element((x,))
+          for i, row in enumerate(f) for k, x in enumerate(row) if x}
+    kept = {key: x._scaled_multiplication_rows() for key, x in nz.items()}
+    df = lcm(1, *(dx for _rows, dx in kept.values()))
+    mf = [[0] * (m * d) for _ in range(m * d)]
+    for (i, k), (rows, dx) in kept.items():
+        for u, row in enumerate(rows):
+            mf[i * d + u][k * d:(k + 1) * d] = [df // dx * y for y in row]
+    try:
+        sol = fl.solve(basis.flat, list(zip(*fl.mat_mul(mf, basis.flat))))
+    except fl.Inconsistent as e:
+        raise CommutationViolation(
+            f"f^sigma != rho f rho^-1: f moves basis vector {e.column} "
+            "out of the rational form") from None
+    return RationalMatrix([[x / df for x in row] for row in sol])
+
+
 def stored_vector_rational_form(rho):
     """rational_form as it stored E-vectors: (vectors, P, D), each
     nullspace row built into m field elements and P / D cleared from the
@@ -213,11 +302,26 @@ def determinant_first_is_automorphism(a, m):
 # ---------------------------------------------------------------------------
 
 
+def _verdict(fn, *args):
+    """repr of an accept, (error type, message) of a reject."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:  # noqa: BLE001 - the type and message are the verdict
+        return type(e), str(e)
+
+
 def _same_transport(basis, f):
     new = _outcome(transport, basis, f)
     assert new == _outcome(cleared_rebuild_transport, basis, f)
     assert new == _outcome(commutation_loop_transport, basis, f)
+    assert _verdict(transport, basis, f) == _verdict(solve_transport, basis, f)
     return new
+
+
+def _same_structure(basis, alg):
+    new = _verdict(structure_constants_on_form, basis, alg)
+    assert new == _verdict(solve_structure_constants_on_form, basis, alg)
+    return new if isinstance(new, str) else new[0]
 
 
 def _diagonal(la):
@@ -312,12 +416,28 @@ class TestTransport:
 
     def test_directly_built_basis_is_refused(self, sqrt2):
         basis = rational_form(regular_rep(sqrt2))
+        abelian = LieAlgebra(2, ())
         for direct in (_direct_basis(basis.representation, basis.vectors),
                        RationalFormBasis(basis.representation, basis.flat, basis.den),
                        replace(basis)):
             assert direct == basis and not direct.verified
             assert _outcome(transport, direct, ((1, 0), (0, 1))) is BadParameters
+            # the solve-based code accepted an unverified basis here
+            assert _outcome(structure_constants_on_form, direct, abelian) is BadParameters
+            assert _outcome(solve_structure_constants_on_form, direct, abelian) == repr(abelian)
+            with pytest.raises(BadParameters):
+                direct.left_inverse()
         assert transport(basis, ((1, 0), (0, 1))) == RationalMatrix.identity(2)
+        assert structure_constants_on_form(basis, abelian) == abelian
+
+    def test_rank_deficient_basis_is_refused(self, sqrt2):
+        # the solve-based code raised a bare ZeroDivisionError on it
+        rho = regular_rep(sqrt2)
+        zero = RationalFormBasis(rho, ((0, 0),) * 4, 1)
+        abelian = LieAlgebra(2, ())
+        assert _outcome(solve_structure_constants_on_form, zero, abelian) is ZeroDivisionError
+        assert _outcome(structure_constants_on_form, zero, abelian) is BadParameters
+        assert _outcome(transport, zero, ((1, 0), (0, 1))) is BadParameters
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +508,113 @@ class TestRationalForm:
         with pytest.raises(AttributeError):
             basis.vectors = ()
         assert hash(basis) == hash(RationalFormBasis(basis.representation, basis.flat, basis.den))
+
+
+# ---------------------------------------------------------------------------
+# the left inverse and the read-off
+# ---------------------------------------------------------------------------
+
+
+CONSTRUCTIONS = {**PAPER_EXAMPLES, **DEEP_CLASS}
+
+
+def _check_left_inverse(basis):
+    """Q P_I = e 1 on the kept (Q, e, C), Q as one sparse column per row of
+    P, empty off I, and C P's sparse columns; on a nullspace basis I is the
+    last nonzero row of each column, Q = 1 and e = D.  Returns e."""
+    q, e, cols = basis.left_inverse()
+    rows, m = [r for r, col in enumerate(q) if col], basis.size
+    assert len(q) == len(basis.flat) and len(rows) == m and e > 0
+    product = [[sum(q[r].get(j, 0) * basis.flat[r][k] for r in rows) for k in range(m)]
+               for j in range(m)]
+    assert product == [[e if j == k else 0 for k in range(m)] for j in range(m)]
+    assert cols == [_support(col) for col in zip(*basis.flat)]
+    assert basis.left_inverse() is basis.left_inverse()
+    return e
+
+
+def _check_nullspace_left_inverse(basis):
+    q, e, _cols = basis.left_inverse()
+    assert e == basis.den
+    free = {max(r for r, x in enumerate(col) if x): j for j, col in enumerate(zip(*basis.flat))}
+    assert q == [{free[r]: 1} if r in free else {} for r in range(len(basis.flat))]
+    return _check_left_inverse(basis)
+
+
+def _moved_target(rng, alg):
+    """alg with one bracket's target slot moved to another slot."""
+    entries = list(alg.brackets)
+    n = rng.randrange(len(entries))
+    i, j, k, c = entries[n]
+    entries[n] = (i, j, rng.choice([x for x in range(alg.dim) if x != k]), c)
+    return LieAlgebra(alg.dim, tuple(entries))
+
+
+class TestReadOff:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_recipe_constructions(self, name):
+        la, rho, explicit, out = _construction(CONSTRUCTIONS[name])
+        bases = [rational_form(rho)]
+        _check_nullspace_left_inverse(bases[0])
+        if explicit is not None:
+            bases.append(rational_form_from_vectors(rho, explicit))
+            _check_left_inverse(bases[-1])
+        rng = random.Random(f"read-off/{name}")
+        theta, one = la.datum.generator(), la.datum.one()
+        f = _diagonal(la)
+        verdicts = set()
+        for basis in bases:
+            algebra_q, matrix = _same_structure(basis, la.algebra), _same_transport(basis, f)
+            if basis is bases[-1]:
+                assert (algebra_q, matrix) == (repr(out.algebra), repr(out.matrix))
+            for _ in range(6):
+                verdicts.add(_same_transport(basis, _perturbed(rng, f, theta, one)))
+            if la.algebra.brackets:
+                for _ in range(3):
+                    verdicts.add(_same_structure(basis, _moved_target(rng, la.algebra)))
+        assert CommutationViolation in verdicts
+
+    @pytest.mark.parametrize("group", ["z2", "klein", "z4"])
+    def test_conjugated_representations(self, group, sqrt2, biquad52, quartic):
+        datum = {"z2": sqrt2, "klein": biquad52, "z4": quartic}[group]
+        verdicts, dens, moved_rows = set(), set(), set()
+        for basis, algebras, mat, f, moved, scaled in _frozen_descent_cases(datum, group):
+            dens.add(_check_nullspace_left_inverse(basis))
+            # the same vectors wrapped: I is the pivot rows of rref(P^T), which
+            # need not be the free columns, and then Q / e comes from a solve
+            wrapped = rational_form_from_vectors(basis.representation, basis.vectors)
+            dens.add(_check_left_inverse(wrapped))
+            moved_rows.add(wrapped.left_inverse()[0] != basis.left_inverse()[0])
+            for b in (basis, wrapped):
+                for alg in algebras:
+                    verdicts.add(_same_structure(b, alg))
+                assert _same_transport(b, f) == repr(mat)
+                for g in (moved, scaled):
+                    verdicts.add(_same_transport(b, g))
+        assert {IrrationalStructureConstant, CommutationViolation} <= verdicts
+        assert len(dens) > 2 and True in moved_rows
+
+    def test_irrational_structure_constant(self, sqrt2):
+        # [v1, v2] = -2 sqrt2 b_1 has coordinates sqrt2 * (1, 0) in the
+        # form (1, 1), (sqrt2, -sqrt2)
+        basis = rational_form(regular_rep(sqrt2))
+        alg = LieAlgebra(2, ((0, 1, 1, 1),))
+        expected = (IrrationalStructureConstant, "bracket [0,1] has an irrational coordinate")
+        assert _verdict(structure_constants_on_form, basis, alg) == expected
+        assert _verdict(solve_structure_constants_on_form, basis, alg) == expected
+
+    def test_restricted_bracket_map_clears_nothing(self, sqrt2, biquad52, quartic, monkeypatch):
+        algebras = [heisenberg(), LieAlgebra(3, ((0, 1, 2, F(3, 2)),)),
+                    LieAlgebra(4, ((0, 1, 2, F(1, 3)), (0, 2, 3, F(-5, 2))))]
+        for datum in (sqrt2, biquad52, quartic):
+            for alg in algebras:
+                frozen = solve_restricted_bracket_map(alg, datum)
+                calls = []
+                monkeypatch.setattr(fl, "clear_denominators",
+                                    lambda rows, real=fl.clear_denominators:
+                                    calls.append(1) or real(rows))
+                assert restricted_bracket_map(alg, datum) == frozen and not calls
+                monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
@@ -500,22 +727,20 @@ def _same_verdict(a, m):
 
 
 class _Counter:
-    """Counts the calls of fl.det and of exactmath.charpoly."""
+    """Counts the calls of fl.det, fl.solve, fl.mat_mul and
+    exactmath.charpoly."""
 
     def __init__(self, monkeypatch):
-        self.det = self.charpoly = 0
-        real_det, real_charpoly = fl.det, exactmath.charpoly
+        self.det = self.solve = self.mat_mul = self.charpoly = 0
+        for module, name in ((fl, "det"), (fl, "solve"), (fl, "mat_mul"),
+                             (exactmath, "charpoly")):
+            monkeypatch.setattr(module, name, self._counted(name, getattr(module, name)))
 
-        def det(*a):
-            self.det += 1
-            return real_det(*a)
-
-        def charpoly(*a):
-            self.charpoly += 1
-            return real_charpoly(*a)
-
-        monkeypatch.setattr(fl, "det", det)
-        monkeypatch.setattr(exactmath, "charpoly", charpoly)
+    def _counted(self, name, real):
+        def counted(*a):
+            setattr(self, name, getattr(self, name) + 1)
+            return real(*a)
+        return counted
 
 
 class TestIsAutomorphism:
@@ -560,8 +785,11 @@ class TestIsAutomorphism:
         count = _Counter(monkeypatch)
         out = _last(4)
         assert out.certificate.hyperbolic
-        # one charpoly for the eigenvalue check, which certify reads again
+        # one charpoly for the eigenvalue check, which certify reads again;
+        # the structure constants and the map are read off the nullspace
+        # basis's left inverse, with no solve and no matrix product
         assert (count.det, count.charpoly) == (0, 1)
+        assert (count.solve, count.mat_mul) == (0, 0)
 
     def test_dual_map_keeps_its_charpoly_for_certify(self, monkeypatch):
         out = recipes.recipe_count(5, 2)
