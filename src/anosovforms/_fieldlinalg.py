@@ -24,10 +24,11 @@ The common-denominator rule: a kernel may clear denominators once
 and run on Python ints, so no product pays for a Fraction's gcd.  It
 does so only where the scale provably cancels: a zero test, a span, or
 an identity whose two sides scale alike.  rref, the one Gauss-Jordan
-loop, works this way: fraction-free on primitive integer rows, dividing
-by the pivots only at the end, which the unique reduced echelon form
-allows; solve, rank, span_rref and exactmath's nullspace all read it,
-and every entry it returns is a Fraction.  det works this way too: it
+loop, works this way: fraction-free on primitive integer rows, which it
+returns, each reduced row cleared (the reduced form is unique); solve,
+rank, span_rref and exactmath's nullspace read them and build no
+Fraction, solve and nullspace returning integer rows over the lcm of
+their pivots, their least common denominator.  det works this way too: it
 clears denominators once (D) and runs int_det, Bareiss's fraction-free
 elimination on the integer rows (dense, since an int product costs
 little), each division by the previous pivot exact, so det = det(integer
@@ -76,12 +77,13 @@ def mat_mul(a, b):
 
 
 def rref(rows):
-    """Reduced row echelon form of rational rows, as Fraction rows with the
-    zero rows last; returns (rows, pivot_cols).  The integer loop drops a
-    row once it is reduced to zero (see the common-denominator rule)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    """Reduced row echelon form of rational rows of equal length (else
+    DimensionMismatch), on integers: (R, pivot_cols), R the nonzero rows,
+    each its reduced row times that row's least common denominator, so
+    primitive and positive at the pivot: the reduced row is row / row[pivot]."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise DimensionMismatch("matrix rows must have equal length")
     m = [r for r in map(primitive, rows) if any(r)]
     pivots = []
     for c in range(ncols):
@@ -105,10 +107,7 @@ def rref(rows):
                     row[k] -= f * y
                 m[i] = content_free(row)
         pivots.append(c)
-        m[r + 1:] = [row for row in m[r + 1:] if any(row)]
-    zero = Fraction(0)
-    return ([[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
-            + [[zero] * ncols for _ in range(len(rows) - len(pivots))]), pivots
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows) -> int:
@@ -192,7 +191,8 @@ class Inconsistent(ArithmeticError):
 
 def solve(a, rhs_cols):
     """Solve a * X = B for X, where a is square or tall with n columns and
-    B is given as a list of columns, by reducing [a | B].  Raises
+    B is given as a list of columns, by reducing [a | B], as X / e: X
+    integer rows over e, the lcm of the first n pivots.  Raises
     ZeroDivisionError('singular matrix') unless the first n pivots are
     exactly the columns of a, and else Inconsistent on the first column of
     B outside a's column span: that column holds the first pivot past a,
@@ -203,7 +203,8 @@ def solve(a, rhs_cols):
         raise ZeroDivisionError("singular matrix")
     if len(pivots) > n:
         raise Inconsistent(pivots[n] - n)
-    return [row[n:] for row in m[:n]]
+    e = lcm(*(row[i] for i, row in enumerate(m)))
+    return [[x * (e // row[i]) for x in row[n:]] for i, row in enumerate(m)], e
 
 
 def clear_denominators(rows):
@@ -241,7 +242,6 @@ def content_free(ints):
 
 
 def span_rref(vectors):
-    """Canonical (RREF) basis of the span of the given rational row
-    vectors, as Fraction tuples: rref's nonzero rows."""
-    m, pivots = rref(vectors)
-    return [tuple(row) for row in m[:len(pivots)]]
+    """Canonical basis of the span of the given rational row vectors:
+    rref's rows, as integer tuples."""
+    return [tuple(row) for row in rref(vectors)[0]]

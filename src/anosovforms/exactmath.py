@@ -536,17 +536,17 @@ class RationalMatrix:
     def inverse(self) -> "RationalMatrix":
         if not self.is_square:
             raise NonSquare("inverse needs a square matrix")
-        n = self.rows
-        unit_cols = [[Fraction(i == j) for i in range(n)] for j in range(n)]
-        return RationalMatrix(fl.solve(self.entries, unit_cols))
+        x, e = fl.solve(self.entries, RationalMatrix.identity(self.rows).entries)
+        return RationalMatrix([[Fraction(v, e) for v in row] for row in x])
 
     def rref(self) -> tuple["RationalMatrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
+        """Reduced row echelon form (zero rows last) and the pivot columns."""
         m, pivots = fl.rref(self.entries)
-        return RationalMatrix(m), pivots
+        return RationalMatrix([[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+                              + [[0] * self.cols] * (self.rows - len(m))), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return fl.rank(self.entries)
 
     def charpoly(self) -> Polynomial:
         if not hasattr(self, "_charpoly"):
@@ -577,25 +577,24 @@ def scaled_charpoly(rows, d: int) -> Polynomial:
     return Polynomial.from_numerators((c * d ** k for k, c in enumerate(cs)), d ** len(rows))
 
 
-def nullspace(rows) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the right kernel over Q of rational rows.
-
-    Basis vectors come from the reduced row echelon form of the row space:
-    one vector per free column, with entry 1 at the free column.  Comparing
-    kernels is therefore a bit-exact comparison of these lists.
-    """
+def nullspace(rows) -> tuple[list[list[int]], int]:
+    """Canonical basis of the right kernel over Q of rational rows, from
+    the reduced row echelon form of the row space: one vector per free
+    column, with entry 1 at the free column.  Returns (V, D), the basis
+    as integer vectors V over D, the lcm of the pivots, which is its least
+    common denominator; comparing kernels is a bit-exact comparison."""
     r, pivots = fl.rref(rows)
     ncols = len(rows[0]) if rows else 0
-    free = [c for c in range(ncols) if c not in pivots]
+    d = lcm(*(row[p] for row, p in zip(r, pivots)))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            if r[i][f]:
-                v[p] = -r[i][f]
-        basis.append(tuple(v))
-    return basis
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        v = [0] * ncols
+        v[f] = d
+        for row, p in zip(r, pivots):
+            if row[f]:
+                v[p] = -(d // row[p]) * row[f]
+        basis.append(v)
+    return basis, d
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ class RationalFormBasis:
             block, den = [self.flat[r] for r in self._rows], self.den
             eye = [[int(i == j) for j in range(self.size)] for i in range(self.size)]
             q, e = ((eye, den) if block == [tuple(den * x for x in r) for r in eye]
-                    else fl.clear_denominators(fl.solve(block, eye)))
+                    else fl.solve(block, eye))
             q = dict(zip(self._rows, map(_support, zip(*q))))
             object.__setattr__(self, "_inverse", ([q.get(r, {}) for r in range(len(self.flat))],
                                                   e, [_support(c) for c in zip(*self.flat)]))
@@ -266,11 +266,10 @@ def rational_form(rho: Representation) -> RationalFormBasis:
     """
     if not rho.verified:
         raise NotHomomorphism("rational_form requires a verified representation")
-    basis_flat = nullspace(_relation_rows(rho))
-    if len(basis_flat) != rho.size:
+    ints, den = nullspace(_relation_rows(rho))
+    if len(ints) != rho.size:
         raise DimensionMismatch(
-            f"fixed space has dimension {len(basis_flat)}, expected {rho.size}")
-    ints, den = fl.clear_denominators(basis_flat)
+            f"fixed space has dimension {len(ints)}, expected {rho.size}")
     basis = RationalFormBasis(rho, tuple(zip(*ints)), den)
     object.__setattr__(basis, "verified", True)
     # I: each vector's free column, its last nonzero entry, which is D

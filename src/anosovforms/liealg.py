@@ -14,7 +14,8 @@ lower_central_series run the one bracket kernel on it, where every
 identity they test scales by a nonzero constant on both sides; bracket
 divides C [x, y] by C.  preserves_brackets forms each column's ad-images
 once and combines them by bilinearity; the series reads gamma_2 off the
-bracket map's rows.  An algebra keeps its series and its Jacobi verdict
+bracket map's rows and brackets span_rref's integer rows, each a basis
+row over its pivot.  An algebra keeps its series and its Jacobi verdict
 (require_jacobi).
 is_automorphism reads invertibility off a matrix's kept charpoly.
 """
@@ -177,8 +178,9 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
             raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
         if not nxt:
             break
-        series.append(nxt)
-        prev = [_support(fl.primitive(v)) for v in nxt]
+        leads = [next(filter(None, v)) for v in nxt]
+        series.append([tuple(Fraction(x, p) for x in v) for v, p in zip(nxt, leads)])
+        prev = [_support(v) for v in nxt]
         gens = []
         for i in range(n):
             for v in prev:

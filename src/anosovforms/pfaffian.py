@@ -439,12 +439,12 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     classified type-(4,2) algebras exactly.
     """
     coords, pairs, n1, k = w_space_coords(a)
-    comp = nullspace(coords or [[0] * len(pairs)])
+    comp = nullspace(coords or [[0] * len(pairs)])[0]
     # the RREF of C on its nonzero columns, the bracketing pairs in order:
     # pivot columns are the directions in the order brackets introduce
-    # them, and row t, led by a 1, holds the coordinates on t
+    # them, and row t, primitive with a positive pivot, holds t's coordinates
     cols = [c for c in range(len(pairs)) if any(v[c] for v in comp)]
-    scaled = [fl.primitive(row) for row in fl.span_rref([[v[c] for c in cols] for v in comp])]
+    scaled = fl.span_rref([[v[c] for c in cols] for v in comp])
     entries = [(*pairs[c], n1 + t, Fraction(row[r]))
                for r, c in enumerate(cols) for t, row in enumerate(scaled) if row[r]]
     return LieAlgebra(n1 + len(comp), tuple(entries))
@@ -482,7 +482,7 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
     # one solve over the k images: column t of the solution holds the
     # coordinates of alpha^T(Z_t), row t of the extension's center block
     try:
-        solution = fl.solve([list(col) for col in zip(*coords)], images)
+        solution, e = fl.solve([list(col) for col in zip(*coords)], images)
     except fl.Inconsistent:
         raise DoesNotPreserveW("alpha^T J_Z alpha leaves the image of J") from None
     n = a.dim
@@ -490,7 +490,7 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
     for i in range(n1):
         rows[i][:n1] = m[i]
     for t, col in enumerate(zip(*solution)):
-        rows[n1 + t][n1:n1 + k] = col
+        rows[n1 + t][n1:n1 + k] = [Fraction(x, e) for x in col]
     # out itself, so the charpoly is_automorphism computes is kept for certify
     out = RationalMatrix(rows)
     if not is_automorphism(a, out):

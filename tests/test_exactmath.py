@@ -325,18 +325,22 @@ class TestMatrixShapes:
 class TestNullspace:
     def test_zero_matrix(self):
         basis = nullspace(zeros(2, 2).entries)
-        assert basis == [(F(1), F(0)), (F(0), F(1))]
+        assert basis == ([[1, 0], [0, 1]], 1)
 
     def test_identity(self):
-        assert nullspace(RationalMatrix.identity(3).entries) == []
+        assert nullspace(RationalMatrix.identity(3).entries) == ([], 1)
 
     def test_rank_one(self):
-        assert nullspace([[1, 1], [2, 2]]) == [(F(-1), F(1))]
+        assert nullspace([[1, 1], [2, 2]]) == ([[-1, 1]], 1)
+
+    def test_least_common_denominator(self):
+        # the canonical basis (-3/2, 1, 0), (-1/2, 0, 1) over D = 2
+        assert nullspace([[2, 3, 1]]) == ([[-3, 2, 0], [-1, 0, 2]], 2)
 
     def test_kernel_canonical(self):
         m = RationalMatrix([[1, 2, 3], [2, 4, 6]])
-        basis = nullspace(m.entries)
-        assert len(basis) == 2
+        basis, d = nullspace(m.entries)
+        assert len(basis) == 2 and d == 1
         for v in basis:
             assert all(sum(row[i] * v[i] for i in range(3)) == 0
                        for row in m.entries)
@@ -350,12 +354,12 @@ class TestNullspace:
             rows = [[rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(c)]
                     for _ in range(r)]
             basis = nullspace(rows)
-            assert all(isinstance(x, F) for v in basis for x in v)
+            assert all(type(x) is int for v in basis[0] for x in v) and type(basis[1]) is int
             assert repr(nullspace([[F(x) for x in row] for row in rows])) == repr(basis)
             scaled = [[F(x, k) for x in row] for k, row in enumerate(rows, start=2)]
             assert repr(nullspace(scaled)) == repr(basis)
             assert repr(nullspace(RationalMatrix(rows).entries)) == repr(basis)
-            assert len(basis) == c - fl.rank(rows)
+            assert len(basis[0]) == c - fl.rank(rows)
 
 
 class TestSturm:

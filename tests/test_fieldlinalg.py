@@ -2,10 +2,13 @@
 matrices and on the flat rational images of matrices over verified number
 fields, a high-precision mpmath oracle for det, the Galois action's
 matrix path against polynomial composition, the kernel's zero rule
-against the dense kernel it replaced, and the integer rref and span_rref
-against the Fraction elimination they replaced."""
+against the dense kernel it replaced, and the integer rref, span_rref,
+solve and nullspace against the Fraction elimination they replaced: each
+integer result is the primitive rows, or the rows over the least common
+denominator, of the frozen Fraction result."""
 
 import math
+import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
@@ -85,6 +88,26 @@ def columns(m):
     return [list(c) for c in zip(*m)]
 
 
+def solution(a, rhs_cols):
+    """The Fraction rows of fl.solve's (X, e): X / e."""
+    x, e = fl.solve(a, rhs_cols)
+    return [[F(v, e) for v in row] for row in x]
+
+
+def rref_view(rows, pivots, shape):
+    """The Fraction rows of the integer rref, each row over its pivot,
+    padded with zero rows to the shape of the input as the kernel returned
+    them."""
+    return ([[F(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+            + [[F(0)] * len(shape[0]) for _ in range(len(shape) - len(rows))])
+
+
+def canonical(m, pivots):
+    """A Fraction rref as the integer kernel returns it: the nonzero rows,
+    each primitive, so positive at its pivot."""
+    return [fl.primitive(row) for row in m[:len(pivots)]], pivots
+
+
 field_names = pytest.mark.parametrize("name", list(FIELDS))
 
 
@@ -109,13 +132,14 @@ def test_inverse_and_solve(name, data):
         with pytest.raises(ZeroDivisionError, match="singular matrix"):
             fl.solve(a, columns(b))
         return
-    assert fl.mat_mul(a, fl.solve(a, columns(identity(n)))) == identity(n)
-    x = fl.solve(a, columns(b))
+    assert fl.mat_mul(a, solution(a, columns(identity(n)))) == identity(n)
+    x = solution(a, columns(b))
     assert fl.mat_mul(a, x) == b
+    assert fl.solve(a, columns(b)) == fl.clear_denominators(ref_solve(a, columns(b)))
     # a tall system: one more equation, the sum of the others
     tall = a + [[sum(col) for col in zip(*a)]]
     rhs = b + [[sum(col) for col in zip(*b)]]
-    assert fl.solve(tall, columns(rhs)) == x
+    assert solution(tall, columns(rhs)) == x
     rhs[-1][-1] += 1
     with pytest.raises(fl.Inconsistent) as e:
         fl.solve(tall, columns(rhs))
@@ -149,7 +173,7 @@ def test_rank_nullity_and_idempotent_rref(name, data):
         v = [F(0)] * ncols
         v[f] = F(1)
         for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
+            v[p] = -F(r[i][f], r[i][p])
         assert all(x == 0 for x in fl.mat_vec(m, v))
     assert fl.rank(m) + len(free) == ncols
     # the row space of an image is a space over the field: Q-rank d * rank
@@ -163,11 +187,14 @@ def test_rational_matrix_delegates(data):
     ma, mb = RationalMatrix(a), RationalMatrix(b)
     assert (ma * mb).entries == tuple(map(tuple, fl.mat_mul(a, b)))
     assert ma.det() == fl.det(a)
-    rr, pivots = fl.rref(a)
+    rr, pivots = ref_rref(a)
     assert ma.rref() == (RationalMatrix(rr), pivots)
-    assert ma.rank() + len(nullspace(a)) == ma.cols
-    for v in nullspace(a):
+    assert repr(ma.rref()[0].entries) == repr(tuple(map(tuple, rr)))
+    basis, d = nullspace(a)
+    assert ma.rank() + len(basis) == ma.cols
+    for v in basis:
         assert all(x == 0 for x in fl.mat_vec(ma.entries, v))
+    assert (basis, d) == fl.clear_denominators(ref_nullspace(a))
     if ma.det() != 0:
         assert ma * ma.inverse() == RationalMatrix.identity(ma.rows)
     else:
@@ -364,7 +391,10 @@ def test_zero_rule_matches_dense_kernel(name, data):
     # elimination sees the rational images only
     for m in (a, b):
         m = flat(name, m)
-        assert repr(fl.rref(m)) == repr(_dense_rref(m))
+        r, pivots = fl.rref(m)
+        dense, dense_pivots = _dense_rref(m)
+        assert (r, pivots) == canonical(dense, dense_pivots)
+        assert repr(rref_view(r, pivots, m)) == repr(dense)
     n = min(len(a), len(a[0]))
     square = flat(name, [row[:n] for row in a[:n]])
     assert repr(fl.det(square)) == repr(_dense_det(square))
@@ -411,8 +441,19 @@ def test_ragged_rows_raise_dimension_mismatch():
         fl.mat_mul([[1, 2]], [[1, 2], [3]])
 
 
+@pytest.mark.parametrize("rows", [[[1], [3, 4]], [[0, 1], [1]]])
+def test_ragged_rows_refused_by_elimination(rows):
+    # the elimination took its width from row 0: nullspace returned [] on
+    # the first and raised IndexError on the second
+    for kernel in (fl.rref, fl.rank, fl.span_rref, nullspace,
+                   lambda rows: fl.solve(rows, [[1] * len(rows)])):
+        with pytest.raises(DimensionMismatch):
+            kernel(rows)
+
+
 # ---------------------------------------------------------------------------
-# the integer rref and span_rref against the Fraction elimination they replaced
+# the integer rref, span_rref, solve and nullspace against the Fraction
+# elimination they replaced
 
 
 def ref_rref(rows):
@@ -451,6 +492,35 @@ def ref_span_rref(vectors):
     return [tuple(m[i]) for i in range(len(pivots))]
 
 
+def ref_solve(a, rhs_cols):
+    """solve over Fractions as the kernel ran it: reduce [a | B] and read
+    X off the first n rows."""
+    n = len(a[0]) if a else 0
+    m, pivots = ref_rref([[F(x) for x in row] + [F(col[i]) for col in rhs_cols]
+                          for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    if len(pivots) > n:
+        raise fl.Inconsistent(pivots[n] - n)
+    return [row[n:] for row in m[:n]]
+
+
+def ref_nullspace(rows):
+    """nullspace over Fractions as it ran: one vector per free column of
+    the rref, with entry 1 at the free column."""
+    r, pivots = ref_rref([[F(x) for x in row] for row in rows])
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            if r[i][f]:
+                v[p] = -r[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
 rational_entries = st.one_of(
     st.integers(-9, 9),
     st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6),
@@ -482,10 +552,53 @@ def rational_row_sets(draw):
 @given(rational_row_sets())
 def test_integer_span_rref_matches_fraction_rref(rows):
     out = fl.span_rref(rows)
-    assert repr(out) == repr(ref_span_rref(rows))
-    assert all(type(x) is F for v in out for x in v)
-    # rref itself: every row, zero rows last, and the pivots
-    assert repr(fl.rref(rows)) == repr(ref_rref([[F(x) for x in v] for v in rows]))
+    ref = ref_span_rref(rows)
+    assert out == [tuple(fl.primitive(v)) for v in ref]
+    assert all(type(x) is int for v in out for x in v)
+    # rref itself: the nonzero rows and the pivots, and its Fraction view
+    # with zero rows last
+    r, pivots = fl.rref(rows)
+    full = ref_rref([[F(x) for x in v] for v in rows])
+    assert (r, pivots) == canonical(*full)
+    assert repr(rref_view(r, pivots, rows)) == repr(full[0])
+    assert repr([tuple(v) for v in rref_view(r, pivots, r)]) == repr(ref)
+    # nullspace and solve: integer rows over the least common denominator
+    basis, d = nullspace(rows)
+    assert (basis, d) == fl.clear_denominators(ref_nullspace(rows))
+    assert all(type(x) is int for v in basis for x in v)
+    a, b = [row[:-1] for row in rows], [[row[-1] for row in rows]]
+    if len(rows[0]) > 1:
+        assert _outcome(fl.solve, a, b) == _outcome(
+            lambda *args: fl.clear_denominators(ref_solve(*args)), a, b)
+
+
+def test_integer_rows_build_no_fraction(monkeypatch):
+    # rref, span_rref, nullspace and solve on integer rows: the loop and
+    # its readers return ints and build no Fraction
+    rng = random.Random(30)
+    cases = []
+    for n in range(1, 7):
+        rows = [[rng.randint(-5, 5) * rng.randint(0, 1) for _ in range(n + 1)] for _ in range(n)]
+        rows.append([x + y for x, y in zip(rows[0], rows[-1])])
+        a, b = [row[:-1] for row in rows], [[row[-1] for row in rows]]
+        cases.append((rows, a, b, fl.clear_denominators(ref_nullspace(rows)),
+                      _outcome(lambda *args: fl.clear_denominators(ref_solve(*args)), a, b)))
+    built = []
+    real = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
+    for rows, a, b, kernel, solved in cases:
+        assert nullspace(rows) == kernel
+        assert _outcome(fl.solve, a, b) == solved
+        assert fl.span_rref(rows) == [tuple(v) for v in fl.rref(rows)[0]]
+    assert built == []
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, fl.Inconsistent) as e:
+        return type(e), str(e)
 
 
 @settings(max_examples=60, deadline=None)
@@ -517,14 +630,15 @@ def test_int_matrices_match_fractions(case):
     fcols = [[F(x) for x in col] for col in cols]
     assert fl.det(m) == fl.det(fm)
     assert repr(fl.rref(m)) == repr(fl.rref(fm))
-    assert all(type(x) is F for row in fl.rref(m)[0] for x in row)
+    assert all(type(x) is int for row in fl.rref(m)[0] for x in row)
     if fl.det(fm) == 0:
         with pytest.raises(ZeroDivisionError):
             fl.solve(m, cols)
     else:
-        x = fl.solve(m, cols)
-        assert x == fl.solve(fm, fcols)
-        assert all(type(y) is F for row in x for y in row)
+        x, e = fl.solve(m, cols)
+        assert (x, e) == fl.solve(fm, fcols)
+        assert (x, e) == fl.clear_denominators(ref_solve(fm, fcols))
+        assert all(type(y) is int for row in x for y in row) and type(e) is int
 
 
 # ---------------------------------------------------------------------------

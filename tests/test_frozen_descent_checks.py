@@ -25,6 +25,10 @@ coordinates off the basis's kept left inverse (Q, e), Q P_I = e 1, and
 check P X = e W on P's sparse columns.  The solve-based versions are
 frozen below too: the new code must give the same repr, or the same error
 type with the same message, so the same first failing column.
+
+The frozen copies eliminate over Fractions (test_fieldlinalg's ref_solve
+and ref_nullspace), as solve and nullspace ran before they returned
+integer rows over one denominator.
 """
 
 import importlib.util
@@ -50,7 +54,7 @@ from anosovforms.errors import (
     IrrationalStructureConstant,
     NotHomomorphism,
 )
-from anosovforms.exactmath import RationalMatrix, nullspace
+from anosovforms.exactmath import RationalMatrix
 from anosovforms.galoisform import (
     RationalFormBasis,
     Representation,
@@ -76,6 +80,7 @@ from anosovforms.liealg import (
 from anosovforms.numfield import FieldElement, _require_verified, automorphism_matrix
 from anosovforms.pfaffian import dual_automorphism, scheuneman_dual
 from test_acceptance import _z4_labeled
+from test_fieldlinalg import ref_nullspace, ref_solve
 from test_galoisform import (
     IrrationalEntry,
     _direct_basis,
@@ -134,7 +139,7 @@ def commutation_loop_transport(basis, f):
         for u, row in enumerate(datum.element(v)._scaled_multiplication_rows()[0]):
             mf[i * d + u][k * d:(k + 1) * d] = row
     try:
-        sol = fl.solve(flat, list(zip(*fl.mat_mul(mf, flat))))
+        sol = ref_solve(flat, list(zip(*fl.mat_mul(mf, flat))))
     except fl.Inconsistent as e:
         raise IrrationalEntry(
             f"transported column {e.column} has an irrational entry") from None
@@ -165,7 +170,7 @@ def cleared_rebuild_transport(basis, f):
         for u, row in enumerate(datum.element(v)._scaled_multiplication_rows()[0]):
             mf[i * d + u][k * d:(k + 1) * d] = row
     try:
-        sol = fl.solve(flat, list(zip(*fl.mat_mul(mf, flat))))
+        sol = ref_solve(flat, list(zip(*fl.mat_mul(mf, flat))))
     except fl.Inconsistent as e:
         raise CommutationViolation(
             f"f^sigma != rho f rho^-1: f moves basis vector {e.column} "
@@ -200,7 +205,7 @@ def solve_structure_constants_on_form(basis, algebra=None):
     brackets = (_bracket(bmap, cols[i], cols[j]) for i, j in pairs)
     rhs = [[w.get(r, 0) for r in range(len(basis.flat))] for w in brackets]
     try:
-        coords = fl.solve(basis.flat, rhs) if pairs else []
+        coords = ref_solve(basis.flat, rhs) if pairs else []
     except fl.Inconsistent as e:
         i, j = pairs[e.column]
         raise IrrationalStructureConstant(
@@ -234,7 +239,7 @@ def solve_transport(basis, f):
         for u, row in enumerate(rows):
             mf[i * d + u][k * d:(k + 1) * d] = [df // dx * y for y in row]
     try:
-        sol = fl.solve(basis.flat, list(zip(*fl.mat_mul(mf, basis.flat))))
+        sol = ref_solve(basis.flat, list(zip(*fl.mat_mul(mf, basis.flat))))
     except fl.Inconsistent as e:
         raise CommutationViolation(
             f"f^sigma != rho f rho^-1: f moves basis vector {e.column} "
@@ -250,7 +255,7 @@ def stored_vector_rational_form(rho):
         raise NotHomomorphism("rational_form requires a verified representation")
     datum = rho.datum
     m, d = rho.size, datum.degree
-    basis_flat = nullspace(galoisform._relation_rows(rho))
+    basis_flat = ref_nullspace(galoisform._relation_rows(rho))
     if len(basis_flat) != m:
         raise DimensionMismatch(f"fixed space has dimension {len(basis_flat)}, expected {m}")
     vectors = tuple(tuple(datum.element(flat[j * d:(j + 1) * d]) for j in range(m))

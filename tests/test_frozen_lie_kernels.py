@@ -7,7 +7,9 @@ the column's ad-images [b_p, F b_j].  lower_central_series built gamma_2
 from the brackets of the basis with the identity basis; it now seeds
 gamma_2 with the rows of the integer bracket map.  The frozen copies below
 are those versions: the new code must give the same verdict, and the same
-series repr or the same error type.
+series repr or the same error type.  The frozen series reduces its spans
+over Fractions (test_fieldlinalg's ref_span_rref), as span_rref ran
+before it returned primitive integer rows.
 """
 
 import functools
@@ -32,6 +34,7 @@ from anosovforms.liealg import (
     lower_central_series,
     preserves_brackets,
 )
+from test_fieldlinalg import ref_span_rref
 from test_frozen_descent_checks import _bench_generate, _dense_cases, _last
 from test_galoisform import _recipe_representations
 
@@ -70,7 +73,7 @@ def identity_seeded_lower_central_series(a):
                 out = _bracket(bmap, {i: 1}, v)
                 if out:
                     gens.append([out.get(k, 0) for k in range(n)])
-        nxt = fl.span_rref(gens) if gens else []
+        nxt = ref_span_rref(gens) if gens else []
         if len(nxt) == len(prev):
             raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
         series.append(nxt)

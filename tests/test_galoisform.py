@@ -1327,6 +1327,20 @@ def _central_pair_algebra(sqrt2):
                                  generators=(0, 1, 2, 3))
 
 
+@pytest.mark.parametrize("name", ["csig3", "last4"])
+def test_rational_form_builds_no_fraction(name, monkeypatch):
+    # the relation rows are integers and nullspace returns integer rows
+    # over their least common denominator, which are P and D as they are
+    rho = next(rho for n, _la, _maps, rho in _recipe_representations() if n == name)
+    first = rational_form(rho)
+    built = []
+    real = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
+    basis = rational_form(rho)
+    assert built == []
+    assert (basis.flat, basis.den, basis._rows) == (first.flat, first.den, first._rows)
+
+
 class TestFrozenRepresentation:
     @pytest.mark.parametrize("index", range(5))
     def test_recipe_representations(self, index):

@@ -30,14 +30,15 @@ from test_fieldlinalg import ref_span_rref
 
 
 def in_span(basis_rref, vector):
-    """Membership test against an RREF basis (rows with unit pivots)."""
+    """Membership test against an RREF basis (each row a nonzero multiple
+    of its reduced row, as span_rref returns it)."""
     v = list(vector)
     for row in basis_rref:
         piv = next((i for i, x in enumerate(row) if not x == 0), None)
         if piv is None:
             continue
         if not v[piv] == 0:
-            f = v[piv]
+            f = v[piv] / row[piv]
             v = [x - f * y for x, y in zip(v, row)]
     return all(x == 0 for x in v)
 

@@ -18,7 +18,7 @@ from anosovforms.errors import (
     PellBudgetExceeded,
     SolutionMismatch,
 )
-from anosovforms.exactmath import Polynomial, RationalMatrix, nullspace
+from anosovforms.exactmath import Polynomial, RationalMatrix
 from anosovforms.liealg import LieAlgebra, abelian, heisenberg, is_automorphism
 from anosovforms.pfaffian import (
     BinaryQuadraticForm,
@@ -46,6 +46,7 @@ from anosovforms.pfaffian import (
     wedge_square,
 )
 from anosovforms.recipes import recipe_count
+from test_fieldlinalg import ref_nullspace, ref_solve
 from test_liealg import frozen_bracket_map
 
 
@@ -494,7 +495,7 @@ def _express_in(basis, vec):
     if not basis:
         return None
     try:
-        sol = fl.solve([list(col) for col in zip(*basis)], [vec])
+        sol = ref_solve([list(col) for col in zip(*basis)], [vec])
     except fl.Inconsistent:
         return None  # vec not in span
     return [row[0] for row in sol]
@@ -523,14 +524,14 @@ def frozen_scheuneman_dual(a):
         nskew = len(pairs)
         comp = [tuple(F(i == j) for j in range(nskew)) for i in range(nskew)]
     else:
-        comp = nullspace(coords)
+        comp = ref_nullspace(coords)
     kd = len(comp)
     wt_basis = [_coords_to_skew(v, pairs, n1) for v in comp]
     gram = [[_skew_b(x, y) for y in wt_basis] for x in wt_basis]
     raw_brackets = {}
     if kd:
         ij_pairs = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
-        sol = fl.solve(gram, [[z[j][i] for z in wt_basis] for i, j in ij_pairs])
+        sol = ref_solve(gram, [[z[j][i] for z in wt_basis] for i, j in ij_pairs])
         for col, key in enumerate(ij_pairs):
             vec = [sol[t][col] for t in range(kd)]
             if any(x != 0 for x in vec):
