@@ -1,13 +1,11 @@
 """Exact rational arithmetic: polynomials, matrices, certified root counting.
 
-Nothing here touches floating point.  A Polynomial is kept as integer
-numerators over one positive denominator, the form of a FieldElement and
-a RationalFormBasis, and its products, its one division loop (integer
-pseudo-division) and its remainder chain run on those ints; its Fraction
-coefficients are a view.  Matrix entries are `fractions.Fraction` (lowest
-terms, positive denominator).  The charpoly is _fieldlinalg's integer
-Berkowitz kernel on cleared numerators.  The root counting routines decide
-unit-circle and unit-disk membership exactly:
+Nothing here touches floating point.  A Polynomial and a RationalMatrix
+are integer numerators over one positive denominator, like a FieldElement;
+products, the one division loop (integer pseudo-division), the remainder
+chain and the charpoly (_fieldlinalg's integer Berkowitz kernel) run on
+those ints, and Fraction coefficients and entries are views.  The root
+counting routines decide unit-circle and unit-disk membership exactly:
 
 * real roots in an interval      -> Sturm sequences
 * roots of modulus exactly one   -> the Cayley map z = (1 + it)/(1 - it)
@@ -100,15 +98,11 @@ def squarefree_part_of_rational(x) -> int:
 
 class Polynomial:
     """Univariate polynomial over Q, kept as integer numerators over one
-    denominator: p = sum_i nums[i] X^i / den, den > 0, nums ascending with
-    no trailing zero and gcd(den, *nums) = 1.  That is what
-    fl.clear_denominators returns on the reduced coefficients, so the form
-    is canonical; every operation runs on it.  coeffs, the ascending
-    Fraction coefficients, is the view built on first read and kept.
-
-    The zero polynomial has degree -1 and nums = ().  Instances are
-    immutable and hashable.
-    """
+    denominator in the canonical form fl.reduced gives: p = sum_i nums[i]
+    X^i / den, den > 0, nums ascending with no trailing zero; every
+    operation runs on it.  coeffs, the ascending Fraction coefficients, is
+    the view built on first read and kept.  The zero polynomial has degree
+    -1 and nums = ().  Instances are immutable and hashable."""
 
     __slots__ = ("nums", "den", "_coeffs")
 
@@ -442,66 +436,87 @@ class Interval:
 
 
 class RationalMatrix:
-    """Dense matrix over Q.  Immutable; rows of equal length; keeps its
-    charpoly once computed."""
+    """Dense matrix over Q, kept as integer numerators over one denominator,
+    entry (i, j) = nums[i][j] / den in the canonical form fl.reduced gives,
+    so equal matrices have equal pairs; entries, the Fraction rows, is the
+    view built on first read and kept.  Immutable; keeps its charpoly."""
 
-    __slots__ = ("entries", "_charpoly")
+    __slots__ = ("nums", "den", "_entries", "_charpoly")
 
-    def __init__(self, rows: Iterable[Iterable]):
-        ent = tuple(tuple(rat(x) for x in row) for row in rows)
-        if ent and any(len(r) != len(ent[0]) for r in ent):
+    def __new__(cls, rows: Iterable[Iterable]):
+        ent = [[x if isinstance(x, (int, Fraction)) else rat(x) for x in row] for row in rows]
+        return RationalMatrix.from_numerators(*fl.clear_denominators(ent))
+
+    @staticmethod
+    def from_numerators(rows: Iterable[Iterable[int]], den: int = 1) -> "RationalMatrix":
+        """rows / den for integer rows of equal length (else ValueError), den != 0."""
+        rows = tuple(map(tuple, rows))
+        n = len(rows[0]) if rows else 0
+        if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", ent)
+        flat, den = fl.reduced([x for row in rows for x in row], den)
+        m = object.__new__(RationalMatrix)
+        object.__setattr__(m, "nums", tuple(flat[i * n:(i + 1) * n] for i in range(len(rows))))
+        object.__setattr__(m, "den", den)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
 
     @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        ent = getattr(self, "_entries", None)
+        if ent is None:
+            ent = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.nums)
+            object.__setattr__(self, "_entries", ent)
+        return ent
+
+    @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.nums[0]) if self.nums else 0
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
+        return Fraction(self.nums[ij[0]][ij[1]], self.den)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return RationalMatrix.from_numerators([[int(i == j) for j in range(n)] for i in range(n)])
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix sum")
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return RationalMatrix.from_numerators([[a * x + b * y for x, y in zip(r1, r2)]
+                                               for r1, r2 in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return RationalMatrix([[c * x for x in row] for row in self.entries])
+            return RationalMatrix.from_numerators(
+                [[other.numerator * x for x in row] for row in self.nums],
+                other.denominator * self.den)
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in matrix product")
-            return RationalMatrix(fl.mat_mul(self.entries, other.entries))
+            return RationalMatrix.from_numerators(fl.mat_mul(self.nums, other.nums),
+                                                  self.den * other.den)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # only a scalar on the left gets here, and it commutes
 
     def __neg__(self) -> "RationalMatrix":
-        return self * Fraction(-1)
+        return self * -1
 
     def __pow__(self, e: int) -> "RationalMatrix":
         if not self.is_square:
@@ -511,7 +526,8 @@ class RationalMatrix:
         return binary_power(self, e, RationalMatrix.identity(self.rows))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return isinstance(other, RationalMatrix) and self.den == other.den \
+            and self.nums == other.nums
 
     def __hash__(self):
         return hash(self.entries)
@@ -521,32 +537,19 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.entries)) if self.entries else [])
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise NonSquare("trace needs a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return RationalMatrix.from_numerators(zip(*self.nums), self.den)
 
     def det(self) -> Fraction:
         if not self.is_square:
             raise NonSquare("determinant needs a square matrix")
-        return fl.det(self.entries)
+        return Fraction(fl.int_det(self.nums), self.den ** self.rows)
 
     def inverse(self) -> "RationalMatrix":
+        """(M / D)^-1 = D M^-1 = D X / e, X / e the solve of M X = 1."""
         if not self.is_square:
             raise NonSquare("inverse needs a square matrix")
-        x, e = fl.solve(self.entries, RationalMatrix.identity(self.rows).entries)
-        return RationalMatrix([[Fraction(v, e) for v in row] for row in x])
-
-    def rref(self) -> tuple["RationalMatrix", list[int]]:
-        """Reduced row echelon form (zero rows last) and the pivot columns."""
-        m, pivots = fl.rref(self.entries)
-        return RationalMatrix([[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-                              + [[0] * self.cols] * (self.rows - len(m))), pivots
-
-    def rank(self) -> int:
-        return fl.rank(self.entries)
+        x, e = fl.solve(self.nums, RationalMatrix.identity(self.rows).nums)
+        return RationalMatrix.from_numerators([[self.den * v for v in row] for row in x], e)
 
     def charpoly(self) -> Polynomial:
         if not hasattr(self, "_charpoly"):
@@ -554,7 +557,8 @@ class RationalMatrix:
         return self._charpoly
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
+        return RationalMatrix.from_numerators(
+            [[self.nums[i][j] for j in col_idx] for i in row_idx], self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +567,10 @@ class RationalMatrix:
 
 
 def charpoly(m: RationalMatrix) -> Polynomial:
-    """det(X*I - m), monic: scaled_charpoly of m = M / D over the common
-    denominator D."""
+    """det(X*I - m), monic: scaled_charpoly of m's kept pair (M, D)."""
     if not m.is_square:
         raise NonSquare(f"charpoly of a {m.rows}x{m.cols} matrix")
-    return scaled_charpoly(*fl.clear_denominators(m.entries))
+    return scaled_charpoly(m.nums, m.den)
 
 
 def scaled_charpoly(rows, d: int) -> Polynomial:

@@ -120,12 +120,10 @@ class Representation:
         """(R, D), R[g][j] = {row: int} the nonzero entries of column j of D
         times image g, D the images' common denominator; computed once."""
         if not hasattr(self, "_columns"):
-            cols = [[{i: x for i, row in enumerate(im.entries) if (x := row[j])}
-                     for j in range(im.cols)] for im in self.images]
-            den = lcm(1, *(x.denominator for im in cols for col in im for x in col.values()))
+            den = lcm(1, *(im.den for im in self.images))
             object.__setattr__(self, "_columns", ([[
-                {i: x.numerator * (den // x.denominator) for i, x in col.items()}
-                for col in im] for im in cols], den))
+                {i: x * (den // im.den) for i, row in enumerate(im.nums) if (x := row[j])}
+                for j in range(im.cols)] for im in self.images], den))
         return self._columns
 
 
@@ -327,16 +325,16 @@ def restricted_bracket_map(alg: LieAlgebra, datum: GaloisDatum) -> tuple[dict, i
              for (a, b), row in bmap.items() for s in range(d) for t in range(d)}, c)
 
 
-def _coordinates(basis: RationalFormBasis, cols: list[dict], scale: int) -> list[dict]:
-    """Q w_I / (e scale) for each sparse integer column w.  P has full
-    column rank, so that solves P c = w / scale if P Q w_I = e w, and
-    nothing does otherwise: fl.Inconsistent names the first such column."""
+def _coordinates(basis: RationalFormBasis, cols: list[dict], scale: int) -> tuple[list, int]:
+    """(X, e scale), X = Q w_I for each sparse integer column w.  P has full
+    column rank, so X / (e scale) solves P c = w / scale if P Q w_I = e w,
+    and nothing does otherwise: fl.Inconsistent names the first such column."""
     q, e, pcols = basis.left_inverse()
     xs = _compose(q, cols)
     for n, (w, pw) in enumerate(zip(cols, _compose(pcols, xs))):
         if pw != {r: e * y for r, y in w.items() if y}:
             raise fl.Inconsistent(n)
-    return [{k: Fraction(x, e * scale) for k, x in sorted(x.items())} for x in xs]
+    return xs, e * scale
 
 
 def structure_constants_on_form(basis: RationalFormBasis,
@@ -367,14 +365,14 @@ def structure_constants_on_form(basis: RationalFormBasis,
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     brackets = [_bracket(bmap, cols[i], cols[j]) for i, j in pairs]
     try:
-        coords = _coordinates(basis, brackets, scale * basis.den)
+        coords, den = _coordinates(basis, brackets, scale * basis.den)
     except fl.Inconsistent as e:
         i, j = pairs[e.column]
         raise IrrationalStructureConstant(
             f"bracket [{i},{j}] has an irrational coordinate") from None
     entries = [(i, j, k, x) for (i, j), col in zip(pairs, coords) for k, x in col.items()]
     require_jacobi(alg)
-    return LieAlgebra(m, tuple(entries))
+    return LieAlgebra.from_numerators(m, entries, den)
 
 
 def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix:
@@ -411,13 +409,12 @@ def transport(basis: RationalFormBasis, f: Sequence[Sequence]) -> RationalMatrix
         for t, col in enumerate(zip(*rows)):
             mf[k * d + t].update({i * d + u: df // dx * y for u, y in enumerate(col) if y})
     try:
-        sol = _coordinates(basis, _compose(mf, pcols), df)
+        sol, den = _coordinates(basis, _compose(mf, pcols), df)
     except fl.Inconsistent as e:
         raise CommutationViolation(
             f"f^sigma != rho f rho^-1: f moves basis vector {e.column} "
             "out of the rational form") from None
-    zero = Fraction(0)  # one shared zero: RationalMatrix keeps Fractions as they are
-    return RationalMatrix([[col.get(i, zero) for col in sol] for i in range(m)])
+    return RationalMatrix.from_numerators([[col.get(i, 0) for col in sol] for i in range(m)], den)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +458,11 @@ def build_labeled_algebra(labels: Sequence[FieldElement],
 def check_label_compatibility(la: LabeledAlgebra) -> None:
     """Every stored bracket coefficient c b_k in [b_i, b_j] must satisfy
     label(k) = label(i) label(j) exactly."""
-    for (i, j, k, _c) in la.algebra.brackets:
-        if not la.labels[k] == la.labels[i] * la.labels[j]:
-            raise LabelMismatch(f"label({k}) != label({i})*label({j})")
+    for (i, j), row in la.algebra.integer_bracket_map()[0].items():
+        label = la.labels[i] * la.labels[j]
+        for k in row:
+            if not la.labels[k] == label:
+                raise LabelMismatch(f"label({k}) != label({i})*label({j})")
 
 
 def check_label_equivariance(la: LabeledAlgebra, rho: Representation) -> None:
@@ -554,9 +553,8 @@ def extend_representation(la: LabeledAlgebra,
     if len(images) != datum.degree:
         raise NotGenerating("given group elements do not generate the group")
 
-    zero = Fraction(0)  # one shared zero: RationalMatrix keeps Fractions as they are
     rho = verify_representation(Representation(datum, tuple(
-        RationalMatrix([[col.get(i, zero) for col in images[g]] for i in range(dim)])
+        RationalMatrix([[col.get(i, 0) for col in images[g]] for i in range(dim)])
         for g in range(datum.degree)), alg))
     check_label_equivariance(la, rho)
     return rho

@@ -1,29 +1,24 @@
 """Finite-dimensional Lie algebras over Q, presented by sparse structure
-constants.
+constants, kept as the integer bracket map (brackets for i < j only, the
+constants times their lcm C); the Fraction constants are a view.
+Subspaces (lower central series terms, spans) are canonical reduced
+echelon bases, so equality of subspaces is bit-exact list comparison.
 
-Brackets are stored for i < j only; antisymmetry is implicit.  Subspaces
-(lower central series terms, spans) are always kept as canonical reduced
-echelon bases so equality of subspaces is bit-exact list comparison.
-bracket also takes vectors over a number field, but the brackets of a
-rational form's vectors run on ints (galoisform.restricted_bracket_map).
-
-The kernels follow _fieldlinalg's common-denominator rule: an algebra
-keeps one bracket map, its structure constants as ints scaled by their
-lcm C (integer_bracket_map).  check_jacobi, preserves_brackets and
-lower_central_series run the one bracket kernel on it, where every
-identity they test scales by a nonzero constant on both sides; bracket
-divides C [x, y] by C.  preserves_brackets forms each column's ad-images
-once and combines them by bilinearity; the series reads gamma_2 off the
-bracket map's rows and brackets span_rref's integer rows, each a basis
-row over its pivot.  An algebra keeps its series and its Jacobi verdict
-(require_jacobi).
-is_automorphism reads invertibility off a matrix's kept charpoly.
+check_jacobi, preserves_brackets and lower_central_series run the one
+bracket kernel on the map, where every identity they test scales by a
+nonzero constant on both sides; bracket divides C [x, y] by C and also
+takes vectors over a number field.  preserves_brackets forms each
+column's ad-images once and combines them by bilinearity; the series
+reads gamma_2 off the map's rows and brackets span_rref's integer rows.
+An algebra keeps its series and its Jacobi verdict (require_jacobi).
+is_automorphism reads a matrix's pair, invertibility off its charpoly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from . import _fieldlinalg as fl
@@ -31,47 +26,76 @@ from .errors import JacobiViolation, NotNilpotent
 from .exactmath import RationalMatrix, rat
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    """Structure-constant presentation: brackets is a tuple of entries
-    (i, j, k, c) with i < j meaning [b_i, b_j] contains c * b_k, c
-    rational."""
+    """Structure-constant presentation over Q, kept as its integer bracket
+    map: key (i, j), i < j, maps k to C c for each constant c != 0 of b_k
+    in [b_i, b_j], keys and k ascending, C > 0 the constants' least common
+    denominator, so equal algebras have equal maps.  brackets, the tuple of
+    (i, j, k, c) with c a Fraction, is the view built on first read and
+    kept.  The constructor clears its constants (int, Fraction, or a
+    string Fraction reads) once; those of one (i, j, k) add up, and zeros
+    are dropped."""
 
-    dim: int
-    brackets: tuple[tuple[int, int, int, object], ...]
-    basis_labels: tuple[str, ...] | None = None
+    __slots__ = ("dim", "basis_labels", "_ibmap", "_brackets", "_lcs", "_jacobi")
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dim}")
-        norm: dict[tuple[int, int], dict[int, object]] = {}
-        for (i, j, k, c) in self.brackets:
-            if not (0 <= i < j < self.dim and 0 <= k < self.dim):
+    def __new__(cls, dim: int, brackets, basis_labels: tuple[str, ...] | None = None):
+        cs = [(i, j, k, c if isinstance(c, (int, Fraction)) else rat(c))
+              for (i, j, k, c) in brackets]
+        scale = lcm(1, *(c.denominator for *_, c in cs))
+        return LieAlgebra.from_numerators(dim, [(i, j, k, c.numerator * (scale // c.denominator))
+                                                for (i, j, k, c) in cs], scale, basis_labels)
+
+    @staticmethod
+    def from_numerators(dim: int, entries, den: int = 1,
+                        basis_labels: tuple[str, ...] | None = None) -> "LieAlgebra":
+        """Constants x / den for entries (i, j, k, x), x an int and den > 0;
+        ValueError on a dimension below 1 or an index out of range."""
+        if dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {dim}")
+        norm: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j, k, x) in entries:
+            if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"bad bracket indices ({i},{j},{k})")
-            row, c = norm.setdefault((i, j), {}), rat(c)
-            row[k] = row[k] + c if k in row else c
-        flat = []
-        for (i, j) in sorted(norm):
-            for k in sorted(norm[(i, j)]):
-                c = norm[(i, j)][k]
-                if not c == 0:
-                    flat.append((i, j, k, c))
-        object.__setattr__(self, "brackets", tuple(flat))
+            row = norm.setdefault((i, j), {})
+            row[k] = row[k] + x if k in row else x
+        g = gcd(den, *(x for row in norm.values() for x in row.values()))
+        rows = [(key, {k: x // g for k, x in sorted(r.items()) if x})
+                for key, r in sorted(norm.items())]
+        a = object.__new__(LieAlgebra)
+        for name, value in (("dim", dim), ("basis_labels", basis_labels),
+                            ("_ibmap", ({key: row for key, row in rows if row}, den // g))):
+            object.__setattr__(a, name, value)
+        return a
+
+    def __setattr__(self, *a):
+        raise AttributeError("LieAlgebra is immutable")
+
+    @property
+    def brackets(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        b = getattr(self, "_brackets", None)
+        if b is None:
+            bmap, c = self._ibmap
+            b = tuple((i, j, k, Fraction(x, c)) for (i, j), row in bmap.items()
+                      for k, x in row.items())
+            object.__setattr__(self, "_brackets", b)
+        return b
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LieAlgebra) and (self.dim, self._ibmap, self.basis_labels) \
+            == (other.dim, other._ibmap, other.basis_labels)
+
+    def __hash__(self):
+        return hash((self.dim, self.brackets, self.basis_labels))
+
+    def __repr__(self):
+        return (f"LieAlgebra(dim={self.dim!r}, brackets={self.brackets!r}, "
+                f"basis_labels={self.basis_labels!r})")
 
     # -- access
 
     def integer_bracket_map(self) -> tuple[Mapping[tuple[int, int], dict[int, int]], int]:
-        """(The bracket map with every constant times C, C), C the lcm of
-        the constants' denominators; computed once per algebra."""
-        cached = getattr(self, "_ibmap", None)
-        if cached is None:
-            (ints,), scale = fl.clear_denominators([[c for (_i, _j, _k, c) in self.brackets]])
-            imap: dict[tuple[int, int], dict[int, int]] = {}
-            for (i, j, k, _c), x in zip(self.brackets, ints):
-                imap.setdefault((i, j), {})[k] = x
-            cached = (imap, scale)
-            object.__setattr__(self, "_ibmap", cached)
-        return cached
+        """(The bracket map, C): the algebra's own state, not a copy."""
+        return self._ibmap
 
     def central_series(self) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
         """lower_central_series(self), computed once per algebra and kept
@@ -166,8 +190,8 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
     nonzero subspace.  Recomputed on every call: library code reads the
     cached LieAlgebra.central_series() instead.  gamma_2 = [g, g] is
     spanned by the [b_i, b_j], i < j: the rows of the integer bracket map."""
-    n = a.dim
-    series = [[tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]]
+    n, zero, one = a.dim, Fraction(0), Fraction(1)  # shared: a Fraction is immutable
+    series = [[tuple(one if j == i else zero for j in range(n)) for i in range(n)]]
     # integer constants on primitive integer rows: each generator is a
     # nonzero multiple of the rational one, so every span is the same
     bmap = a.integer_bracket_map()[0]
@@ -179,7 +203,8 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
         if not nxt:
             break
         leads = [next(filter(None, v)) for v in nxt]
-        series.append([tuple(Fraction(x, p) for x in v) for v, p in zip(nxt, leads)])
+        series.append([tuple(Fraction(x, p) if x else zero for x in v)
+                       for v, p in zip(nxt, leads)])
         prev = [_support(v) for v in nxt]
         gens = []
         for i in range(n):
@@ -208,9 +233,8 @@ def is_automorphism(a: LieAlgebra, m: RationalMatrix) -> bool:
     of the charpoly m keeps, which certify reads next."""
     if m.rows != a.dim or m.cols != a.dim:
         raise ValueError("matrix shape must match the algebra dimension")
-    rows, d = fl.clear_denominators(m.entries)
-    return preserves_brackets(a, [_support(col) for col in zip(*rows)], d) \
-        and m.charpoly().constant != 0
+    return preserves_brackets(a, [_support(col) for col in zip(*m.nums)], m.den) \
+        and m.charpoly().nums[0] != 0
 
 
 def preserves_brackets(a: LieAlgebra, cols: Sequence[Mapping], d: int) -> bool:
@@ -261,9 +285,9 @@ def check_grading(a: LieAlgebra, g: Grading) -> bool:
     if sum(g.subspace_dims) != a.dim:
         raise ValueError("grading dimensions must sum to the algebra dimension")
     ncomponents = len(g.subspace_dims)
-    for (i, j, k, c) in a.brackets:
-        di, dj, dk = g.degree_of(i), g.degree_of(j), g.degree_of(k)
-        if di + dj > ncomponents or dk != di + dj:
+    for (i, j), row in a.integer_bracket_map()[0].items():
+        d = g.degree_of(i) + g.degree_of(j)
+        if d > ncomponents or any(g.degree_of(k) != d for k in row):
             return False
     return True
 

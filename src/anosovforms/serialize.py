@@ -6,8 +6,9 @@ for equal objects (sorted keys, tight separators, trailing newline), which
 is what makes gold-file tests and CLI round-trips exact.
 
 Every reader raises MalformedInput on data that does not fit its format:
-a missing key, a wrong shape, bad indices, or a JSON float where an exact
-number belongs.
+a missing key, a wrong shape (a string where a list belongs), bad
+indices, or a JSON float where an exact number belongs.  Matrices and
+Lie algebras are read into their integer pairs, with no Fraction.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
+from math import lcm
 
 from .anosov import AnosovCertificate
 from .errors import FieldMismatch, MalformedInput
@@ -44,20 +46,35 @@ def _reader(fn):
     return read
 
 
-def _rat(x) -> Fraction:
-    """An exact rational from a string or an integer; floats are refused.
-    An ASCII "p" or "p/q" of digits, p optionally signed "-", is read with
-    int; every other input by rat, which accepts what Fraction does."""
-    if isinstance(x, (str, int, Fraction)) and not isinstance(x, bool):
+def _ratio(x) -> tuple[int, int]:
+    """(p, q), q > 0, for an exact rational p / q from a string, an int or a
+    Fraction, read as its str (a bool's "True" and a float are refused): an
+    ASCII "p" or "p/q" of digits, p optionally signed "-", with int, else by rat."""
+    if isinstance(x, (str, int, Fraction)):
         try:
-            if isinstance(x, str) and x.isascii():
-                num, slash, den = x.partition("/")
+            s = x if type(x) is str else str(x)
+            if s.isascii():
+                num, slash, den = s.partition("/")
                 if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            return rat(str(x))
+                    q = int(den) if slash else 1
+                    if q:
+                        return int(num), q
+                    raise ZeroDivisionError(s)
+            r = rat(s)
+            return r.numerator, r.denominator
         except (ValueError, ZeroDivisionError):
             pass
     raise MalformedInput(f"not an exact rational: {x!r}")
+
+
+def _rat(x) -> Fraction:
+    return Fraction(*_ratio(x))
+
+
+def _list(x) -> list:
+    if isinstance(x, list):
+        return x
+    raise MalformedInput(f"not a list: {x!r}")
 
 
 def _int(x) -> int:
@@ -81,7 +98,7 @@ def poly_to_json(p: Polynomial) -> list[str]:
 
 @_reader
 def poly_from_json(data) -> Polynomial:
-    return Polynomial([_rat(c) for c in data])
+    return Polynomial([_rat(c) for c in _list(data)])
 
 
 def matrix_to_json(m: RationalMatrix) -> list[list[str]]:
@@ -90,7 +107,9 @@ def matrix_to_json(m: RationalMatrix) -> list[list[str]]:
 
 @_reader
 def matrix_from_json(data) -> RationalMatrix:
-    return RationalMatrix([[_rat(x) for x in row] for row in data])
+    rows = [[_ratio(x) for x in _list(row)] for row in _list(data)]
+    den = lcm(1, *(q for row in rows for _p, q in row))
+    return RationalMatrix.from_numerators([[p * (den // q) for p, q in row] for row in rows], den)
 
 
 def interval_to_json(iv: Interval) -> dict:
@@ -148,7 +167,7 @@ def element_to_json(x: FieldElement) -> list[str]:
 
 @_reader
 def element_from_json(datum: GaloisDatum, data) -> FieldElement:
-    return datum.element([_rat(c) for c in data])
+    return datum.element([_rat(c) for c in _list(data)])
 
 
 # -- Lie algebras -----------------------------------------------------------
@@ -169,14 +188,15 @@ def algebra_to_json(a: LieAlgebra) -> dict:
 def algebra_from_json(data) -> LieAlgebra:
     if data["field"] != "Q":
         raise FieldMismatch('Lie algebras are over Q only: "field" must be "Q"')
-    brackets = tuple(
-        (_int(i), _int(j), _int(k), _rat(c)) for (i, j, k, c) in data["brackets"]
-    )
+    brackets = [(i, j, k, _ratio(c)) if type(i) is type(j) is type(k) is int
+                else (_int(i), _int(j), _int(k), _ratio(c)) for (i, j, k, c) in data["brackets"]]
     dim, labels = _int(data["dim"]), data.get("labels")
     if "labels" in data and not (isinstance(labels, list) and len(labels) == dim
                                  and all(isinstance(x, str) for x in labels)):
         raise MalformedInput(f"labels must be a list of {dim} strings")
-    return LieAlgebra(dim, brackets, tuple(labels) if "labels" in data else None)
+    den = lcm(1, *(q for *_, (_p, q) in brackets))
+    ints = [(i, j, k, p * (den // q)) for (i, j, k, (p, q)) in brackets]
+    return LieAlgebra.from_numerators(dim, ints, den, tuple(labels) if "labels" in data else None)
 
 
 def map_to_json(m: RationalMatrix) -> dict:

@@ -111,8 +111,12 @@ class TestCertify:
         ({"field": "Q", "dim": 3, "brackets": [[0, 1, 2, "1/0"]]}, None),
         ({"field": "Q", "dim": -1, "brackets": []}, None),
         ({"field": "Q", "dim": 0, "brackets": []}, None),
+        # a string is not a list of entries: "100" used to read as [1, 0, 0]
+        (None, ["100", "010", "001"]),
+        (None, "1"),
     ], ids=["repeated-index", "no-brackets", "float-coefficient",
-            "float-entry", "ragged-map", "zero-denominator", "negative-dim", "zero-dim"])
+            "float-entry", "ragged-map", "zero-denominator", "negative-dim", "zero-dim",
+            "string-rows", "string-matrix"])
     def test_malformed_input_exit2(self, workdir, algebra, matrix):
         alg = workdir / "malformed_alg.json"
         mp = workdir / "malformed_map.json"
@@ -238,7 +242,8 @@ class TestTools:
         assert out["discriminant"] == "5/4"
 
     def test_dualize(self, workdir):
-        from anosovforms.pfaffian import hk_algebra, nk_algebra
+        from anosovforms.pfaffian import nk_algebra
+        from test_pfaffian import hk_algebra
 
         alg = workdir / "n5.json"
         alg.write_text(canonical_dumps(algebra_to_json(nk_algebra(5))))
