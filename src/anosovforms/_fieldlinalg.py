@@ -1,35 +1,49 @@
 """The exact linear-algebra kernel over Q.
 
 Matrices are plain nested lists (or tuples) of int or Fraction entries.
-Elimination (rref, det, solve, span_rref) takes rational rows only, and
-every solve and product of the Galois descent runs on the cleared
-power-basis coordinates of its vectors; mat_vec also takes vectors over a
-number field (entries with +, - and *, false exactly when zero).  Exact
-arithmetic needs no pivoting heuristic: the first nonzero entry of a
-column is the pivot.
+Elimination (rref, det, solve, rank, span_rref) takes rational rows only,
+and every solve and product of the Galois descent runs on the cleared
+power-basis coordinates of its vectors.  mat_vec still takes vectors over
+a number field (entries with +, - and *, false exactly when zero) for one
+caller, the test oracle _satisfies_defining_relation, which applies rho
+to field vectors.  Exact arithmetic needs no pivoting heuristic: the
+first nonzero entry of a column is the pivot.
 
 The zero rule: a term with an exact zero factor is never formed, and an
 entry the pivot row would change by zero times a factor is left as it
 is.  Over an exact field x * 0 = 0 and x + 0 = x, so no value changes;
-and since the entries of one matrix (or vector) share one type, neither
-does any result's type.  A sum with no term left is v[0] * row[0], a
-zero of that type.  Sparse inputs skip most of the work.
+and since the entries of one matrix (or vector) share one type, every
+term of a sum has the same type, so neither does any result's type.  A
+sum with no term left is v[0] * row[0], a zero of that type.  Dense
+inputs run the same loops; sparse ones skip most of the work.  The
+images of a Galois representation never come here: galoisform
+multiplies them as sparse integer columns.
 
 The common-denominator rule: a kernel may clear denominators once
 (clear_denominators: rational rows in, integer rows and their lcm D out)
-and run on ints where the scale provably cancels: a zero test, a span, or
+and run on Python ints, so no product pays for a Fraction's gcd.  It
+does so only where the scale provably cancels: a zero test, a span, or
 an identity whose two sides scale alike.  rref, the one Gauss-Jordan
-loop, runs fraction-free on primitive integer rows, which it returns,
-each reduced row cleared; primitive clears a row only when it holds a
-Fraction, which math.gcd refuses, so integer rows pay no clear.  solve,
-span_rref and exactmath's nullspace read rref's rows, solve and nullspace
-returning integer rows over the lcm of their pivots.  det is
-int_det(M) / D^n, int_det Bareiss's fraction-free elimination; the c_k
-of int_charpoly(M) is D^(n-k) times the rational coefficient.  The
-library's values are integer numerators over one denominator in the
-canonical form `reduced` returns (a polynomial, a field element and its
-multiplication rows, a matrix, a Lie algebra's bracket map), so they
-call the integer kernels directly and clear nothing.
+loop, works this way: fraction-free on primitive integer rows, which it
+returns, each reduced row cleared (the reduced form is unique); primitive
+clears an input row only when it holds a Fraction, which math.gcd
+refuses, so integer rows pay no clear.  solve, rank, span_rref and
+exactmath's nullspace read them and build no Fraction, solve and
+nullspace returning integer rows over the lcm of their pivots, their
+least common denominator.  det works this way too: it
+clears denominators once (D) and runs int_det, Bareiss's fraction-free
+elimination on the integer rows (dense, since an int product costs
+little), each division by the previous pivot exact, so det = det(integer
+rows) / D^n, always a Fraction.  int_charpoly, the one characteristic
+polynomial, runs on cleared integer rows (M, D): its c_k is D^(n-k)
+times the rational coefficient.  A caller whose data are integer
+numerators over one denominator calls the integer kernels directly and
+clears nothing: a field element is its pair (X, D) and keeps (M, D), a
+polynomial and a RationalMatrix are their numerators over one
+denominator, each in the canonical form `reduced` returns, and a Lie
+algebra is its integer bracket map over C.  A reader of exact text
+(serialize) parses each number into a pair (p, q) and clear_ratios
+clears the pairs as clear_denominators clears Fractions.
 """
 
 from __future__ import annotations
@@ -99,6 +113,10 @@ def rref(rows):
                 m[i] = content_free(row)
         pivots.append(c)
     return [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)], pivots
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
 
 
 def det(rows):
@@ -204,6 +222,13 @@ def clear_denominators(rows):
             if x.denominator != 1:
                 d = lcm(d, x.denominator)
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def clear_ratios(rows):
+    """clear_denominators for rows of pairs (p, q), each the rational
+    p / q with q > 0: (integer rows, D), D the lcm of the q."""
+    d = lcm(1, *(q for row in rows for _p, q in row))
+    return [[p * (d // q) for p, q in row] for row in rows], d
 
 
 def primitive(row):

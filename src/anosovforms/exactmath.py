@@ -1,11 +1,14 @@
 """Exact rational arithmetic: polynomials, matrices, certified root counting.
 
-Nothing here touches floating point.  A Polynomial and a RationalMatrix
-are integer numerators over one positive denominator, like a FieldElement;
-products, the one division loop (integer pseudo-division), the remainder
-chain and the charpoly (_fieldlinalg's integer Berkowitz kernel) run on
-those ints, and Fraction coefficients and entries are views.  The root
-counting routines decide unit-circle and unit-disk membership exactly:
+Nothing here touches floating point.  A Polynomial is kept as integer
+numerators over one positive denominator, the form of a FieldElement and
+a RationalFormBasis, and its products, its one division loop (integer
+pseudo-division) and its remainder chain run on those ints; its Fraction
+coefficients are a view.  A RationalMatrix is kept the same way, integer
+numerators over one denominator, and its Fraction entries are a view.
+The charpoly is _fieldlinalg's integer Berkowitz kernel on those
+numerators.  The root counting routines decide unit-circle and unit-disk
+membership exactly:
 
 * real roots in an interval      -> Sturm sequences
 * roots of modulus exactly one   -> the Cayley map z = (1 + it)/(1 - it)
@@ -98,11 +101,15 @@ def squarefree_part_of_rational(x) -> int:
 
 class Polynomial:
     """Univariate polynomial over Q, kept as integer numerators over one
-    denominator in the canonical form fl.reduced gives: p = sum_i nums[i]
-    X^i / den, den > 0, nums ascending with no trailing zero; every
-    operation runs on it.  coeffs, the ascending Fraction coefficients, is
-    the view built on first read and kept.  The zero polynomial has degree
-    -1 and nums = ().  Instances are immutable and hashable."""
+    denominator: p = sum_i nums[i] X^i / den, den > 0, nums ascending with
+    no trailing zero and gcd(den, *nums) = 1.  That is what
+    fl.clear_denominators returns on the reduced coefficients, so the form
+    is canonical; every operation runs on it.  coeffs, the ascending
+    Fraction coefficients, is the view built on first read and kept.
+
+    The zero polynomial has degree -1 and nums = ().  Instances are
+    immutable and hashable.
+    """
 
     __slots__ = ("nums", "den", "_coeffs")
 

@@ -1,24 +1,30 @@
 """Finite-dimensional Lie algebras over Q, presented by sparse structure
-constants, kept as the integer bracket map (brackets for i < j only, the
-constants times their lcm C); the Fraction constants are a view.
-Subspaces (lower central series terms, spans) are canonical reduced
-echelon bases, so equality of subspaces is bit-exact list comparison.
+constants.
 
+Brackets are stored for i < j only; antisymmetry is implicit.  Subspaces
+(lower central series terms, spans) are always kept as canonical reduced
+echelon bases so equality of subspaces is bit-exact list comparison.
+bracket also takes vectors over a number field, but the brackets of a
+rational form's vectors run on ints (galoisform.restricted_bracket_map).
+
+The kernels follow _fieldlinalg's common-denominator rule: an algebra
+is one bracket map, its structure constants as ints scaled by their lcm
+C (integer_bracket_map); its Fraction constants (brackets) are a view.
 check_jacobi, preserves_brackets and lower_central_series run the one
-bracket kernel on the map, where every identity they test scales by a
-nonzero constant on both sides; bracket divides C [x, y] by C and also
-takes vectors over a number field.  preserves_brackets forms each
-column's ad-images once and combines them by bilinearity; the series
-reads gamma_2 off the map's rows and brackets span_rref's integer rows.
-An algebra keeps its series and its Jacobi verdict (require_jacobi).
-is_automorphism reads a matrix's pair, invertibility off its charpoly.
+bracket kernel on it, where every identity they test scales by a nonzero
+constant on both sides; bracket divides C [x, y] by C.
+preserves_brackets forms each column's ad-images once and combines them
+by bilinearity; the series reads gamma_2 off the bracket map's rows and
+brackets span_rref's integer rows, each a basis row over its pivot.  An
+algebra keeps its series and its Jacobi verdict (require_jacobi).
+is_automorphism reads a matrix's integer pair (M, D), and invertibility
+off its kept charpoly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from . import _fieldlinalg as fl
@@ -41,29 +47,34 @@ class LieAlgebra:
     def __new__(cls, dim: int, brackets, basis_labels: tuple[str, ...] | None = None):
         cs = [(i, j, k, c if isinstance(c, (int, Fraction)) else rat(c))
               for (i, j, k, c) in brackets]
-        scale = lcm(1, *(c.denominator for *_, c in cs))
-        return LieAlgebra.from_numerators(dim, [(i, j, k, c.numerator * (scale // c.denominator))
-                                                for (i, j, k, c) in cs], scale, basis_labels)
+        (ints,), scale = fl.clear_denominators([[c for *_, c in cs]])
+        return LieAlgebra.from_numerators(
+            dim, [(i, j, k, x) for (i, j, k, _c), x in zip(cs, ints)], scale, basis_labels)
 
     @staticmethod
     def from_numerators(dim: int, entries, den: int = 1,
                         basis_labels: tuple[str, ...] | None = None) -> "LieAlgebra":
-        """Constants x / den for entries (i, j, k, x), x an int and den > 0;
-        ValueError on a dimension below 1 or an index out of range."""
+        """Constants x / den for entries (i, j, k, x), x an int and den != 0;
+        ValueError on a dimension below 1, a zero den or an index out of
+        range.  The map and C are fl.reduced's canonical form."""
         if dim < 1:
             raise ValueError(f"dimension must be at least 1, got {dim}")
+        if den == 0:
+            raise ValueError("zero denominator")
         norm: dict[tuple[int, int], dict[int, int]] = {}
         for (i, j, k, x) in entries:
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"bad bracket indices ({i},{j},{k})")
             row = norm.setdefault((i, j), {})
             row[k] = row[k] + x if k in row else x
-        g = gcd(den, *(x for row in norm.values() for x in row.values()))
-        rows = [(key, {k: x // g for k, x in sorted(r.items()) if x})
-                for key, r in sorted(norm.items())]
+        rows = [(key, sorted(r.items())) for key, r in sorted(norm.items())]
+        xs, c = fl.reduced([x for _key, r in rows for _k, x in r], den)
+        it, bmap = iter(xs), {}
+        for key, r in rows:
+            if row := {k: x for (k, _x), x in zip(r, it) if x}:
+                bmap[key] = row
         a = object.__new__(LieAlgebra)
-        for name, value in (("dim", dim), ("basis_labels", basis_labels),
-                            ("_ibmap", ({key: row for key, row in rows if row}, den // g))):
+        for name, value in (("dim", dim), ("basis_labels", basis_labels), ("_ibmap", (bmap, c))):
             object.__setattr__(a, name, value)
         return a
 

@@ -382,6 +382,19 @@ def nk_algebra(k: int) -> LieAlgebra:
     ))
 
 
+def hk_algebra(k: int) -> LieAlgebra:
+    """The type-(4,4) dual of nk_algebra(k): [X1,X2] = Z1, [X1,X3] = Z2,
+    [X1,X4] = k Z3, [X2,X3] = -Z3, [X2,X4] = -Z2, [X3,X4] = Z4."""
+    return LieAlgebra(8, (
+        (0, 1, 4, Fraction(1)),
+        (0, 2, 5, Fraction(1)),
+        (0, 3, 6, Fraction(k)),
+        (1, 2, 6, Fraction(-1)),
+        (1, 3, 5, Fraction(-1)),
+        (2, 3, 7, Fraction(1)),
+    ))
+
+
 # ---------------------------------------------------------------------------
 # Scheuneman duality
 # ---------------------------------------------------------------------------
@@ -400,7 +413,7 @@ def w_space_coords(a: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int,
     coords = [[Fraction(0)] * len(pairs) for _ in range(k)]
     for (i, j, t, c) in a.brackets:
         coords[t - n1][index[(i, j)]] = c
-    if len(fl.rref(coords)[1]) != k:
+    if fl.rank(coords) != k:
         raise JNotInjective("center maps to a degenerate family of skew matrices")
     return coords, pairs, n1, k
 
@@ -432,7 +445,7 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     # them, and row t, primitive with a positive pivot, holds t's coordinates
     cols = [c for c in range(len(pairs)) if any(v[c] for v in comp)]
     scaled = fl.span_rref([[v[c] for c in cols] for v in comp])
-    entries = [(*pairs[c], n1 + t, row[r])
+    entries = [(*pairs[c], n1 + t, Fraction(row[r]))
                for r, c in enumerate(cols) for t, row in enumerate(scaled) if row[r]]
     return LieAlgebra(n1 + len(comp), tuple(entries))
 
@@ -454,9 +467,9 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
     """Block automorphism of a 2-step algebra from its degree-1 action: the
     center block is solved from alpha^T J_Z alpha = J_{alpha^T Z}.
 
-    In E_ij coordinates alpha^T J_Z alpha is coords(Z) times alpha's second
-    exterior power: entry ij is the sum over p < q of c_pq (alpha_pi
-    alpha_qj - alpha_qi alpha_pj), read off the nonzero coordinates of Z."""
+    In E_ij coordinates alpha^T J_Z alpha is coords(Z) * wedge_square(alpha):
+    entry ij is the sum over p < q of c_pq (alpha_pi alpha_qj - alpha_qi
+    alpha_pj), read off the nonzero coordinates c_pq of Z."""
     coords, pairs, n1, k = w_space_coords(a)
     if (alpha.rows, alpha.cols) != (n1, n1):
         raise ValueError("degree-1 block has the wrong size")
@@ -483,3 +496,25 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
     if not is_automorphism(a, out):
         raise DoesNotPreserveW("extension is not an automorphism")
     return out
+
+
+def wedge_square(alpha: RationalMatrix) -> RationalMatrix:
+    """Second exterior power on the basis e_i ^ e_j, pairs ordered
+    lexicographically."""
+    n = alpha.rows
+    pairs = _skew_basis_index(n)
+    rows = []
+    for (i, j) in pairs:
+        row = []
+        for (k, l) in pairs:
+            row.append(alpha[i, k] * alpha[j, l] - alpha[i, l] * alpha[j, k])
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
+def center_block(a: LieAlgebra, m: RationalMatrix) -> RationalMatrix:
+    """Restriction of an automorphism to the center part of the adapted
+    basis (the induced map on gamma_2)."""
+    n1, k = adapted_split(a)
+    idx = list(range(n1, n1 + k))
+    return m.submatrix(idx, idx)

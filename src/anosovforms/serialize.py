@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from math import lcm
 
+from . import _fieldlinalg as fl
 from .anosov import AnosovCertificate
 from .errors import FieldMismatch, MalformedInput
 from .exactmath import Interval, Polynomial, RationalMatrix, rat, rat_to_str
@@ -107,9 +107,8 @@ def matrix_to_json(m: RationalMatrix) -> list[list[str]]:
 
 @_reader
 def matrix_from_json(data) -> RationalMatrix:
-    rows = [[_ratio(x) for x in _list(row)] for row in _list(data)]
-    den = lcm(1, *(q for row in rows for _p, q in row))
-    return RationalMatrix.from_numerators([[p * (den // q) for p, q in row] for row in rows], den)
+    return RationalMatrix.from_numerators(
+        *fl.clear_ratios([[_ratio(x) for x in _list(row)] for row in _list(data)]))
 
 
 def interval_to_json(iv: Interval) -> dict:
@@ -188,15 +187,14 @@ def algebra_to_json(a: LieAlgebra) -> dict:
 def algebra_from_json(data) -> LieAlgebra:
     if data["field"] != "Q":
         raise FieldMismatch('Lie algebras are over Q only: "field" must be "Q"')
-    brackets = [(i, j, k, _ratio(c)) if type(i) is type(j) is type(k) is int
-                else (_int(i), _int(j), _int(k), _ratio(c)) for (i, j, k, c) in data["brackets"]]
+    brackets = [(_int(i), _int(j), _int(k), _ratio(c)) for (i, j, k, c) in data["brackets"]]
     dim, labels = _int(data["dim"]), data.get("labels")
     if "labels" in data and not (isinstance(labels, list) and len(labels) == dim
                                  and all(isinstance(x, str) for x in labels)):
         raise MalformedInput(f"labels must be a list of {dim} strings")
-    den = lcm(1, *(q for *_, (_p, q) in brackets))
-    ints = [(i, j, k, p * (den // q)) for (i, j, k, (p, q)) in brackets]
-    return LieAlgebra.from_numerators(dim, ints, den, tuple(labels) if "labels" in data else None)
+    (cs,), den = fl.clear_ratios([[c for *_, c in brackets]])
+    return LieAlgebra.from_numerators(dim, [(i, j, k, x) for (i, j, k, _c), x in zip(brackets, cs)],
+                                      den, tuple(labels) if "labels" in data else None)
 
 
 def map_to_json(m: RationalMatrix) -> dict:

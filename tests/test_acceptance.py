@@ -32,14 +32,17 @@ from anosovforms.pfaffian import (
     BinaryQuadraticForm,
     SkewMap,
     binary_form_of,
+    center_block,
     dual_automorphism,
     form_preserved_by,
+    hk_algebra,
     nk_algebra,
     pell_automorphism,
     pfaffian,
     scheuneman_dual,
     solve_pell,
     squarefree_part_of_rational,
+    wedge_square,
 )
 from anosovforms.pisot import (
     ConeConstraint,
@@ -47,7 +50,6 @@ from anosovforms.pisot import (
     search_unit_pisot,
 )
 from anosovforms.recipes import recipe_count, recipe_csig, recipe_z4_example
-from test_pfaffian import center_block, hk_algebra, wedge_square
 
 GOLD_MATRIX = RationalMatrix([
     [0, 0, 0, -1, 0, 0],

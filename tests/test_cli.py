@@ -242,8 +242,7 @@ class TestTools:
         assert out["discriminant"] == "5/4"
 
     def test_dualize(self, workdir):
-        from anosovforms.pfaffian import nk_algebra
-        from test_pfaffian import hk_algebra
+        from anosovforms.pfaffian import hk_algebra, nk_algebra
 
         alg = workdir / "n5.json"
         alg.write_text(canonical_dumps(algebra_to_json(nk_algebra(5))))

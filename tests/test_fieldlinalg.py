@@ -77,13 +77,9 @@ def matrix_trace(m):
     return sum((m[i, i] for i in range(m.rows)), F(0))
 
 
-def rank(rows):
-    """The number of rref's pivots, as fl.rank gave it before it moved here."""
-    return len(fl.rref(rows)[1])
-
-
 def matrix_rank(m):
-    return rank(m.entries)
+    """The rank of a RationalMatrix, as RationalMatrix.rank gave it."""
+    return fl.rank(m.entries)
 
 
 def matrix_rref(m):
@@ -198,9 +194,9 @@ def test_rank_nullity_and_idempotent_rref(name, data):
         for i, p in enumerate(pivots):
             v[p] = -F(r[i][f], r[i][p])
         assert all(x == 0 for x in fl.mat_vec(m, v))
-    assert rank(m) + len(free) == ncols
+    assert fl.rank(m) + len(free) == ncols
     # the row space of an image is a space over the field: Q-rank d * rank
-    assert rank(m) % _degree(name) == 0
+    assert fl.rank(m) % _degree(name) == 0
 
 
 @PROPS
@@ -469,7 +465,7 @@ def test_ragged_rows_raise_dimension_mismatch():
 def test_ragged_rows_refused_by_elimination(rows):
     # the elimination took its width from row 0: nullspace returned [] on
     # the first and raised IndexError on the second
-    for kernel in (fl.rref, rank, fl.span_rref, nullspace,
+    for kernel in (fl.rref, fl.rank, fl.span_rref, nullspace,
                    lambda rows: fl.solve(rows, [[1] * len(rows)])):
         with pytest.raises(DimensionMismatch):
             kernel(rows)

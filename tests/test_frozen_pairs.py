@@ -371,6 +371,27 @@ class TestConstructorsMatchFrozen:
     def test_refusals(self, dim, entries):
         assert _outcome(LieAlgebra, dim, entries) == _outcome(FrozenLieAlgebra, dim, entries)
 
+    def test_from_numerators_signs_and_zero_denominator(self):
+        # a negative den is carried into the map, not kept in C: the same
+        # algebra, and so the same repr, == and hash
+        for entries, den in ([(0, 1, 2, 1)], 1), ([(0, 1, 2, 2), (0, 2, 1, -4)], 6), ([], 5):
+            neg = LieAlgebra.from_numerators(3, [(i, j, k, -x) for (i, j, k, x) in entries], -den)
+            pos = LieAlgebra.from_numerators(3, entries, den)
+            assert neg == pos and repr(neg) == repr(pos) and hash(neg) == hash(pos)
+            assert neg.integer_bracket_map() == pos.integer_bracket_map()
+            assert pos == LieAlgebra(3, [(i, j, k, F(x, den)) for (i, j, k, x) in entries])
+        assert LieAlgebra.from_numerators(2, [(0, 1, 1, 1)], -1) == LieAlgebra(2, [(0, 1, 1, -1)])
+        with pytest.raises(ValueError, match="zero denominator"):
+            LieAlgebra.from_numerators(2, [(0, 1, 1, 1)], 0)
+
+    def test_clear_ratios_is_clear_denominators_on_pairs(self):
+        rng = random.Random(33)
+        for _ in range(100):
+            rows = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(0, 4))]
+                    for _ in range(rng.randint(0, 3))]
+            pairs = [[(x.numerator, x.denominator) for x in row] for row in rows]
+            assert fl.clear_ratios(pairs) == fl.clear_denominators(rows)
+
     def test_views_are_built_once(self):
         a = nk_algebra(3)
         assert a.brackets is a.brackets
@@ -402,7 +423,8 @@ class TestConstructorsMatchFrozen:
                      (c * m, fm * c), (m.transpose(), fm.transpose()),
                      (m * o.transpose(), fm * fo.transpose()),
                      (m.submatrix(range(n), [k - 1]), fm.submatrix(range(n), [k - 1])),
-                     (s ** 3, fs ** 3), (RationalMatrix.identity(n), FrozenRationalMatrix.identity(n))]
+                     (s ** 3, fs ** 3),
+                     (RationalMatrix.identity(n), FrozenRationalMatrix.identity(n))]
             for new, old in pairs:
                 assert repr(new) == repr(old) and hash(new) == hash(old)
                 assert new.entries == old.entries and new == RationalMatrix(old.entries)

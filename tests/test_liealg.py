@@ -24,7 +24,7 @@ from anosovforms.liealg import (
     lower_central_series,
     preserves_brackets,
 )
-from anosovforms.pfaffian import nk_algebra, scheuneman_dual
+from anosovforms.pfaffian import hk_algebra, nk_algebra
 from test_exactmath import diagonal, zeros
 from test_fieldlinalg import ref_span_rref
 
@@ -329,8 +329,7 @@ def tables(draw):
 GRADED = [
     (heisenberg(), (1, 1, 2)),
     (nk_algebra(5), (1, 1, 1, 1, 2, 2)),
-    # the type-(4,4) dual H_3 of N_3
-    (scheuneman_dual(nk_algebra(3)), (1, 1, 1, 1, 2, 2, 2, 2)),
+    (hk_algebra(3), (1, 1, 1, 1, 2, 2, 2, 2)),
     (LieAlgebra(4, ((0, 1, 2, F(1)), (0, 2, 3, F(1)))), (1, 1, 2, 3)),
     (direct_sum([heisenberg(), abelian(1)]), (1, 1, 2, 1)),
 ]

@@ -26,13 +26,14 @@ from anosovforms.pfaffian import (
     PFAFFIAN_SIZE_BUDGET,
     PellSolution,
     SkewMap,
-    _skew_basis_index,
     adapted_split,
     binary_form_of,
+    center_block,
     classify_type42,
     dual_automorphism,
     extend_degree_one,
     form_preserved_by,
+    hk_algebra,
     j_map,
     nk_algebra,
     pell_automorphism,
@@ -42,34 +43,11 @@ from anosovforms.pfaffian import (
     solve_pell,
     squarefree_part_of_rational,
     w_space_coords,
+    wedge_square,
 )
 from anosovforms.recipes import recipe_count
 from test_fieldlinalg import ref_nullspace, ref_solve
 from test_liealg import frozen_bracket_map
-
-
-def hk_algebra(k):
-    """The type-(4,4) dual of nk_algebra(k) in its standard presentation,
-    the oracle of scheuneman_dual: [X1,X2] = Z1, [X1,X3] = Z2,
-    [X1,X4] = k Z3, [X2,X3] = -Z3, [X2,X4] = -Z2, [X3,X4] = Z4."""
-    return LieAlgebra(8, ((0, 1, 4, 1), (0, 2, 5, 1), (0, 3, 6, k), (1, 2, 6, -1),
-                          (1, 3, 5, -1), (2, 3, 7, 1)))
-
-
-def wedge_square(alpha):
-    """Second exterior power on the basis e_i ^ e_j, pairs ordered
-    lexicographically (the oracle of extend_degree_one's center block)."""
-    pairs = _skew_basis_index(alpha.rows)
-    return RationalMatrix([[alpha[i, k] * alpha[j, l] - alpha[i, l] * alpha[j, k]
-                            for (k, l) in pairs] for (i, j) in pairs])
-
-
-def center_block(a, m):
-    """Restriction of an automorphism to the center part of the adapted
-    basis (the induced map on gamma_2)."""
-    n1, k = adapted_split(a)
-    idx = list(range(n1, n1 + k))
-    return m.submatrix(idx, idx)
 
 
 def _pell_search(d, limit):
