@@ -23,9 +23,9 @@ and for transport it is the commutation check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import _fieldlinalg as fl
@@ -360,10 +360,17 @@ def structure_constants_on_form(basis: RationalFormBasis,
     m = basis.size
     if alg.dim != m:
         raise DimensionMismatch("algebra dimension must match the form")
-    cols = basis.left_inverse()[2]
+    cols, d = basis.left_inverse()[2], rho.datum.degree
     bmap, scale = restricted_bracket_map(alg, rho.datum)
+    # a flat key (a d + s, b d + t) exists only for a key (a, b) of L, so a
+    # column pair none of whose slots are partners has the empty bracket
+    keys = alg.integer_bracket_map()[0]
+    partners = [{b for key in keys if a in key for b in key if b != a} for a in range(m)]
+    slots = [{r // d for r in col} for col in cols]
+    reach = [set().union(*(partners[a] for a in s)) for s in slots]
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    brackets = [_bracket(bmap, cols[i], cols[j]) for i, j in pairs]
+    brackets = [{} if reach[i].isdisjoint(slots[j]) else _bracket(bmap, cols[i], cols[j])
+                for i, j in pairs]
     try:
         coords, den = _coordinates(basis, brackets, scale * basis.den)
     except fl.Inconsistent as e:
@@ -498,10 +505,11 @@ def extend_representation(la: LabeledAlgebra,
 
     generator_maps: group element index -> {generator slot: (sign, slot)}.
     Signs on non-generator slots are derived from the brackets, which is
-    where the minus signs of the cyclic constructions come from.  Each
-    missing image is formed once, on sparse columns, from the first word
-    that reaches it; verify_representation then checks each generator
-    against every element.
+    where the minus signs of the cyclic constructions come from.  An image
+    is integer columns X over one D; a derived column [X_i, X_j] / (c D)
+    scales the image first when c D does not divide it.  Each missing image
+    is formed once, as (A B, D_A D_B), from the first word that reaches it;
+    verify_representation then checks each generator against every element.
     """
     datum = la.datum
     alg = la.algebra
@@ -512,24 +520,29 @@ def extend_representation(la: LabeledAlgebra,
     single_target = [(i, j, k, c) for (i, j), row in bmap.items() if len(row) == 1
                      for k, c in row.items()]
 
-    images = {datum.identity_index: [{j: Fraction(1)} for j in range(dim)]}
+    images = {datum.identity_index: ([{j: 1} for j in range(dim)], 1)}
     for g, mapping in generator_maps.items():
         if not 0 <= g < datum.degree:
             raise BadParameters(f"group element {g} is out of range")
         cols: list[dict | None] = [None] * dim
+        den = 1
         for gen, (sign, slot) in mapping.items():
             if gen not in gen_set:
                 raise NotGenerating(f"slot {gen} is not a declared generator")
             if not 0 <= slot < dim:
                 raise BadParameters(f"target slot {slot} is out of range")
-            cols[gen] = {slot: Fraction(sign)} if sign else {}
+            cols[gen] = {slot: sign} if sign else {}
         progress = True
         while progress:
             progress = False
             for (i, j, k, c) in single_target:
                 if cols[i] is None or cols[j] is None:
                     continue
-                derived = {r: x / c for r, x in _bracket(bmap, cols[i], cols[j]).items() if x}
+                w, q = _bracket(bmap, cols[i], cols[j]), c * den
+                if (f := abs(q) // gcd(q, *w.values())) > 1:
+                    den *= f
+                    cols = [None if v is None else {r: f * x for r, x in v.items()} for v in cols]
+                derived = {r: x * f // q for r, x in w.items() if x}
                 if cols[k] is None:
                     cols[k] = derived
                     progress = True
@@ -540,7 +553,7 @@ def extend_representation(la: LabeledAlgebra,
         if any(c is None for c in cols):
             missing = [i for i, c in enumerate(cols) if c is None]
             raise NotGenerating(f"brackets do not determine slots {missing}")
-        images[g] = cols
+        images[g] = (cols, den)
 
     given, frontier = list(images), list(images)
     while frontier:
@@ -548,14 +561,15 @@ def extend_representation(la: LabeledAlgebra,
         for b in given:
             idx = datum.table[a][b]
             if idx not in images:
-                images[idx] = _compose(images[a], images[b])
+                (xa, da), (xb, db) = images[a], images[b]
+                images[idx] = (_compose(xa, xb), da * db)
                 frontier.append(idx)
     if len(images) != datum.degree:
         raise NotGenerating("given group elements do not generate the group")
 
     rho = verify_representation(Representation(datum, tuple(
-        RationalMatrix([[col.get(i, 0) for col in images[g]] for i in range(dim)])
-        for g in range(datum.degree)), alg))
+        RationalMatrix.from_numerators([[col.get(i, 0) for col in cols] for i in range(dim)], den)
+        for cols, den in map(images.get, range(datum.degree))), alg))
     check_label_equivariance(la, rho)
     return rho
 
@@ -582,12 +596,26 @@ def main2_construct(la: LabeledAlgebra, rho: Representation,
     algebra_q = structure_constants_on_form(basis, la.algebra)
     f = [[lam if i == j else 0 for j in range(la.dim)] for i, lam in enumerate(la.labels)]
     matrix = transport(basis, f)
-    # restriction to a rational form keeps the label multiset, so the
-    # charpoly is L = prod over slots of (X - label).  Each rho_sigma is
-    # invertible and maps V_lambda into V_sigma(lambda), so the multiset is
-    # Galois stable and the labels' own charpolys multiply to L^d; monic
-    # d-th roots in Q[X] are unique, so the power check is charpoly = L
-    labels_power = prod((lam.charpoly() for lam in la.labels), start=Polynomial.one())
-    if matrix.charpoly() ** la.datum.degree != labels_power:
-        raise EigenvalueMismatch("transported matrix lost the label eigenvalues")
+    check_label_eigenvalues(la.labels, matrix.charpoly())
     return algebra_q, matrix, basis
+
+
+def check_label_eigenvalues(labels: Sequence[FieldElement], charpoly: Polynomial) -> None:
+    """EigenvalueMismatch unless charpoly^d = prod of the labels' charpolys
+    chi, d the field degree.  The transported charpoly is L = prod over slots
+    of (X - label); each rho_sigma is invertible and maps V_lambda into
+    V_sigma(lambda), so the multiset is Galois stable, prod chi = L^d, and
+    monic d-th roots in Q[X] are unique.  Checked by factors: chi =
+    M^(d / deg M), M the label's minimal polynomial (chi's squarefree part),
+    so prod chi = prod M^(n d / deg M) over distinct irreducible M, n the
+    labels with that chi.  By unique factorisation in Q[X], a monic
+    charpoly has that d-th power exactly when every deg M divides its n
+    and charpoly = prod M^(n / deg M)."""
+    expected = Polynomial.one()
+    for chi, n in Counter(lam.charpoly() for lam in labels).items():
+        mp = chi.squarefree_part()
+        if n % mp.degree:
+            raise EigenvalueMismatch("transported matrix lost the label eigenvalues")
+        expected = expected * mp ** (n // mp.degree)
+    if charpoly != expected:
+        raise EigenvalueMismatch("transported matrix lost the label eigenvalues")

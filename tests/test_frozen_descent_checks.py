@@ -26,6 +26,11 @@ check P X = e W on P's sparse columns.  The solve-based versions are
 frozen below too: the new code must give the same repr, or the same error
 type with the same message, so the same first failing column.
 
+structure_constants_on_form bracketed every pair of P's columns; it now
+skips a pair when no slot of one column has a bracket with a slot of the
+other, and uses the empty bracket there.  The all-pairs version is frozen
+too, and the new code must match it the same way.
+
 The frozen copies eliminate over Fractions (test_fieldlinalg's ref_solve
 and ref_nullspace), as solve and nullspace ran before they returned
 integer rows over one denominator.
@@ -216,6 +221,31 @@ def solve_structure_constants_on_form(basis, algebra=None):
     return LieAlgebra(m, tuple(entries))
 
 
+def all_pairs_structure_constants_on_form(basis, algebra=None):
+    """structure_constants_on_form as it bracketed every pair of P's
+    columns before its read-off."""
+    rho = basis.representation
+    alg = algebra if algebra is not None else rho.algebra
+    if alg is None:
+        raise DimensionMismatch("no algebra attached to the representation")
+    m = basis.size
+    if alg.dim != m:
+        raise DimensionMismatch("algebra dimension must match the form")
+    cols = basis.left_inverse()[2]
+    bmap, scale = restricted_bracket_map(alg, rho.datum)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    brackets = [_bracket(bmap, cols[i], cols[j]) for i, j in pairs]
+    try:
+        coords, den = galoisform._coordinates(basis, brackets, scale * basis.den)
+    except fl.Inconsistent as e:
+        i, j = pairs[e.column]
+        raise IrrationalStructureConstant(
+            f"bracket [{i},{j}] has an irrational coordinate") from None
+    entries = [(i, j, k, x) for (i, j), col in zip(pairs, coords) for k, x in col.items()]
+    require_jacobi(alg)
+    return LieAlgebra.from_numerators(m, entries, den)
+
+
 def solve_transport(basis, f):
     """transport as it formed the dense md x md M_F from the kept rows,
     multiplied it by P and solved [P | M_F P]."""
@@ -326,6 +356,7 @@ def _same_transport(basis, f):
 def _same_structure(basis, alg):
     new = _verdict(structure_constants_on_form, basis, alg)
     assert new == _verdict(solve_structure_constants_on_form, basis, alg)
+    assert new == _verdict(all_pairs_structure_constants_on_form, basis, alg)
     return new if isinstance(new, str) else new[0]
 
 
@@ -607,6 +638,7 @@ class TestReadOff:
         expected = (IrrationalStructureConstant, "bracket [0,1] has an irrational coordinate")
         assert _verdict(structure_constants_on_form, basis, alg) == expected
         assert _verdict(solve_structure_constants_on_form, basis, alg) == expected
+        assert _verdict(all_pairs_structure_constants_on_form, basis, alg) == expected
 
     def test_restricted_bracket_map_clears_nothing(self, sqrt2, biquad52, quartic, monkeypatch):
         algebras = [heisenberg(), LieAlgebra(3, ((0, 1, 2, F(3, 2)),)),

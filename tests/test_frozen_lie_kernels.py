@@ -1,5 +1,9 @@
-"""preserves_brackets and lower_central_series against the code they
-replaced.
+"""check_jacobi, preserves_brackets and lower_central_series against the
+code they replaced.
+
+check_jacobi formed one cyclic sum per triple i < j < k, six brackets
+each; it now brackets each nonzero row [b_p, b_q] with every other b_t
+into the sum of the sorted triple, and must give the same verdict.
 
 preserves_brackets formed [F b_i, F b_j] as a fresh double sum for every
 pair i < j; it now runs column by column and forms the pair's bracket from
@@ -20,7 +24,7 @@ from fractions import Fraction as F
 import pytest
 
 from anosovforms import _fieldlinalg as fl
-from anosovforms import recipes, serialize
+from anosovforms import liealg, recipes, serialize
 from anosovforms.catalog import sqrt2_datum
 from anosovforms.errors import NotNilpotent
 from anosovforms.galoisform import group_generators
@@ -30,17 +34,40 @@ from anosovforms.liealg import (
     _bracket,
     _support,
     abelian,
+    check_jacobi,
     heisenberg,
     lower_central_series,
     preserves_brackets,
 )
 from test_fieldlinalg import ref_span_rref
-from test_frozen_descent_checks import _bench_generate, _dense_cases, _last
+from test_frozen_descent_checks import (
+    CONSTRUCTIONS,
+    _bench_generate,
+    _construction,
+    _dense_cases,
+    _last,
+)
 from test_galoisform import _recipe_representations
 
 # ---------------------------------------------------------------------------
 # the frozen code
 # ---------------------------------------------------------------------------
+
+
+def triple_loop_check_jacobi(a):
+    """check_jacobi with one cyclic sum per triple i < j < k."""
+    n = a.dim
+    bmap = a.integer_bracket_map()[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total: dict = {}
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    pq = _bracket(bmap, {p: 1}, {q: 1})
+                    _bracket(bmap, pq, {r: 1}, total)
+                if any(not v == 0 for v in total.values()):
+                    return False
+    return True
 
 
 def pairwise_preserves_brackets(a, cols, d):
@@ -158,6 +185,99 @@ def _non_jacobi(rng, a):
     j = rng.randrange(i + 1, n)
     extra = (i, j, rng.randrange(n), F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))))
     return LieAlgebra(n, a.brackets + (extra,))
+
+
+# ---------------------------------------------------------------------------
+# check_jacobi
+# ---------------------------------------------------------------------------
+
+
+def _same_jacobi(a):
+    new = check_jacobi(a)
+    assert new == triple_loop_check_jacobi(a)
+    return new
+
+
+@functools.lru_cache(maxsize=None)
+def _constructed(name):
+    """(labeled algebra, rational-form algebra) of one workload recipe."""
+    la, _rho, _explicit, out = _construction(CONSTRUCTIONS[name])
+    return la.algebra, out.algebra
+
+
+def _changed_constant(rng, a):
+    """a with one seeded constant moved by a nonzero amount (possibly to 0)."""
+    entries = list(a.brackets)
+    n = rng.randrange(len(entries))
+    i, j, k, c = entries[n]
+    entries[n] = (i, j, k, c + rng.choice((-1, 1, F(1, 2), F(-3, 2))))
+    return LieAlgebra(a.dim, tuple(entries))
+
+
+class TestCheckJacobi:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_workload_algebras(self, name):
+        for a in _constructed(name):
+            assert _same_jacobi(a)
+
+    @pytest.mark.parametrize("name", ["last3", "last4", "last5", "csig3"])
+    def test_single_entry_perturbations(self, name):
+        rng = random.Random(f"jacobi/{name}")
+        verdicts = set()
+        for a in _constructed(name):
+            for _ in range(6):
+                verdicts.add(_same_jacobi(_changed_constant(rng, a)))
+                verdicts.add(_same_jacobi(_non_jacobi(rng, a)))
+        assert False in verdicts
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certify_dense_algebras(self, seed):
+        rng = random.Random(4700 + seed)
+        seen = set()
+        for item in _bench_generate().dense_inputs(seed):
+            if item["algebra"] not in seen:
+                seen.add(item["algebra"])
+                a = serialize.algebra_from_json(json.loads(item["algebra"]))
+                assert _same_jacobi(a)
+                _same_jacobi(_non_jacobi(rng, a))
+        assert seen
+
+    def test_seeded_random_tables(self):
+        rng = random.Random(4800)
+        verdicts = set()
+        for _ in range(80):
+            n = rng.randint(2, 7)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            # targets above both slots half of the time: nilpotent tables,
+            # which often satisfy Jacobi
+            high = rng.random() < 0.5
+            entries = tuple((i, j, rng.randrange(j + 1, n) if high and j + 1 < n
+                             else rng.randrange(n), F(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+                            for i, j in rng.sample(pairs, rng.randint(1, len(pairs))))
+            verdicts.add(_same_jacobi(LieAlgebra(n, entries)))
+        assert verdicts == {True, False}
+
+    def test_sl2(self):
+        assert _same_jacobi(_sl2())
+        rng = random.Random(4900)
+        assert False in {_same_jacobi(_non_jacobi(rng, _sl2())) for _ in range(6)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_abelian(self, n):
+        assert _same_jacobi(abelian(n))
+
+    def test_brackets_only_nonzero_rows(self, monkeypatch):
+        a = _constructed("last6")[0]
+        calls = []
+        real = liealg._bracket
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(liealg, "_bracket", counting)
+        assert check_jacobi(a)
+        rows = len(a.integer_bracket_map()[0])
+        assert 0 < len(calls) <= rows * (a.dim - 2)
 
 
 # ---------------------------------------------------------------------------

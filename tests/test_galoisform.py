@@ -1,7 +1,7 @@
 import functools
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -32,6 +32,7 @@ from anosovforms.galoisform import (
     Representation,
     automorphism_matrix,
     build_labeled_algebra,
+    check_label_eigenvalues,
     check_label_equivariance,
     extend_representation,
     group_generators,
@@ -53,7 +54,7 @@ from anosovforms.liealg import (
     is_automorphism,
     require_jacobi,
 )
-from anosovforms.numfield import GaloisDatum, apply_automorphism
+from anosovforms.numfield import GaloisDatum, apply_automorphism, minimal_polynomial
 from test_exactmath import diagonal
 from test_fieldlinalg import _dense_det, _dense_rref
 from test_liealg import frozen_bracket_map
@@ -834,6 +835,44 @@ class TestLabelEigenvalueCheck:
         assert verdicts == {True, False}
 
 
+    def test_factor_check_is_the_power_check_on_unstable_labels(self, sqrt2, quartic, cubic,
+                                                                cubic_unit):
+        # label lists that need not be Galois stable, so deg M need not
+        # divide the number n of labels with that charpoly; main2_construct's
+        # equivariance check stops those first, so the helper is called
+        # directly, against the frozen power check charpoly^d = prod chi
+        orbit = [quartic.generator()]
+        for _ in range(3):
+            orbit.append(apply_automorphism(quartic, 1, orbit[-1]))
+        eta = orbit[0] * orbit[2]
+        pools = [
+            (sqrt2, [sqrt2.element([1, 1]), sqrt2.element([1, -1]), sqrt2.one(),
+                     sqrt2.element([3])]),
+            (quartic, orbit + [eta, apply_automorphism(quartic, 1, eta), -quartic.one()]),
+            (cubic, [apply_automorphism(cubic, s, cubic_unit) for s in range(3)] + [cubic.one()]),
+        ]
+        rng = random.Random(32)
+        verdicts, undivided = set(), 0
+        for datum, pool in pools:
+            for _ in range(40):
+                labels = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+                power = math.prod((lam.charpoly() for lam in labels), start=Polynomial.one())
+                counts = Counter(minimal_polynomial(lam) for lam in labels)
+                undivided += any(n % mp.degree for mp, n in counts.items())
+                floor = math.prod((mp ** (n // mp.degree) for mp, n in counts.items()),
+                                  start=Polynomial.one())
+                extra = minimal_polynomial(rng.choice(pool))
+                for p in (floor, floor * extra, floor * Polynomial([-1, 1]), extra):
+                    try:
+                        check_label_eigenvalues(labels, p)
+                        raised = False
+                    except EigenvalueMismatch:
+                        raised = True
+                    assert raised == (p ** datum.degree != power), (labels, p)
+                    verdicts.add(raised)
+        assert verdicts == {True, False} and undivided > 10
+
+
 def test_group_generators(sqrt2, biquad52, quartic):
     assert group_generators(sqrt2) == [1]
     assert len(group_generators(biquad52)) == 2
@@ -1501,8 +1540,9 @@ def _scaled(la, s):
 
 
 class TestFractionMapExtension:
-    """extend_representation derives slot images on the integer map; the
-    Fraction-map code gives the same images or the same error type."""
+    """extend_representation derives slot images on the integer map, as
+    integer columns over one denominator per image; the Fraction-map code
+    gives the same images or the same error type."""
 
     @pytest.mark.parametrize("index", range(4))
     def test_recipe_representations(self, index):
@@ -1521,6 +1561,55 @@ class TestFractionMapExtension:
             for alg in (la, scaled):
                 assert _outcome(extend_representation, alg, random_maps) == \
                     _outcome(fraction_map_extend_representation, alg, random_maps)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_builds_no_fraction(self, index, monkeypatch):
+        _name, la, maps, rho = _recipe_representations()[index]
+        built = []
+        real = F.__new__
+        monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
+        images = extend_representation(la, maps).images
+        monkeypatch.undo()
+        assert built == [] and images == rho.images
+
+    def test_derived_images_with_denominators(self, sqrt2):
+        # [b0, b1] = c b2 and [b3, b4] = b5, sigma swapping the pairs: b2
+        # goes to b5 / c and b5 to c b2, so an image gets a denominator, and
+        # the columns derived before it are scaled
+        lam, mu = sqrt2.element([1, 1]), sqrt2.element([3, 2])
+        lam_, mu_ = (apply_automorphism(sqrt2, 1, x) for x in (lam, mu))
+        labels = (lam, mu, lam * mu, lam_, mu_, lam_ * mu_)
+        swap = {1: {0: (1, 3), 1: (1, 4), 3: (1, 0), 4: (1, 1)}}
+        flip = {1: {0: (-1, 3), 1: (1, 4), 3: (-1, 0), 4: (1, 1)}}
+        for c in (2, F(1, 3), -3, F(-5, 2)):
+            la = build_labeled_algebra(labels, [(0, 1, c, 2), (3, 4, 1, 5)],
+                                       generators=(0, 1, 3, 4))
+            for maps in (swap, flip):
+                new = _outcome(extend_representation, la, maps)
+                assert isinstance(new, str)
+                assert new == _outcome(fraction_map_extend_representation, la, maps)
+            image = extend_representation(la, swap).images[1]
+            assert (image[5, 2], image[2, 5]) == (1 / F(c), c)
+
+    def test_composed_images_with_denominators(self, quartic):
+        # [x_t, y_t] = c_t z_t over the 4-cycle sigma, c_0 = c and the rest
+        # 1: sigma z_0 = z_1 / c, so sigma^2 and sigma^3 are products of
+        # images with a denominator
+        (s,) = group_generators(quartic)
+        xs, ys = [quartic.generator()], [quartic.generator() + 2 * quartic.one()]
+        for _ in range(3):
+            xs.append(apply_automorphism(quartic, s, xs[-1]))
+            ys.append(apply_automorphism(quartic, s, ys[-1]))
+        labels = (*xs, *ys, *(x * y for x, y in zip(xs, ys)))
+        maps = {s: {t + h: (1, (t + 1) % 4 + h) for t in range(4) for h in (0, 4)}}
+        for c in (2, F(1, 3), F(-5, 2)):
+            la = build_labeled_algebra(labels, [(t, t + 4, c if t == 0 else 1, t + 8)
+                                                for t in range(4)], generators=tuple(range(8)))
+            new = _outcome(extend_representation, la, maps)
+            assert isinstance(new, str)
+            assert new == _outcome(fraction_map_extend_representation, la, maps)
+            image = extend_representation(la, maps).images[quartic.table[s][s]]
+            assert image[10, 8] == 1 / F(c)
 
     def test_conflicting_images_with_scaled_constants(self, sqrt2):
         # [b0, b1] = [b2, b3] = b4 / 2: both brackets send b4 to -b4, or
