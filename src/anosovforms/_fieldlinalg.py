@@ -1,7 +1,7 @@
 """The exact linear-algebra kernel over Q.
 
 Matrices are plain nested lists (or tuples) of int or Fraction entries.
-Elimination (rref, det, solve, rank, span_rref) takes rational rows only,
+Elimination (rref, det, solve, span_rref) takes rational rows only,
 and every solve and product of the Galois descent runs on the cleared
 power-basis coordinates of its vectors.  mat_vec still takes vectors over
 a number field (entries with +, - and *, false exactly when zero) for one
@@ -27,11 +27,11 @@ an identity whose two sides scale alike.  rref, the one Gauss-Jordan
 loop, works this way: fraction-free on primitive integer rows, which it
 returns, each reduced row cleared (the reduced form is unique); primitive
 clears an input row only when it holds a Fraction, which math.gcd
-refuses, so integer rows pay no clear.  solve, rank, span_rref and
-exactmath's nullspace read them and build no Fraction, solve and
-nullspace returning integer rows over the lcm of their pivots, their
-least common denominator.  det works this way too: it
-clears denominators once (D) and runs int_det, Bareiss's fraction-free
+refuses, so integer rows pay no clear; a rank is len(rref(rows)[1]).
+solve, span_rref and exactmath's nullspace read them and build no
+Fraction, solve and nullspace returning integer rows over the lcm of
+their pivots, their least common denominator.  det works this way too:
+it clears denominators once (D) and runs int_det, Bareiss's fraction-free
 elimination on the integer rows (dense, since an int product costs
 little), each division by the previous pivot exact, so det = det(integer
 rows) / D^n, always a Fraction.  int_charpoly, the one characteristic
@@ -113,10 +113,6 @@ def rref(rows):
                 m[i] = content_free(row)
         pivots.append(c)
     return [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)], pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
 
 
 def det(rows):

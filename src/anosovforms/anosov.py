@@ -43,7 +43,7 @@ def is_integer_like(m: RationalMatrix) -> bool:
     if not m.is_square:
         raise NonSquare("integer-like is defined for square matrices")
     p = m.charpoly()
-    return p.is_integer and abs(p.constant) == 1
+    return p.den == 1 and abs(p.nums[0]) == 1
 
 
 def certify(a: LieAlgebra, m: RationalMatrix,

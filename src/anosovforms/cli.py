@@ -20,7 +20,7 @@ from .catalog import csig_fixture, cyclic_cubic_datum, cubic_pisot_unit, sqrt2_d
 from .errors import AnosovError, DimensionBudgetExceeded, MalformedInput
 from .exactmath import rat_to_str
 from .liealg import Grading, heisenberg
-from .numfield import conjugate_modulus_interval, minimal_polynomial
+from .numfield import biquadratic_datum, conjugate_modulus_interval, minimal_polynomial
 from .pfaffian import (
     binary_form_of,
     classify_type42,
@@ -79,6 +79,21 @@ def _check_dimension(dim: int) -> None:
             f"dimension {dim} exceeds the budget of {CONSTRUCT_DIM_BUDGET}")
 
 
+def _field_and_lambda(args, default):
+    """(datum, lambda) for construct: the --field datum, else the recipe's
+    default() pair, with --lambda parsed on that datum when it is given.
+    --field without --lambda is a usage error."""
+    if args.field:
+        datum = ser.datum_from_json(_read_json(args.field))
+        if args.lam is None:
+            print(f"construct --recipe {args.recipe} needs --lambda with --field",
+                  file=sys.stderr)
+            raise SystemExit(2)
+        return datum, _parse_lambda(datum, args.lam)
+    datum, lam = default()
+    return datum, lam if args.lam is None else _parse_lambda(datum, args.lam)
+
+
 def cmd_certify(args) -> int:
     algebra = ser.algebra_from_json(_read_json(args.algebra))
     matrix = ser.map_from_json(_read_json(args.map))
@@ -93,24 +108,12 @@ def cmd_construct(args) -> int:
         if args.k is None or args.l is None:
             print("construct --recipe count needs --k and --l", file=sys.stderr)
             return 2
-        datum = None
         lam = None
         if args.lam is not None:
-            from .numfield import biquadratic_datum
-
-            datum = biquadratic_datum(args.k, args.l)
-            lam = _parse_lambda(datum, args.lam)
+            lam = _parse_lambda(biquadratic_datum(args.k, args.l), args.lam)
         out = recipe_count(args.k, args.l, lam)
     elif args.recipe == "laur":
-        datum = ser.datum_from_json(_read_json(args.field)) if args.field else sqrt2_datum()
-        if args.lam is not None:
-            lam = _parse_lambda(datum, args.lam)
-        else:
-            if args.field:
-                print("construct --recipe laur needs --lambda with --field",
-                      file=sys.stderr)
-                return 2
-            lam = datum.element((1, 1))
+        datum, lam = _field_and_lambda(args, lambda: (d := sqrt2_datum(), d.element((1, 1))))
         if args.algebra:
             g = ser.algebra_from_json(_read_json(args.algebra))
             if not args.grading:
@@ -122,28 +125,12 @@ def cmd_construct(args) -> int:
             g, grading = heisenberg(), Grading((2, 1))
         out = recipe_laur(g, grading, datum, lam)
     elif args.recipe == "csig":
-        if args.field:
-            datum = ser.datum_from_json(_read_json(args.field))
-            if args.lam is None:
-                print("construct --recipe csig needs --lambda with --field",
-                      file=sys.stderr)
-                return 2
-            lam = _parse_lambda(datum, args.lam)
-        else:
-            datum, lam = csig_fixture()
+        datum, lam = _field_and_lambda(args, csig_fixture)
         _check_dimension(datum.degree // 2 * (2 * args.nilpotency_class - 1))
         out = recipe_csig(datum, lam, args.nilpotency_class)
     elif args.recipe == "last":
-        if args.field:
-            datum = ser.datum_from_json(_read_json(args.field))
-            if args.lam is None:
-                print("construct --recipe last needs --lambda with --field",
-                      file=sys.stderr)
-                return 2
-            lam = _parse_lambda(datum, args.lam)
-        else:
-            datum = cyclic_cubic_datum()
-            lam = cubic_pisot_unit(datum)
+        datum, lam = _field_and_lambda(
+            args, lambda: (d := cyclic_cubic_datum(), cubic_pisot_unit(d)))
         _check_dimension(datum.degree * args.nilpotency_class)
         out = recipe_last(datum, lam, args.nilpotency_class)
     else:  # pragma: no cover - argparse restricts choices

@@ -2,8 +2,9 @@
 constants.
 
 Brackets are stored for i < j only; antisymmetry is implicit.  Subspaces
-(lower central series terms, spans) are always kept as canonical reduced
-echelon bases so equality of subspaces is bit-exact list comparison.
+(lower central series terms, spans) are always kept as canonical echelon
+bases, span_rref's primitive integer rows, each positive at its pivot, so
+equality of subspaces is bit-exact list comparison.
 bracket also takes vectors over a number field, but the brackets of a
 rational form's vectors run on ints (galoisform.restricted_bracket_map).
 
@@ -15,9 +16,9 @@ bracket kernel on it, where every identity they test scales by a nonzero
 constant on both sides; bracket divides C [x, y] by C.  check_jacobi
 brackets only the map's nonzero rows.  preserves_brackets forms each
 column's ad-images once and combines them by bilinearity; the series
-reads gamma_2 off the bracket map's rows and brackets span_rref's integer
-rows, each a basis row over its pivot.  An algebra keeps its series and
-its Jacobi verdict (require_jacobi).  is_automorphism reads a matrix's
+reads gamma_2 off the bracket map's rows, and keeps and brackets
+span_rref's integer rows.  An algebra keeps its series and its Jacobi
+verdict (require_jacobi).  is_automorphism reads a matrix's
 integer pair (M, D), and invertibility off its kept charpoly.
 """
 
@@ -201,9 +202,15 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
     nilpotency class.  Raises NotNilpotent when the series stabilizes at a
     nonzero subspace.  Recomputed on every call: library code reads the
     cached LieAlgebra.central_series() instead.  gamma_2 = [g, g] is
-    spanned by the [b_i, b_j], i < j: the rows of the integer bracket map."""
-    n, zero, one = a.dim, Fraction(0), Fraction(1)  # shared: a Fraction is immutable
-    series = [[tuple(one if j == i else zero for j in range(n)) for i in range(n)]]
+    spanned by the [b_i, b_j], i < j: the rows of the integer bracket map.
+
+    Each basis is span_rref's list of primitive integer tuples, each
+    positive at its pivot (gamma_1: the integer unit rows): the reduced
+    row echelon row times its least common denominator, which is its
+    pivot's.  So the pivots, the spans, the type and the class are those
+    of the reduced rational bases."""
+    n = a.dim
+    series = [[tuple(int(j == i) for j in range(n)) for i in range(n)]]
     # integer constants on primitive integer rows: each generator is a
     # nonzero multiple of the rational one, so every span is the same
     bmap = a.integer_bracket_map()[0]
@@ -214,9 +221,7 @@ def lower_central_series(a: LieAlgebra) -> tuple[list[list[tuple]], tuple[int, .
             raise NotNilpotent("lower central series stabilizes at a nonzero subspace")
         if not nxt:
             break
-        leads = [next(filter(None, v)) for v in nxt]
-        series.append([tuple(Fraction(x, p) if x else zero for x in v)
-                       for v, p in zip(nxt, leads)])
+        series.append(nxt)
         prev = [_support(v) for v in nxt]
         gens = []
         for i in range(n):

@@ -739,7 +739,7 @@ def is_algebraic_unit(x: FieldElement) -> bool:
     (Gauss's lemma; both are monic), and |mp^k(0)| = |mp(0)|^k."""
     _require_verified(x.datum)
     chi = x.charpoly()
-    return chi.is_integer and abs(chi.constant) == 1
+    return chi.den == 1 and abs(chi.nums[0]) == 1
 
 
 def sign_against_one(lo: int, hi: int, e: int) -> int | None:

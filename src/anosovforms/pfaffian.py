@@ -9,9 +9,10 @@ polynomial in the center coordinates; in type (4,2) its discriminant
 modulo rational squares classifies the algebra completely.
 
 The duality layer reads W = J(center) in one form, the k x C(n1, 2)
-coordinate matrix of w_space_coords on the basis E_ij (i < j): the dual's
-center W~ is its nullspace, and alpha^T J_Z alpha is a row of coords times
-the second exterior power of alpha.
+coordinate matrix of w_space_coords on the basis E_ij (i < j), the integer
+bracket numerators (C times the coordinates): the dual's center W~ is its
+nullspace, and alpha^T J_Z alpha is a row of coords times the second
+exterior power of alpha, formed on alpha's integer pair.
 """
 
 from __future__ import annotations
@@ -267,10 +268,10 @@ def adapted_split(a: LieAlgebra) -> tuple[int, int]:
     # basis vectors exactly when it lists them in order
     if series[1] != tuple(tuple(int(s == t) for s in range(a.dim)) for t in range(n1, a.dim)):
         raise BasisNotAdapted("gamma_2 is not spanned by the trailing basis vectors")
-    for (i, j, t, _c) in a.brackets:
+    for (_i, j), row in a.integer_bracket_map()[0].items():
         if j >= n1:
             raise BasisNotAdapted("bracket involves a center vector")
-        if t < n1:
+        if min(row) < n1:
             raise BasisNotAdapted("bracket lands outside the center part")
     return n1, k
 
@@ -281,11 +282,19 @@ def j_map(a: LieAlgebra, z: list) -> SkewMap:
     n1, k = adapted_split(a)
     if len(z) != k:
         raise ValueError("center coordinates must have length k")
-    rows = [[Fraction(0)] * n1 for _ in range(n1)]
+    return _pencil(a, n1, Fraction(0), lambda t, c: c * z[t])
+
+
+def _pencil(a: LieAlgebra, n1: int, zero, term) -> SkewMap:
+    """The skew n1 x n1 matrix sum of term(t - n1, c) (E_ij - E_ji) over the
+    constants c of b_t in [b_i, b_j], added from zero in bracket order:
+    J_Z for term(t, c) = c z_t, the pencil sum_t Y_t J_{Z_t} for
+    term(t, c) = c Y_t."""
+    rows = [[zero] * n1 for _ in range(n1)]
     for (i, j, t, c) in a.brackets:
-        pairing = c * z[t - n1]
-        rows[i][j] = rows[i][j] + pairing
-        rows[j][i] = rows[j][i] - pairing
+        x = term(t - n1, c)
+        rows[i][j] = rows[i][j] + x
+        rows[j][i] = rows[j][i] - x
     return SkewMap(tuple(tuple(r) for r in rows))
 
 
@@ -338,13 +347,7 @@ def pfaffian_form(a: LieAlgebra) -> MultiPoly:
 def _pfaffian_form(a: LieAlgebra, n1: int, k: int) -> MultiPoly:
     if n1 % 2 != 0:
         raise OddDimension("Pfaffian form needs an even degree-1 block")
-    zero = MultiPoly(k)
-    rows = [[zero for _ in range(n1)] for _ in range(n1)]
-    for (i, j, t, c) in a.brackets:
-        term = MultiPoly.variable(k, t - n1) * c
-        rows[i][j] = rows[i][j] + term
-        rows[j][i] = rows[j][i] - term
-    return pfaffian(SkewMap(tuple(tuple(r) for r in rows)))
+    return pfaffian(_pencil(a, n1, MultiPoly(k), lambda t, c: MultiPoly.variable(k, t) * c))
 
 
 def binary_form_of(a: LieAlgebra) -> BinaryQuadraticForm:
@@ -404,16 +407,16 @@ def _skew_basis_index(n1: int) -> list[tuple[int, int]]:
     return list(combinations(range(n1), 2))
 
 
-def w_space_coords(a: LieAlgebra) -> tuple[list[list[Fraction]], list[tuple[int, int]], int, int]:
+def w_space_coords(a: LieAlgebra) -> tuple[list[list[int]], list[tuple[int, int]], int, int]:
     """Coordinates of W = span{J_Z} inside the skew matrices, in the basis
-    E_ij (i < j).  Raises JNotInjective when J kills part of the center."""
+    E_ij (i < j), as the integer bracket numerators: row t is C times
+    J_{Z_t}'s coordinates, C the algebra's bracket denominator, so every
+    span, kernel and solve on them is the rational one.  Raises
+    JNotInjective when J kills part of the center."""
     n1, k = adapted_split(a)
-    pairs = _skew_basis_index(n1)
-    index = {pair: p for p, pair in enumerate(pairs)}
-    coords = [[Fraction(0)] * len(pairs) for _ in range(k)]
-    for (i, j, t, c) in a.brackets:
-        coords[t - n1][index[(i, j)]] = c
-    if fl.rank(coords) != k:
+    pairs, bmap = _skew_basis_index(n1), a.integer_bracket_map()[0]
+    coords = [[bmap.get(pair, {}).get(t, 0) for pair in pairs] for t in range(n1, n1 + k)]
+    if len(fl.rref(coords)[1]) != k:
         raise JNotInjective("center maps to a degenerate family of skew matrices")
     return coords, pairs, n1, k
 
@@ -445,9 +448,9 @@ def scheuneman_dual(a: LieAlgebra) -> LieAlgebra:
     # them, and row t, primitive with a positive pivot, holds t's coordinates
     cols = [c for c in range(len(pairs)) if any(v[c] for v in comp)]
     scaled = fl.span_rref([[v[c] for c in cols] for v in comp])
-    entries = [(*pairs[c], n1 + t, Fraction(row[r]))
+    entries = [(*pairs[c], n1 + t, row[r])
                for r, c in enumerate(cols) for t, row in enumerate(scaled) if row[r]]
-    return LieAlgebra(n1 + len(comp), tuple(entries))
+    return LieAlgebra.from_numerators(n1 + len(comp), entries)
 
 
 def dual_automorphism(alpha: RationalMatrix, a: LieAlgebra,
@@ -469,11 +472,14 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
 
     In E_ij coordinates alpha^T J_Z alpha is coords(Z) * wedge_square(alpha):
     entry ij is the sum over p < q of c_pq (alpha_pi alpha_qj - alpha_qi
-    alpha_pj), read off the nonzero coordinates c_pq of Z."""
+    alpha_pj), read off the nonzero coordinates c_pq of Z.  On alpha's
+    pair (M, D) and the integer coords (C c_pq) the images are D^2 C times
+    the rational ones, and the matrix of the solve is C times its rational
+    one, so the solution X / e is D^2 times the center block."""
     coords, pairs, n1, k = w_space_coords(a)
     if (alpha.rows, alpha.cols) != (n1, n1):
         raise ValueError("degree-1 block has the wrong size")
-    m = alpha.entries
+    m, d = alpha.nums, alpha.den
     images = []
     for row in coords:
         terms = [(c, m[p], m[q]) for c, (p, q) in zip(row, pairs) if c]
@@ -485,14 +491,11 @@ def extend_degree_one(a: LieAlgebra, alpha: RationalMatrix) -> RationalMatrix:
         solution, e = fl.solve([list(col) for col in zip(*coords)], images)
     except fl.Inconsistent:
         raise DoesNotPreserveW("alpha^T J_Z alpha leaves the image of J") from None
-    n = a.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n1):
-        rows[i][:n1] = m[i]
-    for t, col in enumerate(zip(*solution)):
-        rows[n1 + t][n1:n1 + k] = [Fraction(x, e) for x in col]
+    scale = e * d
+    rows = [[scale * x for x in row] + [0] * k for row in m]
+    rows += [[0] * n1 + list(col) for col in zip(*solution)]
     # out itself, so the charpoly is_automorphism computes is kept for certify
-    out = RationalMatrix(rows)
+    out = RationalMatrix.from_numerators(rows, scale * d)
     if not is_automorphism(a, out):
         raise DoesNotPreserveW("extension is not an automorphism")
     return out

@@ -263,12 +263,12 @@ def recipe_laur(g: LieAlgebra, grading: Grading, datum: GaloisDatum,
     labels = [c ** grading.degree_of(s) for c in conj for s in range(g.dim)]
     images = []
     for s in range(m):
-        mat = [[Fraction(0)] * total.dim for _ in range(total.dim)]
+        mat = [[0] * total.dim for _ in range(total.dim)]
         for i in range(m):
             pi = datum.table[s][i]
             for t in range(g.dim):
-                mat[pi * g.dim + t][i * g.dim + t] = Fraction(1)
-        images.append(RationalMatrix(mat))
+                mat[pi * g.dim + t][i * g.dim + t] = 1
+        images.append(RationalMatrix.from_numerators(mat))
     rho = verify_representation(
         Representation(datum, tuple(images), algebra=total)
     )

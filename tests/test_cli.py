@@ -80,6 +80,20 @@ class TestConstruct:
         bundle = json.loads(proc.stdout)
         assert bundle["certificate"]["type"] == [3, 3]
 
+    @pytest.mark.parametrize("recipe,lam", [("csig", "5,0,0,0"), ("last", "5,0,0")])
+    def test_lambda_on_the_default_field(self, recipe, lam):
+        # --lambda was ignored without --field, and the default unit used
+        proc = run_cli("construct", "--recipe", recipe, "--lambda", lam, check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NotPisot"
+
+    def test_csig_with_the_fixture_unit(self):
+        from anosovforms.catalog import CSIG_N2_UNIT_COORDS
+
+        lam = ",".join(map(str, CSIG_N2_UNIT_COORDS))
+        given_unit = run_cli("construct", "--recipe", "csig", "--lambda", lam).stdout
+        assert given_unit == run_cli("construct", "--recipe", "csig").stdout
+
 
 class TestCertify:
     def test_gold(self, z4_files):

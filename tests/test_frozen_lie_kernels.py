@@ -11,9 +11,11 @@ the column's ad-images [b_p, F b_j].  lower_central_series built gamma_2
 from the brackets of the basis with the identity basis; it now seeds
 gamma_2 with the rows of the integer bracket map.  The frozen copies below
 are those versions: the new code must give the same verdict, and the same
-series repr or the same error type.  The frozen series reduces its spans
-over Fractions (test_fieldlinalg's ref_span_rref), as span_rref ran
-before it returned primitive integer rows.
+series or the same error type.  The frozen series reduces its spans over
+Fractions (test_fieldlinalg's ref_span_rref), as span_rref ran before it
+returned primitive integer rows; the series now keeps those integer rows,
+so each of its rows must be fl.primitive of the frozen reduced row, with
+the same type and class.
 """
 
 import functools
@@ -48,6 +50,7 @@ from test_frozen_descent_checks import (
     _last,
 )
 from test_galoisform import _recipe_representations
+from test_liealg import series_outcome
 
 # ---------------------------------------------------------------------------
 # the frozen code
@@ -124,17 +127,8 @@ def _same_verdict(a, cols, d):
     return new
 
 
-def _series_outcome(lcs, a):
-    try:
-        return repr(lcs(a))
-    except NotNilpotent:
-        return "NotNilpotent"
-
-
 def _same_series(a):
-    new = _series_outcome(lower_central_series, a)
-    assert new == _series_outcome(identity_seeded_lower_central_series, a)
-    return new
+    return series_outcome(a, identity_seeded_lower_central_series)
 
 
 def _columns(m):

@@ -515,11 +515,23 @@ def _skew_b(x, y):
     return sum(x[i][j] * y[i][j] for i in range(n) for j in range(n))
 
 
+def frozen_w_space_coords(a):
+    """w_space_coords on the Fraction constants: row t holds J_{Z_t}'s
+    coordinates on the E_ij, i < j."""
+    n1, k = adapted_split(a)
+    pairs = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
+    coords = [[F(0)] * len(pairs) for _ in range(k)]
+    for (i, j, t, c) in a.brackets:
+        coords[t - n1][pairs.index((i, j))] = c
+    assert len(fl.rref(coords)[1]) == k
+    return coords, pairs, n1, k
+
+
 def frozen_scheuneman_dual(a):
     """scheuneman_dual with the Gram solve on full skew matrices and its
     greedy center canonicalization: each bracket vector expressed in the
     directions met so far, or a new direction."""
-    coords, pairs, n1, k = w_space_coords(a)
+    coords, pairs, n1, k = frozen_w_space_coords(a)
     if k == 0:
         nskew = len(pairs)
         comp = [tuple(F(i == j) for j in range(nskew)) for i in range(nskew)]
@@ -618,7 +630,7 @@ def _random_adapted_algebras(rng, per_type=4):
 
 def frozen_extend_degree_one(a, alpha):
     """extend_degree_one with one _express_in solve per center vector."""
-    coords, pairs, n1, k = w_space_coords(a)
+    coords, pairs, n1, k = frozen_w_space_coords(a)
     if alpha.rows != n1:
         raise ValueError("degree-1 block has the wrong size")
     at = alpha.transpose()
@@ -696,6 +708,57 @@ class TestFrozenExtension:
                 assert out == _extension_outcome(frozen_extend_degree_one, a, alpha)
                 verdicts.add(out.startswith("RationalMatrix"))
         assert verdicts == {True, False}
+
+
+class TestIntegerDualityLayer:
+    """w_space_coords holds the integer bracket numerators, and the series,
+    the dual, the extension and the unit test run on integer pairs."""
+
+    def _cases(self):
+        out = recipe_count(2, 3)
+        cases = [out.algebra, scheuneman_dual(out.algebra), abelian(3), heisenberg()]
+        cases += [nk_algebra(k) for k in (-3, 2, 5)] + [hk_algebra(k) for k in (0, 2)]
+        return cases + _random_adapted_algebras(random.Random(2402), per_type=1)
+
+    def test_w_space_coords_are_the_scaled_coordinates(self):
+        for a in self._cases():
+            coords, pairs, n1, k = w_space_coords(a)
+            old, *rest = frozen_w_space_coords(a)
+            c = a.integer_bracket_map()[1]
+            assert [pairs, n1, k] == rest
+            assert coords == [[c * x for x in row] for row in old]
+            assert all(type(x) is int for row in coords for x in row)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        from anosovforms.liealg import lower_central_series
+        from anosovforms.numfield import apply_automorphism, biquadratic_datum, is_algebraic_unit
+        from anosovforms.recipes import biquadratic_pisot_unit
+
+        out = recipe_count(2, 3)
+        a, alpha = out.algebra, out.matrix.submatrix(range(4), range(4))
+        fresh = LieAlgebra.from_numerators(a.dim, [
+            (i, j, k, x) for (i, j), row in a.integer_bracket_map()[0].items()
+            for k, x in row.items()], a.integer_bracket_map()[1])
+        datum = biquadratic_datum(2, 3)
+        lam = biquadratic_pisot_unit(datum, 2, 3)
+        elements = [apply_automorphism(datum, g, lam) for g in range(4)]
+        elements += [lam * elements[1], datum.element((2, 0, 0, 0)), datum.element((F(1, 2), 0, 0, 0))]
+        expected = [True] * 5 + [False, False]
+        at = alpha.transpose()
+        built = []
+        real = F.__new__
+        monkeypatch.setattr(F, "__new__", lambda cls, *x, **k: built.append(x) or real(cls, *x, **k))
+        series = lower_central_series(fresh)
+        coords = w_space_coords(fresh)[0]
+        dual = scheuneman_dual(fresh)
+        ext, ext_dual = extend_degree_one(fresh, alpha), extend_degree_one(dual, at)
+        dual_series = lower_central_series(dual)
+        units = [is_algebraic_unit(x) for x in elements]
+        monkeypatch.undo()
+        assert built == []
+        assert series[1:] == ((4, 2), 2) and dual_series[1:] == ((4, 4), 2) and len(coords) == 2
+        assert ext == out.matrix and ext_dual == dual_automorphism(alpha, a, dual)[1]
+        assert units == expected
 
 
 class TestDualAutomorphism:
